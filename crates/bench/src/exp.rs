@@ -228,6 +228,16 @@ impl PointResult {
 pub enum ExpError {
     /// The experiment spec is unusable (zero trials or cycles).
     EmptyExperiment,
+    /// A source rate or sink probability of the environment is NaN or
+    /// infinite.
+    NonFiniteProbability {
+        /// The configured component, or `default source` / `default sink`.
+        component: String,
+        /// The field: `rate`, `stop_prob` or `kill_prob`.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
     /// Building, compiling or analysing the system failed.
     Core(CoreError),
 }
@@ -238,6 +248,11 @@ impl fmt::Display for ExpError {
             ExpError::EmptyExperiment => {
                 write!(f, "experiment needs at least one trial and one cycle")
             }
+            ExpError::NonFiniteProbability {
+                component,
+                field,
+                value,
+            } => write!(f, "{component}: {field} must be finite, got {value}"),
             ExpError::Core(e) => write!(f, "system error: {e}"),
         }
     }
@@ -295,7 +310,9 @@ pub fn effective_threads(requested: usize, shards: usize) -> usize {
 /// # Errors
 ///
 /// [`ExpError::EmptyExperiment`] for a zero-trial/zero-cycle spec;
-/// [`ExpError::Core`] when the system fails to build or compile.
+/// [`ExpError::NonFiniteProbability`] for a NaN or infinite source rate or
+/// sink probability; [`ExpError::Core`] when the system fails to build or
+/// compile.
 pub fn run_experiment(exp: &Experiment, threads: usize) -> Result<PointResult, ExpError> {
     run_experiment_opts(
         exp,
@@ -314,7 +331,9 @@ pub fn run_experiment(exp: &Experiment, threads: usize) -> Result<PointResult, E
 /// # Errors
 ///
 /// [`ExpError::EmptyExperiment`] for a zero-trial/zero-cycle spec;
-/// [`ExpError::Core`] when the system fails to build or compile.
+/// [`ExpError::NonFiniteProbability`] for a NaN or infinite source rate or
+/// sink probability; [`ExpError::Core`] when the system fails to build or
+/// compile.
 pub fn run_experiment_backend(
     exp: &Experiment,
     threads: usize,
@@ -348,7 +367,9 @@ pub fn run_experiment_backend(
 /// # Errors
 ///
 /// [`ExpError::EmptyExperiment`] for a zero-trial/zero-cycle spec;
-/// [`ExpError::Core`] when the system fails to build, compile, or run.
+/// [`ExpError::NonFiniteProbability`] for a NaN or infinite source rate or
+/// sink probability; [`ExpError::Core`] when the system fails to build,
+/// compile, or run.
 ///
 /// # Panics
 ///
@@ -371,9 +392,7 @@ pub fn run_experiment_streaming(
     opts: &EngineOpts,
     on_partial: impl FnMut(usize, &McStats),
 ) -> Result<PointResult, ExpError> {
-    if exp.trials == 0 || exp.cycles == 0 {
-        return Err(ExpError::EmptyExperiment);
-    }
+    check_experiment(exp)?;
     let t0 = Instant::now();
     let (network, out) = exp.system.build()?;
     let harness = WideHarness::try_new(&network, out)?;
@@ -390,17 +409,49 @@ pub fn run_experiment_streaming(
 /// # Errors
 ///
 /// [`ExpError::EmptyExperiment`] for a zero-trial/zero-cycle spec;
-/// [`ExpError::Core`] when a pipeline stage fails.
+/// [`ExpError::NonFiniteProbability`] for a NaN or infinite source rate or
+/// sink probability; [`ExpError::Core`] when a pipeline stage fails.
 pub fn run_prepared(
     harness: &WideHarness,
     network: &ElasticNetwork,
     exp: &Experiment,
     opts: &EngineOpts,
 ) -> Result<PointResult, ExpError> {
+    check_experiment(exp)?;
+    run_core(harness, network, exp, opts, Instant::now(), |_, _| {})
+}
+
+/// Rejects an experiment with no trials or cycles, or whose environment
+/// has a NaN or infinite source rate or sink probability.
+fn check_experiment(exp: &Experiment) -> Result<(), ExpError> {
     if exp.trials == 0 || exp.cycles == 0 {
         return Err(ExpError::EmptyExperiment);
     }
-    run_core(harness, network, exp, opts, Instant::now(), |_, _| {})
+    let env = &exp.env;
+    let offending = std::iter::once(("default source", &env.default_source))
+        .chain(env.sources.iter().map(|(name, c)| (name.as_str(), c)))
+        .map(|(name, c)| (name, "rate", c.rate))
+        .chain(
+            std::iter::once(("default sink", &env.default_sink))
+                .chain(env.sinks.iter().map(|(name, c)| (name.as_str(), c)))
+                .flat_map(|(name, c)| {
+                    [
+                        (name, "stop_prob", c.stop_prob),
+                        (name, "kill_prob", c.kill_prob),
+                    ]
+                }),
+        )
+        .filter(|&(_, _, value)| !value.is_finite())
+        // Map order varies from run to run; report the first by name.
+        .min_by_key(|&(name, field, _)| (name, field));
+    match offending {
+        Some((component, field, value)) => Err(ExpError::NonFiniteProbability {
+            component: component.to_string(),
+            field,
+            value,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// The engine core shared by every entry point: dispatch the backend,

@@ -290,3 +290,50 @@ fn generated_system_spec_runs_in_the_engine() {
     assert_eq!(one.stats.per_lane, multi.stats.per_lane);
     assert_eq!(one.stats.trials(), 70);
 }
+
+/// A NaN or infinite source rate or sink probability is a typed error at
+/// every engine entry point. A NaN stop probability used to stop every
+/// lane of the streaming engine while the scalar backend never stopped,
+/// and a NaN rate panicked the scalar backend while the streaming engine
+/// never offered.
+#[test]
+fn non_finite_probabilities_are_typed_errors() {
+    use elastic_bench::exp::{run_prepared, ExpError};
+    let base = pipeline_experiment(70, 3, 20);
+    let (net, out) = base.system.build().unwrap();
+    let harness = WideHarness::new(&net, out);
+    let mut nan_stop = base.clone();
+    nan_stop.env.default_sink.stop_prob = f64::NAN;
+    let mut nan_rate = base.clone();
+    nan_rate.env.default_source.rate = f64::NAN;
+    let mut inf_kill = base.clone();
+    inf_kill.env.sinks.insert(
+        "snk".into(),
+        SinkCfg {
+            stop_prob: 0.1,
+            kill_prob: f64::INFINITY,
+        },
+    );
+    for (exp, component, field) in [
+        (&nan_stop, "default sink", "stop_prob"),
+        (&nan_rate, "default source", "rate"),
+        (&inf_kill, "snk", "kill_prob"),
+    ] {
+        let results = [
+            run_experiment(exp, 1),
+            run_experiment_backend(exp, 1, Backend::Scalar),
+            run_prepared(&harness, &net, exp, &EngineOpts::default()),
+        ];
+        for res in results {
+            match res {
+                Err(ExpError::NonFiniteProbability {
+                    component: c,
+                    field: f,
+                    ..
+                }) => assert_eq!((c.as_str(), f), (component, field)),
+                other => panic!("{component} {field}: {other:?}"),
+            }
+        }
+    }
+    assert!(run_prepared(&harness, &net, &base, &EngineOpts::default()).is_ok());
+}

@@ -132,6 +132,25 @@ impl Default for SourceCfg {
     }
 }
 
+impl SourceCfg {
+    /// The offer draw this source makes on each idle cycle: `None` when it
+    /// offers every cycle without drawing (`rate >= 1`), else the
+    /// Bernoulli probability it draws with. A negative or NaN rate reads
+    /// as 0. Every stimulus producer ([`RandomEnv`],
+    /// `crate::verify::Schedule::random` and
+    /// `crate::verify::PackedStimulus::generate`) reads the rate through
+    /// this one function, so they consume the RNG alike.
+    pub fn offer_draw(&self) -> Option<f64> {
+        // A NaN rate fails the first test, and `f64::max` returns the
+        // non-NaN operand.
+        if self.rate >= 1.0 {
+            None
+        } else {
+            Some(self.rate.max(0.0))
+        }
+    }
+}
+
 /// Per-sink configuration: back-pressure and anti-token launch rates. A
 /// non-zero `kill_prob` makes the consumer emit the negative tokens of
 /// Sect. 2 that travel upstream and annihilate work in flight.
@@ -151,6 +170,26 @@ impl Default for SinkCfg {
             kill_prob: 0.0,
         }
     }
+}
+
+impl SinkCfg {
+    /// The stop draw this sink makes each cycle: `None` when it never
+    /// stops and draws nothing (`stop_prob <= 0` or NaN), else the
+    /// Bernoulli probability, capped at 1. Shared by every stimulus
+    /// producer, like [`SourceCfg::offer_draw`].
+    pub fn stop_draw(&self) -> Option<f64> {
+        sink_draw(self.stop_prob)
+    }
+
+    /// The kill draw this sink makes each cycle; read like
+    /// [`Self::stop_draw`].
+    pub fn kill_draw(&self) -> Option<f64> {
+        sink_draw(self.kill_prob)
+    }
+}
+
+fn sink_draw(p: f64) -> Option<f64> {
+    (p > 0.0).then(|| p.min(1.0))
 }
 
 /// A weighted latency distribution for variable-latency units — e.g. the
@@ -196,6 +235,13 @@ impl LatencyDist {
             .map(|&(l, w)| f64::from(l) * w)
             .sum::<f64>()
             / total
+    }
+
+    /// The probability of the Bernoulli `finish` stream that pre-generated
+    /// schedules draw for this unit every cycle: `1 / mean`, clamped to
+    /// `[0.05, 1]`, so completion delays are geometric with this mean.
+    pub fn finish_draw(&self) -> f64 {
+        (1.0 / self.mean()).clamp(0.05, 1.0)
     }
 
     fn sample(&self, rng: &mut StdRng) -> u32 {
@@ -258,11 +304,9 @@ impl Environment for RandomEnv {
             .get(name)
             .unwrap_or(&self.cfg.default_source)
             .clone();
-        if cfg.rate >= 1.0 || self.rng.gen_bool(cfg.rate.clamp(0.0, 1.0)) {
-            Some(self.gen_data(comp, &cfg.data))
-        } else {
-            None
-        }
+        cfg.offer_draw()
+            .is_none_or(|p| self.rng.gen_bool(p))
+            .then(|| self.gen_data(comp, &cfg.data))
     }
 
     fn sink_stop(&mut self, _comp: CompId, name: &str, _time: u64) -> bool {
@@ -272,7 +316,7 @@ impl Environment for RandomEnv {
             .get(name)
             .copied()
             .unwrap_or(self.cfg.default_sink);
-        cfg.stop_prob > 0.0 && self.rng.gen_bool(cfg.stop_prob.clamp(0.0, 1.0))
+        cfg.stop_draw().is_some_and(|p| self.rng.gen_bool(p))
     }
 
     fn sink_kill(&mut self, _comp: CompId, name: &str, _time: u64) -> bool {
@@ -282,7 +326,7 @@ impl Environment for RandomEnv {
             .get(name)
             .copied()
             .unwrap_or(self.cfg.default_sink);
-        cfg.kill_prob > 0.0 && self.rng.gen_bool(cfg.kill_prob.clamp(0.0, 1.0))
+        cfg.kill_draw().is_some_and(|p| self.rng.gen_bool(p))
     }
 
     fn vl_latency(&mut self, _comp: CompId, name: &str, _time: u64) -> u32 {

@@ -22,7 +22,7 @@ use elastic_mc::{
 use elastic_netlist::sim::Simulator;
 use elastic_netlist::wide::{WideSimulator, LANES};
 use elastic_netlist::NetId;
-use rand::rngs::StdRng;
+use rand::rngs::{StdRng, StdRngLanes, BLOCK_LANES};
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::compile::{compile, sanitize, CompileOptions, FaultInjection};
@@ -74,45 +74,31 @@ impl Schedule {
             let name = net.component(comp).name.clone();
             match &net.component(comp).kind {
                 ComponentKind::Source => {
-                    let c = cfg
-                        .sources
-                        .get(&name)
-                        .unwrap_or(&cfg.default_source)
-                        .clone();
+                    let c = cfg.sources.get(&name).unwrap_or(&cfg.default_source);
+                    let offer = c.offer_draw();
                     let mut seq = 0u64;
                     let stream = (0..cycles)
                         .map(|_| {
-                            if c.rate >= 1.0 || rng.gen_bool(c.rate.clamp(0.0, 1.0)) {
-                                Some(c.data.sample(&mut rng, &mut seq))
-                            } else {
-                                None
-                            }
+                            offer
+                                .is_none_or(|p| rng.gen_bool(p))
+                                .then(|| c.data.sample(&mut rng, &mut seq))
                         })
                         .collect();
                     s.offers.insert(name, stream);
                 }
                 ComponentKind::Sink => {
                     let c = cfg.sinks.get(&name).copied().unwrap_or(cfg.default_sink);
-                    s.stops.insert(
-                        name.clone(),
-                        (0..cycles)
-                            .map(|_| c.stop_prob > 0.0 && rng.gen_bool(c.stop_prob.min(1.0)))
-                            .collect(),
-                    );
-                    s.kills.insert(
-                        name,
-                        (0..cycles)
-                            .map(|_| c.kill_prob > 0.0 && rng.gen_bool(c.kill_prob.min(1.0)))
-                            .collect(),
-                    );
+                    for (draw, streams) in
+                        [(c.stop_draw(), &mut s.stops), (c.kill_draw(), &mut s.kills)]
+                    {
+                        let stream = (0..cycles)
+                            .map(|_| draw.is_some_and(|p| rng.gen_bool(p)))
+                            .collect();
+                        streams.insert(name.clone(), stream);
+                    }
                 }
                 ComponentKind::VarLatency => {
-                    let dist = cfg
-                        .vls
-                        .get(&name)
-                        .cloned()
-                        .unwrap_or_else(|| cfg.default_vl.clone());
-                    let p = (1.0 / dist.mean()).clamp(0.05, 1.0);
+                    let p = cfg.vls.get(&name).unwrap_or(&cfg.default_vl).finish_draw();
                     s.finishes
                         .insert(name, (0..cycles).map(|_| rng.gen_bool(p)).collect());
                 }
@@ -545,8 +531,8 @@ const UNIT_53: f64 = 1.0 / (1u64 << 53) as f64;
 /// exact, so `gen_bool` accepts iff `m < p·2^53` as reals; `p·2^53` is
 /// itself exact for any `p ∈ [0, 1]` (a power-of-two scaling never
 /// rounds), hence `m < p·2^53 ⇔ m < ⌈p·2^53⌉` over the integers. One
-/// shift and one integer compare per draw, no float conversion — this is
-/// the hot-loop form used by [`PackedStimulus::generate`], asserted
+/// shift and one integer compare per draw, no float conversion — the form
+/// [`threshold_stream`] evaluates for 64 lanes at once, asserted
 /// equivalent in `bool_draw_matches_gen_bool`.
 struct BoolDraw {
     threshold: u64,
@@ -566,77 +552,100 @@ impl BoolDraw {
     }
 }
 
-/// Cycle-block size of the fused generator's inner loops: per block, each
-/// lane's RNG state is pulled onto the stack once for `GEN_BLOCK`
-/// consecutive draws and the lane bits accumulate in a block-local buffer
-/// (≤ `GEN_BLOCK × 8` bytes per stream, L1-resident) before one store per
-/// cycle lands them in the stimulus matrix.
-const GEN_BLOCK: usize = 64;
+// The generator's RNG blocks and the stimulus matrix's lane words have the
+// same 64 lanes.
+const _: () = assert!(BLOCK_LANES == LANES);
 
-/// Fills one Bernoulli input column (a sink's stop/kill or a VL unit's
-/// finish stream) for one 64-lane word group, cycle-blocked as described on
-/// [`GEN_BLOCK`]. `cell(t)` maps a cycle to the column's word index for
-/// this group. Per-lane draw order is cycle-sequential (blocks advance in
-/// order and each lane runs a whole block before the next lane), so every
-/// lane consumes its RNG exactly like the one-schedule-at-a-time path.
-fn fill_bool_stream(
-    words: &mut [u64],
-    rngs: &mut [StdRng],
-    b: &BoolDraw,
+/// The stimulus kernel: advances the 64 lanes of `rngs` by `cycles`
+/// draws each, one draw per lane per cycle, and hands cycle `t`'s masks to
+/// `emit(t, masks)`. Bit `l` of `masks[c]` is set when lane `l`'s draw has
+/// its top 53 bits below `thresholds[c]` — [`BoolDraw`]'s test. One
+/// threshold makes a Bernoulli stream; a weighted payload passes the cuts
+/// of its [`SrcPlan::Walk`]. No lane loop carries a dependence from one
+/// lane to the next, so both loops vectorize.
+#[inline(always)]
+fn threshold_stream(
+    rngs: &mut StdRngLanes,
+    thresholds: &[u64],
     cycles: usize,
-    cell: impl Fn(usize) -> usize,
+    mut emit: impl FnMut(usize, &[u64]),
 ) {
-    let mut buf = [0u64; GEN_BLOCK];
-    let mut t0 = 0;
-    while t0 < cycles {
-        let bl = GEN_BLOCK.min(cycles - t0);
-        buf.fill(0);
-        for (k, slot) in rngs.iter_mut().enumerate() {
-            let mut rng = slot.clone();
-            let mut bw = 0u64;
-            for i in 0..bl {
-                bw |= u64::from(b.draw(&mut rng)) << i;
+    let mut draws = [0u64; BLOCK_LANES];
+    let mut masks = vec![0u64; thresholds.len()];
+    for t in 0..cycles {
+        rngs.next_u64s(&mut draws);
+        for (mask, &th) in masks.iter_mut().zip(thresholds) {
+            // Both `r >> 11` and `th` lie in [0, 2^53], so the sign bit of
+            // their difference is exactly `r >> 11 < th`.
+            let mut m = 0u64;
+            for (l, &r) in draws.iter().enumerate() {
+                m |= ((r >> 11).wrapping_sub(th) >> 63) << l;
             }
-            buf[k] = bw;
-            *slot = rng;
+            *mask = m;
         }
-        // buf[k] bit i = lane k, cycle t0+i; transpose to cycle-major rows.
-        transpose64(&mut buf);
-        for (i, &a) in buf[..bl].iter().enumerate() {
-            words[cell(t0 + i)] = a;
-        }
-        t0 += bl;
+        emit(t, &masks);
     }
 }
 
-/// In-place 64×64 bit-matrix transpose (Hacker's Delight 7-3): output row
-/// `i` bit `k` = input row `k` bit `i`. Turns the generator's lane-major
-/// draw buffers into the stimulus matrix's cycle-major lane words in
-/// ~6·64 word operations per 4096 bits — instead of one read-modify-write
-/// per drawn bit.
-fn transpose64(a: &mut [u64; GEN_BLOCK]) {
-    let mut j = 32usize;
-    let mut m = 0x0000_0000_FFFF_FFFFu64;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 64 {
-            // Swap the high `j` bits of row k with the low `j` bits of row
-            // k+j (the LSB-first orientation of Hacker's Delight 7-3).
-            let t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-            k = (k + j + 1) & !j;
+/// [`threshold_stream`] built with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn threshold_stream_avx2(
+    rngs: &mut StdRngLanes,
+    thresholds: &[u64],
+    cycles: usize,
+    emit: impl FnMut(usize, &[u64]),
+) {
+    threshold_stream(rngs, thresholds, cycles, emit);
+}
+
+/// A build of [`threshold_stream`]. Every build draws the same words and
+/// emits the same masks; they differ only in the instructions the
+/// compiler may use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Built for the baseline target.
+    Portable,
+    /// Built with AVX2 enabled. Only [`Kernel::best`] constructs it, after
+    /// checking that the CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    /// The fastest build this CPU can run.
+    fn best() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Kernel::Avx2;
         }
-        j >>= 1;
-        m ^= m << j;
+        Kernel::Portable
+    }
+
+    /// Runs [`threshold_stream`] through this build.
+    fn run(
+        self,
+        rngs: &mut StdRngLanes,
+        thresholds: &[u64],
+        cycles: usize,
+        emit: impl FnMut(usize, &[u64]),
+    ) {
+        match self {
+            Kernel::Portable => threshold_stream(rngs, thresholds, cycles, emit),
+            // SAFETY: `Kernel::Avx2` is only constructed by `Kernel::best`
+            // once `is_x86_feature_detected!("avx2")` has returned true, so
+            // this CPU executes the AVX2 build.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { threshold_stream_avx2(rngs, thresholds, cycles, emit) },
+        }
     }
 }
 
 /// Pre-resolved source payload generator for the fused stimulus path:
 /// the per-draw work of `weighted_draw` (re-summing the weight total,
-/// re-filtering unusable entries, dynamic dispatch into the RNG) is hoisted
-/// to construction, keeping the draw itself to one `next_u64` and a short
-/// float walk with **exactly** the original's FP semantics and RNG
+/// re-filtering unusable entries, the float walk) is hoisted to
+/// construction, keeping the draw itself to one `next_u64` and integer
+/// compares with **exactly** the original's FP semantics and RNG
 /// consumption (including the degenerate-distribution early return that
 /// draws nothing).
 enum SrcPlan<'a> {
@@ -645,7 +654,8 @@ enum SrcPlan<'a> {
     /// Degenerate weighted distribution: deterministic value, **no draw**.
     Fixed(u64),
     /// Weighted distribution, compiled to integer mantissa cutoffs: a draw
-    /// with top-53-bit mantissa `m` selects `values[#cuts ≤ m]`.
+    /// with top-53-bit mantissa `m` selects `values[#cuts ≤ m]`. The cuts
+    /// are non-decreasing, so the cuts at or below `m` are a prefix.
     Walk { cuts: Vec<u64>, values: Vec<u64> },
 }
 
@@ -731,6 +741,61 @@ impl<'a> SrcPlan<'a> {
     }
 }
 
+/// Rejects a batch of `lanes` trials that is empty or exceeds the lane
+/// capacity of a `width`-word matrix.
+fn check_lanes(lanes: usize, width: usize) -> Result<(), CoreError> {
+    if lanes == 0 {
+        return Err(CoreError::ScheduleBatch("empty schedule batch".into()));
+    }
+    if lanes > width * LANES {
+        return Err(CoreError::ScheduleBatch(format!(
+            "{lanes} schedules exceed the {}-lane capacity of a {width}-word backend",
+            width * LANES
+        )));
+    }
+    Ok(())
+}
+
+/// The dense arena slot of every testbench input, in stimulus column
+/// order: each source's offer and payload bits, each sink's stop and
+/// kill, each VL unit's finish, then the fault arms.
+fn input_slots(tb: &NetlistTestbench) -> Vec<u32> {
+    let mut slots: Vec<u32> = Vec::new();
+    for (_, offer, dins) in &tb.srcs {
+        slots.push(offer.index() as u32);
+        slots.extend(dins.iter().map(|d| d.index() as u32));
+    }
+    for (_, stop, kill) in &tb.sinks {
+        slots.push(stop.index() as u32);
+        slots.push(kill.index() as u32);
+    }
+    for (_, fin) in &tb.vls {
+        slots.push(fin.index() as u32);
+    }
+    if let Some(arm) = tb.fault {
+        slots.push(arm.index() as u32);
+        slots.extend(tb.more_faults.iter().map(|f| f.index() as u32));
+    }
+    slots
+}
+
+/// How [`PackedStimulus::generate`] fills one stimulus stream of a 64-lane
+/// word group, resolved once from the environment. Streams are listed in
+/// the order [`Schedule::random`] draws them.
+enum Stream<'a> {
+    /// A source's offer column `col` and its `bits` payload columns after
+    /// it. `offer` is `None` for a source that offers on every cycle
+    /// without drawing.
+    Source {
+        col: usize,
+        bits: usize,
+        offer: Option<BoolDraw>,
+        plan: SrcPlan<'a>,
+    },
+    /// A Bernoulli column: a sink's stop or kill, or a VL unit's finish.
+    Bool { col: usize, draw: BoolDraw },
+}
+
 impl PackedStimulus {
     /// Packs `schedules` into a dense stimulus matrix with `width` lane
     /// words per input (capacity `width × 64` schedules).
@@ -744,16 +809,7 @@ impl PackedStimulus {
         schedules: &[Schedule],
         width: usize,
     ) -> Result<PackedStimulus, CoreError> {
-        let lanes = schedules.len();
-        if lanes == 0 {
-            return Err(CoreError::ScheduleBatch("empty schedule batch".into()));
-        }
-        if lanes > width * LANES {
-            return Err(CoreError::ScheduleBatch(format!(
-                "{lanes} schedules exceed the {}-lane capacity of a {width}-word backend",
-                width * LANES
-            )));
-        }
+        check_lanes(schedules.len(), width)?;
         let cycles = schedules[0].cycles;
         if let Some(bad) = schedules.iter().find(|s| s.cycles != cycles) {
             return Err(CoreError::ScheduleBatch(format!(
@@ -761,22 +817,7 @@ impl PackedStimulus {
                 bad.cycles
             )));
         }
-        let mut slots: Vec<u32> = Vec::new();
-        for (_, offer, dins) in &tb.srcs {
-            slots.push(offer.index() as u32);
-            slots.extend(dins.iter().map(|d| d.index() as u32));
-        }
-        for (_, stop, kill) in &tb.sinks {
-            slots.push(stop.index() as u32);
-            slots.push(kill.index() as u32);
-        }
-        for (_, fin) in &tb.vls {
-            slots.push(fin.index() as u32);
-        }
-        if let Some(arm) = tb.fault {
-            slots.push(arm.index() as u32);
-            slots.extend(tb.more_faults.iter().map(|f| f.index() as u32));
-        }
+        let slots = input_slots(tb);
         let n = slots.len();
         let mut words = vec![0u64; cycles * n * width];
         // One stream lookup per (component, lane) — the per-(cycle × lane)
@@ -866,19 +907,27 @@ impl PackedStimulus {
     /// (wrapping at `u64::MAX`) **directly into packed form**, fusing
     /// [`Schedule::random`] and [`PackedStimulus::pack`] into one pass.
     ///
-    /// This is the streaming Monte-Carlo engine's stimulus producer. The
-    /// two-step path materializes per-component `HashMap<String, Vec<bool>>`
-    /// streams per lane and then re-reads them bit by bit at pack time;
-    /// profiling shows that bookkeeping dominates the whole campaign
-    /// (stimulus ≈ 25× the tape-execution cost on the Fig. 9 example). The
-    /// fused path holds one RNG per lane of a 64-lane word group and makes
-    /// **exactly the same draw calls in the same per-lane order** as
-    /// [`Schedule::random`] — same `gen_bool` short-circuits, same
-    /// [`DataGen::sample`] calls, same per-component stream order — so the
-    /// packed words are bit-identical to
+    /// This is the streaming Monte-Carlo engine's stimulus producer. Each
+    /// 64-lane word group keeps its lanes' xoshiro256** states side by side
+    /// ([`StdRngLanes`]) and advances all 64 together, one cycle at a time,
+    /// so a cycle's lane word comes out of one vectorized pass over the
+    /// lanes (one kernel, run as its AVX2 build when the CPU has AVX2).
+    /// Each stream takes one of three paths:
+    ///
+    /// * sink stops and kills, VL finishes and the payloads of full-rate
+    ///   weighted sources draw one word per lane per cycle, compared
+    ///   against one threshold or the payload's cuts;
+    /// * full-rate sources whose payload draws nothing (`Const`, `Counter`,
+    ///   `Alternate`, degenerate weights) write the same word to every
+    ///   lane;
+    /// * sub-rate sources draw a payload only on the cycles they offer, so
+    ///   their lanes fall out of step: each lane steps its own [`StdRng`].
+    ///
+    /// Every lane makes **exactly the draws [`Schedule::random`] makes, in
+    /// the same order**, so the packed words are bit-identical to
     /// `PackedStimulus::pack(tb, &[Schedule::random(net, cfg, seed + j,
-    /// cycles), …], width)` (asserted by unit and property tests), while
-    /// skipping every allocation and string hash in between.
+    /// cycles), …], width)` (asserted by unit and property tests), without
+    /// materializing a schedule.
     ///
     /// # Errors
     ///
@@ -899,209 +948,120 @@ impl PackedStimulus {
         cycles: usize,
         width: usize,
     ) -> Result<PackedStimulus, CoreError> {
-        if lanes == 0 {
-            return Err(CoreError::ScheduleBatch("empty schedule batch".into()));
-        }
-        if lanes > width * LANES {
-            return Err(CoreError::ScheduleBatch(format!(
-                "{lanes} schedules exceed the {}-lane capacity of a {width}-word backend",
-                width * LANES
-            )));
-        }
-        let mut slots: Vec<u32> = Vec::new();
-        for (_, offer, dins) in &tb.srcs {
-            slots.push(offer.index() as u32);
-            slots.extend(dins.iter().map(|d| d.index() as u32));
-        }
-        for (_, stop, kill) in &tb.sinks {
-            slots.push(stop.index() as u32);
-            slots.push(kill.index() as u32);
-        }
-        for (_, fin) in &tb.vls {
-            slots.push(fin.index() as u32);
-        }
-        if let Some(arm) = tb.fault {
-            slots.push(arm.index() as u32);
-            slots.extend(tb.more_faults.iter().map(|f| f.index() as u32));
-        }
+        Self::generate_with(Kernel::best(), tb, net, cfg, seed, lanes, cycles, width)
+    }
+
+    /// [`Self::generate`] through the given kernel build.
+    #[allow(clippy::too_many_arguments)]
+    fn generate_with(
+        kernel: Kernel,
+        tb: &NetlistTestbench,
+        net: &ElasticNetwork,
+        cfg: &EnvConfig,
+        seed: u64,
+        lanes: usize,
+        cycles: usize,
+        width: usize,
+    ) -> Result<PackedStimulus, CoreError> {
+        check_lanes(lanes, width)?;
+        let slots = input_slots(tb);
         let n = slots.len();
-        let mut words = vec![0u64; cycles * n * width];
-        // Column base of the i-th source / sink / VL group, in the packed
-        // input order (sources first, then sinks, then VLs).
-        let mut col = 0usize;
-        let src_base: Vec<usize> = tb
-            .srcs
-            .iter()
-            .map(|(_, _, dins)| {
-                let base = col;
-                col += 1 + dins.len();
-                base
-            })
-            .collect();
-        let sink_base: Vec<usize> = tb
-            .sinks
-            .iter()
-            .map(|_| {
-                let base = col;
-                col += 2;
-                base
-            })
-            .collect();
-        let vl_base: Vec<usize> = tb
-            .vls
-            .iter()
-            .map(|_| {
-                let base = col;
-                col += 1;
-                base
-            })
-            .collect();
+        let streams = Self::streams(tb, net, cfg);
         // The fault-arm columns (if any) stay all-zero: freshly generated
         // schedules are unarmed, matching `Schedule::random`. Campaigns arm
         // per-lane windows afterwards with [`Self::arm_fault`].
-        if tb.fault.is_some() {
-            col += 1 + tb.more_faults.len();
-        }
-        debug_assert_eq!(col, n);
-
+        let mut words = vec![0u64; cycles * n * width];
         let cell = |t: usize, col: usize, w: usize| (t * n + col) * width + w;
-        // One 64-lane word group at a time: 64 independent per-lane RNG
-        // streams advanced component-major (all of component A's cycles,
-        // then component B's), exactly like 64 separate `Schedule::random`
-        // calls — the streams never interact, so interleaving lanes within
-        // a cycle is free.
         for g in 0..lanes.div_ceil(LANES) {
             let glen = LANES.min(lanes - g * LANES);
-            let mut rngs: Vec<StdRng> = (0..glen)
-                .map(|k| StdRng::seed_from_u64(seed.wrapping_add((g * LANES + k) as u64)))
-                .collect();
-            let (mut src_i, mut sink_i, mut vl_i) = (0, 0, 0);
-            for comp in net.components() {
-                let name = net.component(comp).name.as_str();
-                match &net.component(comp).kind {
-                    ComponentKind::Source => {
-                        let (tb_name, _, dins) = &tb.srcs[src_i];
-                        debug_assert_eq!(tb_name, name, "testbench/network source order");
-                        let c = cfg.sources.get(name).unwrap_or(&cfg.default_source);
-                        let base_col = src_base[src_i];
-                        let offer = if c.rate >= 1.0 {
-                            None
-                        } else {
-                            Some(BoolDraw::new(c.rate.clamp(0.0, 1.0)))
-                        };
-                        let plan = SrcPlan::new(&c.data);
-                        let mut seq = [0u64; LANES];
-                        // Cycle blocks, lanes outer: each lane's RNG state
-                        // is copied to the stack for GEN_BLOCK consecutive
-                        // draws (registers, not a round-trip through the
-                        // `rngs` vec per draw); lane-major bit buffers are
-                        // transposed to cycle-major words once per block.
-                        let mut buf_offer = [0u64; GEN_BLOCK];
-                        let mut buf_din = vec![[0u64; GEN_BLOCK]; dins.len()];
-                        let mut dw = vec![0u64; dins.len()];
-                        let mut t0 = 0;
-                        while t0 < cycles {
-                            let bl = GEN_BLOCK.min(cycles - t0);
-                            buf_offer.fill(0);
-                            for a in buf_din.iter_mut() {
-                                a.fill(0);
-                            }
-                            for (k, slot) in rngs.iter_mut().enumerate() {
-                                let mut rng = slot.clone();
-                                let mut sq = seq[k];
-                                let mut ow = 0u64;
-                                dw.fill(0);
-                                match (&offer, &plan) {
-                                    // Hot path (the campaign shape): an
-                                    // always-offering source with a compiled
-                                    // weighted walk and at most two data
-                                    // bits. No per-cycle Option check, and
-                                    // the bit-planes accumulate in registers
-                                    // instead of through the `dw` slice.
-                                    (None, SrcPlan::Walk { cuts, values }) if dw.len() <= 2 => {
-                                        let (mut d0, mut d1) = (0u64, 0u64);
-                                        for i in 0..bl {
-                                            let m = rng.next_u64() >> 11;
-                                            let mut idx = 0usize;
-                                            for &c in cuts.iter() {
-                                                idx += usize::from(m >= c);
-                                            }
-                                            let d = values[idx];
-                                            d0 |= (d & 1) << i;
-                                            d1 |= (d >> 1 & 1) << i;
-                                        }
-                                        ow = if bl == 64 { !0 } else { (1 << bl) - 1 };
-                                        if let Some(m) = dw.first_mut() {
-                                            *m = d0;
-                                        }
-                                        if let Some(m) = dw.get_mut(1) {
-                                            *m = d1;
-                                        }
-                                    }
-                                    _ => {
-                                        for i in 0..bl {
-                                            if offer.as_ref().is_none_or(|b| b.draw(&mut rng)) {
-                                                let d = plan.draw(&mut rng, &mut sq);
-                                                ow |= 1 << i;
-                                                for (j, m) in dw.iter_mut().enumerate() {
-                                                    *m |= (d >> j & 1) << i;
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                buf_offer[k] = ow;
-                                for (j, &m) in dw.iter().enumerate() {
-                                    buf_din[j][k] = m;
-                                }
-                                *slot = rng;
-                                seq[k] = sq;
-                            }
-                            transpose64(&mut buf_offer);
-                            for a in buf_din.iter_mut() {
-                                transpose64(a);
-                            }
-                            for (i, &o) in buf_offer[..bl].iter().enumerate() {
-                                let base = cell(t0 + i, base_col, g);
-                                words[base] = o;
-                                for (j, a) in buf_din.iter().enumerate() {
-                                    words[base + (j + 1) * width] = a[i];
-                                }
-                            }
-                            t0 += bl;
-                        }
-                        src_i += 1;
-                    }
-                    ComponentKind::Sink => {
-                        debug_assert_eq!(&tb.sinks[sink_i].0, name, "testbench/network sink order");
-                        let c = cfg.sinks.get(name).copied().unwrap_or(cfg.default_sink);
-                        let base_col = sink_base[sink_i];
-                        // Stops stream first, then kills — matching the
-                        // collect order (and so the RNG order) of
-                        // `Schedule::random`. A zero probability draws
-                        // nothing at all, also matching.
-                        for (off, p) in [(0, c.stop_prob), (1, c.kill_prob)] {
-                            if p <= 0.0 {
-                                continue;
-                            }
-                            let b = BoolDraw::new(p.min(1.0));
-                            fill_bool_stream(&mut words, &mut rngs, &b, cycles, |t| {
-                                cell(t, base_col + off, g)
-                            });
-                        }
-                        sink_i += 1;
-                    }
-                    ComponentKind::VarLatency => {
-                        debug_assert_eq!(&tb.vls[vl_i].0, name, "testbench/network VL order");
-                        let dist = cfg.vls.get(name).unwrap_or(&cfg.default_vl);
-                        let b = BoolDraw::new((1.0 / dist.mean()).clamp(0.05, 1.0));
-                        let base_col = vl_base[vl_i];
-                        fill_bool_stream(&mut words, &mut rngs, &b, cycles, |t| {
-                            cell(t, base_col, g)
+            let live = u64::MAX >> (LANES - glen);
+            let mut rngs = StdRngLanes::seed_from_u64(seed.wrapping_add((g * LANES) as u64));
+            for stream in &streams {
+                match stream {
+                    Stream::Bool { col, draw } => {
+                        kernel.run(&mut rngs, &[draw.threshold], cycles, |t, below| {
+                            words[cell(t, *col, g)] = below[0] & live;
                         });
-                        vl_i += 1;
                     }
-                    _ => {}
+                    Stream::Source {
+                        col,
+                        bits,
+                        offer: None,
+                        plan: SrcPlan::Walk { cuts, values },
+                    } => {
+                        // A lane takes `values[i]` with `i` the number of
+                        // cuts at or below its draw, so `below[c]` is set
+                        // exactly when `i <= c`. Reading down from the last
+                        // value, payload bit `j` flips at every cut where
+                        // adjacent values differ in bit `j`.
+                        let last = values[cuts.len()];
+                        kernel.run(&mut rngs, cuts, cycles, |t, below| {
+                            let base = cell(t, *col, g);
+                            words[base] = live;
+                            for j in 0..*bits {
+                                let mut plane = 0u64.wrapping_sub(last >> j & 1);
+                                for (c, &b) in below.iter().enumerate() {
+                                    if (values[c] ^ values[c + 1]) >> j & 1 == 1 {
+                                        plane ^= b;
+                                    }
+                                }
+                                words[base + (1 + j) * width] = plane & live;
+                            }
+                        });
+                    }
+                    Stream::Source {
+                        col,
+                        bits,
+                        offer: None,
+                        plan,
+                    } => {
+                        // Exact and Fixed plans draw nothing, so every lane
+                        // of a full-rate source carries one payload
+                        // sequence. `idle` only fills the RNG argument;
+                        // these plans never advance it.
+                        let mut idle = rngs.lane(0);
+                        let mut seq = 0;
+                        for t in 0..cycles {
+                            let d = plan.draw(&mut idle, &mut seq);
+                            let base = cell(t, *col, g);
+                            words[base] = live;
+                            for j in 0..*bits {
+                                words[base + (1 + j) * width] =
+                                    live & 0u64.wrapping_sub(d >> j & 1);
+                            }
+                        }
+                    }
+                    Stream::Source {
+                        col,
+                        bits,
+                        offer: Some(offer),
+                        plan,
+                    } => {
+                        let mut lane_rngs: Vec<StdRng> = (0..glen).map(|k| rngs.lane(k)).collect();
+                        let mut seq = vec![0u64; glen];
+                        let mut planes = vec![0u64; *bits];
+                        for t in 0..cycles {
+                            let mut offered = 0u64;
+                            planes.fill(0);
+                            for (k, (rng, sq)) in lane_rngs.iter_mut().zip(&mut seq).enumerate() {
+                                if offer.draw(rng) {
+                                    let d = plan.draw(rng, sq);
+                                    offered |= 1 << k;
+                                    for (j, p) in planes.iter_mut().enumerate() {
+                                        *p |= (d >> j & 1) << k;
+                                    }
+                                }
+                            }
+                            let base = cell(t, *col, g);
+                            words[base] = offered;
+                            for (j, &p) in planes.iter().enumerate() {
+                                words[base + (1 + j) * width] = p;
+                            }
+                        }
+                        for (k, rng) in lane_rngs.iter().enumerate() {
+                            rngs.set_lane(k, rng);
+                        }
+                    }
                 }
             }
         }
@@ -1111,6 +1071,68 @@ impl PackedStimulus {
             slots,
             words,
         })
+    }
+
+    /// Resolves `cfg` for every source, sink and VL unit of `net` into the
+    /// streams [`Schedule::random`] draws, in its order, each with its
+    /// stimulus column. A stop or kill that never fires draws nothing and
+    /// gets no stream.
+    fn streams<'a>(
+        tb: &NetlistTestbench,
+        net: &ElasticNetwork,
+        cfg: &'a EnvConfig,
+    ) -> Vec<Stream<'a>> {
+        let mut src_col = 0;
+        let mut sink_col: usize = tb.srcs.iter().map(|(_, _, dins)| 1 + dins.len()).sum();
+        let mut vl_col = sink_col + 2 * tb.sinks.len();
+        let (mut src_i, mut sink_i, mut vl_i) = (0, 0, 0);
+        let mut streams = Vec::new();
+        for comp in net.components() {
+            let name = net.component(comp).name.as_str();
+            match &net.component(comp).kind {
+                ComponentKind::Source => {
+                    let (tb_name, _, dins) = &tb.srcs[src_i];
+                    debug_assert_eq!(tb_name, name, "testbench/network source order");
+                    let c = cfg.sources.get(name).unwrap_or(&cfg.default_source);
+                    streams.push(Stream::Source {
+                        col: src_col,
+                        bits: dins.len(),
+                        offer: c.offer_draw().map(BoolDraw::new),
+                        plan: SrcPlan::new(&c.data),
+                    });
+                    src_col += 1 + dins.len();
+                    src_i += 1;
+                }
+                ComponentKind::Sink => {
+                    let (tb_name, _, _) = &tb.sinks[sink_i];
+                    debug_assert_eq!(tb_name, name, "testbench/network sink order");
+                    let c = cfg.sinks.get(name).copied().unwrap_or(cfg.default_sink);
+                    for (col, p) in [(sink_col, c.stop_draw()), (sink_col + 1, c.kill_draw())] {
+                        if let Some(p) = p {
+                            streams.push(Stream::Bool {
+                                col,
+                                draw: BoolDraw::new(p),
+                            });
+                        }
+                    }
+                    sink_col += 2;
+                    sink_i += 1;
+                }
+                ComponentKind::VarLatency => {
+                    let (tb_name, _) = &tb.vls[vl_i];
+                    debug_assert_eq!(tb_name, name, "testbench/network VL order");
+                    let dist = cfg.vls.get(name).unwrap_or(&cfg.default_vl);
+                    streams.push(Stream::Bool {
+                        col: vl_col,
+                        draw: BoolDraw::new(dist.finish_draw()),
+                    });
+                    vl_col += 1;
+                    vl_i += 1;
+                }
+                _ => {}
+            }
+        }
+        streams
     }
 
     /// Horizon of the packed schedules, in cycles.
@@ -1800,7 +1822,9 @@ mod tests {
         // Schedule::random → pack path for every stream kind and every RNG
         // branch: full-rate and sub-rate sources, zero and non-zero
         // stop/kill probabilities, configured and default VL distributions,
-        // and partial final word groups.
+        // and partial final word groups — through every kernel build the
+        // host runs.
+        use crate::corpus::{self, CorpusConfig, Knobs, DESIGNS};
         use crate::systems::{paper_example, Config};
         let sys = paper_example(Config::ActiveAntiTokens).unwrap();
         let compiled = compile(
@@ -1838,6 +1862,178 @@ mod tests {
             PackedStimulus::generate(&tb, &sys.network, &sys.env_config, 1, 65, 10, 1),
             Err(CoreError::ScheduleBatch(_))
         ));
+
+        // Every word width against lane counts around the group edges, on
+        // full-rate weighted sources (the paper) and sub-rate sources with
+        // stops and kills (stress).
+        let shapes: Vec<(usize, usize)> = [1usize, 2, 4, 8]
+            .into_iter()
+            .flat_map(|w| {
+                [1usize, 63, 64, 65, 511, 512]
+                    .into_iter()
+                    .filter(move |&l| l <= w * LANES)
+                    .map(move |l| (l, w))
+            })
+            .collect();
+        for (cfg, tag) in [(sys.env_config.clone(), "paper"), (stress_cfg(), "stress")] {
+            assert_generate_matches_pack(&sys.network, &tb, &cfg, 77, 9, &shapes, tag);
+        }
+
+        // Weighted payloads with 0 to 5 cuts, adjacent equal values, a
+        // value wider than the two data bits, and degenerate weights —
+        // each offered every cycle (the kernel's walk, or a lane-uniform
+        // word) and at a sub-rate (per-lane generators).
+        let payloads = [
+            vec![(2, 1.0)],
+            vec![(0, 0.5), (3, 0.5)],
+            vec![(1, 0.2), (2, 0.3), (3, 0.5)],
+            vec![(0, 0.1), (1, 0.2), (1, 0.3), (2, 0.4)],
+            vec![(3, 0.1), (0, 0.2), (5, 0.1), (1, 0.25), (2, 0.15), (0, 0.2)],
+            vec![(0, 0.0), (1, f64::NAN), (2, 0.5), (3, -1.0)],
+            vec![(3, 0.0), (1, 0.0)],
+            vec![],
+        ];
+        let mut cfg = sys.env_config.clone();
+        for choices in payloads {
+            for rate in [1.0, 0.6] {
+                cfg.default_source = SourceCfg {
+                    rate,
+                    data: crate::sim::DataGen::Weighted(choices.clone()),
+                };
+                let tag = format!("rate {rate} weights {choices:?}");
+                assert_generate_matches_pack(&sys.network, &tb, &cfg, 5, 23, &[(70, 2)], &tag);
+            }
+        }
+
+        // Stop, kill and finish at p = 0 and p = 1. A finish stream always
+        // draws: its probability floors at 0.05 (a 1000-cycle latency).
+        for (stop_prob, kill_prob) in [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)] {
+            for latency in [1, 1000] {
+                let cfg = EnvConfig {
+                    default_sink: SinkCfg {
+                        stop_prob,
+                        kill_prob,
+                    },
+                    default_vl: crate::sim::LatencyDist::fixed(latency),
+                    vls: HashMap::new(),
+                    ..sys.env_config.clone()
+                };
+                let tag = format!("stop {stop_prob} kill {kill_prob} latency {latency}");
+                assert_generate_matches_pack(&sys.network, &tb, &cfg, 3, 17, &[(65, 2)], &tag);
+            }
+        }
+
+        // The 30 corpus design × configuration environments: guard
+        // sources with one-cut walks, and full-rate `Const(0)` sources
+        // that take the lane-uniform path.
+        for design in DESIGNS {
+            for config in CorpusConfig::all() {
+                let sys = corpus::build(design, config, &Knobs::default()).unwrap();
+                let nl = compile(
+                    &sys.network,
+                    &CompileOptions {
+                        data_width: sys.data_width,
+                        ..CompileOptions::default()
+                    },
+                )
+                .unwrap();
+                let tb = NetlistTestbench::new(&sys.network, &nl.netlist, sys.data_width).unwrap();
+                let tag = format!("{design}/{}", config.tag());
+                assert_generate_matches_pack(&sys.network, &tb, &sys.env, 11, 13, &[(65, 2)], &tag);
+            }
+        }
+    }
+
+    /// Every kernel build this host can run.
+    fn kernels() -> Vec<Kernel> {
+        let mut all = vec![Kernel::Portable];
+        if Kernel::best() != Kernel::Portable {
+            all.push(Kernel::best());
+        }
+        all
+    }
+
+    /// Asserts that, for each `(lanes, width)`, every kernel build
+    /// generates exactly the packing of `Schedule::random` for seeds
+    /// `seed..seed + lanes`.
+    fn assert_generate_matches_pack(
+        net: &ElasticNetwork,
+        tb: &NetlistTestbench,
+        cfg: &EnvConfig,
+        seed: u64,
+        cycles: usize,
+        shapes: &[(usize, usize)],
+        tag: &str,
+    ) {
+        let most = shapes.iter().map(|&(lanes, _)| lanes).max().unwrap_or(0);
+        let scheds: Vec<Schedule> = (0..most as u64)
+            .map(|k| Schedule::random(net, cfg, seed.wrapping_add(k), cycles))
+            .collect();
+        for &(lanes, width) in shapes {
+            let packed = PackedStimulus::pack(tb, &scheds[..lanes], width).unwrap();
+            for kernel in kernels() {
+                let fused =
+                    PackedStimulus::generate_with(kernel, tb, net, cfg, seed, lanes, cycles, width)
+                        .unwrap();
+                assert_eq!(
+                    packed, fused,
+                    "{tag}: {lanes} lanes, width {width}, {kernel:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nan_probabilities_read_alike_in_both_producers() {
+        // A NaN stop probability used to stop every lane on every cycle in
+        // the fused generator while schedules never stopped; a NaN source
+        // rate panicked in `Schedule::random` and never offered in the
+        // generator. Both producers now read a NaN stop or kill as "never,
+        // without drawing" and a NaN rate as "draw, never offer".
+        let (net, _, _) = linear_pipeline(2, 1).unwrap();
+        let nl = compile(&net, &CompileOptions::default()).unwrap();
+        let tb = NetlistTestbench::new(&net, &nl.netlist, 0).unwrap();
+        let nan_stop = EnvConfig {
+            default_sink: SinkCfg {
+                stop_prob: f64::NAN,
+                kill_prob: 0.2,
+            },
+            ..stress_cfg()
+        };
+        let nan_rate = EnvConfig {
+            default_source: SourceCfg {
+                rate: f64::NAN,
+                data: crate::sim::DataGen::Const(1),
+            },
+            ..stress_cfg()
+        };
+        let stops = Schedule::random(&net, &nan_stop, 4, 50);
+        assert!((0..50).all(|t| !stops.stop_at("snk", t)));
+        let offers = Schedule::random(&net, &nan_rate, 4, 50);
+        assert!((0..50).all(|t| offers.offer_at("src", t).is_none()));
+        for (cfg, tag) in [(nan_stop, "NaN stop"), (nan_rate, "NaN rate")] {
+            assert_generate_matches_pack(&net, &tb, &cfg, 4, 50, &[(70, 2)], tag);
+        }
+    }
+
+    #[test]
+    fn bool_draw_matches_gen_bool() {
+        let mut probs = vec![0.0, 1.0, 0.3, 1.0 / 3.0, 1e-300, 1.0f64.next_down(), 0.5];
+        probs.extend((1..20).map(|k| f64::from(k) / 20.0));
+        for p in probs {
+            let b = BoolDraw::new(p);
+            // The threshold sits exactly on gen_bool's boundary.
+            if b.threshold > 0 {
+                assert!(((b.threshold - 1) as f64 * UNIT_53) < p, "p {p}");
+            }
+            if b.threshold < 1 << 53 {
+                assert!((b.threshold as f64 * UNIT_53) >= p, "p {p}");
+            }
+            let (mut x, mut y) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+            for _ in 0..1000 {
+                assert_eq!(b.draw(&mut x), y.gen_bool(p), "p {p}");
+            }
+        }
     }
 
     #[test]

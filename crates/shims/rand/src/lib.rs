@@ -3,7 +3,9 @@
 //! The build environment has no network access, so this workspace vendors a
 //! minimal, dependency-free implementation of exactly the API surface the
 //! other crates use: [`rngs::StdRng`], [`SeedableRng::seed_from_u64`],
-//! [`Rng::gen_bool`] and [`Rng::gen_range`].
+//! [`Rng::gen_bool`] and [`Rng::gen_range`]. It adds one item the real
+//! crate does not have: [`rngs::StdRngLanes`], 64 `StdRng` streams
+//! advanced together, which the stimulus generator vectorizes over.
 //!
 //! The generator is xoshiro256** seeded via SplitMix64 — deterministic for a
 //! given seed, statistically solid for simulation workloads, and NOT
@@ -117,6 +119,21 @@ pub mod rngs {
         s: [u64; 4],
     }
 
+    /// One xoshiro256** step on a state held in four separate words: the
+    /// single definition behind [`StdRng`] and [`StdRngLanes`].
+    #[inline(always)]
+    fn xoshiro256ss(s0: &mut u64, s1: &mut u64, s2: &mut u64, s3: &mut u64) -> u64 {
+        let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = *s1 << 17;
+        *s2 ^= *s0;
+        *s3 ^= *s1;
+        *s1 ^= *s2;
+        *s0 ^= *s3;
+        *s2 ^= t;
+        *s3 = s3.rotate_left(45);
+        result
+    }
+
     impl SeedableRng for StdRng {
         fn seed_from_u64(seed: u64) -> Self {
             // SplitMix64 expansion of the seed, per the xoshiro authors'
@@ -137,23 +154,101 @@ pub mod rngs {
     impl RngCore for StdRng {
         #[inline]
         fn next_u64(&mut self) -> u64 {
-            let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-            let t = self.s[1] << 17;
-            self.s[2] ^= self.s[0];
-            self.s[3] ^= self.s[1];
-            self.s[1] ^= self.s[2];
-            self.s[0] ^= self.s[3];
-            self.s[2] ^= t;
-            self.s[3] = self.s[3].rotate_left(45);
-            result
+            let [s0, s1, s2, s3] = &mut self.s;
+            xoshiro256ss(s0, s1, s2, s3)
+        }
+    }
+
+    /// Lanes of a [`StdRngLanes`] block: one per bit of a `u64` lane word.
+    pub const BLOCK_LANES: usize = 64;
+
+    /// [`BLOCK_LANES`] independent [`StdRng`] streams in
+    /// structure-of-arrays form: lane `k` starts as
+    /// `StdRng::seed_from_u64(seed + k)` and [`Self::next_u64s`] advances
+    /// every lane by one draw. Each lane makes exactly the draws its own
+    /// `StdRng` would, while the lane loop vectorizes.
+    #[derive(Debug, Clone)]
+    pub struct StdRngLanes {
+        /// `s[i][k]` is state word `i` of lane `k`.
+        s: [[u64; BLOCK_LANES]; 4],
+    }
+
+    impl StdRngLanes {
+        /// Seeds lane `k` with `seed + k` (wrapping at `u64::MAX`).
+        pub fn seed_from_u64(seed: u64) -> Self {
+            let mut lanes = StdRngLanes {
+                s: [[0; BLOCK_LANES]; 4],
+            };
+            for k in 0..BLOCK_LANES {
+                lanes.set_lane(k, &StdRng::seed_from_u64(seed.wrapping_add(k as u64)));
+            }
+            lanes
+        }
+
+        /// A copy of lane `k`'s generator, at its current position.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `k >= BLOCK_LANES`.
+        pub fn lane(&self, k: usize) -> StdRng {
+            StdRng {
+                s: [self.s[0][k], self.s[1][k], self.s[2][k], self.s[3][k]],
+            }
+        }
+
+        /// Replaces lane `k`'s generator with `rng`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `k >= BLOCK_LANES`.
+        pub fn set_lane(&mut self, k: usize, rng: &StdRng) {
+            for (word, &v) in self.s.iter_mut().zip(&rng.s) {
+                word[k] = v;
+            }
+        }
+
+        /// Advances every lane by one draw: `out[k]` is lane `k`'s next
+        /// `next_u64`.
+        #[inline(always)]
+        pub fn next_u64s(&mut self, out: &mut [u64; BLOCK_LANES]) {
+            let [s0, s1, s2, s3] = &mut self.s;
+            let states = s0.iter_mut().zip(s1.iter_mut()).zip(s2.iter_mut()).zip(s3);
+            for (o, (((a, b), c), d)) in out.iter_mut().zip(states) {
+                *o = xoshiro256ss(a, b, c, d);
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::rngs::{StdRng, StdRngLanes, BLOCK_LANES};
+    use super::{Rng, RngCore, SeedableRng};
+
+    #[test]
+    fn lane_k_of_a_block_is_std_rng_seeded_seed_plus_k() {
+        for seed in [0u64, 42, u64::MAX - 10] {
+            let mut block = StdRngLanes::seed_from_u64(seed);
+            let mut solo: Vec<StdRng> = (0..BLOCK_LANES as u64)
+                .map(|k| StdRng::seed_from_u64(seed.wrapping_add(k)))
+                .collect();
+            let mut out = [0u64; BLOCK_LANES];
+            for round in 0..64usize {
+                block.next_u64s(&mut out);
+                for (k, rng) in solo.iter_mut().enumerate() {
+                    assert_eq!(out[k], rng.next_u64(), "seed {seed} round {round} lane {k}");
+                }
+                // Hand one lane out of the block for a few draws on its
+                // own and back in, as the per-lane path does.
+                let k = (round * 37) % BLOCK_LANES;
+                let mut lane = block.lane(k);
+                for _ in 0..=round % 4 {
+                    assert_eq!(lane.next_u64(), solo[k].next_u64(), "hand-off lane {k}");
+                }
+                block.set_lane(k, &lane);
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_seed() {
