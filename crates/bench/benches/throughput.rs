@@ -134,12 +134,8 @@ fn bench_gate_sim(c: &mut Criterion) {
         let compiled = compile(
             &sys.network,
             &CompileOptions {
-                lint: false,
                 data_width: 2,
-                nondet_merge: false,
-                optimize: false,
-                fault: None,
-                faults: vec![],
+                ..CompileOptions::default()
             },
         )
         .expect("compiles");

@@ -10,6 +10,8 @@
 //! and at what throughput cost? Per class the report carries the
 //! recovery-time distribution (p50/p99), the non-recovery rate and the
 //! mean throughput dip versus the fault-free run of the same stimulus.
+//! Each window is a one-shot fault process run by the stabilization
+//! engine (`elastic_bench::stabilize`).
 //!
 //! The whole report is bit-identical for every thread count and queue
 //! depth (seeds derive from job indices, reduction is in job order);
@@ -19,62 +21,27 @@
 //! Usage: `fault_campaign [--topologies N] [--trials N] [--cycles N]
 //! [--seed N] [--threads N] [--queue N] [--window N] [--tail N]
 //! [--classes a,b,...|all] [--check] [--json PATH]`
-//! (JSON defaults to `BENCH_pr7.json`; `--trials` is lanes per job).
+//! (JSON defaults to `BENCH_pr7.json`; `--trials` is lanes per job,
+//! `--window` the armed cycles per lane, `1..=cycles`).
 
-use elastic_bench::exp::default_threads;
-use elastic_bench::fault::{run_fault_campaign, FaultCampaignOpts, FAULT_CLASSES};
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, dflt: T) -> T {
-    match args.iter().position(|a| a == flag) {
-        None => dflt,
-        Some(i) => {
-            let raw = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("error: {flag} requires a value");
-                std::process::exit(2);
-            });
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value for {flag}: {raw:?}");
-                std::process::exit(2);
-            })
-        }
-    }
-}
-
-fn parse_classes(args: &[String]) -> Vec<String> {
-    let Some(i) = args.iter().position(|a| a == "--classes") else {
-        return FAULT_CLASSES.iter().map(|&c| c.to_string()).collect();
-    };
-    let raw = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("error: --classes requires a value");
-        std::process::exit(2);
-    });
-    if raw == "all" {
-        return FAULT_CLASSES.iter().map(|&c| c.to_string()).collect();
-    }
-    raw.split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
+use elastic_bench::exp::{check_determinism, default_threads, parse_classes, parse_flag};
+use elastic_bench::stabilize::{run_fault_sweep, StabilizationOpts, FAULT_CLASSES};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let opts = FaultCampaignOpts {
+    let opts = StabilizationOpts {
         topologies: parse_flag(&args, "--topologies", 100usize).max(1),
         seed: parse_flag(&args, "--seed", 1),
         cycles: parse_flag(&args, "--cycles", 256usize),
         lanes: parse_flag(&args, "--trials", 64usize),
-        window_len: parse_flag(&args, "--window", 1usize),
+        intensities: vec![parse_flag(&args, "--window", 1usize)],
         recovery_tail: parse_flag(&args, "--tail", 16usize),
         threads: parse_flag(&args, "--threads", default_threads()),
         queue: parse_flag(&args, "--queue", 2usize),
-        classes: parse_classes(&args),
+        classes: parse_classes(&args, &FAULT_CLASSES),
+        ..StabilizationOpts::default()
     };
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_pr7.json".into());
+    let json_path = parse_flag(&args, "--json", "BENCH_pr7.json".to_string());
 
     println!(
         "fault_campaign: {} topologies x {} classes, {} trials x {} cycles each, \
@@ -83,12 +50,12 @@ fn main() {
         opts.classes.len(),
         opts.lanes,
         opts.cycles,
-        opts.window_len.max(1),
+        opts.intensities[0],
         opts.recovery_tail,
         opts.threads
     );
 
-    let report = run_fault_campaign(&opts).unwrap_or_else(|e| {
+    let report = run_fault_sweep(&opts).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
@@ -98,17 +65,18 @@ fn main() {
         "class", "sites", "trials", "disturbed", "recovered", "p50", "p99", "nonrec", "mean dip"
     );
     for c in &report.classes {
+        let p = &c.points[0];
         println!(
             "  {:<16} {:>5} {:>7} {:>9} {:>9} {:>8.1} {:>8.1} {:>7.1}% {:>9.4}",
             c.class,
-            c.sites,
-            c.trials,
-            c.disturbed,
-            c.recovered,
-            c.recovery_p50,
-            c.recovery_p99,
-            c.non_recovery_rate * 100.0,
-            c.mean_dip
+            p.sites,
+            p.trials,
+            p.disturbed,
+            p.stabilized,
+            p.stab_p50,
+            p.stab_p99,
+            p.non_stabilization_rate * 100.0,
+            p.mean_disturbed_dip
         );
     }
     println!(
@@ -121,7 +89,7 @@ fn main() {
     // Sensitivity gate: a campaign in which no class disturbed anything
     // measured nothing — fail loudly instead of archiving empty
     // distributions (mirrors the fuzz campaign's eligible > 0 rule).
-    let disturbed: usize = report.classes.iter().map(|c| c.disturbed).sum();
+    let disturbed: usize = report.classes.iter().map(|c| c.points[0].disturbed).sum();
     if !report.classes.is_empty() && disturbed == 0 {
         eprintln!(
             "error: no injected fault disturbed any lane — widen --topologies or move --seed"
@@ -130,32 +98,9 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--check") {
-        let alt = FaultCampaignOpts {
-            threads: if report.threads == 1 { 2 } else { 1 },
-            queue: if opts.queue == 1 { 4 } else { 1 },
-            ..opts.clone()
-        };
-        let reference = run_fault_campaign(&alt).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        for (a, b) in report.jobs.iter().zip(&reference.jobs) {
-            assert_eq!(a.site, b.site, "job sites diverged between thread counts");
-            assert_eq!(
-                a.lanes, b.lanes,
-                "lane outcomes diverged between thread counts"
-            );
-        }
-        println!(
-            "determinism: {} worker(s)/queue {} == {} worker(s)/queue {} on {} jobs (bit-identical)",
-            report.threads,
-            opts.queue,
-            reference.threads,
-            alt.queue,
-            report.jobs.len()
-        );
+        check_determinism(&report, run_fault_sweep);
     }
 
-    report.write_json(&json_path).expect("write json");
+    std::fs::write(&json_path, report.to_recovery_json()).expect("write json");
     println!("wrote {json_path}");
 }

@@ -25,24 +25,8 @@
 //! Usage: `fuzz_topo [--seed N] [--count N] [--cycles N] [--lanes N]
 //! [--threads N] [--json PATH] [--inject]`
 
-use elastic_bench::exp::default_threads;
+use elastic_bench::exp::{default_threads, flag_value, parse_flag};
 use elastic_bench::fuzz::{run_fuzz, FuzzOpts};
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, dflt: T) -> T {
-    match args.iter().position(|a| a == flag) {
-        None => dflt,
-        Some(i) => {
-            let raw = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("error: {flag} requires a value");
-                std::process::exit(2);
-            });
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value for {flag}: {raw:?}");
-                std::process::exit(2);
-            })
-        }
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -54,10 +38,7 @@ fn main() {
         threads: parse_flag(&args, "--threads", default_threads()),
         inject: args.iter().any(|a| a == "--inject"),
     };
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned());
+    let json_path = flag_value(&args, "--json");
 
     println!(
         "fuzz_topo: {} topologies from seed {}, {} cycles x {} lanes, {} threads{}",

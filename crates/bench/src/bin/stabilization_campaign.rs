@@ -30,60 +30,10 @@
 //! [--mc-topologies N] [--check] [--json PATH]`
 //! (JSON defaults to `BENCH_pr9.json`; `--trials` is lanes per job).
 
-use elastic_bench::exp::default_threads;
+use elastic_bench::exp::{
+    check_determinism, default_threads, parse_classes, parse_flag, parse_list,
+};
 use elastic_bench::stabilize::{run_stabilization_campaign, StabilizationOpts, PROCESS_CLASSES};
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, dflt: T) -> T {
-    match args.iter().position(|a| a == flag) {
-        None => dflt,
-        Some(i) => {
-            let raw = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("error: {flag} requires a value");
-                std::process::exit(2);
-            });
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value for {flag}: {raw:?}");
-                std::process::exit(2);
-            })
-        }
-    }
-}
-
-fn parse_list(args: &[String], flag: &str, dflt: &[usize]) -> Vec<usize> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return dflt.to_vec();
-    };
-    let raw = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("error: {flag} requires a value");
-        std::process::exit(2);
-    });
-    raw.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value in {flag}: {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .collect()
-}
-
-fn parse_classes(args: &[String]) -> Vec<String> {
-    let Some(i) = args.iter().position(|a| a == "--classes") else {
-        return PROCESS_CLASSES.iter().map(|&c| c.to_string()).collect();
-    };
-    let raw = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("error: --classes requires a value");
-        std::process::exit(2);
-    });
-    if raw == "all" {
-        return PROCESS_CLASSES.iter().map(|&c| c.to_string()).collect();
-    }
-    raw.split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -93,18 +43,14 @@ fn main() {
         cycles: parse_flag(&args, "--cycles", 256usize),
         lanes: parse_flag(&args, "--trials", 64usize),
         period: parse_flag(&args, "--period", 32usize),
-        intensities: parse_list(&args, "--intensities", &[1, 2, 4]),
+        intensities: parse_list(&args, "--intensities", vec![1, 2, 4]),
         recovery_tail: parse_flag(&args, "--tail", 16usize),
         threads: parse_flag(&args, "--threads", default_threads()),
         queue: parse_flag(&args, "--queue", 2usize),
-        classes: parse_classes(&args),
+        classes: parse_classes(&args, &PROCESS_CLASSES),
         mc_topologies: parse_flag(&args, "--mc-topologies", 4usize),
     };
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_pr9.json".into());
+    let json_path = parse_flag(&args, "--json", "BENCH_pr9.json".to_string());
 
     println!(
         "stabilization_campaign: {} topologies x {} classes x {} intensities, \
@@ -207,32 +153,9 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--check") {
-        let alt = StabilizationOpts {
-            threads: if report.threads == 1 { 2 } else { 1 },
-            queue: if opts.queue == 1 { 4 } else { 1 },
-            ..opts.clone()
-        };
-        let reference = run_stabilization_campaign(&alt).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
-        for (a, b) in report.jobs.iter().zip(&reference.jobs) {
-            assert_eq!(a.site, b.site, "job sites diverged between thread counts");
-            assert_eq!(
-                a.lanes, b.lanes,
-                "lane outcomes diverged between thread counts"
-            );
-        }
-        println!(
-            "determinism: {} worker(s)/queue {} == {} worker(s)/queue {} on {} jobs (bit-identical)",
-            report.threads,
-            opts.queue,
-            reference.threads,
-            alt.queue,
-            report.jobs.len()
-        );
+        check_determinism(&report, run_stabilization_campaign);
     }
 
-    report.write_json(&json_path).expect("write json");
+    std::fs::write(&json_path, report.to_json()).expect("write json");
     println!("wrote {json_path}");
 }

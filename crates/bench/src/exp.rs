@@ -59,6 +59,7 @@ use elastic_core::systems::{paper_example, Config};
 use elastic_core::CoreError;
 use elastic_netlist::wide::LANES;
 
+use crate::stabilize::{StabilizationOpts, StabilizationReport};
 use crate::stream::run_shards_streaming;
 use crate::{
     dispatch_backend, Backend, BackendSel, McStats, WideHarness, DISPATCH_FOOTPRINT_BYTES,
@@ -760,7 +761,7 @@ pub(crate) fn json_str(s: &str) -> String {
 }
 
 /// Finite floats only — JSON has no NaN/Inf, so degrade to null.
-pub(crate) fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
     } else {
@@ -799,31 +800,15 @@ impl CliOpts {
     /// would record numbers for a campaign that never ran.
     pub fn parse(default_trials: usize, default_cycles: usize) -> CliOpts {
         let args: Vec<String> = std::env::args().collect();
-        let grab = |flag: &str| -> Option<String> {
-            args.iter().position(|a| a == flag).map(|i| {
-                args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("error: {flag} requires a value");
-                    std::process::exit(2);
-                })
-            })
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: Option<String>, dflt: T) -> T {
-            match v {
-                None => dflt,
-                Some(raw) => raw.parse().unwrap_or_else(|_| {
-                    eprintln!("error: invalid value for {flag}: {raw:?}");
-                    std::process::exit(2);
-                }),
-            }
-        }
-        fn positive(flag: &str, v: usize) -> usize {
+        let positive = |flag: &str, dflt: usize| -> usize {
+            let v = parse_flag(&args, flag, dflt);
             if v == 0 {
                 eprintln!("error: {flag} must be at least 1");
                 std::process::exit(2);
             }
             v
-        }
-        let backend = match grab("--backend") {
+        };
+        let backend = match flag_value(&args, "--backend") {
             None => BackendSel::Auto,
             Some(raw) => BackendSel::parse(&raw).unwrap_or_else(|| {
                 eprintln!(
@@ -834,25 +819,13 @@ impl CliOpts {
             }),
         };
         CliOpts {
-            trials: positive(
-                "--trials",
-                parsed("--trials", grab("--trials"), default_trials),
-            ),
-            threads: positive(
-                "--threads",
-                parsed("--threads", grab("--threads"), default_threads()),
-            ),
-            cycles: positive(
-                "--cycles",
-                parsed("--cycles", grab("--cycles"), default_cycles),
-            ),
-            seed: parsed("--seed", grab("--seed"), 1),
-            json: grab("--json"),
+            trials: positive("--trials", default_trials),
+            threads: positive("--threads", default_threads()),
+            cycles: positive("--cycles", default_cycles),
+            seed: parse_flag(&args, "--seed", 1),
+            json: flag_value(&args, "--json"),
             backend,
-            queue: positive(
-                "--queue",
-                parsed("--queue", grab("--queue"), EngineOpts::default().queue),
-            ),
+            queue: positive("--queue", EngineOpts::default().queue),
         }
     }
 
@@ -865,6 +838,96 @@ impl CliOpts {
             ..EngineOpts::default()
         }
     }
+}
+
+/// The value following `flag` in `args`, `None` when the flag is absent.
+/// A flag present without a value exits with status 2.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter().position(|a| a == flag).map(|i| {
+        args.get(i + 1).cloned().unwrap_or_else(|| {
+            eprintln!("error: {flag} requires a value");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// `flag`'s value parsed as `T`, `dflt` when the flag is absent. A missing
+/// or unparsable value exits with status 2 (see [`CliOpts::parse`]).
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, dflt: T) -> T {
+    match flag_value(args, flag) {
+        None => dflt,
+        Some(raw) => raw.parse().unwrap_or_else(|_| {
+            eprintln!("error: invalid value for {flag}: {raw:?}");
+            std::process::exit(2);
+        }),
+    }
+}
+
+/// `flag`'s comma-separated list, `dflt` when the flag is absent; empty
+/// items are skipped and an unparsable one exits with status 2.
+pub fn parse_list<T: std::str::FromStr>(args: &[String], flag: &str, dflt: Vec<T>) -> Vec<T> {
+    let Some(raw) = flag_value(args, flag) else {
+        return dflt;
+    };
+    raw.split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| {
+            s.parse().unwrap_or_else(|_| {
+                eprintln!("error: invalid value in {flag}: {s:?}");
+                std::process::exit(2);
+            })
+        })
+        .collect()
+}
+
+/// The fault campaigns' `--classes a,b,...|all`: every class of `all` when
+/// the flag is absent or `all`.
+pub fn parse_classes(args: &[String], all: &[&str]) -> Vec<String> {
+    let every = || all.iter().map(|&c| c.to_string()).collect();
+    let classes: Vec<String> = parse_list(args, "--classes", every());
+    if classes == ["all"] {
+        every()
+    } else {
+        classes
+    }
+}
+
+/// The fault campaigns' `--check`: re-runs `report`'s campaign through
+/// `rerun` at a different worker count and queue depth and asserts that
+/// every job outcome is bit-identical. A failing re-run exits with status
+/// 2.
+///
+/// # Panics
+///
+/// Panics when a job's site or lane outcomes diverge.
+pub fn check_determinism(
+    report: &StabilizationReport,
+    rerun: impl Fn(&StabilizationOpts) -> Result<StabilizationReport, CoreError>,
+) {
+    let alt = StabilizationOpts {
+        threads: if report.threads == 1 { 2 } else { 1 },
+        queue: if report.opts.queue == 1 { 4 } else { 1 },
+        ..report.opts.clone()
+    };
+    let reference = rerun(&alt).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    for (a, b) in report.jobs.iter().zip(&reference.jobs) {
+        assert_eq!(a.site, b.site, "job sites diverged between thread counts");
+        assert_eq!(
+            a.lanes, b.lanes,
+            "lane outcomes diverged between thread counts"
+        );
+    }
+    println!(
+        "determinism: {} worker(s)/queue {} == {} worker(s)/queue {} on {} jobs (bit-identical)",
+        report.threads,
+        report.opts.queue,
+        reference.threads,
+        alt.queue,
+        report.jobs.len()
+    );
 }
 
 /// The machine's available parallelism (1 when unknown).

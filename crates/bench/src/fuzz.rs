@@ -39,7 +39,7 @@ use crate::exp::{json_f64, json_str};
 
 /// Fault classes the inject mode rotates through, keyed on the master
 /// seed: the lowering sabotage plus every transient rail class of
-/// [`crate::fault::FAULT_CLASSES`].
+/// [`crate::stabilize::FAULT_CLASSES`].
 pub const INJECT_CLASSES: [&str; 6] = [
     "drop_anti_token",
     "rail_flip",

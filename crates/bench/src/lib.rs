@@ -1,27 +1,27 @@
 //! Shared harness code for the table/figure regeneration binaries and the
 //! Criterion benches.
 //!
-//! The Monte-Carlo machinery lives here: [`WideHarness`] compiles an
-//! elastic network once through the throughput-first execution pipeline —
-//! netlist optimization, observed-cone dead-code elimination, tape
-//! peephole, packed stimulus — and then evaluates up to
-//! [`MAX_TRIALS_PER_RUN`] independent random schedules per run through the
-//! multi-word bit-parallel [`elastic_netlist::wide::WideSim`] backend, with
-//! a scalar reference path on the *unoptimized* netlist
-//! ([`WideHarness::run_scalar`]) for end-to-end equivalence checks and
-//! speedup measurements. The [`exp`] module scales single runs to
-//! arbitrary-size campaigns sharded across OS threads.
+//! The Monte-Carlo machinery lives here: [`SimLowering`] is the one
+//! compile-for-simulation pipeline — netlist optimization, observed-cone
+//! dead-code elimination, testbench, tape peephole — and [`WideHarness`]
+//! runs a lowered network over up to [`MAX_TRIALS_PER_RUN`] independent
+//! random schedules per run through the multi-word bit-parallel
+//! [`elastic_netlist::wide::WideSim`] backend, with a scalar reference path
+//! on the *unoptimized* netlist ([`WideHarness::run_scalar`]) for
+//! end-to-end equivalence checks and speedup measurements. The [`exp`]
+//! module scales single runs to arbitrary-size campaigns sharded across OS
+//! threads; [`stabilize`] runs the fault campaigns on the same lowering.
 
 pub mod exp;
-pub mod fault;
 pub mod fuzz;
 pub mod stabilize;
 mod stream;
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use elastic_core::channel::ChanId;
-use elastic_core::compile::{compile, CompileOptions, Compiled};
+use elastic_core::compile::{compile, CompileOptions, FaultInjection};
 use elastic_core::network::ElasticNetwork;
 use elastic_core::sim::{BehavSim, EnvConfig, RandomEnv};
 use elastic_core::stats::SimReport;
@@ -33,7 +33,7 @@ use elastic_netlist::levelize::{BlockPlan, Program};
 use elastic_netlist::opt::{optimize, optimize_observed};
 use elastic_netlist::sim::Simulator;
 use elastic_netlist::wide::{lane_masks, WideSim, LANES};
-use elastic_netlist::NetId;
+use elastic_netlist::{NetId, Netlist};
 
 /// One row of the regenerated Table 1.
 #[derive(Debug, Clone)]
@@ -95,15 +95,11 @@ pub fn run_table1_row(config: Config, cycles: u64, seed: u64) -> Table1Row {
 ///
 /// Panics on compilation failure (library bug).
 pub fn control_area(sys: &PaperSystem) -> AreaReport {
-    let compiled = elastic_core::compile::compile(
+    let compiled = compile(
         &sys.network,
-        &elastic_core::compile::CompileOptions {
-            lint: false,
+        &CompileOptions {
             data_width: 2,
-            nondet_merge: false,
-            optimize: false,
-            fault: None,
-            faults: vec![],
+            ..CompileOptions::default()
         },
     )
     .expect("compiles");
@@ -359,23 +355,107 @@ pub fn dispatch_backend(prog: &Program, trials: usize) -> Backend {
     }
 }
 
-/// A compiled network plus everything needed to replay [`Schedule`]s
-/// against it — compile once, run many schedule batches.
+/// A network lowered for simulation — the one compile-for-simulation
+/// pipeline behind [`WideHarness`] and the fault campaigns
+/// ([`stabilize`]):
 ///
-/// Construction builds the throughput-first execution pipeline:
-///
-/// 1. **raw compile** — the gate-for-gate netlist, kept for the scalar
-///    reference path and channel-rail probing;
-/// 2. **optimize** — [`CompileOptions::optimize`] reruns the paper's
-///    "simple logic synthesis" (Sect. 6) ahead of simulation;
-/// 3. **observed-cone DCE** — [`optimize_observed`] keeps only the logic
-///    that can influence the observed channel's `V⁺/S⁺/V⁻` rails;
+/// 1. **optimize** — [`CompileOptions::optimize`] reruns the paper's
+///    "simple logic synthesis" (Sect. 6) ahead of simulation, with one
+///    corruption gate and `fault.<channel>.<rail>` arm input spliced in per
+///    fault site ([`CompileOptions::faults`]);
+/// 2. **observed-cone DCE** — [`optimize_observed`] keeps only the logic
+///    that can influence the output channel's `V⁺/S⁺/V⁻` rails and all four
+///    rails of every fault-site channel (which keeps each corruption gate
+///    and its arm input);
+/// 3. **testbench** — [`NetlistTestbench::with_faults`] resolves the
+///    stimulus columns on the observed netlist, fault arms last in site
+///    order;
 /// 4. **levelize + peephole** — [`Program::compile_optimized`] emits the
 ///    instruction tapes and collapses copies, fuses inverters and drops
-///    phase-dead recomputation;
-/// 5. **per run: pack + multi-word execute** — schedules are packed once
-///    into a [`PackedStimulus`] matrix and streamed through a
-///    [`WideSim<W>`] with sparse `trailing_zeros` transfer counting.
+///    phase-dead recomputation.
+///
+/// Payloads are [`MC_DATA_WIDTH`] bits wide.
+#[derive(Debug, Clone)]
+pub struct SimLowering {
+    /// The observed-cone netlist the tape was levelized from.
+    pub netlist: Netlist,
+    /// Peephole-optimized tape over [`Self::netlist`].
+    pub prog: Program,
+    /// Testbench resolved against [`Self::netlist`] (input names survive
+    /// optimization).
+    pub tb: NetlistTestbench,
+    /// The output channel's `(V⁺, S⁺, V⁻)` rails in [`Self::netlist`].
+    pub out: [NetId; 3],
+    /// Per fault site, its channel's `(V⁺, S⁺, V⁻, S⁻)` rails in
+    /// [`Self::netlist`].
+    pub sites: Vec<[NetId; 4]>,
+}
+
+impl SimLowering {
+    /// Lowers `net` observing channel `out`, with the corruption gates of
+    /// the rail faults `faults` spliced in.
+    ///
+    /// # Errors
+    ///
+    /// Propagates compilation and testbench-resolution failures;
+    /// [`CoreError::FaultSite`] for a structural fault, which has no
+    /// channel to observe.
+    pub fn build(
+        net: &ElasticNetwork,
+        out: ChanId,
+        faults: &[FaultInjection],
+    ) -> Result<SimLowering, CoreError> {
+        let opt = compile(
+            net,
+            &CompileOptions {
+                data_width: MC_DATA_WIDTH,
+                optimize: true,
+                faults: faults.to_vec(),
+                ..CompileOptions::default()
+            },
+        )?;
+        let site_rails = faults
+            .iter()
+            .map(|f| {
+                let chan = f
+                    .channel()
+                    .and_then(|name| net.channels().find(|&c| net.channel(c).name == name))
+                    .ok_or_else(|| {
+                        CoreError::FaultSite(format!("{} has no channel to observe", f.label()))
+                    })?;
+                let r = &opt.channels[chan.index()];
+                Ok([r.vp, r.sp, r.vn, r.sn])
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        let o = &opt.channels[out.index()];
+        // `optimize_observed` keeps the first occurrence of a rail observed
+        // twice (a site on the output channel, two sites on one channel).
+        let observe: Vec<NetId> = [o.vp, o.sp, o.vn]
+            .into_iter()
+            .chain(site_rails.iter().flatten().copied())
+            .collect();
+        let (netlist, map) = optimize_observed(&opt.netlist, &observe).map_err(CoreError::from)?;
+        let remap = |id: NetId| map[id.index()].expect("observed rails survive as outputs");
+        let tb = NetlistTestbench::with_faults(net, &netlist, MC_DATA_WIDTH, faults)?;
+        let (prog, _) = Program::compile_optimized(&netlist).map_err(CoreError::from)?;
+        Ok(SimLowering {
+            prog,
+            tb,
+            out: [o.vp, o.sp, o.vn].map(remap),
+            sites: site_rails.into_iter().map(|r| r.map(remap)).collect(),
+            netlist,
+        })
+    }
+}
+
+/// A lowered network plus everything needed to replay [`Schedule`]s
+/// against it — compile once, run many schedule batches.
+///
+/// Construction runs the [`SimLowering`] pipeline without fault sites;
+/// every run then packs its schedules into a [`PackedStimulus`] matrix and
+/// streams them through a [`WideSim<W>`] with sparse `trailing_zeros`
+/// transfer counting. The raw gate-for-gate compile and the scalar
+/// [`Simulator`] of the reference path are built on that path's first use.
 ///
 /// # Panics
 ///
@@ -383,22 +463,28 @@ pub fn dispatch_backend(prog: &Program, trials: usize) -> Backend {
 /// (compilation failures, missing rails, bad batches): the bench binaries
 /// want loud failures, like the rest of this crate.
 pub struct WideHarness {
-    /// Raw (unoptimized) compilation: scalar reference path + rail ids.
-    compiled: Compiled,
-    tb: NetlistTestbench,
+    /// The network, kept for the scalar reference path's raw compile.
+    net: ElasticNetwork,
     out: ChanId,
-    /// Power-up-state scalar simulator on the raw netlist; cloned per
-    /// reference run.
-    scalar_proto: Simulator,
+    /// The scalar reference path, built on first use.
+    scalar: OnceLock<Result<ScalarRef, CoreError>>,
     /// Peephole-optimized tape over the observed-cone netlist — the wide
     /// path all `Wide*` backends execute.
     prog: Program,
-    /// Testbench resolved against the observed-cone netlist (input names
-    /// survive optimization).
+    /// Testbench resolved against the observed-cone netlist.
     wide_tb: NetlistTestbench,
     /// The observed channel's `(V⁺, S⁺, V⁻)` rails in the observed-cone
     /// netlist.
-    obs_rails: (NetId, NetId, NetId),
+    obs_rails: [NetId; 3],
+}
+
+/// The scalar reference path of a [`WideHarness`]: the raw (unoptimized)
+/// compile's testbench, its power-up-state [`Simulator`] (cloned per
+/// reference run) and the observed channel's `(V⁺, S⁺, V⁻)` raw rails.
+struct ScalarRef {
+    tb: NetlistTestbench,
+    proto: Simulator,
+    rails: [NetId; 3],
 }
 
 /// Payload width used by the Monte-Carlo harness (matches the 2-bit opcode
@@ -419,48 +505,37 @@ impl WideHarness {
     ///
     /// Propagates compilation and testbench-resolution failures.
     pub fn try_new(net: &ElasticNetwork, out: ChanId) -> Result<WideHarness, CoreError> {
-        let compiled = compile(
-            net,
-            &CompileOptions {
-                lint: false,
-                data_width: MC_DATA_WIDTH,
-                nondet_merge: false,
-                optimize: false,
-                fault: None,
-                faults: vec![],
-            },
-        )?;
-        let tb = NetlistTestbench::new(net, &compiled.netlist, MC_DATA_WIDTH)?;
-        let scalar_proto = Simulator::new(&compiled.netlist).map_err(CoreError::from)?;
-        // The wide path: optimized compile, then keep only the cones that
-        // can influence the three observed rails, then peephole the tape.
-        let opt = compile(
-            net,
-            &CompileOptions {
-                lint: false,
-                data_width: MC_DATA_WIDTH,
-                nondet_merge: false,
-                optimize: true,
-                fault: None,
-                faults: vec![],
-            },
-        )?;
-        let rails = &opt.channels[out.index()];
-        let (obs, map) = optimize_observed(&opt.netlist, &[rails.vp, rails.sp, rails.vn])
-            .map_err(CoreError::from)?;
-        let remap = |id: NetId| map[id.index()].expect("observed rails survive as outputs");
-        let obs_rails = (remap(rails.vp), remap(rails.sp), remap(rails.vn));
-        let wide_tb = NetlistTestbench::new(net, &obs, MC_DATA_WIDTH)?;
-        let (prog, _stats) = Program::compile_optimized(&obs).map_err(CoreError::from)?;
+        let lowered = SimLowering::build(net, out, &[])?;
         Ok(WideHarness {
-            compiled,
-            tb,
+            net: net.clone(),
             out,
-            scalar_proto,
-            prog,
-            wide_tb,
-            obs_rails,
+            scalar: OnceLock::new(),
+            prog: lowered.prog,
+            wide_tb: lowered.tb,
+            obs_rails: lowered.out,
         })
+    }
+
+    /// The scalar reference path, compiled on first use.
+    fn scalar_ref(&self) -> Result<&ScalarRef, CoreError> {
+        self.scalar
+            .get_or_init(|| {
+                let compiled = compile(
+                    &self.net,
+                    &CompileOptions {
+                        data_width: MC_DATA_WIDTH,
+                        ..CompileOptions::default()
+                    },
+                )?;
+                let r = &compiled.channels[self.out.index()];
+                Ok(ScalarRef {
+                    tb: NetlistTestbench::new(&self.net, &compiled.netlist, MC_DATA_WIDTH)?,
+                    proto: Simulator::new(&compiled.netlist).map_err(CoreError::from)?,
+                    rails: [r.vp, r.sp, r.vn],
+                })
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Shared horizon of a schedule batch.
@@ -571,7 +646,7 @@ impl WideHarness {
         sim.check_input_slots(stim.slots())
             .map_err(CoreError::from)?;
         let live = lane_masks::<W>(schedules.len());
-        let (vp, sp, vn) = self.obs_rails;
+        let [vp, sp, vn] = self.obs_rails;
         let mut counts = vec![0u32; schedules.len()];
         for t in 0..cycles as usize {
             sim.cycle_packed(stim.slots(), stim.row(t));
@@ -663,7 +738,7 @@ impl WideHarness {
         sim.check_input_slots(stim.slots())
             .map_err(CoreError::from)?;
         let live = lane_masks::<W>(lanes);
-        let (vp, sp, vn) = self.obs_rails;
+        let [vp, sp, vn] = self.obs_rails;
         let mut counts = vec![0u32; lanes];
         // Bit-sliced vertical counters: per lane word, 8 planes hold each
         // lane's transfer count for up to 255 cycles (plane `b` is bit `b`
@@ -732,7 +807,7 @@ impl WideHarness {
         let cycles = Self::try_horizon(schedules).expect("valid batch");
         let live = lane_masks::<1>(schedules.len())[0];
         let mut sim: WideSim<1> = WideSim::from_program(self.prog.clone());
-        let (vp, sp, vn) = self.obs_rails;
+        let [vp, sp, vn] = self.obs_rails;
         let mut counts = vec![0u64; schedules.len()];
         for t in 0..cycles {
             sim.cycle(&self.wide_tb.wide_inputs_at(schedules, t))
@@ -757,18 +832,20 @@ impl WideHarness {
     ///
     /// # Errors
     ///
-    /// [`CoreError::ScheduleBatch`] for an empty or mixed-horizon batch.
+    /// [`CoreError::ScheduleBatch`] for an empty or mixed-horizon batch;
+    /// compilation failures of the raw netlist on first use.
     pub fn try_run_scalar(&self, schedules: &[Schedule]) -> Result<McStats, CoreError> {
         let cycles = Self::try_horizon(schedules)?;
-        let nets = &self.compiled.channels[self.out.index()];
+        let scalar = self.scalar_ref()?;
+        let [vp, sp, vn] = scalar.rails;
         let per_lane = schedules
             .iter()
             .map(|sched| {
-                let mut sim = self.scalar_proto.clone();
+                let mut sim = scalar.proto.clone();
                 let mut count = 0u64;
                 for t in 0..cycles {
-                    sim.cycle(&self.tb.inputs_at(sched, t)).expect("runs");
-                    if sim.value(nets.vp) && !sim.value(nets.sp) && !sim.value(nets.vn) {
+                    sim.cycle(&scalar.tb.inputs_at(sched, t)).expect("runs");
+                    if sim.value(vp) && !sim.value(sp) && !sim.value(vn) {
                         count += 1;
                     }
                 }
@@ -920,12 +997,8 @@ mod tests {
         let raw_nl = compile(
             &sys.network,
             &CompileOptions {
-                lint: false,
                 data_width: MC_DATA_WIDTH,
-                nondet_merge: false,
-                optimize: false,
-                fault: None,
-                faults: vec![],
+                ..CompileOptions::default()
             },
         )
         .unwrap()

@@ -1,15 +1,18 @@
-//! Self-stabilization Monte-Carlo campaign engine — the
-//! `stabilization_campaign` binary's core (`BENCH_pr9.json`).
+//! Fault-campaign Monte-Carlo engine — the core of the
+//! `stabilization_campaign` (`BENCH_pr9.json`) and `fault_campaign`
+//! (`BENCH_pr7.json`) binaries.
 //!
-//! Where the recovery campaign (`crate::fault`) injects **one** window per
-//! trial and asks "did the violations stop?", this campaign drives whole
-//! [`FaultProcess`]es — `periodic` re-injection, `sustained` stuck-at
+//! The engine drives [`FaultProcess`]es swept over *classes × intensities
+//! × generated topologies*. The one-shot classes ([`FAULT_CLASSES`]) arm
+//! one [`FaultProcess::Once`] window per trial, its length the intensity,
+//! at a cycle where [`injectable_site`] found the fault *effective*
+//! against a clean behavioural pre-run; the process classes
+//! ([`PROCESS_CLASSES`]) are `periodic` re-injection, `sustained` stuck-at
 //! intervals, `correlated` multi-site bursts and a `byzantine` per-side
-//! channel adversary — swept over *process classes × intensities ×
-//! generated topologies*. Every site of a process becomes a corruption
-//! gate ([`CompileOptions::faults`]) with its own trailing stimulus
-//! column; every lane runs an independent, seeded instance of the process
-//! ([`FaultProcess::windows`]).
+//! channel adversary. Every site of a process becomes a corruption gate
+//! with its own trailing stimulus column ([`SimLowering`]); every lane
+//! runs an independent, seeded instance of the process
+//! ([`FaultProcess::windows`]) — 64–512 fault instances per tape pass.
 //!
 //! Each lane feeds a stabilization tracker
 //! ([`RecoveryDetector::fault_event`]) on the primary site's rails: at
@@ -17,11 +20,17 @@
 //! [`RecoveryDetector::stabilization_time`] reports the cycles from the
 //! **last** fault event to sustained `(I*R*T)*` conformance —
 //! re-injection mid-recovery resets the clock instead of silently keeping
-//! the first recovery. Lanes that never stabilize contribute to the
-//! non-stabilization rate and report their steady-state
-//! [`RecoveryDetector::violation_rate`] instead. A second, unarmed pass of
-//! the identical stimulus gives each lane's throughput dip, yielding a
-//! dip-versus-intensity curve per class.
+//! the first recovery. For a one-shot window that is the recovery time:
+//! cycles from the injection to the end of the last violating cycle. Lanes
+//! that never stabilize contribute to the non-stabilization rate and
+//! report their steady-state [`RecoveryDetector::violation_rate`] instead.
+//! A second, unarmed pass of the identical stimulus gives each lane's
+//! throughput dip, yielding a dip-versus-intensity curve per class.
+//!
+//! [`StabilizationReport::to_json`] renders the stabilization report and
+//! [`StabilizationReport::to_recovery_json`] the one-shot recovery report
+//! (per class: recovery p50/p99, non-recovery rate, mean dip over the
+//! disturbed lanes).
 //!
 //! The report closes with explicit-state **convergence verdicts**
 //! ([`check_network_convergence`]): for the small named systems (the
@@ -30,53 +39,67 @@
 //! fault-reachable controller state and decides whether all fault-free
 //! runs re-enter the legal state set — the convergence half of a
 //! self-stabilization proof. Systems too wide for exhaustive exploration
-//! record a typed skip, never a wedged campaign.
+//! record a typed skip, never a wedged campaign. [`run_fault_sweep`] runs
+//! the sweep without this section.
 //!
 //! Jobs run through the generic streaming pipeline (`stream::run_pipeline`)
 //! with index-derived seeds and in-order reduction, so the whole report is
 //! bit-identical for every thread count and queue depth.
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use elastic_core::channel::ChannelSignals;
-use elastic_core::compile::{compile, CompileOptions, FaultInjection, FaultRail};
+use elastic_core::compile::{FaultInjection, FaultRail};
 use elastic_core::fault::FaultProcess;
 use elastic_core::gen::{generate, injectable_site, TopoParams};
 use elastic_core::protocol::RecoveryDetector;
 use elastic_core::systems::{linear_pipeline, paper_example, Config};
-use elastic_core::verify::{check_network_convergence, NetlistTestbench, PackedStimulus};
+use elastic_core::verify::{check_network_convergence, PackedStimulus};
 use elastic_core::CoreError;
 use elastic_mc::{BridgeOptions, ConvergenceReport};
 use elastic_netlist::levelize::Program;
-use elastic_netlist::opt::optimize_observed;
 use elastic_netlist::wide::{lane_masks, WideSim, LANES};
 use elastic_netlist::NetId;
 
 use crate::exp::{default_threads, effective_threads, json_f64, json_str};
 use crate::stream::run_pipeline;
-use crate::{MAX_TRIALS_PER_RUN, MC_DATA_WIDTH};
+use crate::{SimLowering, MAX_TRIALS_PER_RUN};
 
-/// Every fault-process class the campaign can drive, in report order.
+/// Every one-shot rail-fault class, in report order: each runs as a
+/// [`FaultProcess::Once`] window whose length is the intensity. (The
+/// structural `drop_anti_token` is a *lowering* sabotage, not a transient
+/// rail fault, and lives in the fuzz campaign's inject mode instead.)
+pub const FAULT_CLASSES: [&str; 5] = [
+    "rail_flip",
+    "stuck_at_0",
+    "stuck_at_1",
+    "duplicate_token",
+    "lose_token",
+];
+
+/// Every fault-process class, in report order.
 pub const PROCESS_CLASSES: [&str; 4] = ["periodic", "sustained", "correlated", "byzantine"];
 
-/// Campaign options (the `stabilization_campaign` CLI surface).
+/// Campaign options (the `stabilization_campaign` and `fault_campaign` CLI
+/// surfaces).
 #[derive(Debug, Clone)]
 pub struct StabilizationOpts {
     /// Generated topologies to sweep (seeds `seed..seed + topologies`).
     pub topologies: usize,
     /// Base seed for topology sampling and schedule generation.
     pub seed: u64,
-    /// Cycles per trial (the horizon; at least 32).
+    /// Cycles per trial (the horizon): at least 16 with one-shot classes
+    /// only, 32 once a process class runs.
     pub cycles: usize,
     /// Trials (= packed lanes) per job, 1..=512.
     pub lanes: usize,
     /// Base period of the periodic and byzantine processes, and the unit
     /// of the sustained interval length (at least 2).
     pub period: usize,
-    /// Intensity sweep: armed cycles per period (periodic/byzantine),
-    /// period-multiples of stuck-at (sustained), bursts (correlated).
-    /// Each must be in `1..=period`.
+    /// Intensity sweep: the window length of a one-shot class (in
+    /// `1..=cycles`); armed cycles per period (periodic/byzantine),
+    /// period-multiples of stuck-at (sustained) or bursts (correlated) of
+    /// a process class (in `1..=period`).
     pub intensities: Vec<usize>,
     /// Violation-free cycles required at the horizon for a lane to count
     /// as stabilized ([`RecoveryDetector::stabilization_time`]).
@@ -85,7 +108,7 @@ pub struct StabilizationOpts {
     pub threads: usize,
     /// Streaming-pipeline job queue depth.
     pub queue: usize,
-    /// Process classes to drive (subset of [`PROCESS_CLASSES`]).
+    /// Classes to drive (from [`FAULT_CLASSES`] and [`PROCESS_CLASSES`]).
     pub classes: Vec<String>,
     /// Leading generated topologies additionally sent to the model
     /// checker for a convergence verdict (budget-gated; 0 disables).
@@ -115,9 +138,9 @@ struct StabJob {
     /// Peephole-optimized tape over the observed-cone netlist.
     prog: Program,
     /// The primary site's `(V⁺, S⁺, V⁻, S⁻)` rails — the tracker's feed.
-    site: (NetId, NetId, NetId, NetId),
+    site: [NetId; 4],
     /// The output channel's `(V⁺, S⁺, V⁻)` rails — throughput counting.
-    out: (NetId, NetId, NetId),
+    out: [NetId; 3],
     /// Stimulus with every site's per-lane process windows armed.
     armed: PackedStimulus,
     /// The identical stimulus, all arm columns zero.
@@ -189,6 +212,9 @@ pub struct IntensityStats {
     /// disturbance: a sustained stall costs throughput while staying
     /// protocol-legal).
     pub mean_dip: f64,
+    /// Mean output-throughput dip over the **disturbed** trials only — the
+    /// recovery report's dip ([`StabilizationReport::to_recovery_json`]).
+    pub mean_disturbed_dip: f64,
 }
 
 /// Aggregated statistics of one process class.
@@ -220,11 +246,11 @@ pub struct McVerdict {
     pub error: Option<String>,
 }
 
-/// The whole campaign, serialized to `BENCH_pr9.json`.
+/// The whole campaign, serialized to `BENCH_pr9.json`
+/// ([`Self::to_json`]) or, for a one-shot sweep, `BENCH_pr7.json`
+/// ([`Self::to_recovery_json`]).
 #[derive(Debug, Clone)]
 pub struct StabilizationReport {
-    /// Campaign name (echoes the options).
-    pub name: String,
     /// The options the campaign ran with.
     pub opts: StabilizationOpts,
     /// Worker threads actually spawned.
@@ -234,7 +260,7 @@ pub struct StabilizationReport {
     /// Per-job outcomes (topology-major, class, then intensity).
     pub jobs: Vec<StabJobOutcome>,
     /// Convergence verdicts: named systems first, then the leading
-    /// generated topologies.
+    /// generated topologies (empty after [`run_fault_sweep`]).
     pub mc: Vec<McVerdict>,
     /// Wall-clock seconds for the whole campaign.
     pub wall_secs: f64,
@@ -250,30 +276,62 @@ fn percentile(sorted: &[u64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)] as f64
 }
 
-/// Pools the lanes of `jobs`, returning (trials, disturbed, stabilized,
-/// sorted stabilization samples, Σ violation-rate over disturbed, Σ dip
-/// over **all** trials — a sustained stall dents throughput without ever
-/// violating the protocol, so the dip curve must not condition on
-/// disturbance).
-fn pool(jobs: &[&StabJobOutcome]) -> (usize, usize, usize, Vec<u64>, f64, f64) {
-    let lanes: Vec<&LaneStabilization> = jobs.iter().flat_map(|j| j.lanes.iter()).collect();
-    let disturbed: Vec<&&LaneStabilization> = lanes.iter().filter(|l| l.disturbed).collect();
-    let mut samples: Vec<u64> = disturbed
-        .iter()
-        .filter(|l| l.stabilized)
-        .map(|l| l.stab_cycles)
-        .collect();
-    samples.sort_unstable();
-    let vr: f64 = disturbed.iter().map(|l| l.violation_rate).sum();
-    let dips: f64 = lanes.iter().map(|l| l.dip).sum();
-    (
-        lanes.len(),
-        disturbed.len(),
-        samples.len(),
-        samples,
-        vr,
-        dips,
-    )
+/// The pooled lanes of a set of jobs.
+struct Pool {
+    /// Jobs that ran (had a site).
+    sites: usize,
+    trials: usize,
+    disturbed: usize,
+    /// Sorted stabilization times of the disturbed-and-stabilized lanes.
+    samples: Vec<u64>,
+    /// Σ violation rate over the disturbed lanes.
+    violation_rate: f64,
+    /// Σ dip over **all** lanes — a sustained stall dents throughput
+    /// without ever violating the protocol, so the dip curve must not
+    /// condition on disturbance.
+    dip: f64,
+    /// Σ dip over the disturbed lanes (the recovery report's dip).
+    disturbed_dip: f64,
+}
+
+impl Pool {
+    fn of(jobs: &[&StabJobOutcome]) -> Pool {
+        let lanes: Vec<&LaneStabilization> = jobs.iter().flat_map(|j| j.lanes.iter()).collect();
+        let disturbed: Vec<&&LaneStabilization> = lanes.iter().filter(|l| l.disturbed).collect();
+        let mut samples: Vec<u64> = disturbed
+            .iter()
+            .filter(|l| l.stabilized)
+            .map(|l| l.stab_cycles)
+            .collect();
+        samples.sort_unstable();
+        Pool {
+            sites: jobs.iter().filter(|j| j.site.is_some()).count(),
+            trials: lanes.len(),
+            disturbed: disturbed.len(),
+            samples,
+            violation_rate: disturbed.iter().map(|l| l.violation_rate).sum(),
+            dip: lanes.iter().map(|l| l.dip).sum(),
+            disturbed_dip: disturbed.iter().map(|l| l.dip).sum(),
+        }
+    }
+
+    /// `1 − stabilized/disturbed` (0 when nothing was disturbed).
+    fn non_stabilization_rate(&self) -> f64 {
+        if self.disturbed == 0 {
+            0.0
+        } else {
+            1.0 - self.samples.len() as f64 / self.disturbed as f64
+        }
+    }
+
+    /// `total / disturbed` (0 when nothing was disturbed).
+    fn per_disturbed(&self, total: f64) -> f64 {
+        if self.disturbed == 0 {
+            0.0
+        } else {
+            total / self.disturbed as f64
+        }
+    }
 }
 
 impl StabilizationReport {
@@ -293,60 +351,49 @@ impl StabilizationReport {
                             .filter(|j| j.intensity == intensity)
                             .copied()
                             .collect();
-                        let sites = cell.iter().filter(|j| j.site.is_some()).count();
-                        let (trials, disturbed, stabilized, samples, vr, dips) = pool(&cell);
+                        let p = Pool::of(&cell);
                         IntensityStats {
                             intensity,
-                            sites,
-                            trials,
-                            disturbed,
-                            stabilized,
-                            stab_p50: percentile(&samples, 0.50),
-                            stab_p99: percentile(&samples, 0.99),
-                            non_stabilization_rate: if disturbed == 0 {
+                            sites: p.sites,
+                            trials: p.trials,
+                            disturbed: p.disturbed,
+                            stabilized: p.samples.len(),
+                            stab_p50: percentile(&p.samples, 0.50),
+                            stab_p99: percentile(&p.samples, 0.99),
+                            non_stabilization_rate: p.non_stabilization_rate(),
+                            mean_violation_rate: p.per_disturbed(p.violation_rate),
+                            mean_dip: if p.trials == 0 {
                                 0.0
                             } else {
-                                1.0 - stabilized as f64 / disturbed as f64
+                                p.dip / p.trials as f64
                             },
-                            mean_violation_rate: if disturbed == 0 {
-                                0.0
-                            } else {
-                                vr / disturbed as f64
-                            },
-                            mean_dip: if trials == 0 {
-                                0.0
-                            } else {
-                                dips / trials as f64
-                            },
+                            mean_disturbed_dip: p.per_disturbed(p.disturbed_dip),
                         }
                     })
                     .collect();
-                let (_, disturbed, stabilized, samples, vr, _) = pool(&of_class);
+                let p = Pool::of(&of_class);
                 ProcessClassStats {
                     class: class.clone(),
-                    stab_p50: percentile(&samples, 0.50),
-                    stab_p99: percentile(&samples, 0.99),
-                    non_stabilization_rate: if disturbed == 0 {
-                        0.0
-                    } else {
-                        1.0 - stabilized as f64 / disturbed as f64
-                    },
-                    mean_violation_rate: if disturbed == 0 {
-                        0.0
-                    } else {
-                        vr / disturbed as f64
-                    },
+                    stab_p50: percentile(&p.samples, 0.50),
+                    stab_p99: percentile(&p.samples, 0.99),
+                    non_stabilization_rate: p.non_stabilization_rate(),
+                    mean_violation_rate: p.per_disturbed(p.violation_rate),
                     points,
                 }
             })
             .collect()
     }
 
-    /// Renders the report as a JSON object (hand-rolled like every other
-    /// report in this crate; the workspace vendors no serde).
+    /// Renders the stabilization report as a JSON object (hand-rolled like
+    /// every other report in this crate; the workspace vendors no serde).
     pub fn to_json(&self) -> String {
+        let o = &self.opts;
+        let name = format!(
+            "pr9_stabilization_campaign topologies={} cycles={} lanes={} period={} tail={} seed={}",
+            o.topologies, o.cycles, o.lanes, o.period, o.recovery_tail, o.seed
+        );
         let mut s = String::from("{\n");
-        s.push_str(&format!("  \"campaign\": {},\n", json_str(&self.name)));
+        s.push_str(&format!("  \"campaign\": {},\n", json_str(&name)));
         s.push_str(&format!("  \"topologies\": {},\n", self.opts.topologies));
         s.push_str(&format!("  \"cycles\": {},\n", self.opts.cycles));
         s.push_str(&format!("  \"lanes\": {},\n", self.opts.lanes));
@@ -430,14 +477,52 @@ impl StabilizationReport {
         s
     }
 
-    /// Writes the JSON rendering to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
+    /// Renders a one-shot sweep as the recovery report: per class, the
+    /// sites, trials, disturbed and recovered (stabilized) lanes, the
+    /// recovery-time p50/p99, the non-recovery rate and the mean throughput
+    /// dip over the **disturbed** lanes. The report has a single window
+    /// length: the first intensity, whose curve point each class renders.
+    pub fn to_recovery_json(&self) -> String {
+        let o = &self.opts;
+        let window = o.intensities[0];
+        let name = format!(
+            "pr7_fault_campaign topologies={} cycles={} lanes={} window={window} tail={} seed={}",
+            o.topologies, o.cycles, o.lanes, o.recovery_tail, o.seed
+        );
+        let mut s = String::from("{\n");
+        s.push_str(&format!("  \"campaign\": {},\n", json_str(&name)));
+        s.push_str(&format!("  \"topologies\": {},\n", o.topologies));
+        s.push_str(&format!("  \"cycles\": {},\n", o.cycles));
+        s.push_str(&format!("  \"lanes\": {},\n", o.lanes));
+        s.push_str(&format!("  \"window_len\": {window},\n"));
+        s.push_str(&format!("  \"recovery_tail\": {},\n", o.recovery_tail));
+        s.push_str(&format!("  \"seed\": {},\n", o.seed));
+        s.push_str(&format!("  \"threads\": {},\n", self.threads));
+        s.push_str(&format!("  \"requested_threads\": {},\n", o.threads));
+        s.push_str(&format!("  \"queue\": {},\n", o.queue));
+        s.push_str(&format!("  \"wall_secs\": {},\n", json_f64(self.wall_secs)));
+        s.push_str("  \"classes\": [\n");
+        for (i, c) in self.classes.iter().enumerate() {
+            let sep = if i + 1 == self.classes.len() { "" } else { "," };
+            let p = &c.points[0];
+            s.push_str(&format!(
+                "    {{\"class\": {}, \"sites\": {}, \"trials\": {}, \
+                 \"disturbed\": {}, \"recovered\": {}, \"recovery_p50\": {}, \
+                 \"recovery_p99\": {}, \"non_recovery_rate\": {}, \
+                 \"mean_throughput_dip\": {}}}{sep}\n",
+                json_str(&c.class),
+                p.sites,
+                p.trials,
+                p.disturbed,
+                p.stabilized,
+                json_f64(p.stab_p50),
+                json_f64(p.stab_p99),
+                json_f64(p.non_stabilization_rate),
+                json_f64(p.mean_disturbed_dip),
+            ));
+        }
+        s.push_str("  ]\n}\n");
+        s
     }
 }
 
@@ -464,6 +549,16 @@ fn build_process(
 ) -> Option<FaultProcess> {
     let cycles = opts.cycles;
     let process = match class {
+        once if FAULT_CLASSES.contains(&once) => {
+            let (fault, eff) = injectable_site(sys, once, sched_seed, cycles)?;
+            // With the expansion's own clamp, lane k's window starts at
+            // `(eff + k % PROCESS_STAGGER).min(cycles - intensity)`.
+            FaultProcess::Once {
+                fault,
+                start: eff.min(cycles.saturating_sub(intensity)),
+                len: intensity,
+            }
+        }
         "periodic" => {
             let (fault, eff) = injectable_site(sys, "rail_flip", sched_seed, cycles)?;
             FaultProcess::Periodic {
@@ -549,8 +644,8 @@ fn build_process(
 }
 
 /// Builds one campaign job: sample the topology, construct the process,
-/// compile with one corruption gate per site, pack the stimulus and arm
-/// every site's per-lane windows.
+/// lower it with one corruption gate per site, generate the stimulus and
+/// arm every site's per-lane windows.
 fn build_job(
     topo: usize,
     class: &str,
@@ -566,59 +661,11 @@ fn build_job(
         return Ok(None);
     };
     let sites = process.sites();
-    let opt = compile(
-        &sys.network,
-        &CompileOptions {
-            lint: false,
-            data_width: MC_DATA_WIDTH,
-            nondet_merge: false,
-            optimize: true,
-            fault: None,
-            faults: sites.clone(),
-        },
-    )?;
-    let site_name = sites[0]
-        .channel()
-        .expect("process sites are rail faults")
-        .to_string();
-    // Observe the output's transfer rails plus all four rails of every
-    // site channel (keeps each corruption gate and its arm input in the
-    // observed cone), deduplicated.
-    let out_rails = &opt.channels[sys.output_channel.index()];
-    let mut observe: Vec<NetId> = vec![out_rails.vp, out_rails.sp, out_rails.vn];
-    let mut primary = None;
-    for site in &sites {
-        let name = site.channel().expect("rail fault").to_string();
-        let chan = sys
-            .network
-            .channels()
-            .find(|&c| sys.network.channel(c).name == name)
-            .expect("validated channel exists");
-        if primary.is_none() {
-            primary = Some(chan);
-        }
-        let r = &opt.channels[chan.index()];
-        for id in [r.vp, r.sp, r.vn, r.sn] {
-            if !observe.contains(&id) {
-                observe.push(id);
-            }
-        }
-    }
-    let (obs, map) = optimize_observed(&opt.netlist, &observe).map_err(CoreError::from)?;
-    let remap = |id: NetId| map[id.index()].expect("observed rails survive as outputs");
-    let tb = NetlistTestbench::with_faults(&sys.network, &obs, MC_DATA_WIDTH, &sites)?;
-    let cols = tb.fault_cols();
-    if cols.len() != sites.len() {
-        return Err(CoreError::FaultSite(format!(
-            "{} fault sites lowered to {} arm columns",
-            sites.len(),
-            cols.len()
-        )));
-    }
-    let (prog, _) = Program::compile_optimized(&obs).map_err(CoreError::from)?;
+    let lowered = SimLowering::build(&sys.network, sys.output_channel, &sites)?;
+    let cols = lowered.tb.fault_cols();
     let width = width_for(opts.lanes);
     let baseline = PackedStimulus::generate(
-        &tb,
+        &lowered.tb,
         &sys.network,
         &sys.env,
         sched_seed,
@@ -646,19 +693,17 @@ fn build_job(
                 .collect(),
         );
     }
-    let sr = &opt.channels[primary.expect("at least one site").index()];
     Ok(Some(StabJob {
-        prog,
-        site: (remap(sr.vp), remap(sr.sp), remap(sr.vn), remap(sr.sn)),
-        out: (
-            remap(out_rails.vp),
-            remap(out_rails.sp),
-            remap(out_rails.vn),
-        ),
+        prog: lowered.prog,
+        site: lowered.sites[0],
+        out: lowered.out,
         armed,
         baseline,
         events,
-        site_name,
+        site_name: sites[0]
+            .channel()
+            .expect("process sites are rail faults")
+            .to_string(),
     }))
 }
 
@@ -675,8 +720,8 @@ fn drive<const W: usize>(
     sim.check_input_slots(stim.slots())
         .map_err(CoreError::from)?;
     let live = lane_masks::<W>(lanes);
-    let (svp, ssp, svn, ssn) = job.site;
-    let (ovp, osp, ovn) = job.out;
+    let [svp, ssp, svn, ssn] = job.site;
+    let [ovp, osp, ovn] = job.out;
     let mut counts = vec![0u32; lanes];
     let mut dets = vec![RecoveryDetector::new(); lanes];
     let mut cursor = vec![0usize; lanes];
@@ -875,31 +920,30 @@ fn mc_section(opts: &StabilizationOpts) -> Vec<McVerdict> {
     out
 }
 
-/// Runs the campaign: `topologies × classes × intensities` jobs through
-/// the streaming pipeline, reduced in job order, aggregated per class,
-/// plus the convergence section.
-///
-/// # Errors
-///
-/// [`CoreError::FaultProcess`] for an unknown class label or an invalid
-/// intensity sweep, [`CoreError::FaultSite`] for an unusable option set;
-/// the first job error otherwise (missing sites are skipped jobs, not
-/// errors).
-pub fn run_stabilization_campaign(
-    opts: &StabilizationOpts,
-) -> Result<StabilizationReport, CoreError> {
+/// Rejects an unusable option set before any job runs (the errors of
+/// [`run_fault_sweep`]).
+fn check_opts(opts: &StabilizationOpts) -> Result<(), CoreError> {
+    let once = |c: &str| FAULT_CLASSES.contains(&c);
     if let Some(bad) = opts
         .classes
         .iter()
-        .find(|c| !PROCESS_CLASSES.contains(&c.as_str()))
+        .find(|c| !once(c) && !PROCESS_CLASSES.contains(&c.as_str()))
     {
         return Err(CoreError::FaultProcess(format!(
-            "unknown fault-process class {bad:?} (expected one of {PROCESS_CLASSES:?})"
+            "unknown fault class {bad:?} (expected one of {FAULT_CLASSES:?} or {PROCESS_CLASSES:?})"
         )));
     }
-    if opts.cycles < 32 {
+    // A one-shot window needs warm-up plus a recovery tail; a process
+    // also needs room to repeat.
+    let min_cycles = if opts.classes.iter().all(|c| once(c)) {
+        16
+    } else {
+        32
+    };
+    if opts.cycles < min_cycles {
         return Err(CoreError::FaultSite(format!(
-            "campaign horizon {} is too short for a process plus recovery tail (min 32)",
+            "campaign horizon {} is too short for these classes plus a recovery tail \
+             (min {min_cycles})",
             opts.cycles
         )));
     }
@@ -920,16 +964,35 @@ pub fn run_stabilization_campaign(
             "empty intensity sweep: give at least one intensity".into(),
         ));
     }
-    if let Some(&bad) = opts
-        .intensities
-        .iter()
-        .find(|&&i| i == 0 || i > opts.period)
-    {
-        return Err(CoreError::FaultProcess(format!(
-            "intensity {bad} outside 1..={} (the process period)",
-            opts.period
-        )));
+    for class in &opts.classes {
+        let (max, what) = if once(class) {
+            (opts.cycles, "window length")
+        } else {
+            (opts.period, "intensity")
+        };
+        if let Some(&bad) = opts.intensities.iter().find(|&&i| i == 0 || i > max) {
+            return Err(CoreError::FaultProcess(format!(
+                "{class} {what} {bad} outside 1..={max}"
+            )));
+        }
     }
+    Ok(())
+}
+
+/// Runs the job sweep alone: `topologies × classes × intensities` jobs
+/// through the streaming pipeline, reduced in job order and aggregated per
+/// class, with no convergence section — the `fault_campaign` front-end.
+///
+/// # Errors
+///
+/// [`CoreError::FaultProcess`] for an unknown class label, a degenerate
+/// period or an invalid intensity sweep (a one-shot window outside
+/// `1..=cycles`, a process intensity outside `1..=period`);
+/// [`CoreError::FaultSite`] for a horizon too short for the classes or a
+/// lane count outside `1..=512`; the first job error otherwise (missing
+/// sites are skipped jobs, not errors).
+pub fn run_fault_sweep(opts: &StabilizationOpts) -> Result<StabilizationReport, CoreError> {
+    check_opts(opts)?;
     let t0 = Instant::now();
     let nc = opts.classes.len();
     let ni = opts.intensities.len();
@@ -977,20 +1040,30 @@ pub fn run_stabilization_campaign(
             |_, _| {},
         )?
     };
-    let classes = StabilizationReport::aggregate(opts, &jobs);
-    let mc = mc_section(opts);
     Ok(StabilizationReport {
-        name: format!(
-            "pr9_stabilization_campaign topologies={} cycles={} lanes={} period={} tail={} seed={}",
-            opts.topologies, opts.cycles, opts.lanes, opts.period, opts.recovery_tail, opts.seed
-        ),
         opts: opts.clone(),
         threads,
-        classes,
+        classes: StabilizationReport::aggregate(opts, &jobs),
         jobs,
-        mc,
+        mc: Vec::new(),
         wall_secs: t0.elapsed().as_secs_f64(),
     })
+}
+
+/// Runs the campaign: the job sweep ([`run_fault_sweep`]) plus the
+/// convergence section.
+///
+/// # Errors
+///
+/// See [`run_fault_sweep`].
+pub fn run_stabilization_campaign(
+    opts: &StabilizationOpts,
+) -> Result<StabilizationReport, CoreError> {
+    let t0 = Instant::now();
+    let mut report = run_fault_sweep(opts)?;
+    report.mc = mc_section(opts);
+    report.wall_secs = t0.elapsed().as_secs_f64();
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1137,5 +1210,164 @@ mod tests {
                 other => panic!("wrong error class: {other:?}"),
             }
         }
+    }
+
+    fn recovery_opts(threads: usize) -> StabilizationOpts {
+        StabilizationOpts {
+            topologies: 6,
+            seed: 11,
+            cycles: 96,
+            lanes: 8,
+            intensities: vec![1],
+            recovery_tail: 12,
+            threads,
+            queue: 2,
+            classes: FAULT_CLASSES.iter().map(|&c| c.to_string()).collect(),
+            ..StabilizationOpts::default()
+        }
+    }
+
+    #[test]
+    fn recovery_campaign_disturbs_and_is_thread_deterministic() {
+        let a = run_fault_sweep(&recovery_opts(1)).unwrap();
+        assert_eq!(a.classes.len(), FAULT_CLASSES.len());
+        assert!(
+            a.mc.is_empty(),
+            "the sweep alone has no convergence section"
+        );
+        let points: Vec<&IntensityStats> = a.classes.iter().map(|c| &c.points[0]).collect();
+        assert!(
+            points.iter().map(|p| p.sites).sum::<usize>() > 0,
+            "no injectable sites across 6 topologies"
+        );
+        assert!(
+            points.iter().map(|p| p.disturbed).sum::<usize>() > 0,
+            "no lane observed an injected violation"
+        );
+        // Every armed-and-disturbed lane measured a coherent recovery
+        // outcome: recovered lanes have a recovery point, percentiles are
+        // ordered.
+        for (c, p) in a.classes.iter().zip(&points) {
+            assert!(p.stabilized <= p.disturbed, "{}", c.class);
+            assert!(p.disturbed <= p.trials, "{}", c.class);
+            if p.stabilized > 0 {
+                assert!(p.stab_p50 <= p.stab_p99, "{}", c.class);
+                assert!(p.stab_p50 >= 1.0, "{}", c.class);
+            }
+        }
+        // Bit-identical report for a different worker count.
+        let b = run_fault_sweep(&recovery_opts(3)).unwrap();
+        for (x, y) in a.jobs.iter().zip(&b.jobs) {
+            assert_eq!(x.topology, y.topology);
+            assert_eq!(x.class, y.class);
+            assert_eq!(x.site, y.site);
+            assert_eq!(x.lanes, y.lanes);
+        }
+    }
+
+    #[test]
+    fn recovery_json_is_well_formed() {
+        let r = run_fault_sweep(&StabilizationOpts {
+            topologies: 2,
+            cycles: 64,
+            lanes: 4,
+            ..recovery_opts(2)
+        })
+        .unwrap();
+        let json = r.to_recovery_json();
+        for class in FAULT_CLASSES {
+            assert!(json.contains(&format!("\"class\": \"{class}\"")), "{json}");
+        }
+        for key in [
+            "\"window_len\": 1,",
+            "\"recovery_p50\"",
+            "\"non_recovery_rate\"",
+            "\"mean_throughput_dip\"",
+        ] {
+            assert!(json.contains(key), "missing {key}");
+        }
+        for (open, close) in [('{', '}'), ('[', ']')] {
+            assert_eq!(json.matches(open).count(), json.matches(close).count());
+        }
+    }
+
+    #[test]
+    fn bad_recovery_options_are_typed_errors() {
+        let base = recovery_opts(1);
+        for (bad, wants_process_err) in [
+            (
+                StabilizationOpts {
+                    classes: vec!["meltdown".into()],
+                    ..base.clone()
+                },
+                true,
+            ),
+            (
+                StabilizationOpts {
+                    cycles: 8,
+                    ..base.clone()
+                },
+                false,
+            ),
+            (
+                StabilizationOpts {
+                    lanes: 0,
+                    ..base.clone()
+                },
+                false,
+            ),
+            (
+                StabilizationOpts {
+                    lanes: MAX_TRIALS_PER_RUN + 1,
+                    ..base.clone()
+                },
+                false,
+            ),
+        ] {
+            match (wants_process_err, run_fault_sweep(&bad).unwrap_err()) {
+                (true, CoreError::FaultProcess(_)) | (false, CoreError::FaultSite(_)) => {}
+                other => panic!("wrong error class: {other:?}"),
+            }
+        }
+        // A one-shot sweep needs only 16 cycles; a process needs 32.
+        run_fault_sweep(&StabilizationOpts {
+            cycles: 16,
+            topologies: 1,
+            ..base.clone()
+        })
+        .unwrap();
+        // An empty class list is a no-op campaign, not an error.
+        let empty = run_fault_sweep(&StabilizationOpts {
+            classes: Vec::new(),
+            ..base
+        })
+        .unwrap();
+        assert!(empty.classes.is_empty());
+        assert!(empty.jobs.is_empty());
+    }
+
+    #[test]
+    fn recovery_window_outside_the_horizon_is_typed() {
+        // A zero-length window must not run as some other length under a
+        // report that records 0; a window longer than the horizon cannot
+        // be placed at all.
+        for window in [0, 97] {
+            let bad = StabilizationOpts {
+                intensities: vec![window],
+                ..recovery_opts(1)
+            };
+            assert!(
+                matches!(run_fault_sweep(&bad), Err(CoreError::FaultProcess(_))),
+                "window {window}"
+            );
+        }
+        // A window as long as the horizon fits (every lane starts at 0).
+        let whole = run_fault_sweep(&StabilizationOpts {
+            topologies: 1,
+            intensities: vec![96],
+            ..recovery_opts(1)
+        })
+        .unwrap();
+        assert!(whole.to_recovery_json().contains("\"window_len\": 96,"));
     }
 }

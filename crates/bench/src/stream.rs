@@ -33,9 +33,9 @@
 //! The pipeline itself ([`run_pipeline`]) is generic over the produced
 //! payload and the consumed result: the throughput engine instantiates it
 //! with `PackedStimulus → McStats` ([`run_shards_streaming`]) and the
-//! fault-campaign engine with per-job harness builds → recovery records
-//! (`crate::fault`), sharing the queueing, backpressure and in-order
-//! reduction.
+//! fault-campaign engine with per-job harness builds → per-lane
+//! stabilization records (`crate::stabilize`), sharing the queueing,
+//! backpressure and in-order reduction.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;

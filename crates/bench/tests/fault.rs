@@ -1,31 +1,29 @@
 //! Fault-injection equivalence and regression tests.
 //!
 //! 1. **Lane equivalence** (proptest): a wide backend running lane *k*
-//!    with a per-lane fault mask must be bit-identical — every observed
-//!    rail, every cycle — to a scalar netlist run of trial *k* with the
-//!    same fault armed on its schedule, across word widths `W ∈
+//!    with fault-process instance *k* — one-shot windows of every rail
+//!    fault class and every process class — must be bit-identical, every
+//!    observed rail, every cycle, to a scalar netlist run of trial *k* with
+//!    the same windows armed on its schedule, across word widths `W ∈
 //!    {1,2,4,8}`, the plain and cache-blocked tape paths, and the
 //!    schedule-pack versus fused-generate stimulus producers.
 //! 2. **Empty-fault regression**: a campaign with no fault injected must
 //!    reproduce the committed `BENCH_pr6.json` means bit-identically —
-//!    the PR7 fault plumbing (fault-arm inputs, stimulus fault column,
+//!    the fault plumbing (fault-arm inputs, stimulus fault columns,
 //!    generalized worker pipeline) is strictly pay-for-what-you-inject.
 //!
 //! Counterexample seeds shrunk during development are pinned in
 //! `proptest-regressions/fault.txt` and replayed before the random phase.
 
 use elastic_bench::exp::{ee_prob_experiment, run_experiment};
-use elastic_bench::fault::FAULT_CLASSES;
-use elastic_bench::stabilize::PROCESS_CLASSES;
-use elastic_bench::{WideHarness, MC_DATA_WIDTH};
-use elastic_core::compile::{compile, CompileOptions, FaultInjection, FaultRail};
+use elastic_bench::stabilize::{FAULT_CLASSES, PROCESS_CLASSES};
+use elastic_bench::{SimLowering, WideHarness};
+use elastic_core::compile::{FaultInjection, FaultRail};
 use elastic_core::fault::FaultProcess;
-use elastic_core::gen::{generate, injectable_site, TopoParams};
+use elastic_core::gen::{generate, injectable_site, GeneratedSystem, TopoParams};
 use elastic_core::systems::Config;
-use elastic_core::verify::{NetlistTestbench, PackedStimulus};
+use elastic_core::verify::{PackedStimulus, Schedule};
 use elastic_core::CoreError;
-use elastic_netlist::levelize::Program;
-use elastic_netlist::opt::optimize_observed;
 use elastic_netlist::sim::Simulator;
 use elastic_netlist::wide::{WideSim, LANES};
 use elastic_netlist::NetId;
@@ -33,187 +31,40 @@ use proptest::prelude::*;
 
 const CYCLES: usize = 48;
 
-/// One fully prepared faulted system: observed-cone netlist, testbench
-/// with the fault-arm input resolved, tape program, armed schedules and
-/// the observed rail set (site V⁺S⁺V⁻S⁻ + output V⁺S⁺V⁻, deduplicated).
+/// One fully prepared faulted system: its lowering (observed-cone netlist,
+/// testbench with one fault-arm column per site, tape program), the
+/// schedules armed with each lane's process-instance windows and the
+/// observed rail set (output V⁺S⁺V⁻ + every site's V⁺S⁺V⁻S⁻).
 struct Prepared {
-    tb: NetlistTestbench,
-    prog: Program,
+    lowered: SimLowering,
     rails: Vec<NetId>,
-    schedules: Vec<elastic_core::verify::Schedule>,
-    windows: Vec<(usize, usize)>,
-    /// `(site, lane, start, len)` of every armed process window
-    /// (process-based preparations only).
-    process_windows: Vec<(usize, usize, usize, usize)>,
-    sys: elastic_core::gen::GeneratedSystem,
+    schedules: Vec<Schedule>,
+    /// `(site, lane, start, len)` of every armed window.
+    windows: Vec<(usize, usize, usize, usize)>,
+    sys: GeneratedSystem,
     seed: u64,
     scalar: Simulator,
 }
 
-/// Builds a faulted generated system with per-lane armed windows, or
-/// `None` when the sampled topology has no effective site for the class.
-fn prepare(topo: u64, class: &str, seed: u64, lanes: usize, len: usize) -> Option<Prepared> {
-    let sys = generate(&TopoParams::sample(topo)).ok()?;
-    let (fault, eff) = injectable_site(&sys, class, seed, CYCLES)?;
-    let opt = compile(
-        &sys.network,
-        &CompileOptions {
-            lint: false,
-            data_width: MC_DATA_WIDTH,
-            nondet_merge: false,
-            optimize: true,
-            fault: Some(fault.clone()),
-            faults: vec![],
-        },
-    )
-    .ok()?;
-    let site_name = fault.channel().expect("rail fault").to_string();
-    let site = sys
-        .network
-        .channels()
-        .find(|&c| sys.network.channel(c).name == site_name)
-        .expect("existing channel");
-    let s = &opt.channels[site.index()];
-    let o = &opt.channels[sys.output_channel.index()];
-    let mut observe: Vec<NetId> = Vec::new();
-    for id in [o.vp, o.sp, o.vn, s.vp, s.sp, s.vn, s.sn] {
-        if !observe.contains(&id) {
-            observe.push(id);
-        }
-    }
-    let (obs, map) = optimize_observed(&opt.netlist, &observe).ok()?;
-    let rails: Vec<NetId> = observe
-        .iter()
-        .map(|&id| map[id.index()].expect("observed rails survive"))
-        .collect();
-    let tb = NetlistTestbench::with_fault(&sys.network, &obs, MC_DATA_WIDTH, &fault).ok()?;
-    assert!(tb.fault_col().is_some(), "rail fault resolves an arm input");
-    let (prog, _) = Program::compile_optimized(&obs).ok()?;
-    let scalar = Simulator::new(&obs).ok()?;
-    let mut schedules = WideHarness::schedules(&sys.network, &sys.env, seed, CYCLES, lanes);
-    let mut windows = Vec::with_capacity(lanes);
-    for (k, sched) in schedules.iter_mut().enumerate() {
-        // Independent per-lane instances: staggered start cycles, clamped
-        // to the horizon.
-        let start = (eff + k % 5).min(CYCLES - len);
-        sched.arm_fault(start, len).expect("window fits");
-        windows.push((start, len));
-    }
-    Some(Prepared {
-        tb,
-        prog,
-        rails,
-        schedules,
-        windows,
-        process_windows: Vec::new(),
-        sys,
-        seed,
-        scalar,
-    })
-}
-
-/// Scalar reference: runs trial `k`'s schedule (fault armed) through the
-/// gate-level interpreter on the same observed netlist, recording every
-/// observed rail each cycle.
-fn scalar_trace(p: &Prepared, k: usize) -> Vec<Vec<bool>> {
-    let mut sim = p.scalar.clone();
-    (0..CYCLES as u64)
-        .map(|t| {
-            sim.cycle(&p.tb.inputs_at(&p.schedules[k], t))
-                .expect("runs");
-            p.rails.iter().map(|&r| sim.value(r)).collect()
-        })
-        .collect()
-}
-
-/// Wide path: packs all lanes (fault masks included) and records the same
-/// rails per lane per cycle, on the plain or cache-blocked tape.
-fn wide_trace<const W: usize>(
-    p: &Prepared,
-    stim: &PackedStimulus,
-    blocked: bool,
-) -> Vec<Vec<Vec<bool>>> {
-    let mut sim: WideSim<W> = WideSim::from_program(p.prog.clone());
-    sim.check_input_slots(stim.slots()).expect("slots");
-    let plan = p.prog.block_plan(W, 4096);
-    let lanes = p.schedules.len();
-    let mut out = vec![Vec::with_capacity(CYCLES); lanes];
-    for t in 0..CYCLES {
-        if blocked {
-            sim.cycle_packed_blocked(stim.slots(), stim.row(t), &plan);
-        } else {
-            sim.cycle_packed(stim.slots(), stim.row(t));
-        }
-        for (k, lane_out) in out.iter_mut().enumerate() {
-            let (w, b) = (k / LANES, k % LANES);
-            lane_out.push(
-                p.rails
-                    .iter()
-                    .map(|&r| sim.word(r, w) >> b & 1 == 1)
-                    .collect(),
-            );
-        }
-    }
-    out
-}
-
-proptest! {
-    /// Wide lane *k* under a per-lane fault mask ≡ scalar run of trial
-    /// *k* with the same fault — all rails, all cycles, every word width,
-    /// plain and blocked tapes, and both stimulus producers.
-    #[test]
-    fn wide_fault_lane_equals_scalar_faulted_trial(
-        topo in 0u64..500,
-        class_idx in 0usize..5,
-        lanes in 1usize..10,
-        len in 1usize..4,
-        wsel in 0usize..4,
-    ) {
-        let class = FAULT_CLASSES[class_idx];
-        let Some(p) = prepare(topo, class, topo.wrapping_add(0xfa), lanes, len) else {
-            return Err(TestCaseError::Reject);
-        };
-        let scalar: Vec<Vec<Vec<bool>>> = (0..lanes).map(|k| scalar_trace(&p, k)).collect();
-        let width = [1usize, 2, 4, 8][wsel];
-        let stim = PackedStimulus::pack(&p.tb, &p.schedules, width).expect("packs");
-        // Stimulus-producer equivalence: the fused generate + per-lane
-        // arm_fault path (the campaign's streaming producer) builds the
-        // identical matrix to packing pre-armed schedules.
-        let mut generated = PackedStimulus::generate(
-            &p.tb, &p.sys.network, &p.sys.env, p.seed, lanes, CYCLES, width,
-        ).expect("generates");
-        let col = p.tb.fault_col().expect("fault col");
-        for (k, &(start, wl)) in p.windows.iter().enumerate() {
-            generated.arm_fault(col, k, start, wl).expect("arms");
-        }
-        prop_assert_eq!(&generated, &stim);
-        for blocked in [false, true] {
-            let wide = match width {
-                1 => wide_trace::<1>(&p, &stim, blocked),
-                2 => wide_trace::<2>(&p, &stim, blocked),
-                4 => wide_trace::<4>(&p, &stim, blocked),
-                _ => wide_trace::<8>(&p, &stim, blocked),
-            };
-            for k in 0..lanes {
-                prop_assert_eq!(
-                    &wide[k], &scalar[k],
-                    "lane {} diverged (topo {}, class {}, W={}, blocked={})",
-                    k, topo, class, width, blocked
-                );
-            }
-        }
-    }
-}
-
-/// Builds a small instance of the named fault-process class on `sys`, or
-/// `None` when the sampled topology offers no usable site (mirrors the
-/// campaign engine's per-class construction at test scale).
+/// Builds a small instance of the named class on `sys` — a one-shot
+/// class as a `window`-cycle [`FaultProcess::Once`] at a probed-effective
+/// cycle — or `None` when the sampled topology offers no usable site
+/// (mirrors the campaign engine's per-class construction at test scale).
 fn test_process(
-    sys: &elastic_core::gen::GeneratedSystem,
+    sys: &GeneratedSystem,
     class: &str,
     seed: u64,
+    window: usize,
 ) -> Option<FaultProcess> {
     let process = match class {
+        once if FAULT_CLASSES.contains(&once) => {
+            let (fault, eff) = injectable_site(sys, once, seed, CYCLES)?;
+            FaultProcess::Once {
+                fault,
+                start: eff.min(CYCLES - window),
+                len: window,
+            }
+        }
         "periodic" => {
             let (fault, eff) = injectable_site(sys, "rail_flip", seed, CYCLES)?;
             FaultProcess::Periodic {
@@ -274,78 +125,164 @@ fn test_process(
     Some(process)
 }
 
-/// Prepares a system compiled with one corruption gate per process site,
+/// Prepares a system lowered with one corruption gate per process site,
 /// schedules armed with lane *k*'s process-instance windows on every
-/// site, and the observed rail set (all site rails + output rails).
-fn prepare_process(topo: u64, class: &str, seed: u64, lanes: usize) -> Option<Prepared> {
+/// site, or `None` when the topology has no usable process of the class.
+fn prepare(topo: u64, class: &str, seed: u64, lanes: usize, window: usize) -> Option<Prepared> {
     let sys = generate(&TopoParams::sample(topo)).ok()?;
-    let process = test_process(&sys, class, seed)?;
+    let process = test_process(&sys, class, seed, window)?;
     let sites = process.sites();
-    let opt = compile(
-        &sys.network,
-        &CompileOptions {
-            lint: false,
-            data_width: MC_DATA_WIDTH,
-            nondet_merge: false,
-            optimize: true,
-            fault: None,
-            faults: sites.clone(),
-        },
-    )
-    .ok()?;
-    let o = &opt.channels[sys.output_channel.index()];
-    let mut observe: Vec<NetId> = vec![o.vp, o.sp, o.vn];
-    for site in &sites {
-        let name = site.channel().expect("rail fault").to_string();
-        let chan = sys
-            .network
-            .channels()
-            .find(|&c| sys.network.channel(c).name == name)
-            .expect("existing channel");
-        let s = &opt.channels[chan.index()];
-        for id in [s.vp, s.sp, s.vn, s.sn] {
-            if !observe.contains(&id) {
-                observe.push(id);
-            }
-        }
-    }
-    let (obs, map) = optimize_observed(&opt.netlist, &observe).ok()?;
-    let rails: Vec<NetId> = observe
+    let lowered = SimLowering::build(&sys.network, sys.output_channel, &sites).ok()?;
+    assert_eq!(
+        lowered.tb.fault_cols().len(),
+        sites.len(),
+        "one column per site"
+    );
+    let rails = lowered
+        .out
         .iter()
-        .map(|&id| map[id.index()].expect("observed rails survive"))
+        .chain(lowered.sites.iter().flatten())
+        .copied()
         .collect();
-    let tb = NetlistTestbench::with_faults(&sys.network, &obs, MC_DATA_WIDTH, &sites).ok()?;
-    assert_eq!(tb.fault_cols().len(), sites.len(), "one column per site");
-    let (prog, _) = Program::compile_optimized(&obs).ok()?;
-    let scalar = Simulator::new(&obs).ok()?;
+    let scalar = Simulator::new(&lowered.netlist).ok()?;
     let mut schedules = WideHarness::schedules(&sys.network, &sys.env, seed, CYCLES, lanes);
-    let mut process_windows = Vec::new();
+    let mut windows = Vec::new();
     for (k, sched) in schedules.iter_mut().enumerate() {
         for (site, site_windows) in process.windows(seed, k, CYCLES).iter().enumerate() {
             for &(start, len) in site_windows {
-                sched.arm_fault_site(site, start, len).expect("window fits");
-                process_windows.push((site, k, start, len));
+                sched.arm_fault(site, start, len).expect("window fits");
+                windows.push((site, k, start, len));
             }
         }
     }
     Some(Prepared {
-        tb,
-        prog,
+        lowered,
         rails,
         schedules,
-        windows: Vec::new(),
-        process_windows,
+        windows,
         sys,
         seed,
         scalar,
     })
 }
 
+/// Scalar reference: runs trial `k`'s schedule (windows armed) through the
+/// gate-level interpreter on the same observed netlist, recording every
+/// observed rail each cycle.
+fn scalar_trace(p: &Prepared, k: usize) -> Vec<Vec<bool>> {
+    let mut sim = p.scalar.clone();
+    (0..CYCLES as u64)
+        .map(|t| {
+            sim.cycle(&p.lowered.tb.inputs_at(&p.schedules[k], t))
+                .expect("runs");
+            p.rails.iter().map(|&r| sim.value(r)).collect()
+        })
+        .collect()
+}
+
+/// Wide path: packs all lanes (fault masks included) and records the same
+/// rails per lane per cycle, on the plain or cache-blocked tape.
+fn wide_trace<const W: usize>(
+    p: &Prepared,
+    stim: &PackedStimulus,
+    blocked: bool,
+) -> Vec<Vec<Vec<bool>>> {
+    let prog = &p.lowered.prog;
+    let mut sim: WideSim<W> = WideSim::from_program(prog.clone());
+    sim.check_input_slots(stim.slots()).expect("slots");
+    let plan = prog.block_plan(W, 4096);
+    let lanes = p.schedules.len();
+    let mut out = vec![Vec::with_capacity(CYCLES); lanes];
+    for t in 0..CYCLES {
+        if blocked {
+            sim.cycle_packed_blocked(stim.slots(), stim.row(t), &plan);
+        } else {
+            sim.cycle_packed(stim.slots(), stim.row(t));
+        }
+        for (k, lane_out) in out.iter_mut().enumerate() {
+            let (w, b) = (k / LANES, k % LANES);
+            lane_out.push(
+                p.rails
+                    .iter()
+                    .map(|&r| sim.word(r, w) >> b & 1 == 1)
+                    .collect(),
+            );
+        }
+    }
+    out
+}
+
+/// Wide lane *k* running fault-process instance *k* ≡ scalar run of trial
+/// *k* with the same per-site windows armed on its schedule — all rails,
+/// all cycles, word width `[1, 2, 4, 8][wsel]`, plain and blocked tapes,
+/// and both stimulus producers. Rejects topologies with no usable process.
+fn check_lane_equivalence(
+    topo: u64,
+    class: &str,
+    seed: u64,
+    lanes: usize,
+    window: usize,
+    wsel: usize,
+) -> Result<(), TestCaseError> {
+    let Some(p) = prepare(topo, class, seed, lanes, window) else {
+        return Err(TestCaseError::Reject);
+    };
+    let scalar: Vec<Vec<Vec<bool>>> = (0..lanes).map(|k| scalar_trace(&p, k)).collect();
+    let width = [1usize, 2, 4, 8][wsel];
+    let tb = &p.lowered.tb;
+    let stim = PackedStimulus::pack(tb, &p.schedules, width).expect("packs");
+    // Stimulus-producer equivalence: the campaign's fused generate +
+    // per-site-column arm path builds the identical matrix to packing
+    // pre-armed schedules.
+    let mut generated =
+        PackedStimulus::generate(tb, &p.sys.network, &p.sys.env, p.seed, lanes, CYCLES, width)
+            .expect("generates");
+    let cols = tb.fault_cols();
+    for &(site, lane, start, len) in &p.windows {
+        generated
+            .arm_fault(cols[site], lane, start, len)
+            .expect("arms");
+    }
+    prop_assert_eq!(&generated, &stim);
+    for blocked in [false, true] {
+        let wide = match width {
+            1 => wide_trace::<1>(&p, &stim, blocked),
+            2 => wide_trace::<2>(&p, &stim, blocked),
+            4 => wide_trace::<4>(&p, &stim, blocked),
+            _ => wide_trace::<8>(&p, &stim, blocked),
+        };
+        for k in 0..lanes {
+            prop_assert_eq!(
+                &wide[k],
+                &scalar[k],
+                "lane {} diverged (topo {}, class {}, W={}, blocked={})",
+                k,
+                topo,
+                class,
+                width,
+                blocked
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
-    /// Wide lane *k* running fault-process instance *k* ≡ scalar run of
-    /// trial *k* with the same per-site windows armed on its schedule —
-    /// all rails, all cycles, every word width, plain and blocked tapes,
-    /// and both stimulus producers — for every process class.
+    /// Lane equivalence for every one-shot rail fault class, as a
+    /// `len`-cycle [`FaultProcess::Once`] window staggered per lane.
+    #[test]
+    fn wide_fault_lane_equals_scalar_faulted_trial(
+        topo in 0u64..500,
+        class_idx in 0usize..5,
+        lanes in 1usize..10,
+        len in 1usize..4,
+        wsel in 0usize..4,
+    ) {
+        let class = FAULT_CLASSES[class_idx];
+        check_lane_equivalence(topo, class, topo.wrapping_add(0xfa), lanes, len, wsel)?;
+    }
+
+    /// Lane equivalence for every multi-window fault-process class.
     #[test]
     fn wide_process_lane_equals_scalar_process_trial(
         topo in 0u64..500,
@@ -354,38 +291,7 @@ proptest! {
         wsel in 0usize..4,
     ) {
         let class = PROCESS_CLASSES[class_idx];
-        let Some(p) = prepare_process(topo, class, topo.wrapping_add(0x9b), lanes) else {
-            return Err(TestCaseError::Reject);
-        };
-        let scalar: Vec<Vec<Vec<bool>>> = (0..lanes).map(|k| scalar_trace(&p, k)).collect();
-        let width = [1usize, 2, 4, 8][wsel];
-        let stim = PackedStimulus::pack(&p.tb, &p.schedules, width).expect("packs");
-        // Stimulus-producer equivalence: the campaign's fused generate +
-        // per-site-column arm path builds the identical matrix to packing
-        // pre-armed schedules.
-        let mut generated = PackedStimulus::generate(
-            &p.tb, &p.sys.network, &p.sys.env, p.seed, lanes, CYCLES, width,
-        ).expect("generates");
-        let cols = p.tb.fault_cols();
-        for &(site, lane, start, len) in &p.process_windows {
-            generated.arm_fault(cols[site], lane, start, len).expect("arms");
-        }
-        prop_assert_eq!(&generated, &stim);
-        for blocked in [false, true] {
-            let wide = match width {
-                1 => wide_trace::<1>(&p, &stim, blocked),
-                2 => wide_trace::<2>(&p, &stim, blocked),
-                4 => wide_trace::<4>(&p, &stim, blocked),
-                _ => wide_trace::<8>(&p, &stim, blocked),
-            };
-            for k in 0..lanes {
-                prop_assert_eq!(
-                    &wide[k], &scalar[k],
-                    "lane {} diverged (topo {}, class {}, W={}, blocked={})",
-                    k, topo, class, width, blocked
-                );
-            }
-        }
+        check_lane_equivalence(topo, class, topo.wrapping_add(0x9b), lanes, 1, wsel)?;
     }
 }
 
@@ -394,48 +300,24 @@ proptest! {
 /// one and every observed rail reproduces the fault-free trace
 /// digit-for-digit — the process plumbing is strictly
 /// pay-for-what-you-inject, exactly like the `BENCH_pr6.json` regression
-/// below for the single-shot machinery.
+/// below for the fault-free engine.
 #[test]
 fn zero_intensity_process_is_fault_free_bit_for_bit() {
     /// Output-rail trace of one schedule on a compile of `sys` carrying
     /// `faults` corruption gates (none ever armed).
     fn output_trace(
-        sys: &elastic_core::gen::GeneratedSystem,
-        faults: Vec<FaultInjection>,
+        sys: &GeneratedSystem,
+        faults: &[FaultInjection],
         seed: u64,
     ) -> Option<Vec<Vec<bool>>> {
-        let gated = !faults.is_empty();
-        let opt = compile(
-            &sys.network,
-            &CompileOptions {
-                lint: false,
-                data_width: MC_DATA_WIDTH,
-                nondet_merge: false,
-                optimize: true,
-                fault: None,
-                faults: faults.clone(),
-            },
-        )
-        .ok()?;
-        let o = &opt.channels[sys.output_channel.index()];
-        let observe = [o.vp, o.sp, o.vn];
-        let (obs, map) = optimize_observed(&opt.netlist, &observe).ok()?;
-        let rails: Vec<NetId> = observe
-            .iter()
-            .map(|&id| map[id.index()].expect("survives"))
-            .collect();
-        let tb = if gated {
-            NetlistTestbench::with_faults(&sys.network, &obs, MC_DATA_WIDTH, &faults).ok()?
-        } else {
-            NetlistTestbench::new(&sys.network, &obs, MC_DATA_WIDTH).ok()?
-        };
+        let lowered = SimLowering::build(&sys.network, sys.output_channel, faults).ok()?;
         let sched = WideHarness::schedules(&sys.network, &sys.env, seed, CYCLES, 1).remove(0);
-        let mut sim = Simulator::new(&obs).ok()?;
+        let mut sim = Simulator::new(&lowered.netlist).ok()?;
         Some(
             (0..CYCLES as u64)
                 .map(|t| {
-                    sim.cycle(&tb.inputs_at(&sched, t)).expect("runs");
-                    rails.iter().map(|&r| sim.value(r)).collect()
+                    sim.cycle(&lowered.tb.inputs_at(&sched, t)).expect("runs");
+                    lowered.out.iter().map(|&r| sim.value(r)).collect()
                 })
                 .collect(),
         )
@@ -466,11 +348,10 @@ fn zero_intensity_process_is_fault_free_bit_for_bit() {
             );
             assert!(process.merged_windows(topo, lane, CYCLES).is_empty());
         }
-        let Some(gated) = output_trace(&sys, process.sites(), topo.wrapping_add(0x9b)) else {
+        let Some(gated) = output_trace(&sys, &process.sites(), topo.wrapping_add(0x9b)) else {
             continue;
         };
-        let free =
-            output_trace(&sys, vec![], topo.wrapping_add(0x9b)).expect("fault-free compiles");
+        let free = output_trace(&sys, &[], topo.wrapping_add(0x9b)).expect("fault-free compiles");
         assert_eq!(
             gated, free,
             "topo {topo}: a never-armed corruption gate changed an observed rail"
@@ -490,13 +371,13 @@ fn zero_intensity_process_is_fault_free_bit_for_bit() {
 #[test]
 fn packed_layer_rejects_bad_process_arming_typed() {
     let p = (0u64..200)
-        .find_map(|topo| prepare_process(topo, "byzantine", 0x5e, 2))
+        .find_map(|topo| prepare(topo, "byzantine", 0x5e, 2, 1))
         .expect("some topology supports a byzantine process");
-    let cols = p.tb.fault_cols();
+    let tb = &p.lowered.tb;
+    let cols = tb.fault_cols();
     assert_eq!(cols.len(), 2, "byzantine resolves two side columns");
-    let mut stim =
-        PackedStimulus::generate(&p.tb, &p.sys.network, &p.sys.env, p.seed, 2, CYCLES, 1)
-            .expect("generates");
+    let mut stim = PackedStimulus::generate(tb, &p.sys.network, &p.sys.env, p.seed, 2, CYCLES, 1)
+        .expect("generates");
     for (err, label) in [
         (stim.arm_fault(cols[1] + 1, 0, 0, 1), "phantom column"),
         (stim.arm_fault(cols[0], 64, 0, 1), "phantom lane"),

@@ -64,7 +64,7 @@ impl FaultRail {
 /// chosen cycle window — per lane in the packed wide backends, so each of
 /// the 512 trials of a word can carry an independent fault instance. The
 /// behavioural simulator applies the same corruption by forcing the rail
-/// during signal settlement (`crate::sim::BehavSim::inject_fault`).
+/// during signal settlement (`crate::sim::BehavSim::inject_process`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultInjection {
@@ -191,15 +191,14 @@ pub struct CompileOptions {
     /// `V⁻` of a passive channel). Defaults to `false`, which preserves
     /// the raw gate-for-gate emission.
     pub optimize: bool,
-    /// Optional deliberate bug, for negative tests of the verification
-    /// harnesses. `None` (the default) compiles the faithful controllers.
-    pub fault: Option<FaultInjection>,
-    /// Additional fault sites spliced alongside [`CompileOptions::fault`] —
-    /// the multi-site form used by [`crate::fault::FaultProcess`] expansion
-    /// (correlated bursts strike several channels, a Byzantine adversary
-    /// arms both side rails of one channel). Each rail site gets its own
-    /// corruption gate and arm input; two sites on the same channel rail
-    /// are rejected with [`CoreError::FaultProcess`].
+    /// Deliberate faults, for negative tests of the verification harnesses
+    /// and for fault campaigns; empty (the default) compiles the faithful
+    /// controllers. A [`crate::fault::FaultProcess`] compiles with its
+    /// [`sites`](crate::fault::FaultProcess::sites) here (correlated bursts
+    /// strike several channels, a Byzantine adversary arms both side rails
+    /// of one channel). Each rail site gets its own corruption gate and arm
+    /// input, in list order; two sites on the same channel rail are
+    /// rejected with [`CoreError::FaultProcess`].
     pub faults: Vec<FaultInjection>,
     /// Run the static liveness lint before emission:
     /// [`ElasticNetwork::check_token_liveness`] rejects networks with a
@@ -291,8 +290,8 @@ fn drive_net(
 /// # Errors
 ///
 /// Propagates structural errors from [`ElasticNetwork::check`], netlist
-/// errors, [`CoreError::FaultSite`] when [`CompileOptions::fault`] names a
-/// nonexistent join or channel, [`CoreError::BadEarlyEval`] when a guard
+/// errors, [`CoreError::FaultSite`] when a [`CompileOptions::faults`] entry
+/// names a nonexistent join or channel, [`CoreError::BadEarlyEval`] when a guard
 /// mask does not fit in `opts.data_width` bits, and — under
 /// [`CompileOptions::lint`] — [`CoreError::TokenStarvedCycle`].
 #[allow(clippy::too_many_lines)]
@@ -353,7 +352,7 @@ pub fn compile(net: &ElasticNetwork, opts: &CompileOptions) -> Result<Compiled, 
     // `fault.<channel>.<rail>`. Unknown site names are typed errors, not
     // silent no-ops.
     let mut fault_sites: Vec<(usize, FaultRail, NetId)> = Vec::new();
-    for fault in opts.fault.iter().chain(&opts.faults) {
+    for fault in &opts.faults {
         match fault {
             FaultInjection::DropAntiToken { join } => {
                 let found = net.components().any(|c| {
@@ -841,7 +840,7 @@ fn emit_join(
 
     // Fault injection: a sabotaged join keeps firing early but never
     // raises its G gates, so late inputs are never killed.
-    let drop_anti = opts.fault.iter().chain(&opts.faults).any(
+    let drop_anti = opts.faults.iter().any(
         |f| matches!(f, FaultInjection::DropAntiToken { join } if *join == net.component(comp).name),
     );
     let nfire = n.not(fire);
@@ -1049,12 +1048,8 @@ mod tests {
         let err = compile(
             &build(),
             &CompileOptions {
-                lint: false,
                 data_width: 1,
-                nondet_merge: false,
-                optimize: false,
-                fault: None,
-                faults: vec![],
+                ..CompileOptions::default()
             },
         )
         .unwrap_err();
@@ -1062,12 +1057,8 @@ mod tests {
         compile(
             &build(),
             &CompileOptions {
-                lint: false,
                 data_width: 3,
-                nondet_merge: false,
-                optimize: false,
-                fault: None,
-                faults: vec![],
+                ..CompileOptions::default()
             },
         )
         .unwrap();
@@ -1079,12 +1070,8 @@ mod tests {
         let compiled = compile(
             &net,
             &CompileOptions {
-                lint: false,
                 data_width: 1,
-                nondet_merge: false,
-                optimize: false,
-                fault: None,
-                faults: vec![],
+                ..CompileOptions::default()
             },
         )
         .unwrap();

@@ -1,6 +1,6 @@
 //! Fault *processes*: deterministic, seeded stochastic disturbance over a
-//! whole run, generalizing the one-shot [`FaultInjection`] window of the
-//! recovery campaigns.
+//! whole run. The one-shot [`FaultInjection`] window of the recovery
+//! campaigns is the degenerate process, [`FaultProcess::Once`].
 //!
 //! A process is a recipe with two halves:
 //!
@@ -15,15 +15,16 @@
 //!   tolerance windows all see *the same* disturbance — bit-identity
 //!   between backends survives fault injection.
 //!
-//! The classes mirror the self-stabilization literature: `Periodic`
-//! re-injection (duty-cycled single site), `Sustained` stuck-at intervals,
-//! `Correlated` multi-site bursts (several channels struck in the same
-//! window), and a `Byzantine` channel adversary that presents *different*
-//! rail values to the producer and consumer sides of one channel — spliced
-//! as two independent corruption gates (forward valid lies to the
-//! consumer, forward stop lies to the producer) armed from per-side
-//! stimulus columns with a half-period phase shift, so the two channel
-//! ends hold mutually inconsistent protocol views while armed.
+//! The classes mirror the self-stabilization literature: a `Once`
+//! transient (one window per trial), `Periodic` re-injection (duty-cycled
+//! single site), `Sustained` stuck-at intervals, `Correlated` multi-site
+//! bursts (several channels struck in the same window), and a `Byzantine`
+//! channel adversary that presents *different* rail values to the producer
+//! and consumer sides of one channel — spliced as two independent
+//! corruption gates (forward valid lies to the consumer, forward stop lies
+//! to the producer) armed from per-side stimulus columns with a
+//! half-period phase shift, so the two channel ends hold mutually
+//! inconsistent protocol views while armed.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -34,14 +35,24 @@ use crate::network::ElasticNetwork;
 
 /// Per-lane stagger of process window starts: lane `k`'s windows shift by
 /// `k % PROCESS_STAGGER` cycles, so packed trials run genuinely
-/// independent process instances (same convention as the PR-7 recovery
-/// campaign's per-lane windows).
+/// independent process instances.
 pub const PROCESS_STAGGER: usize = 4;
 
 /// A deterministic fault process emitting disturbance over a whole run.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FaultProcess {
+    /// One transient window per trial: `fault` armed for `len` cycles from
+    /// `start` — a single-event upset when `len == 1`. Any rail fault may
+    /// ride it, unlike [`FaultProcess::Sustained`]'s stuck-at intervals.
+    Once {
+        /// The rail fault armed in the window.
+        fault: FaultInjection,
+        /// Window start cycle (before per-lane stagger).
+        start: usize,
+        /// Window length in cycles.
+        len: usize,
+    },
     /// Re-inject `fault` every `period` cycles, armed for `duty` cycles per
     /// period — a duty-cycled single-site disturbance. `duty == 0` is a
     /// legal zero-intensity process (no windows at all), the control case
@@ -101,6 +112,7 @@ impl FaultProcess {
     /// Short class label for campaign reports.
     pub fn label(&self) -> &'static str {
         match self {
+            FaultProcess::Once { .. } => "once",
             FaultProcess::Periodic { .. } => "periodic",
             FaultProcess::Sustained { .. } => "sustained",
             FaultProcess::Correlated { .. } => "correlated",
@@ -110,13 +122,13 @@ impl FaultProcess {
 
     /// The corruption-gate sites this process arms, in site order. Site
     /// `i`'s arm stream is window list `i` of [`Self::windows`], schedule
-    /// fault site `i` ([`crate::verify::Schedule::arm_fault_site`]) and
+    /// fault site `i` ([`crate::verify::Schedule::arm_fault`]) and
     /// stimulus column `fault_cols()[i]`.
     pub fn sites(&self) -> Vec<FaultInjection> {
         match self {
-            FaultProcess::Periodic { fault, .. } | FaultProcess::Sustained { fault, .. } => {
-                vec![fault.clone()]
-            }
+            FaultProcess::Once { fault, .. }
+            | FaultProcess::Periodic { fault, .. }
+            | FaultProcess::Sustained { fault, .. } => vec![fault.clone()],
             FaultProcess::Correlated { faults, .. } => faults.clone(),
             FaultProcess::Byzantine { channel, .. } => vec![
                 FaultInjection::RailFlip {
@@ -143,11 +155,11 @@ impl FaultProcess {
     /// * [`CoreError::FaultProcess`] — structural sites in a process, two
     ///   sites on the same channel rail (overlapping windows on one rail),
     ///   an intensity exceeding its window (`duty > period`, a burst longer
-    ///   than its stratum, a sustained interval past the horizon), a
-    ///   non-stuck-at sustained fault, a degenerate period, or a Byzantine
-    ///   adversary on a passive channel (which has no producer-side stop to
-    ///   corrupt — only one side rail exists, so it cannot be lied to from
-    ///   both ends).
+    ///   than its stratum, a one-shot or sustained window that is empty or
+    ///   past the horizon), a non-stuck-at sustained fault, a degenerate
+    ///   period, or a Byzantine adversary on a passive channel (which has
+    ///   no producer-side stop to corrupt — only one side rail exists, so
+    ///   it cannot be lied to from both ends).
     pub fn validate(&self, net: &ElasticNetwork, cycles: usize) -> Result<(), CoreError> {
         let mut seen: Vec<(String, FaultRail)> = Vec::new();
         for site in self.sites() {
@@ -182,21 +194,24 @@ impl FaultProcess {
             } => {
                 check_duty_cycle("periodic", *period, *duty, *start, cycles)?;
             }
-            FaultProcess::Sustained { fault, start, len } => {
-                if !matches!(fault, FaultInjection::StuckAt { .. }) {
-                    return Err(CoreError::FaultProcess(format!(
-                        "sustained intervals hold a stuck-at rail; {:?} is not a stuck-at fault",
-                        fault.label()
-                    )));
-                }
+            FaultProcess::Sustained { fault, .. }
+                if !matches!(fault, FaultInjection::StuckAt { .. }) =>
+            {
+                return Err(CoreError::FaultProcess(format!(
+                    "sustained intervals hold a stuck-at rail; {:?} is not a stuck-at fault",
+                    fault.label()
+                )));
+            }
+            FaultProcess::Once { start, len, .. } | FaultProcess::Sustained { start, len, .. } => {
+                let what = self.label();
                 if *len == 0 {
-                    return Err(CoreError::FaultProcess(
-                        "zero-length sustained interval".into(),
-                    ));
+                    return Err(CoreError::FaultProcess(format!(
+                        "zero-length {what} window"
+                    )));
                 }
                 if start.checked_add(*len).is_none_or(|e| e > cycles) {
                     return Err(CoreError::FaultProcess(format!(
-                        "sustained interval {start}+{len} exceeds the {cycles}-cycle horizon"
+                        "{what} window {start}+{len} exceeds the {cycles}-cycle horizon"
                     )));
                 }
             }
@@ -272,7 +287,7 @@ impl FaultProcess {
                     cycles,
                 )]
             }
-            FaultProcess::Sustained { start, len, .. } => {
+            FaultProcess::Once { start, len, .. } | FaultProcess::Sustained { start, len, .. } => {
                 vec![vec![(clamp(start.saturating_add(stagger), *len), *len)]]
             }
             FaultProcess::Correlated {
@@ -494,6 +509,69 @@ mod tests {
             too_long.validate(&net, 32),
             Err(CoreError::FaultProcess(_))
         ));
+    }
+
+    #[test]
+    fn once_window_is_staggered_and_clamped_per_lane() {
+        let (net, _, _) = linear_pipeline(2, 1).unwrap();
+        let (cycles, len) = (32usize, 3usize);
+        for start in [0usize, 5, 27, 29] {
+            let p = FaultProcess::Once {
+                fault: flip("c1"),
+                start,
+                len,
+            };
+            p.validate(&net, cycles).unwrap();
+            assert_eq!(p.sites(), vec![flip("c1")]);
+            for lane in 0..9 {
+                let s = (start + lane % PROCESS_STAGGER).min(cycles - len);
+                assert_eq!(p.windows(3, lane, cycles), vec![vec![(s, len)]]);
+                assert_eq!(
+                    p.merged_windows(3, lane, cycles),
+                    vec![(s as u64, (s + len) as u64)]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn once_rejects_structural_empty_and_late_windows() {
+        let (net, _, _) = linear_pipeline(2, 1).unwrap();
+        for bad in [
+            FaultProcess::Once {
+                fault: FaultInjection::DropAntiToken { join: "j".into() },
+                start: 0,
+                len: 1,
+            },
+            FaultProcess::Once {
+                fault: flip("c1"),
+                start: 3,
+                len: 0,
+            },
+            FaultProcess::Once {
+                fault: flip("c1"),
+                start: 30,
+                len: 3,
+            },
+            FaultProcess::Once {
+                fault: flip("c1"),
+                start: usize::MAX,
+                len: 2,
+            },
+        ] {
+            assert!(
+                matches!(bad.validate(&net, 32), Err(CoreError::FaultProcess(_))),
+                "{bad:?}"
+            );
+        }
+        // A window ending exactly at the horizon fits.
+        FaultProcess::Once {
+            fault: stuck("c1"),
+            start: 29,
+            len: 3,
+        }
+        .validate(&net, 32)
+        .unwrap();
     }
 
     #[test]

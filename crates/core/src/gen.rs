@@ -648,38 +648,32 @@ pub fn differential_check(
     // Side (b): the PR-4 compiled pipeline — optimizing compile (all
     // channel rails are preserved as outputs), levelize + peephole, packed
     // stimulus, bit-parallel execution.
+    let faults: Vec<FaultInjection> = opts.fault.iter().cloned().collect();
     let compiled = compile(
         net,
         &CompileOptions {
-            lint: false,
             data_width: GEN_DATA_WIDTH,
-            nondet_merge: false,
             optimize: true,
-            fault: opts.fault.clone(),
-            faults: vec![],
+            faults: faults.clone(),
+            ..CompileOptions::default()
         },
     )?;
     let (prog, _) = Program::compile_optimized(&compiled.netlist).map_err(CoreError::from)?;
     let mut wide: WideSim<1> = WideSim::from_program(prog);
-    let tb = match &opts.fault {
-        Some(f) if f.input_name().is_some() => {
-            NetlistTestbench::with_fault(net, &compiled.netlist, GEN_DATA_WIDTH, f)?
-        }
-        _ => NetlistTestbench::new(net, &compiled.netlist, GEN_DATA_WIDTH)?,
-    };
+    let tb = NetlistTestbench::with_faults(net, &compiled.netlist, GEN_DATA_WIDTH, &faults)?;
     // Rail faults get armed in every lane of the compiled side only; the
     // behavioural lanes replay the same schedules but ignore the arm
     // stream, staying the faithful reference.
-    let fault_window = if tb.fault_col().is_some() {
+    let fault_window = if tb.fault_cols().is_empty() {
+        None
+    } else {
         let (start, len) = opts
             .fault_window
             .unwrap_or((cycles / 4, (cycles / 8).max(1)));
         for s in &mut schedules {
-            s.arm_fault(start, len)?;
+            s.arm_fault(0, start, len)?;
         }
         Some((start, len))
-    } else {
-        None
     };
     let stim = PackedStimulus::pack(&tb, &schedules, 1)?;
     wide.check_input_slots(stim.slots())
@@ -697,7 +691,9 @@ pub fn differential_check(
         // The replay is fed from the (clean) behavioural reference, but an
         // armed fault is *expected* to push markings around while active:
         // keep the replayer from attributing that drift to a token bug.
-        replayer.tolerate_window(start as u64, (start + len) as u64);
+        replayer
+            .tolerate_windows(&[(start as u64, (start + len) as u64)])
+            .map_err(|e| CoreError::Differential(format!("replayer setup: {e}")))?;
     }
     let node_ids: Vec<NodeId> = sys.dmg.nodes().collect();
 

@@ -175,14 +175,20 @@ impl BehavSim {
         })
     }
 
-    /// Arms a transient rail fault: while `start <= time < start + len` the
-    /// targeted rail of the named channel is corrupted after every
-    /// settlement pass — the behavioural mirror of the corruption gate the
-    /// compiler splices in for the same [`FaultInjection`]. The two
-    /// backends apply the *same fault specification*; they are not
-    /// guaranteed bit-identical under an active fault, because controllers
-    /// feed back their raw (pre-corruption) rail values internally at
-    /// slightly different points.
+    /// Arms a whole [`FaultProcess`] — a one-shot window is
+    /// [`FaultProcess::Once`]: validates it eagerly against this network
+    /// and the `cycles` horizon, then arms every site with its
+    /// deterministic `(seed, lane)` window expansion. While a window is
+    /// active the site's rail is corrupted after every settlement pass —
+    /// the behavioural counterpart of compiling with
+    /// [`crate::compile::CompileOptions::faults`] `= process.sites()` and
+    /// arming the trailing stimulus columns with
+    /// [`FaultProcess::windows`]. The two backends apply the *same fault
+    /// specification*; they are not guaranteed bit-identical under an
+    /// active fault, because controllers feed back their raw
+    /// (pre-corruption) rail values internally at slightly different
+    /// points. Calling it repeatedly composes processes on disjoint channel
+    /// rails.
     ///
     /// Injecting a fault usually also means disabling the erroring monitor
     /// ([`BehavSim::set_check_protocol`]) and scoring the trace with
@@ -190,38 +196,12 @@ impl BehavSim {
     ///
     /// # Errors
     ///
-    /// [`CoreError::FaultSite`] when the fault names a channel this network
-    /// does not have, the window is empty, or the fault is the structural
-    /// [`FaultInjection::DropAntiToken`] (a compile-time sabotage with no
-    /// behavioural counterpart — inject it via
-    /// [`crate::compile::CompileOptions::fault`]).
-    pub fn inject_fault(
-        &mut self,
-        fault: FaultInjection,
-        start: u64,
-        len: u64,
-    ) -> Result<(), CoreError> {
-        if len == 0 {
-            return Err(CoreError::FaultSite("empty injection window".into()));
-        }
-        let end = start.saturating_add(len);
-        self.arm_site(fault, vec![(start, end)])
-    }
-
-    /// Arms a whole [`FaultProcess`]: validates it eagerly against this
-    /// network and the `cycles` horizon, then arms every site with its
-    /// deterministic `(seed, lane)` window expansion — the behavioural
-    /// counterpart of compiling with
-    /// [`crate::compile::CompileOptions::faults`] `= process.sites()` and
-    /// arming the trailing stimulus columns with
-    /// [`FaultProcess::windows`]. Calling it repeatedly composes processes
-    /// on disjoint channel rails.
-    ///
-    /// # Errors
-    ///
     /// [`CoreError::FaultProcess`] / [`CoreError::FaultSite`] from
-    /// [`FaultProcess::validate`], and [`CoreError::FaultProcess`] when a
-    /// site collides with an already-armed channel rail.
+    /// [`FaultProcess::validate`] (an unknown channel is `FaultSite`; an
+    /// empty or late window, or the structural
+    /// [`FaultInjection::DropAntiToken`], which has no behavioural
+    /// counterpart, is `FaultProcess`), and [`CoreError::FaultProcess`]
+    /// when a site collides with an already-armed channel rail.
     pub fn inject_process(
         &mut self,
         process: &FaultProcess,
@@ -1203,6 +1183,7 @@ mod tests {
     fn fault_site_validation_is_typed_per_variant() {
         let (net, _cin, _cout) = pipeline(0);
         let mut sim = BehavSim::new(&net).unwrap();
+        let mut inject = |fault, start, len| sim.inject_process(&once(fault, start, len), 0, 0, 16);
         // Unknown channel: every rail-fault variant is a typed error.
         for fault in [
             FaultInjection::RailFlip {
@@ -1221,31 +1202,32 @@ mod tests {
                 channel: "nope".into(),
             },
         ] {
+            let label = format!("{fault:?}");
             assert!(
-                matches!(
-                    sim.inject_fault(fault.clone(), 0, 1),
-                    Err(CoreError::FaultSite(_))
-                ),
-                "{fault:?} on a nonexistent channel must be FaultSite"
+                matches!(inject(fault, 0, 1), Err(CoreError::FaultSite(_))),
+                "{label} on a nonexistent channel must be FaultSite"
             );
         }
         // Empty window on a valid channel.
+        let flip = FaultInjection::RailFlip {
+            channel: "out".into(),
+            rail: FaultRail::Vp,
+        };
         assert!(matches!(
-            sim.inject_fault(
-                FaultInjection::RailFlip {
-                    channel: "out".into(),
-                    rail: FaultRail::Vp,
-                },
-                3,
-                0
-            ),
-            Err(CoreError::FaultSite(_))
+            inject(flip, 3, 0),
+            Err(CoreError::FaultProcess(_))
         ));
         // The structural sabotage has no behavioural counterpart.
         assert!(matches!(
-            sim.inject_fault(FaultInjection::DropAntiToken { join: "j".into() }, 0, 1),
-            Err(CoreError::FaultSite(_))
+            inject(FaultInjection::DropAntiToken { join: "j".into() }, 0, 1),
+            Err(CoreError::FaultProcess(_))
         ));
+    }
+
+    /// A one-shot fault window, as the tests below inject it on lane 0
+    /// (no per-lane stagger).
+    fn once(fault: FaultInjection, start: usize, len: usize) -> FaultProcess {
+        FaultProcess::Once { fault, start, len }
     }
 
     #[test]
@@ -1253,16 +1235,12 @@ mod tests {
         let (net, _cin, cout) = pipeline(0);
         let mut sim = BehavSim::new(&net).unwrap();
         sim.set_check_protocol(false);
-        sim.inject_fault(
-            FaultInjection::StuckAt {
-                channel: "out".into(),
-                rail: FaultRail::Sp,
-                value: true,
-            },
-            5,
-            4,
-        )
-        .unwrap();
+        let stuck = FaultInjection::StuckAt {
+            channel: "out".into(),
+            rail: FaultRail::Sp,
+            value: true,
+        };
+        sim.inject_process(&once(stuck, 5, 4), 0, 0, 20).unwrap();
         let mut env = RandomEnv::new(3, EnvConfig::default());
         for t in 0..20u64 {
             sim.step(&mut env).unwrap();
@@ -1281,15 +1259,10 @@ mod tests {
         let mut clean = BehavSim::new(&net).unwrap();
         let mut faulty = clean.clone();
         faulty.set_check_protocol(false);
-        faulty
-            .inject_fault(
-                FaultInjection::LoseToken {
-                    channel: "out".into(),
-                },
-                6,
-                1,
-            )
-            .unwrap();
+        let lose = FaultInjection::LoseToken {
+            channel: "out".into(),
+        };
+        faulty.inject_process(&once(lose, 6, 1), 0, 0, 12).unwrap();
         let mut env_c = RandomEnv::new(3, EnvConfig::default());
         let mut env_f = RandomEnv::new(3, EnvConfig::default());
         for t in 0..12u64 {
@@ -1321,14 +1294,10 @@ mod tests {
                 data: DataGen::Const(0),
             },
         );
-        sim.inject_fault(
-            FaultInjection::DuplicateToken {
-                channel: "out".into(),
-            },
-            4,
-            1,
-        )
-        .unwrap();
+        let dup = FaultInjection::DuplicateToken {
+            channel: "out".into(),
+        };
+        sim.inject_process(&once(dup, 4, 1), 0, 0, 8).unwrap();
         let mut env = RandomEnv::new(3, cfg);
         for t in 0..8u64 {
             sim.step(&mut env).unwrap();
@@ -1345,15 +1314,11 @@ mod tests {
         let (net, _cin, cout) = pipeline(0);
         let mut sim = BehavSim::new(&net).unwrap();
         sim.set_check_protocol(false);
-        sim.inject_fault(
-            FaultInjection::RailFlip {
-                channel: "out".into(),
-                rail: FaultRail::Vp,
-            },
-            5,
-            1,
-        )
-        .unwrap();
+        let flip = FaultInjection::RailFlip {
+            channel: "out".into(),
+            rail: FaultRail::Vp,
+        };
+        sim.inject_process(&once(flip, 5, 1), 0, 0, 10).unwrap();
         let mut env = RandomEnv::new(3, EnvConfig::default());
         // Free flow: vp is high every cycle from t=2 on, except the flip.
         for t in 0..10u64 {

@@ -39,15 +39,11 @@ pub struct Schedule {
     stops: HashMap<String, Vec<bool>>,
     kills: HashMap<String, Vec<bool>>,
     finishes: HashMap<String, Vec<bool>>,
-    /// Per-cycle arming of the netlist's compiled-in fault gate, if any.
-    /// Empty (the default) means the fault stays dormant: the arm input is
-    /// driven low every cycle and the corruption gate passes the raw rail
-    /// through.
-    fault: Vec<bool>,
-    /// Arm streams of the additional fault sites (site 1, 2, …) of a
-    /// multi-site compilation ([`crate::compile::CompileOptions::faults`]).
-    /// Site 0 is [`Schedule::fault`]; missing streams read as unarmed.
-    more_faults: Vec<Vec<bool>>,
+    /// Per-cycle arm stream of each compiled-in fault site, in
+    /// [`crate::compile::CompileOptions::faults`] order. A missing or empty
+    /// stream (the default) keeps its site dormant: the arm input is driven
+    /// low every cycle and the corruption gate passes the raw rail through.
+    faults: Vec<Vec<bool>>,
     cycles: usize,
 }
 
@@ -66,8 +62,7 @@ impl Schedule {
             stops: HashMap::new(),
             kills: HashMap::new(),
             finishes: HashMap::new(),
-            fault: Vec::new(),
-            more_faults: Vec::new(),
+            faults: Vec::new(),
             cycles,
         };
         for comp in net.components() {
@@ -138,36 +133,17 @@ impl Schedule {
         Schedule::bit(&self.finishes, name, t)
     }
 
-    /// Arms the compiled-in fault gate for `len` cycles starting at cycle
-    /// `start`. Only meaningful when the netlist was compiled with
-    /// [`crate::compile::CompileOptions::fault`] set to a rail fault — a
-    /// schedule replayed against a fault-free netlist simply has no arm
-    /// input to drive.
+    /// Arms fault site `site` — entry `site` of the netlist's
+    /// [`crate::compile::CompileOptions::faults`] — for `len` cycles
+    /// starting at `start`. Multi-site fault processes arm each of their
+    /// sites independently this way. A schedule replayed against a netlist
+    /// without that site simply has no arm input to drive.
     ///
     /// # Errors
     ///
     /// [`CoreError::FaultSite`] when the window is empty or extends past
     /// the schedule horizon.
-    pub fn arm_fault(&mut self, start: usize, len: usize) -> Result<(), CoreError> {
-        self.arm_fault_site(0, start, len)
-    }
-
-    /// Arms fault site `site` (site 0 = the [`Self::arm_fault`] stream, the
-    /// primary [`crate::compile::CompileOptions::fault`]; sites 1, 2, … are
-    /// the [`crate::compile::CompileOptions::faults`] extras, in order) for
-    /// `len` cycles starting at `start`. Multi-site fault processes arm each
-    /// of their sites independently this way.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::FaultSite`] when the window is empty or extends past
-    /// the schedule horizon.
-    pub fn arm_fault_site(
-        &mut self,
-        site: usize,
-        start: usize,
-        len: usize,
-    ) -> Result<(), CoreError> {
+    pub fn arm_fault(&mut self, site: usize, start: usize, len: usize) -> Result<(), CoreError> {
         if len == 0 {
             return Err(CoreError::FaultSite("empty injection window".into()));
         }
@@ -180,14 +156,10 @@ impl Schedule {
                     self.cycles
                 ))
             })?;
-        let stream = if site == 0 {
-            &mut self.fault
-        } else {
-            if self.more_faults.len() < site {
-                self.more_faults.resize(site, Vec::new());
-            }
-            &mut self.more_faults[site - 1]
-        };
+        if self.faults.len() <= site {
+            self.faults.resize(site + 1, Vec::new());
+        }
+        let stream = &mut self.faults[site];
         if stream.is_empty() {
             *stream = vec![false; self.cycles];
         }
@@ -197,19 +169,10 @@ impl Schedule {
         Ok(())
     }
 
-    /// Whether the compiled-in fault gate is armed at cycle `t`.
-    pub fn fault_at(&self, t: u64) -> bool {
-        self.fault.get(t as usize).copied().unwrap_or(false)
-    }
-
-    /// Whether fault site `site` (0-based, site 0 = [`Self::fault_at`]) is
-    /// armed at cycle `t`.
-    pub fn fault_site_at(&self, site: usize, t: u64) -> bool {
-        if site == 0 {
-            return self.fault_at(t);
-        }
-        self.more_faults
-            .get(site - 1)
+    /// Whether fault site `site` is armed at cycle `t`.
+    pub fn fault_at(&self, site: usize, t: u64) -> bool {
+        self.faults
+            .get(site)
             .and_then(|v| v.get(t as usize).copied())
             .unwrap_or(false)
     }
@@ -268,15 +231,11 @@ pub struct NetlistTestbench {
     srcs: Vec<(String, NetId, Vec<NetId>)>,
     sinks: Vec<(String, NetId, NetId)>,
     vls: Vec<(String, NetId)>,
-    /// The `fault.<channel>.<rail>` arm input of a fault-compiled netlist.
-    /// Always the **last** input column, so a fault-free compilation's
-    /// stimulus layout is byte-identical to one that never heard of faults.
-    fault: Option<NetId>,
-    /// Arm inputs of the additional fault sites of a multi-site
-    /// compilation, in site order: their columns trail the primary fault
-    /// column, so a single-site layout is unchanged. Non-empty only when
-    /// `fault` is `Some`.
-    more_faults: Vec<NetId>,
+    /// The `fault.<channel>.<rail>` arm inputs of a fault-compiled netlist,
+    /// in site order. Always the **last** input columns, so a fault-free
+    /// compilation's stimulus layout is byte-identical to one that never
+    /// heard of faults.
+    faults: Vec<NetId>,
 }
 
 impl NetlistTestbench {
@@ -324,50 +283,23 @@ impl NetlistTestbench {
             srcs,
             sinks,
             vls,
-            fault: None,
-            more_faults: Vec::new(),
+            faults: Vec::new(),
         })
     }
 
-    /// Like [`Self::new`], additionally resolving the arm input of the
-    /// fault the netlist was compiled with
-    /// ([`crate::compile::CompileOptions::fault`]). For
-    /// [`FaultInjection::DropAntiToken`] — a structural sabotage with no
-    /// arm wire — this is identical to [`Self::new`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::FaultSite`] when the netlist has no arm input for
-    /// `fault` (i.e. it was compiled fault-free or with a different fault),
-    /// plus everything [`Self::new`] reports.
-    pub fn with_fault(
-        net: &ElasticNetwork,
-        nl: &elastic_netlist::Netlist,
-        data_width: usize,
-        fault: &FaultInjection,
-    ) -> Result<Self, CoreError> {
-        let mut tb = NetlistTestbench::new(net, nl, data_width)?;
-        if let Some(name) = fault.input_name() {
-            let id = nl.find(&name).map_err(|_| {
-                CoreError::FaultSite(format!(
-                    "netlist has no fault-arm input {name:?}; compile with this fault first"
-                ))
-            })?;
-            tb.fault = Some(id);
-        }
-        Ok(tb)
-    }
-
-    /// Like [`Self::with_fault`] for a multi-site fault list: resolves one
-    /// arm input per rail fault, in site order. Site *i*'s stimulus column
-    /// is `fault_cols()[i]`, matching [`Schedule::arm_fault_site`] indices.
-    /// Structural faults ([`FaultInjection::DropAntiToken`]) have no arm
-    /// wire and are skipped, exactly as in [`Self::with_fault`].
+    /// Like [`Self::new`], additionally resolving the arm input of every
+    /// rail fault the netlist was compiled with
+    /// ([`crate::compile::CompileOptions::faults`]), in site order. Site
+    /// *i*'s stimulus column is `fault_cols()[i]`, matching
+    /// [`Schedule::arm_fault`] site indices. Structural faults
+    /// ([`FaultInjection::DropAntiToken`]) have no arm wire and are
+    /// skipped, so a structural-only list resolves like [`Self::new`].
     ///
     /// # Errors
     ///
     /// [`CoreError::FaultSite`] when any listed fault has no arm input in
-    /// the netlist, plus everything [`Self::new`] reports.
+    /// the netlist (it was compiled fault-free or with different faults),
+    /// plus everything [`Self::new`] reports.
     pub fn with_faults(
         net: &ElasticNetwork,
         nl: &elastic_netlist::Netlist,
@@ -384,39 +316,24 @@ impl NetlistTestbench {
                     "netlist has no fault-arm input {name:?}; compile with this fault first"
                 ))
             })?;
-            if tb.fault.is_none() {
-                tb.fault = Some(id);
-            } else {
-                tb.more_faults.push(id);
-            }
+            tb.faults.push(id);
         }
         Ok(tb)
     }
 
-    /// The packed-stimulus column of the fault-arm input, if one was
-    /// resolved: always the last column, after every source, sink and
-    /// variable-latency group.
-    pub fn fault_col(&self) -> Option<usize> {
-        self.fault?;
-        let n = self
+    /// The packed-stimulus columns of every resolved fault-arm input, in
+    /// site order (column *i* is [`Schedule`] fault site *i*): the last
+    /// columns, after every source, sink and variable-latency group. Empty
+    /// for a fault-free testbench.
+    pub fn fault_cols(&self) -> Vec<usize> {
+        let base = self
             .srcs
             .iter()
             .map(|(_, _, dins)| 1 + dins.len())
             .sum::<usize>()
             + 2 * self.sinks.len()
             + self.vls.len();
-        Some(n)
-    }
-
-    /// The packed-stimulus columns of every resolved fault-arm input, in
-    /// site order (column *i* is [`Schedule`] fault site *i*). Empty for a
-    /// fault-free testbench; `fault_cols()[0] == fault_col().unwrap()`
-    /// otherwise.
-    pub fn fault_cols(&self) -> Vec<usize> {
-        let Some(base) = self.fault_col() else {
-            return Vec::new();
-        };
-        (base..=base + self.more_faults.len()).collect()
+        (base..base + self.faults.len()).collect()
     }
 
     /// Primary-input assignments for cycle `t` of one schedule.
@@ -436,11 +353,8 @@ impl NetlistTestbench {
         for (name, fin) in &self.vls {
             inputs.push((*fin, schedule.finish_at(name, t)));
         }
-        if let Some(arm) = self.fault {
-            inputs.push((arm, schedule.fault_at(t)));
-            for (i, &extra) in self.more_faults.iter().enumerate() {
-                inputs.push((extra, schedule.fault_site_at(i + 1, t)));
-            }
+        for (site, &arm) in self.faults.iter().enumerate() {
+            inputs.push((arm, schedule.fault_at(site, t)));
         }
         inputs
     }
@@ -489,11 +403,8 @@ impl NetlistTestbench {
         for (name, fin) in &self.vls {
             inputs.push((*fin, pack(&|s| s.finish_at(name, t))));
         }
-        if let Some(arm) = self.fault {
-            inputs.push((arm, pack(&|s| s.fault_at(t))));
-            for (i, &extra) in self.more_faults.iter().enumerate() {
-                inputs.push((extra, pack(&|s| s.fault_site_at(i + 1, t))));
-            }
+        for (site, &arm) in self.faults.iter().enumerate() {
+            inputs.push((arm, pack(&|s| s.fault_at(site, t))));
         }
         inputs
     }
@@ -772,10 +683,7 @@ fn input_slots(tb: &NetlistTestbench) -> Vec<u32> {
     for (_, fin) in &tb.vls {
         slots.push(fin.index() as u32);
     }
-    if let Some(arm) = tb.fault {
-        slots.push(arm.index() as u32);
-        slots.extend(tb.more_faults.iter().map(|f| f.index() as u32));
-    }
+    slots.extend(tb.faults.iter().map(|f| f.index() as u32));
     slots
 }
 
@@ -875,24 +783,19 @@ impl PackedStimulus {
             }
             col += 1;
         }
-        if tb.fault.is_some() {
-            for site in 0..=tb.more_faults.len() {
-                for (lane, sched) in schedules.iter().enumerate() {
-                    let (w, bit) = (lane / LANES, lane % LANES);
-                    let stream = if site == 0 {
-                        Some(&sched.fault)
-                    } else {
-                        sched.more_faults.get(site - 1)
-                    };
-                    let Some(stream) = stream else { continue };
-                    for (t, &v) in stream.iter().take(cycles).enumerate() {
-                        if v {
-                            words[cell(t, col, w)] |= 1 << bit;
-                        }
+        for site in 0..tb.faults.len() {
+            for (lane, sched) in schedules.iter().enumerate() {
+                let (w, bit) = (lane / LANES, lane % LANES);
+                let Some(stream) = sched.faults.get(site) else {
+                    continue;
+                };
+                for (t, &v) in stream.iter().take(cycles).enumerate() {
+                    if v {
+                        words[cell(t, col, w)] |= 1 << bit;
                     }
                 }
-                col += 1;
             }
+            col += 1;
         }
         debug_assert_eq!(col, n);
         Ok(PackedStimulus {
@@ -1163,11 +1066,11 @@ impl PackedStimulus {
         &self.words[t * stride..(t + 1) * stride]
     }
 
-    /// Arms the fault column `col` (from
-    /// [`NetlistTestbench::fault_col`]) for lane `lane` over the window
+    /// Arms the fault column `col` (an entry of
+    /// [`NetlistTestbench::fault_cols`]) for lane `lane` over the window
     /// `start..start + len` — each packed trial gets its own independent
     /// fault instance this way. Bit-identical to arming the corresponding
-    /// [`Schedule`] with [`Schedule::arm_fault`] before packing.
+    /// [`Schedule`] site with [`Schedule::arm_fault`] before packing.
     ///
     /// # Errors
     ///
@@ -1230,12 +1133,8 @@ pub fn cosim_check(
     let compiled = compile(
         net,
         &CompileOptions {
-            lint: false,
             data_width,
-            nondet_merge: false,
-            optimize: false,
-            fault: None,
-            faults: vec![],
+            ..CompileOptions::default()
         },
     )?;
     let nl = &compiled.netlist;
@@ -1328,12 +1227,8 @@ pub fn cosim_check_wide(
     let compiled = compile(
         net,
         &CompileOptions {
-            lint: false,
             data_width,
-            nondet_merge: false,
-            optimize: false,
-            fault: None,
-            faults: vec![],
+            ..CompileOptions::default()
         },
     )?;
     let nl = &compiled.netlist;
@@ -1747,12 +1642,8 @@ mod tests {
         let compiled = compile(
             &net,
             &CompileOptions {
-                lint: false,
                 data_width: 2,
-                nondet_merge: false,
-                optimize: false,
-                fault: None,
-                faults: vec![],
+                ..CompileOptions::default()
             },
         )
         .unwrap();
@@ -1830,12 +1721,8 @@ mod tests {
         let compiled = compile(
             &sys.network,
             &CompileOptions {
-                lint: false,
                 data_width: 2,
-                nondet_merge: false,
-                optimize: false,
-                fault: None,
-                faults: vec![],
+                ..CompileOptions::default()
             },
         )
         .unwrap();
@@ -2044,12 +1931,8 @@ mod tests {
         let compiled = compile(
             &net,
             &CompileOptions {
-                lint: false,
                 data_width: 2,
-                nondet_merge: false,
-                optimize: false,
-                fault: None,
-                faults: vec![],
+                ..CompileOptions::default()
             },
         )
         .unwrap();
@@ -2086,24 +1969,17 @@ mod tests {
             let raw = compile(
                 &sys.network,
                 &CompileOptions {
-                    lint: false,
                     data_width: 2,
-                    nondet_merge: false,
-                    optimize: false,
-                    fault: None,
-                    faults: vec![],
+                    ..CompileOptions::default()
                 },
             )
             .unwrap();
             let opt = compile(
                 &sys.network,
                 &CompileOptions {
-                    lint: false,
                     data_width: 2,
-                    nondet_merge: false,
                     optimize: true,
-                    fault: None,
-                    faults: vec![],
+                    ..CompileOptions::default()
                 },
             )
             .unwrap();
@@ -2176,17 +2052,23 @@ mod tests {
     fn fault_arm_window_validation() {
         let (net, _, _) = linear_pipeline(1, 0).unwrap();
         let mut s = Schedule::random(&net, &EnvConfig::default(), 3, 20);
-        assert!(matches!(s.arm_fault(5, 0), Err(CoreError::FaultSite(_))));
-        assert!(matches!(s.arm_fault(15, 6), Err(CoreError::FaultSite(_))));
+        assert!(matches!(s.arm_fault(0, 5, 0), Err(CoreError::FaultSite(_))));
         assert!(matches!(
-            s.arm_fault(usize::MAX, 2),
+            s.arm_fault(0, 15, 6),
             Err(CoreError::FaultSite(_))
         ));
-        s.arm_fault(5, 3).unwrap();
-        assert!(!s.fault_at(4) && s.fault_at(5) && s.fault_at(7) && !s.fault_at(8));
+        assert!(matches!(
+            s.arm_fault(0, usize::MAX, 2),
+            Err(CoreError::FaultSite(_))
+        ));
+        s.arm_fault(0, 5, 3).unwrap();
+        assert!(!s.fault_at(0, 4) && s.fault_at(0, 5) && s.fault_at(0, 7) && !s.fault_at(0, 8));
         // Exactly-at-horizon windows are legal.
-        s.arm_fault(18, 2).unwrap();
-        assert!(s.fault_at(19));
+        s.arm_fault(0, 18, 2).unwrap();
+        assert!(s.fault_at(0, 19));
+        // Sites are independent streams; an unarmed site reads low.
+        s.arm_fault(2, 1, 1).unwrap();
+        assert!(s.fault_at(2, 1) && !s.fault_at(2, 5) && !s.fault_at(1, 1) && !s.fault_at(0, 1));
     }
 
     #[test]
@@ -2200,28 +2082,31 @@ mod tests {
         let plain = compile(&net, &CompileOptions::default()).unwrap();
         // A fault-free netlist has no arm input to resolve.
         assert!(matches!(
-            NetlistTestbench::with_fault(&net, &plain.netlist, 0, &fault),
+            NetlistTestbench::with_faults(&net, &plain.netlist, 0, std::slice::from_ref(&fault)),
             Err(CoreError::FaultSite(_))
         ));
+        let faults = vec![
+            fault,
+            FaultInjection::LoseToken {
+                channel: "out".into(),
+            },
+        ];
         let faulty = compile(
             &net,
             &CompileOptions {
-                lint: false,
-                data_width: 0,
-                nondet_merge: false,
-                optimize: false,
-                fault: Some(fault.clone()),
-                faults: vec![],
+                faults: faults.clone(),
+                ..CompileOptions::default()
             },
         )
         .unwrap();
-        let tb = NetlistTestbench::with_fault(&net, &faulty.netlist, 0, &fault).unwrap();
-        // Arm column is last: source offer + sink stop/kill, then the arm.
-        assert_eq!(tb.fault_col(), Some(3));
-        // DropAntiToken has no arm wire; with_fault degrades to new().
+        let tb = NetlistTestbench::with_faults(&net, &faulty.netlist, 0, &faults).unwrap();
+        // Arm columns are last, in site order: source offer + sink
+        // stop/kill, then one arm per site.
+        assert_eq!(tb.fault_cols(), vec![3, 4]);
+        // DropAntiToken has no arm wire; it resolves like new().
         let drop = FaultInjection::DropAntiToken { join: "x".into() };
-        let tb2 = NetlistTestbench::with_fault(&net, &plain.netlist, 0, &drop).unwrap();
-        assert_eq!(tb2.fault_col(), None);
+        let tb2 = NetlistTestbench::with_faults(&net, &plain.netlist, 0, &[drop]).unwrap();
+        assert!(tb2.fault_cols().is_empty());
     }
 
     #[test]
@@ -2236,17 +2121,14 @@ mod tests {
         let compiled = compile(
             &net,
             &CompileOptions {
-                lint: false,
                 data_width: 2,
-                nondet_merge: false,
-                optimize: false,
-                fault: Some(fault.clone()),
-                faults: vec![],
+                faults: vec![fault.clone()],
+                ..CompileOptions::default()
             },
         )
         .unwrap();
-        let tb = NetlistTestbench::with_fault(&net, &compiled.netlist, 2, &fault).unwrap();
-        let col = tb.fault_col().unwrap();
+        let tb = NetlistTestbench::with_faults(&net, &compiled.netlist, 2, &[fault]).unwrap();
+        let col = tb.fault_cols()[0];
         let cycles = 30usize;
         // Lane k gets the window (k, 3): arm schedules, pack, and compare
         // against generate + post-generation arming.
@@ -2255,7 +2137,7 @@ mod tests {
             .map(|k| Schedule::random(&net, &cfg, 600 + k, cycles))
             .collect();
         for (k, s) in scheds.iter_mut().enumerate() {
-            s.arm_fault(k % 20, 3).unwrap();
+            s.arm_fault(0, k % 20, 3).unwrap();
         }
         let packed = PackedStimulus::pack(&tb, &scheds, 2).unwrap();
         let mut fused = PackedStimulus::generate(&tb, &net, &cfg, 600, 70, cycles, 2).unwrap();
@@ -2273,7 +2155,7 @@ mod tests {
             }
             let scalar = tb.inputs_at(&scheds[0], t);
             assert_eq!(scalar.len(), packed.slots().len());
-            assert_eq!(scalar[col].1, scheds[0].fault_at(t));
+            assert_eq!(scalar[col].1, scheds[0].fault_at(0, t));
         }
         // arm_fault window/site validation on the packed matrix.
         assert!(matches!(

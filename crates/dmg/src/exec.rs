@@ -203,22 +203,17 @@ impl<'g> Replayer<'g> {
         })
     }
 
-    /// Suspends bound *enforcement* for cycles in `start..end`: a fault
-    /// injected into the replayed execution legitimately pushes arc
-    /// markings outside their capacity windows while it is armed (a
-    /// duplicated token is one net marking too many, a lost one too few).
-    /// Violations inside the window are still *counted*
+    /// Suspends bound *enforcement* for cycles inside the `[start, end)`
+    /// windows — the disturbance intervals of a fault process (one window
+    /// for a one-shot fault). A fault injected into the replayed execution
+    /// legitimately pushes arc markings outside their capacity windows
+    /// while it is armed (a duplicated token is one net marking too many, a
+    /// lost one too few). Violations inside a window are still *counted*
     /// ([`Self::tolerated_violations`]), so campaigns can report how much
-    /// drift the fault caused; violations outside the window abort the
+    /// drift the fault caused; violations outside the windows abort the
     /// replay as usual — a network that never re-enters its capacity
-    /// windows after the window closes is a genuine non-recovery.
-    pub fn tolerate_window(&mut self, start: u64, end: u64) {
-        self.tolerate = vec![(start, end)];
-    }
-
-    /// Declares a whole set of tolerated `[start, end)` windows at once —
-    /// the disturbance intervals of a fault *process* re-injecting over the
-    /// run. Replaces any previously declared windows.
+    /// windows after a window closes is a genuine non-recovery. Replaces
+    /// any previously declared windows.
     ///
     /// # Errors
     ///
@@ -245,7 +240,7 @@ impl<'g> Replayer<'g> {
         Ok(())
     }
 
-    /// Bound violations recorded inside the tolerated window.
+    /// Bound violations recorded inside the tolerated windows.
     pub fn tolerated_violations(&self) -> usize {
         self.tolerated_violations
     }
@@ -476,7 +471,7 @@ mod tests {
         b.arc(c, p, 0);
         let g = b.build().unwrap();
         let mut rep = Replayer::new(&g, vec![(-2, 2), (-2, 2)]).unwrap();
-        rep.tolerate_window(0, 6);
+        rep.tolerate_windows(&[(0, 6)]).unwrap();
         for _ in 0..6 {
             rep.fire(c).unwrap();
             rep.end_cycle().unwrap();
@@ -491,7 +486,7 @@ mod tests {
         // three drains overshoot the window (one tolerated violation), one
         // refill inside the window restores bounds before it ends.
         let mut rec = Replayer::new(&g, vec![(-2, 2), (-2, 2)]).unwrap();
-        rec.tolerate_window(0, 4);
+        rec.tolerate_windows(&[(0, 4)]).unwrap();
         for _ in 0..3 {
             rec.fire(c).unwrap();
             rec.end_cycle().unwrap();
@@ -526,8 +521,7 @@ mod tests {
         }
         let drift_in_first = rep.tolerated_violations();
         assert!(drift_in_first > 0, "window 0 recorded the drift");
-        // Same overshoot inside window 1: tolerated again, not fatal —
-        // with the old single-window API the second strike would abort.
+        // Same overshoot inside window 1: tolerated again, not fatal.
         for _ in 0..3 {
             rep.fire(c).unwrap();
             rep.end_cycle().unwrap();

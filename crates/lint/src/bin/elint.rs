@@ -57,13 +57,10 @@ fn lint_system(
 ) -> Target {
     let mut report = lint_network_with_env(net, env);
     if tape && report.is_clean() {
+        // lint stays off: the network passes above already cover liveness.
         let opts = CompileOptions {
-            lint: false, // network passes above already cover liveness
             data_width,
-            nondet_merge: false,
-            optimize: false,
-            fault: None,
-            faults: vec![],
+            ..CompileOptions::default()
         };
         match compile(net, &opts) {
             Ok(compiled) => {

@@ -720,6 +720,7 @@ mod tests {
     #[test]
     fn w202_channel_lose_token_never_recovers() {
         use elastic_core::compile::FaultInjection;
+        use elastic_core::fault::FaultProcess;
         use elastic_core::sim::{BehavSim, EnvConfig, RandomEnv};
 
         let net = closed_ring(1);
@@ -743,14 +744,14 @@ mod tests {
         // Strike the flagged channel with lose-token over a whole token
         // period, then keep simulating four times longer than the strike.
         let mut sim = BehavSim::new(&net).unwrap();
-        sim.inject_fault(
-            FaultInjection::LoseToken {
+        let strike = FaultProcess::Once {
+            fault: FaultInjection::LoseToken {
                 channel: flagged[0].clone(),
             },
-            8,
-            4,
-        )
-        .unwrap();
+            start: 8,
+            len: 4,
+        };
+        sim.inject_process(&strike, 0, 0, 64).unwrap();
         sim.set_check_protocol(false);
         let mut env = RandomEnv::new(7, EnvConfig::default());
         sim.run(&mut env, 64).unwrap();

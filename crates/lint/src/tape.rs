@@ -415,10 +415,7 @@ mod tests {
                 &CompileOptions {
                     lint: true,
                     data_width: 2,
-                    nondet_merge: false,
-                    optimize: false,
-                    fault: None,
-                    faults: vec![],
+                    ..CompileOptions::default()
                 },
             )
             .unwrap();
@@ -452,13 +449,11 @@ mod tests {
             &CompileOptions {
                 lint: true,
                 data_width: 2,
-                nondet_merge: false,
-                optimize: false,
-                fault: Some(FaultInjection::RailFlip {
+                faults: vec![FaultInjection::RailFlip {
                     channel: chan,
                     rail: FaultRail::Vp,
-                }),
-                faults: vec![],
+                }],
+                ..CompileOptions::default()
             },
         )
         .unwrap();

@@ -20,12 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let compiled = compile(
             &sys.network,
             &CompileOptions {
-                lint: false,
                 data_width: 2,
-                nondet_merge: false,
-                optimize: false,
-                fault: None,
-                faults: vec![],
+                ..CompileOptions::default()
             },
         )?;
         let (opt, _) = optimize(&compiled.netlist)?;

@@ -141,12 +141,8 @@ fn verilog_blif_smv_export_of_paper_example() {
     let compiled = compile(
         &sys.network,
         &CompileOptions {
-            lint: false,
             data_width: 2,
-            nondet_merge: false,
-            optimize: false,
-            fault: None,
-            faults: vec![],
+            ..CompileOptions::default()
         },
     )
     .unwrap();
