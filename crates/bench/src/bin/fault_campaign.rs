@@ -24,11 +24,29 @@
 //! (JSON defaults to `BENCH_pr7.json`; `--trials` is lanes per job,
 //! `--window` the armed cycles per lane, `1..=cycles`).
 
-use elastic_bench::exp::{check_determinism, default_threads, parse_classes, parse_flag};
+use elastic_bench::exp::{
+    check_determinism, default_threads, parse_classes, parse_flag, reject_unknown_flags,
+};
 use elastic_bench::stabilize::{run_fault_sweep, StabilizationOpts, FAULT_CLASSES};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags(
+        &args,
+        &[
+            "--topologies",
+            "--seed",
+            "--cycles",
+            "--trials",
+            "--window",
+            "--tail",
+            "--threads",
+            "--queue",
+            "--classes",
+            "--json",
+        ],
+        &["--check"],
+    );
     let opts = StabilizationOpts {
         topologies: parse_flag(&args, "--topologies", 100usize).max(1),
         seed: parse_flag(&args, "--seed", 1),

@@ -25,11 +25,23 @@
 //! Usage: `fuzz_topo [--seed N] [--count N] [--cycles N] [--lanes N]
 //! [--threads N] [--json PATH] [--inject]`
 
-use elastic_bench::exp::{default_threads, flag_value, parse_flag};
+use elastic_bench::exp::{default_threads, flag_value, parse_flag, reject_unknown_flags};
 use elastic_bench::fuzz::{run_fuzz, FuzzOpts};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags(
+        &args,
+        &[
+            "--seed",
+            "--count",
+            "--cycles",
+            "--lanes",
+            "--threads",
+            "--json",
+        ],
+        &["--inject"],
+    );
     let opts = FuzzOpts {
         seed: parse_flag(&args, "--seed", 1),
         count: parse_flag(&args, "--count", 200usize).max(1),

@@ -31,12 +31,30 @@
 //! (JSON defaults to `BENCH_pr9.json`; `--trials` is lanes per job).
 
 use elastic_bench::exp::{
-    check_determinism, default_threads, parse_classes, parse_flag, parse_list,
+    check_determinism, default_threads, parse_classes, parse_flag, parse_list, reject_unknown_flags,
 };
 use elastic_bench::stabilize::{run_stabilization_campaign, StabilizationOpts, PROCESS_CLASSES};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags(
+        &args,
+        &[
+            "--topologies",
+            "--seed",
+            "--cycles",
+            "--trials",
+            "--period",
+            "--intensities",
+            "--tail",
+            "--threads",
+            "--queue",
+            "--classes",
+            "--mc-topologies",
+            "--json",
+        ],
+        &["--check"],
+    );
     let opts = StabilizationOpts {
         topologies: parse_flag(&args, "--topologies", 100usize).max(1),
         seed: parse_flag(&args, "--seed", 1),

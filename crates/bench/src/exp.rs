@@ -792,14 +792,27 @@ pub struct CliOpts {
 }
 
 impl CliOpts {
+    /// Every flag [`CliOpts::parse`] reads; each takes a value.
+    const FLAGS: [&'static str; 7] = [
+        "--trials",
+        "--threads",
+        "--cycles",
+        "--seed",
+        "--json",
+        "--backend",
+        "--queue",
+    ];
+
     /// Parses `std::env::args`, falling back to the given defaults when a
-    /// flag is absent. Unknown flags are ignored so binaries can add their
-    /// own — but a flag that *is* present with an unparsable or missing
-    /// value is a hard error (exit 2): these binaries produce published
-    /// measurements, and silently running the default size after a typo
-    /// would record numbers for a campaign that never ran.
+    /// flag is absent. Every malformed command line is a hard error (exit
+    /// 2): a flag other than those listed on [`CliOpts`] (the binaries
+    /// built on this parser read no other flag), and a flag with an
+    /// unparsable or missing value. These binaries produce published measurements, and
+    /// silently running the default campaign after a typo would record
+    /// numbers for a campaign that never ran.
     pub fn parse(default_trials: usize, default_cycles: usize) -> CliOpts {
         let args: Vec<String> = std::env::args().collect();
+        reject_unknown_flags(&args, &Self::FLAGS, &[]);
         let positive = |flag: &str, dflt: usize| -> usize {
             let v = parse_flag(&args, flag, dflt);
             if v == 0 {
@@ -837,6 +850,32 @@ impl CliOpts {
             backend: self.backend,
             ..EngineOpts::default()
         }
+    }
+}
+
+/// The first flag of `args` that [`reject_unknown_flags`] rejects.
+fn unknown_flag<'a>(args: &'a [String], values: &[&str], switches: &[&str]) -> Option<&'a str> {
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if values.contains(&arg) {
+            rest.next();
+        } else if arg.starts_with("--") && !switches.contains(&arg) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
+/// Exits with status 2 when `args` holds, after the program name, an
+/// argument spelled like a flag (`--…`) that is neither one of `values`,
+/// the flags that take a value, nor one of `switches`, the flags that
+/// stand alone: a misspelled flag would otherwise run, and report, the
+/// default campaign. The argument after a value flag is that flag's
+/// value, as [`flag_value`] reads it, and is never taken for a flag.
+pub fn reject_unknown_flags(args: &[String], values: &[&str], switches: &[&str]) {
+    if let Some(flag) = unknown_flag(args, values, switches) {
+        eprintln!("error: unknown flag {flag:?}");
+        std::process::exit(2);
     }
 }
 
@@ -939,6 +978,46 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
     use elastic_core::systems::linear_pipeline;
+
+    #[test]
+    fn unknown_flags_are_found_and_values_are_skipped() {
+        let args = |line: &str| -> Vec<String> {
+            std::iter::once("bin")
+                .chain(line.split_whitespace())
+                .map(String::from)
+                .collect()
+        };
+        let unknown =
+            |line: &str| unknown_flag(&args(line), &CliOpts::FLAGS, &[]).map(String::from);
+        assert_eq!(unknown(""), None);
+        assert_eq!(
+            unknown("--trials 256 --json out.json --backend wide8"),
+            None
+        );
+        // A positional argument is not a flag (table1's horizon).
+        assert_eq!(unknown("5000 --cycles 100"), None);
+        // A flag that no campaign reads, and a misspelled one.
+        assert_eq!(unknown("--probs 1.5").as_deref(), Some("--probs"));
+        assert_eq!(
+            unknown("--trials 8 --trial 256").as_deref(),
+            Some("--trial")
+        );
+        // A value flag's argument is its value, even when spelled like a
+        // flag; the argument after it is checked again.
+        assert_eq!(unknown("--json --out"), None);
+        assert_eq!(unknown("--json a --out").as_deref(), Some("--out"));
+        // Switches stand alone: the argument after one is checked.
+        let unknown_with_switch =
+            |line: &str| unknown_flag(&args(line), &["--seed"], &["--check"]).map(String::from);
+        assert_eq!(unknown_with_switch("--check --seed 3"), None);
+        assert_eq!(
+            unknown_with_switch("--check --chek").as_deref(),
+            Some("--chek")
+        );
+        assert_eq!(unknown_with_switch("--check 3 --seed"), None);
+        // The program name is never read as a flag.
+        assert_eq!(unknown_flag(&["--bin".to_string()], &[], &[]), None);
+    }
 
     fn pipeline_spec() -> (SystemSpec, EnvConfig) {
         let (net, _, out) = linear_pipeline(2, 1).unwrap();

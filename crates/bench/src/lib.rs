@@ -329,8 +329,10 @@ impl BackendSel {
 }
 
 /// Value-arena byte budget the runtime width dispatch keeps a topology's
-/// working set under: half a typical 1 MiB L2, leaving room for the
-/// stimulus rows streaming through the same cache.
+/// working set under: half of a 1 MiB L2, leaving room for the stimulus
+/// rows streaming through the same cache. Many x86 cores have 1 MiB of L2,
+/// some 2 MiB (the 2-vCPU Xeon host of BENCH.md); the budget is sized for
+/// the smaller cache.
 pub const DISPATCH_FOOTPRINT_BYTES: usize = 512 * 1024;
 
 /// Picks the word width for a topology at runtime: the widest `W` whose

@@ -23,7 +23,7 @@ use elastic_netlist::sim::Simulator;
 use elastic_netlist::wide::{WideSimulator, LANES};
 use elastic_netlist::NetId;
 use rand::rngs::{StdRng, StdRngLanes, BLOCK_LANES};
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use crate::compile::{compile, sanitize, CompileOptions, FaultInjection};
 use crate::error::CoreError;
@@ -443,8 +443,8 @@ const UNIT_53: f64 = 1.0 / (1u64 << 53) as f64;
 /// itself exact for any `p ∈ [0, 1]` (a power-of-two scaling never
 /// rounds), hence `m < p·2^53 ⇔ m < ⌈p·2^53⌉` over the integers. One
 /// shift and one integer compare per draw, no float conversion — the form
-/// [`threshold_stream`] evaluates for 64 lanes at once, asserted
-/// equivalent in `bool_draw_matches_gen_bool`.
+/// [`below`] evaluates for 64 lanes at once, asserted equivalent in
+/// `bool_draw_matches_gen_bool`.
 struct BoolDraw {
     threshold: u64,
 }
@@ -456,45 +456,74 @@ impl BoolDraw {
             threshold: (p * (1u64 << 53) as f64).ceil() as u64,
         }
     }
-
-    #[inline]
-    fn draw(&self, rng: &mut StdRng) -> bool {
-        (rng.next_u64() >> 11) < self.threshold
-    }
 }
 
 // The generator's RNG blocks and the stimulus matrix's lane words have the
 // same 64 lanes.
 const _: () = assert!(BLOCK_LANES == LANES);
 
-/// The stimulus kernel: advances the 64 lanes of `rngs` by `cycles`
-/// draws each, one draw per lane per cycle, and hands cycle `t`'s masks to
-/// `emit(t, masks)`. Bit `l` of `masks[c]` is set when lane `l`'s draw has
-/// its top 53 bits below `thresholds[c]` — [`BoolDraw`]'s test. One
-/// threshold makes a Bernoulli stream; a weighted payload passes the cuts
-/// of its [`SrcPlan::Walk`]. No lane loop carries a dependence from one
-/// lane to the next, so both loops vectorize.
+/// Bit `l` is set when the top 53 bits of `draws[l]` lie below `threshold`
+/// — [`BoolDraw`]'s test for 64 lanes at once.
+#[inline(always)]
+fn below(draws: &[u64; BLOCK_LANES], threshold: u64) -> u64 {
+    let mut mask = 0u64;
+    for (l, &r) in draws.iter().enumerate() {
+        // Both `r >> 11` and `threshold` lie in [0, 2^53], so the sign bit
+        // of their difference is exactly `r >> 11 < threshold`.
+        mask |= ((r >> 11).wrapping_sub(threshold) >> 63) << l;
+    }
+    mask
+}
+
+/// The stimulus kernel: runs one stream of the 64 lanes of `rngs` for
+/// `cycles` cycles and hands cycle `t`'s masks to `emit(t, hit, below)`.
+/// A cycle makes up to two draws per lane, in [`Schedule::random`]'s
+/// order:
+///
+/// * `first`: when `Some(threshold)`, every lane draws and bit `l` of
+///   `hit` is set when lane `l`'s draw is below `threshold`; when `None`,
+///   nothing is drawn and `hit` is all ones. This is a source's offer or a
+///   sink's or VL unit's Bernoulli column.
+/// * `second`: when `Some(cuts)`, the lanes of `hit` draw again (a masked
+///   step: the other lanes keep their state) and bit `l` of `below[c]` is
+///   set when lane `l`'s draw is below `cuts[c]`. This is a weighted
+///   payload, with the cuts of its [`SrcPlan::Walk`] (possibly none); a
+///   lane outside `hit` reads a draw it has not made. When `None`,
+///   `below` is empty.
+///
+/// No lane loop carries a dependence from one lane to the next, so they
+/// vectorize.
 #[inline(always)]
 fn threshold_stream(
     rngs: &mut StdRngLanes,
-    thresholds: &[u64],
+    first: Option<u64>,
+    second: Option<&[u64]>,
     cycles: usize,
-    mut emit: impl FnMut(usize, &[u64]),
+    mut emit: impl FnMut(usize, u64, &[u64]),
 ) {
     let mut draws = [0u64; BLOCK_LANES];
-    let mut masks = vec![0u64; thresholds.len()];
+    let mut masks = vec![0u64; second.map_or(0, <[u64]>::len)];
     for t in 0..cycles {
-        rngs.next_u64s(&mut draws);
-        for (mask, &th) in masks.iter_mut().zip(thresholds) {
-            // Both `r >> 11` and `th` lie in [0, 2^53], so the sign bit of
-            // their difference is exactly `r >> 11 < th`.
-            let mut m = 0u64;
-            for (l, &r) in draws.iter().enumerate() {
-                m |= ((r >> 11).wrapping_sub(th) >> 63) << l;
+        let hit = match first {
+            Some(threshold) => {
+                rngs.next_u64s(&mut draws);
+                below(&draws, threshold)
             }
-            *mask = m;
+            None => u64::MAX,
+        };
+        if let Some(cuts) = second {
+            // Without an offer draw every lane steps: the plain step draws
+            // what a masked step under `u64::MAX` would, without the blend.
+            if first.is_some() {
+                rngs.next_u64s_masked(hit, &mut draws);
+            } else {
+                rngs.next_u64s(&mut draws);
+            }
+            for (mask, &cut) in masks.iter_mut().zip(cuts) {
+                *mask = below(&draws, cut);
+            }
         }
-        emit(t, &masks);
+        emit(t, hit, &masks);
     }
 }
 
@@ -503,11 +532,25 @@ fn threshold_stream(
 #[target_feature(enable = "avx2")]
 fn threshold_stream_avx2(
     rngs: &mut StdRngLanes,
-    thresholds: &[u64],
+    first: Option<u64>,
+    second: Option<&[u64]>,
     cycles: usize,
-    emit: impl FnMut(usize, &[u64]),
+    emit: impl FnMut(usize, u64, &[u64]),
 ) {
-    threshold_stream(rngs, thresholds, cycles, emit);
+    threshold_stream(rngs, first, second, cycles, emit);
+}
+
+/// [`threshold_stream`] built with AVX-512F enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn threshold_stream_avx512(
+    rngs: &mut StdRngLanes,
+    first: Option<u64>,
+    second: Option<&[u64]>,
+    cycles: usize,
+    emit: impl FnMut(usize, u64, &[u64]),
+) {
+    threshold_stream(rngs, first, second, cycles, emit);
 }
 
 /// A build of [`threshold_stream`]. Every build draws the same words and
@@ -517,53 +560,75 @@ fn threshold_stream_avx2(
 enum Kernel {
     /// Built for the baseline target.
     Portable,
-    /// Built with AVX2 enabled. Only [`Kernel::best`] constructs it, after
-    /// checking that the CPU has AVX2.
+    /// Built with AVX2 enabled. Only [`Kernel::available`] constructs it,
+    /// after checking that the CPU has AVX2.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// Built with AVX-512F enabled. Only [`Kernel::available`] constructs
+    /// it, after checking that the CPU has AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Kernel {
+    /// Every build this CPU can run, fastest first.
+    fn available() -> Vec<Kernel> {
+        let mut builds = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                builds.push(Kernel::Avx512);
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                builds.push(Kernel::Avx2);
+            }
+        }
+        builds.push(Kernel::Portable);
+        builds
+    }
+
     /// The fastest build this CPU can run.
     fn best() -> Kernel {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Kernel::Avx2;
-        }
-        Kernel::Portable
+        Kernel::available()[0]
     }
 
     /// Runs [`threshold_stream`] through this build.
     fn run(
         self,
         rngs: &mut StdRngLanes,
-        thresholds: &[u64],
+        first: Option<u64>,
+        second: Option<&[u64]>,
         cycles: usize,
-        emit: impl FnMut(usize, &[u64]),
+        emit: impl FnMut(usize, u64, &[u64]),
     ) {
         match self {
-            Kernel::Portable => threshold_stream(rngs, thresholds, cycles, emit),
-            // SAFETY: `Kernel::Avx2` is only constructed by `Kernel::best`
-            // once `is_x86_feature_detected!("avx2")` has returned true, so
-            // this CPU executes the AVX2 build.
+            Kernel::Portable => threshold_stream(rngs, first, second, cycles, emit),
+            // SAFETY: `Kernel::Avx2` and `Kernel::Avx512` are only
+            // constructed by `Kernel::available`, once
+            // `is_x86_feature_detected!` has returned true for their target
+            // feature, so this CPU executes the build.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { threshold_stream_avx2(rngs, thresholds, cycles, emit) },
+            Kernel::Avx2 => unsafe { threshold_stream_avx2(rngs, first, second, cycles, emit) },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { threshold_stream_avx512(rngs, first, second, cycles, emit) },
         }
     }
 }
 
-/// Pre-resolved source payload generator for the fused stimulus path:
-/// the per-draw work of `weighted_draw` (re-summing the weight total,
-/// re-filtering unusable entries, the float walk) is hoisted to
-/// construction, keeping the draw itself to one `next_u64` and integer
+/// Pre-resolved payload of one stimulus stream: what a lane sends on the
+/// cycles it offers. The per-draw work of `weighted_draw` (re-summing the
+/// weight total, re-filtering unusable entries, the float walk) is hoisted
+/// to construction, keeping a weighted draw to one `next_u64` and integer
 /// compares with **exactly** the original's FP semantics and RNG
 /// consumption (including the degenerate-distribution early return that
 /// draws nothing).
-enum SrcPlan<'a> {
-    /// Const/Counter/Alternate (no RNG) — delegate to [`DataGen::sample`].
-    Exact(&'a DataGen),
-    /// Degenerate weighted distribution: deterministic value, **no draw**.
+enum SrcPlan {
+    /// A constant payload, no draw: `Const`, a degenerate weighted
+    /// distribution, and the empty payload of a Bernoulli column.
     Fixed(u64),
+    /// `Counter` (`Count(64)`) and `Alternate` (`Count(1)`), no draw: the
+    /// low bits of the number of earlier offers of the lane.
+    Count(usize),
     /// Weighted distribution, compiled to integer mantissa cutoffs: a draw
     /// with top-53-bit mantissa `m` selects `values[#cuts ≤ m]`. The cuts
     /// are non-decreasing, so the cuts at or below `m` are a prefix.
@@ -590,10 +655,13 @@ fn walk_select(m: u64, total: f64, entries: &[(u64, f64)]) -> usize {
     entries.len() - 1
 }
 
-impl<'a> SrcPlan<'a> {
-    fn new(data: &'a DataGen) -> SrcPlan<'a> {
-        let DataGen::Weighted(choices) = data else {
-            return SrcPlan::Exact(data);
+impl SrcPlan {
+    fn new(data: &DataGen) -> SrcPlan {
+        let choices = match data {
+            DataGen::Const(v) => return SrcPlan::Fixed(*v),
+            DataGen::Counter => return SrcPlan::Count(64),
+            DataGen::Alternate => return SrcPlan::Count(1),
+            DataGen::Weighted(choices) => choices,
         };
         let usable = |w: f64| w.is_finite() && w > 0.0;
         let total: f64 = choices.iter().map(|&(_, w)| w).filter(|&w| usable(w)).sum();
@@ -632,22 +700,6 @@ impl<'a> SrcPlan<'a> {
         SrcPlan::Walk {
             cuts,
             values: entries.into_iter().map(|(v, _)| v).collect(),
-        }
-    }
-
-    #[inline]
-    fn draw(&self, rng: &mut StdRng, seq: &mut u64) -> u64 {
-        match self {
-            SrcPlan::Exact(d) => d.sample(rng, seq),
-            SrcPlan::Fixed(v) => *v,
-            SrcPlan::Walk { cuts, values } => {
-                let m = rng.next_u64() >> 11;
-                let mut idx = 0usize;
-                for &c in cuts {
-                    idx += usize::from(m >= c);
-                }
-                values[idx]
-            }
         }
     }
 }
@@ -689,19 +741,31 @@ fn input_slots(tb: &NetlistTestbench) -> Vec<u32> {
 
 /// How [`PackedStimulus::generate`] fills one stimulus stream of a 64-lane
 /// word group, resolved once from the environment. Streams are listed in
-/// the order [`Schedule::random`] draws them.
-enum Stream<'a> {
-    /// A source's offer column `col` and its `bits` payload columns after
-    /// it. `offer` is `None` for a source that offers on every cycle
-    /// without drawing.
-    Source {
-        col: usize,
-        bits: usize,
-        offer: Option<BoolDraw>,
-        plan: SrcPlan<'a>,
-    },
-    /// A Bernoulli column: a sink's stop or kill, or a VL unit's finish.
-    Bool { col: usize, draw: BoolDraw },
+/// the order [`Schedule::random`] draws them. A source's stream is its
+/// offer column and the payload columns after it; a sink's stop or kill
+/// and a VL unit's finish are a Bernoulli column with no payload.
+struct Stream {
+    /// The offer or Bernoulli column.
+    col: usize,
+    /// The Bernoulli draw behind `col`, `None` for a source that offers on
+    /// every cycle without drawing.
+    offer: Option<BoolDraw>,
+    /// Payload columns after `col` (a source's data bits).
+    bits: usize,
+    /// What an offering lane sends.
+    plan: SrcPlan,
+}
+
+impl Stream {
+    /// A Bernoulli column drawn with probability `p`.
+    fn bernoulli(col: usize, p: f64) -> Stream {
+        Stream {
+            col,
+            offer: Some(BoolDraw::new(p)),
+            bits: 0,
+            plan: SrcPlan::Fixed(0),
+        }
+    }
 }
 
 impl PackedStimulus {
@@ -812,19 +876,23 @@ impl PackedStimulus {
     ///
     /// This is the streaming Monte-Carlo engine's stimulus producer. Each
     /// 64-lane word group keeps its lanes' xoshiro256** states side by side
-    /// ([`StdRngLanes`]) and advances all 64 together, one cycle at a time,
-    /// so a cycle's lane word comes out of one vectorized pass over the
-    /// lanes (one kernel, run as its AVX2 build when the CPU has AVX2).
-    /// Each stream takes one of three paths:
+    /// ([`StdRngLanes`]) and runs every stream through one kernel, which
+    /// advances all 64 lanes together, one cycle at a time, so a cycle's
+    /// lane word comes out of one vectorized pass over the lanes. The
+    /// kernel runs as its AVX-512F or AVX2 build when the CPU has that
+    /// feature. Per cycle and lane, a stream makes at most two draws:
     ///
-    /// * sink stops and kills, VL finishes and the payloads of full-rate
-    ///   weighted sources draw one word per lane per cycle, compared
-    ///   against one threshold or the payload's cuts;
-    /// * full-rate sources whose payload draws nothing (`Const`, `Counter`,
-    ///   `Alternate`, degenerate weights) write the same word to every
-    ///   lane;
-    /// * sub-rate sources draw a payload only on the cycles they offer, so
-    ///   their lanes fall out of step: each lane steps its own [`StdRng`].
+    /// * sink stops and kills, VL finishes and sub-rate offers draw one
+    ///   word in every lane and compare it against the probability's
+    ///   threshold;
+    /// * weighted payloads draw a second word, compared against the cuts
+    ///   of the payload's walk. At full rate every lane draws it; at a
+    ///   sub-rate only the lanes that offered this cycle step their
+    ///   generator, and the others keep their state (a masked step);
+    /// * `Const`, `Counter`, `Alternate` and degenerate weighted payloads
+    ///   draw nothing. `Counter` and `Alternate` keep one sequence counter
+    ///   per lane, bit-sliced across the lanes and incremented under the
+    ///   offer mask.
     ///
     /// Every lane makes **exactly the draws [`Schedule::random`] makes, in
     /// the same order**, so the packed words are bit-identical to
@@ -880,90 +948,89 @@ impl PackedStimulus {
             let live = u64::MAX >> (LANES - glen);
             let mut rngs = StdRngLanes::seed_from_u64(seed.wrapping_add((g * LANES) as u64));
             for stream in &streams {
-                match stream {
-                    Stream::Bool { col, draw } => {
-                        kernel.run(&mut rngs, &[draw.threshold], cycles, |t, below| {
-                            words[cell(t, *col, g)] = below[0] & live;
-                        });
+                let &Stream {
+                    col,
+                    ref offer,
+                    bits,
+                    ref plan,
+                } = stream;
+                let threshold = offer.as_ref().map(|d| d.threshold);
+                // One kernel call per payload plan, each with a small
+                // emission forced inline. An emission behind a call, or one
+                // closure branching on the plan, kept the compiler from
+                // holding the lanes' generator state in registers across
+                // cycles and cost the AVX-512 build about half its gain.
+                match plan {
+                    SrcPlan::Fixed(v) => kernel.run(
+                        &mut rngs,
+                        threshold,
+                        None,
+                        cycles,
+                        #[inline(always)]
+                        |t, hit, _| {
+                            let offered = hit & live;
+                            let base = cell(t, col, g);
+                            words[base] = offered;
+                            for j in 0..bits {
+                                words[base + (1 + j) * width] =
+                                    offered & 0u64.wrapping_sub(v >> j & 1);
+                            }
+                        },
+                    ),
+                    SrcPlan::Count(modulus_bits) => {
+                        // Bit-sliced per-lane sequence counter: `count[j]`
+                        // holds bit `j` of every lane's number of earlier
+                        // offers, modulo the payload width.
+                        let mut count = vec![0u64; bits.min(*modulus_bits)];
+                        kernel.run(
+                            &mut rngs,
+                            threshold,
+                            None,
+                            cycles,
+                            #[inline(always)]
+                            |t, hit, _| {
+                                let offered = hit & live;
+                                let base = cell(t, col, g);
+                                words[base] = offered;
+                                for (j, &plane) in count.iter().enumerate() {
+                                    words[base + (1 + j) * width] = plane & offered;
+                                }
+                                // Ripple-carry increment of the offering lanes.
+                                let mut carry = offered;
+                                for plane in &mut count {
+                                    (*plane, carry) = (*plane ^ carry, *plane & carry);
+                                }
+                            },
+                        );
                     }
-                    Stream::Source {
-                        col,
-                        bits,
-                        offer: None,
-                        plan: SrcPlan::Walk { cuts, values },
-                    } => {
+                    SrcPlan::Walk { cuts, values } => {
                         // A lane takes `values[i]` with `i` the number of
                         // cuts at or below its draw, so `below[c]` is set
                         // exactly when `i <= c`. Reading down from the last
                         // value, payload bit `j` flips at every cut where
                         // adjacent values differ in bit `j`.
                         let last = values[cuts.len()];
-                        kernel.run(&mut rngs, cuts, cycles, |t, below| {
-                            let base = cell(t, *col, g);
-                            words[base] = live;
-                            for j in 0..*bits {
-                                let mut plane = 0u64.wrapping_sub(last >> j & 1);
-                                for (c, &b) in below.iter().enumerate() {
-                                    if (values[c] ^ values[c + 1]) >> j & 1 == 1 {
-                                        plane ^= b;
+                        kernel.run(
+                            &mut rngs,
+                            threshold,
+                            Some(cuts),
+                            cycles,
+                            #[inline(always)]
+                            |t, hit, below| {
+                                let offered = hit & live;
+                                let base = cell(t, col, g);
+                                words[base] = offered;
+                                for j in 0..bits {
+                                    let mut plane = 0u64.wrapping_sub(last >> j & 1);
+                                    for (c, &b) in below.iter().enumerate() {
+                                        if (values[c] ^ values[c + 1]) >> j & 1 == 1 {
+                                            plane ^= b;
+                                        }
                                     }
+                                    words[base + (1 + j) * width] = plane & offered;
                                 }
-                                words[base + (1 + j) * width] = plane & live;
-                            }
-                        });
-                    }
-                    Stream::Source {
-                        col,
-                        bits,
-                        offer: None,
-                        plan,
-                    } => {
-                        // Exact and Fixed plans draw nothing, so every lane
-                        // of a full-rate source carries one payload
-                        // sequence. `idle` only fills the RNG argument;
-                        // these plans never advance it.
-                        let mut idle = rngs.lane(0);
-                        let mut seq = 0;
-                        for t in 0..cycles {
-                            let d = plan.draw(&mut idle, &mut seq);
-                            let base = cell(t, *col, g);
-                            words[base] = live;
-                            for j in 0..*bits {
-                                words[base + (1 + j) * width] =
-                                    live & 0u64.wrapping_sub(d >> j & 1);
-                            }
-                        }
-                    }
-                    Stream::Source {
-                        col,
-                        bits,
-                        offer: Some(offer),
-                        plan,
-                    } => {
-                        let mut lane_rngs: Vec<StdRng> = (0..glen).map(|k| rngs.lane(k)).collect();
-                        let mut seq = vec![0u64; glen];
-                        let mut planes = vec![0u64; *bits];
-                        for t in 0..cycles {
-                            let mut offered = 0u64;
-                            planes.fill(0);
-                            for (k, (rng, sq)) in lane_rngs.iter_mut().zip(&mut seq).enumerate() {
-                                if offer.draw(rng) {
-                                    let d = plan.draw(rng, sq);
-                                    offered |= 1 << k;
-                                    for (j, p) in planes.iter_mut().enumerate() {
-                                        *p |= (d >> j & 1) << k;
-                                    }
-                                }
-                            }
-                            let base = cell(t, *col, g);
-                            words[base] = offered;
-                            for (j, &p) in planes.iter().enumerate() {
-                                words[base + (1 + j) * width] = p;
-                            }
-                        }
-                        for (k, rng) in lane_rngs.iter().enumerate() {
-                            rngs.set_lane(k, rng);
-                        }
+                            },
+                        );
                     }
                 }
             }
@@ -980,11 +1047,7 @@ impl PackedStimulus {
     /// streams [`Schedule::random`] draws, in its order, each with its
     /// stimulus column. A stop or kill that never fires draws nothing and
     /// gets no stream.
-    fn streams<'a>(
-        tb: &NetlistTestbench,
-        net: &ElasticNetwork,
-        cfg: &'a EnvConfig,
-    ) -> Vec<Stream<'a>> {
+    fn streams(tb: &NetlistTestbench, net: &ElasticNetwork, cfg: &EnvConfig) -> Vec<Stream> {
         let mut src_col = 0;
         let mut sink_col: usize = tb.srcs.iter().map(|(_, _, dins)| 1 + dins.len()).sum();
         let mut vl_col = sink_col + 2 * tb.sinks.len();
@@ -997,10 +1060,10 @@ impl PackedStimulus {
                     let (tb_name, _, dins) = &tb.srcs[src_i];
                     debug_assert_eq!(tb_name, name, "testbench/network source order");
                     let c = cfg.sources.get(name).unwrap_or(&cfg.default_source);
-                    streams.push(Stream::Source {
+                    streams.push(Stream {
                         col: src_col,
-                        bits: dins.len(),
                         offer: c.offer_draw().map(BoolDraw::new),
+                        bits: dins.len(),
                         plan: SrcPlan::new(&c.data),
                     });
                     src_col += 1 + dins.len();
@@ -1012,10 +1075,7 @@ impl PackedStimulus {
                     let c = cfg.sinks.get(name).copied().unwrap_or(cfg.default_sink);
                     for (col, p) in [(sink_col, c.stop_draw()), (sink_col + 1, c.kill_draw())] {
                         if let Some(p) = p {
-                            streams.push(Stream::Bool {
-                                col,
-                                draw: BoolDraw::new(p),
-                            });
+                            streams.push(Stream::bernoulli(col, p));
                         }
                     }
                     sink_col += 2;
@@ -1025,10 +1085,7 @@ impl PackedStimulus {
                     let (tb_name, _) = &tb.vls[vl_i];
                     debug_assert_eq!(tb_name, name, "testbench/network VL order");
                     let dist = cfg.vls.get(name).unwrap_or(&cfg.default_vl);
-                    streams.push(Stream::Bool {
-                        col: vl_col,
-                        draw: BoolDraw::new(dist.finish_draw()),
-                    });
+                    streams.push(Stream::bernoulli(vl_col, dist.finish_draw()));
                     vl_col += 1;
                     vl_i += 1;
                 }
@@ -1460,6 +1517,7 @@ mod tests {
     use super::*;
     use crate::sim::{SinkCfg, SourceCfg};
     use crate::systems::linear_pipeline;
+    use rand::RngCore;
 
     fn stress_cfg() -> EnvConfig {
         EnvConfig {
@@ -1731,13 +1789,8 @@ mod tests {
             // 150 lanes: two full words and a 22-lane partial on width 3,
             // seeds wrapping near u64::MAX.
             for seed in [0u64, 424242, u64::MAX - 10] {
-                let scheds: Vec<Schedule> = (0..150)
-                    .map(|k| Schedule::random(&sys.network, &cfg, seed.wrapping_add(k), 37))
-                    .collect();
-                let packed = PackedStimulus::pack(&tb, &scheds, 3).unwrap();
-                let fused =
-                    PackedStimulus::generate(&tb, &sys.network, &cfg, seed, 150, 37, 3).unwrap();
-                assert_eq!(packed, fused, "{tag} seed {seed}");
+                let tag = format!("{tag} seed {seed}");
+                assert_generate_matches_pack(&sys.network, &tb, &cfg, seed, 37, &[(150, 3)], &tag);
             }
         }
         // Degenerate counts mirror pack's errors.
@@ -1768,8 +1821,8 @@ mod tests {
 
         // Weighted payloads with 0 to 5 cuts, adjacent equal values, a
         // value wider than the two data bits, and degenerate weights —
-        // each offered every cycle (the kernel's walk, or a lane-uniform
-        // word) and at a sub-rate (per-lane generators).
+        // each offered every cycle (the walk, or a constant payload) and
+        // at a sub-rate (the walk's masked step).
         let payloads = [
             vec![(2, 1.0)],
             vec![(0, 0.5), (3, 0.5)],
@@ -1812,7 +1865,7 @@ mod tests {
 
         // The 30 corpus design × configuration environments: guard
         // sources with one-cut walks, and full-rate `Const(0)` sources
-        // that take the lane-uniform path.
+        // that draw nothing.
         for design in DESIGNS {
             for config in CorpusConfig::all() {
                 let sys = corpus::build(design, config, &Knobs::default()).unwrap();
@@ -1829,15 +1882,6 @@ mod tests {
                 assert_generate_matches_pack(&sys.network, &tb, &sys.env, 11, 13, &[(65, 2)], &tag);
             }
         }
-    }
-
-    /// Every kernel build this host can run.
-    fn kernels() -> Vec<Kernel> {
-        let mut all = vec![Kernel::Portable];
-        if Kernel::best() != Kernel::Portable {
-            all.push(Kernel::best());
-        }
-        all
     }
 
     /// Asserts that, for each `(lanes, width)`, every kernel build
@@ -1858,7 +1902,7 @@ mod tests {
             .collect();
         for &(lanes, width) in shapes {
             let packed = PackedStimulus::pack(tb, &scheds[..lanes], width).unwrap();
-            for kernel in kernels() {
+            for kernel in Kernel::available() {
                 let fused =
                     PackedStimulus::generate_with(kernel, tb, net, cfg, seed, lanes, cycles, width)
                         .unwrap();
@@ -1916,9 +1960,15 @@ mod tests {
             if b.threshold < 1 << 53 {
                 assert!((b.threshold as f64 * UNIT_53) >= p, "p {p}");
             }
+            // The kernel's 64-lane compare, lane by lane.
             let (mut x, mut y) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
-            for _ in 0..1000 {
-                assert_eq!(b.draw(&mut x), y.gen_bool(p), "p {p}");
+            let mut draws = [0u64; BLOCK_LANES];
+            for _ in 0..16 {
+                draws.fill_with(|| x.next_u64());
+                let mask = below(&draws, b.threshold);
+                for l in 0..BLOCK_LANES {
+                    assert_eq!(mask >> l & 1 == 1, y.gen_bool(p), "p {p} lane {l}");
+                }
             }
         }
     }
@@ -1926,35 +1976,38 @@ mod tests {
     #[test]
     fn generate_matches_pack_for_stateful_datagens() {
         // Counter/Alternate payloads advance a per-(lane, source) sequence
-        // counter; the fused generator must track one counter per lane.
+        // counter; the fused generator keeps it bit-sliced across the lanes
+        // and increments it under the offer mask. Counts run past the
+        // payload width (carries out of the top bit are dropped), at full
+        // rate and at sub-rates, on every kernel build.
         let (net, _, _) = linear_pipeline(2, 1).unwrap();
-        let compiled = compile(
-            &net,
-            &CompileOptions {
-                data_width: 2,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
-        let tb = NetlistTestbench::new(&net, &compiled.netlist, 2).unwrap();
-        for data in [crate::sim::DataGen::Counter, crate::sim::DataGen::Alternate] {
-            let cfg = EnvConfig {
-                default_source: SourceCfg {
-                    rate: 0.6,
-                    data: data.clone(),
+        for data_width in [1, 2, 5] {
+            let compiled = compile(
+                &net,
+                &CompileOptions {
+                    data_width,
+                    ..CompileOptions::default()
                 },
-                default_sink: SinkCfg {
-                    stop_prob: 0.2,
-                    kill_prob: 0.0,
-                },
-                ..Default::default()
-            };
-            let scheds: Vec<Schedule> = (0..70)
-                .map(|k| Schedule::random(&net, &cfg, 50 + k, 25))
-                .collect();
-            let packed = PackedStimulus::pack(&tb, &scheds, 2).unwrap();
-            let fused = PackedStimulus::generate(&tb, &net, &cfg, 50, 70, 25, 2).unwrap();
-            assert_eq!(packed, fused, "{data:?}");
+            )
+            .unwrap();
+            let tb = NetlistTestbench::new(&net, &compiled.netlist, data_width).unwrap();
+            for data in [crate::sim::DataGen::Counter, crate::sim::DataGen::Alternate] {
+                for rate in [1.0, 0.6, 0.05] {
+                    let cfg = EnvConfig {
+                        default_source: SourceCfg {
+                            rate,
+                            data: data.clone(),
+                        },
+                        default_sink: SinkCfg {
+                            stop_prob: 0.2,
+                            kill_prob: 0.0,
+                        },
+                        ..Default::default()
+                    };
+                    let tag = format!("{data:?} rate {rate} width {data_width}");
+                    assert_generate_matches_pack(&net, &tb, &cfg, 50, 70, &[(70, 2)], &tag);
+                }
+            }
         }
     }
 

@@ -5,7 +5,8 @@
 //! other crates use: [`rngs::StdRng`], [`SeedableRng::seed_from_u64`],
 //! [`Rng::gen_bool`] and [`Rng::gen_range`]. It adds one item the real
 //! crate does not have: [`rngs::StdRngLanes`], 64 `StdRng` streams
-//! advanced together, which the stimulus generator vectorizes over.
+//! advanced together (every lane, or the lanes of a mask), which the
+//! stimulus generator vectorizes over.
 //!
 //! The generator is xoshiro256** seeded via SplitMix64 — deterministic for a
 //! given seed, statistically solid for simulation workloads, and NOT
@@ -164,9 +165,10 @@ pub mod rngs {
 
     /// [`BLOCK_LANES`] independent [`StdRng`] streams in
     /// structure-of-arrays form: lane `k` starts as
-    /// `StdRng::seed_from_u64(seed + k)` and [`Self::next_u64s`] advances
-    /// every lane by one draw. Each lane makes exactly the draws its own
-    /// `StdRng` would, while the lane loop vectorizes.
+    /// `StdRng::seed_from_u64(seed + k)`. [`Self::next_u64s`] advances
+    /// every lane by one draw and [`Self::next_u64s_masked`] only the lanes
+    /// of a mask. Each lane makes exactly the draws its own `StdRng` would,
+    /// while the lane loops vectorize.
     #[derive(Debug, Clone)]
     pub struct StdRngLanes {
         /// `s[i][k]` is state word `i` of lane `k`.
@@ -176,35 +178,14 @@ pub mod rngs {
     impl StdRngLanes {
         /// Seeds lane `k` with `seed + k` (wrapping at `u64::MAX`).
         pub fn seed_from_u64(seed: u64) -> Self {
-            let mut lanes = StdRngLanes {
-                s: [[0; BLOCK_LANES]; 4],
-            };
+            let mut s = [[0; BLOCK_LANES]; 4];
             for k in 0..BLOCK_LANES {
-                lanes.set_lane(k, &StdRng::seed_from_u64(seed.wrapping_add(k as u64)));
+                let lane = StdRng::seed_from_u64(seed.wrapping_add(k as u64));
+                for (word, v) in s.iter_mut().zip(lane.s) {
+                    word[k] = v;
+                }
             }
-            lanes
-        }
-
-        /// A copy of lane `k`'s generator, at its current position.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `k >= BLOCK_LANES`.
-        pub fn lane(&self, k: usize) -> StdRng {
-            StdRng {
-                s: [self.s[0][k], self.s[1][k], self.s[2][k], self.s[3][k]],
-            }
-        }
-
-        /// Replaces lane `k`'s generator with `rng`.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `k >= BLOCK_LANES`.
-        pub fn set_lane(&mut self, k: usize, rng: &StdRng) {
-            for (word, &v) in self.s.iter_mut().zip(&rng.s) {
-                word[k] = v;
-            }
+            StdRngLanes { s }
         }
 
         /// Advances every lane by one draw: `out[k]` is lane `k`'s next
@@ -215,6 +196,29 @@ pub mod rngs {
             let states = s0.iter_mut().zip(s1.iter_mut()).zip(s2.iter_mut()).zip(s3);
             for (o, (((a, b), c), d)) in out.iter_mut().zip(states) {
                 *o = xoshiro256ss(a, b, c, d);
+            }
+        }
+
+        /// Advances only the lanes whose bit is set in `commit`: for those,
+        /// `out[k]` is lane `k`'s next `next_u64`. A lane whose bit is clear
+        /// keeps its state, so its `out[k]` is a draw it has not made and
+        /// will make again on its next step.
+        ///
+        /// Every lane computes its step and keeps the old or the new state
+        /// by a mask, without a branch, so the lane loop vectorizes.
+        #[inline(always)]
+        pub fn next_u64s_masked(&mut self, commit: u64, out: &mut [u64; BLOCK_LANES]) {
+            let [s0, s1, s2, s3] = &mut self.s;
+            let states = s0.iter_mut().zip(s1.iter_mut()).zip(s2.iter_mut()).zip(s3);
+            for (k, (o, (((a, b), c), d))) in out.iter_mut().zip(states).enumerate() {
+                // All ones when lane `k` commits its step, else zero.
+                let step = 0u64.wrapping_sub(commit >> k & 1);
+                let (mut a1, mut b1, mut c1, mut d1) = (*a, *b, *c, *d);
+                *o = xoshiro256ss(&mut a1, &mut b1, &mut c1, &mut d1);
+                *a ^= (*a ^ a1) & step;
+                *b ^= (*b ^ b1) & step;
+                *c ^= (*c ^ c1) & step;
+                *d ^= (*d ^ d1) & step;
             }
         }
     }
@@ -233,19 +237,52 @@ mod tests {
                 .map(|k| StdRng::seed_from_u64(seed.wrapping_add(k)))
                 .collect();
             let mut out = [0u64; BLOCK_LANES];
-            for round in 0..64usize {
+            for round in 0..64 {
                 block.next_u64s(&mut out);
                 for (k, rng) in solo.iter_mut().enumerate() {
                     assert_eq!(out[k], rng.next_u64(), "seed {seed} round {round} lane {k}");
                 }
-                // Hand one lane out of the block for a few draws on its
-                // own and back in, as the per-lane path does.
-                let k = (round * 37) % BLOCK_LANES;
-                let mut lane = block.lane(k);
-                for _ in 0..=round % 4 {
-                    assert_eq!(lane.next_u64(), solo[k].next_u64(), "hand-off lane {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn masked_step_advances_only_the_committed_lanes() {
+        // Lane k stepped under a random sequence of commit masks, with
+        // full steps in between, is lane k's own StdRng stepped on exactly
+        // the cycles its bit was set.
+        let mut mask_rng = StdRng::seed_from_u64(7);
+        for seed in [0u64, 42, u64::MAX - 10] {
+            let mut block = StdRngLanes::seed_from_u64(seed);
+            let mut solo: Vec<StdRng> = (0..BLOCK_LANES as u64)
+                .map(|k| StdRng::seed_from_u64(seed.wrapping_add(k)))
+                .collect();
+            let mut out = [0u64; BLOCK_LANES];
+            for round in 0..256 {
+                // Sparse, dense, empty, full and uniform masks.
+                let commit = match round % 5 {
+                    0 => mask_rng.next_u64() & mask_rng.next_u64(),
+                    1 => mask_rng.next_u64() | mask_rng.next_u64(),
+                    2 => 0,
+                    3 => u64::MAX,
+                    _ => mask_rng.next_u64(),
+                };
+                block.next_u64s_masked(commit, &mut out);
+                for (k, rng) in solo.iter_mut().enumerate() {
+                    if commit >> k & 1 == 1 {
+                        assert_eq!(out[k], rng.next_u64(), "seed {seed} round {round} lane {k}");
+                    }
                 }
-                block.set_lane(k, &lane);
+                if round % 3 == 0 {
+                    block.next_u64s(&mut out);
+                    for (k, rng) in solo.iter_mut().enumerate() {
+                        assert_eq!(
+                            out[k],
+                            rng.next_u64(),
+                            "seed {seed} full step {round} lane {k}"
+                        );
+                    }
+                }
             }
         }
     }
