@@ -60,19 +60,29 @@ fn bench_dmg(c: &mut Criterion) {
     });
 }
 
-/// 64 Monte-Carlo schedules through the bit-parallel backend vs one-by-one
+/// 64 Monte-Carlo trials through the bit-parallel backend vs one-by-one
 /// through the scalar gate-level interpreter — the per-trial speedup that
-/// makes the Fig. 5–9 sweeps cheap.
+/// makes the Fig. 5–9 sweeps cheap. The wide side generates its stimulus
+/// inside the loop; the scalar side replays pre-built schedules.
 fn bench_wide_mc(c: &mut Criterion) {
     use elastic_bench::WideHarness;
     use elastic_netlist::wide::LANES;
     let sys = paper_example(Config::ActiveAntiTokens).expect("builds");
     let harness = WideHarness::new(&sys.network, sys.output_channel);
+    let plan = harness.program().block_plan(1, usize::MAX);
     let scheds = WideHarness::schedules(&sys.network, &sys.env_config, 3, 500, LANES);
     let mut g = c.benchmark_group("mc_64_trials_500_cycles");
     g.sample_size(10);
     g.bench_with_input(BenchmarkId::from_parameter("wide_backend"), &(), |b, ()| {
-        b.iter(|| harness.run(&scheds).mean());
+        b.iter(|| {
+            let stim = harness
+                .generate_stimulus(&sys.network, &sys.env_config, 3, 500, LANES, 1)
+                .expect("generates");
+            harness
+                .try_run_stim(&stim, LANES, &plan)
+                .expect("runs")
+                .mean()
+        });
     });
     g.bench_with_input(
         BenchmarkId::from_parameter("scalar_backend"),
@@ -84,40 +94,41 @@ fn bench_wide_mc(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-layer attribution of the PR-4 execution pipeline on one 512-trial
-/// batch: the unpacked single-word path (peephole only), the packed
-/// single-word path, and the packed multi-word paths. Schedule generation
-/// is excluded (pre-built once), so the group isolates simulation cost.
+/// Per-backend attribution of the execution pipeline on one 512-trial
+/// batch: stimulus generation plus the tape, in shards of each multi-word
+/// backend's lane count.
 fn bench_mc_backends(c: &mut Criterion) {
     use elastic_bench::{Backend, WideHarness, MAX_TRIALS_PER_RUN};
     use elastic_netlist::wide::LANES;
     let sys = paper_example(Config::ActiveAntiTokens).expect("builds");
     let harness = WideHarness::new(&sys.network, sys.output_channel);
-    let scheds = WideHarness::schedules(&sys.network, &sys.env_config, 3, 500, MAX_TRIALS_PER_RUN);
     let mut g = c.benchmark_group("mc_512_trials_500_cycles");
     g.sample_size(10);
-    g.bench_with_input(BenchmarkId::from_parameter("unpacked_w1"), &(), |b, ()| {
-        b.iter(|| {
-            scheds
-                .chunks(LANES)
-                .map(|s| harness.run_unpacked(s).mean())
-                .sum::<f64>()
-        });
-    });
     for backend in [
         Backend::Wide1,
         Backend::Wide2,
         Backend::Wide4,
         Backend::Wide8,
     ] {
+        let lanes = backend.lanes();
+        let width = lanes / LANES;
+        let plan = harness.program().block_plan(width, usize::MAX);
+        let run = |seed: u64| -> f64 {
+            let stim = harness
+                .generate_stimulus(&sys.network, &sys.env_config, seed, 500, lanes, width)
+                .expect("generates");
+            harness
+                .try_run_stim(&stim, lanes, &plan)
+                .expect("runs")
+                .mean()
+        };
         g.bench_with_input(
             BenchmarkId::from_parameter(backend.label()),
             &backend,
-            |b, &backend| {
+            |b, _| {
                 b.iter(|| {
-                    scheds
-                        .chunks(backend.lanes())
-                        .map(|s| harness.try_run_backend(s, backend).expect("runs").mean())
+                    (0..MAX_TRIALS_PER_RUN / lanes)
+                        .map(|i| run(3 + (i * lanes) as u64))
                         .sum::<f64>()
                 });
             },

@@ -24,10 +24,9 @@
 //! (JSON defaults to `BENCH_pr7.json`; `--trials` is lanes per job,
 //! `--window` the armed cycles per lane, `1..=cycles`).
 
-use elastic_bench::exp::{
-    check_determinism, default_threads, parse_classes, parse_flag, reject_unknown_flags,
-};
+use elastic_bench::exp::{check_determinism, default_threads, parse_classes};
 use elastic_bench::stabilize::{run_fault_sweep, StabilizationOpts, FAULT_CLASSES};
+use elastic_lint::cli::{parse_flag, reject_unknown_flags};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

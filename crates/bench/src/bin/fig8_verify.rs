@@ -5,7 +5,7 @@
 
 use elastic_core::sim::{EnvConfig, SinkCfg, SourceCfg};
 use elastic_core::systems::linear_pipeline;
-use elastic_core::verify::{check_network_properties, cosim_check_wide, Schedule};
+use elastic_core::verify::{check_network_properties, cosim_check_wide};
 use elastic_mc::BridgeOptions;
 
 fn main() {
@@ -37,14 +37,11 @@ fn main() {
     // All eight schedules run simultaneously as lanes of the bit-parallel
     // backend, each cross-checked against its behavioural reference (and
     // lane 0 against the scalar gate-level interpreter).
-    let scheds: Vec<Schedule> = (0..8)
-        .map(|s| Schedule::random(&net, &cfg, s, 1500))
-        .collect();
-    cosim_check_wide(&net, &scheds, 1).expect("back-ends agree");
+    let lanes = 8;
+    cosim_check_wide(&net, &cfg, 0, lanes, 1500, 1).expect("back-ends agree");
     println!(
-        "  {} schedules x 1500 cycles: every lane agrees with its behavioural \
-         reference, lane 0 also with the scalar gate-level simulator",
-        scheds.len()
+        "  {lanes} schedules x 1500 cycles: every lane agrees with its behavioural \
+         reference, lane 0 also with the scalar gate-level simulator"
     );
     println!("\nall checks passed");
 }

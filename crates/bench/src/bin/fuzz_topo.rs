@@ -25,8 +25,9 @@
 //! Usage: `fuzz_topo [--seed N] [--count N] [--cycles N] [--lanes N]
 //! [--threads N] [--json PATH] [--inject]`
 
-use elastic_bench::exp::{default_threads, flag_value, parse_flag, reject_unknown_flags};
+use elastic_bench::exp::default_threads;
 use elastic_bench::fuzz::{run_fuzz, FuzzOpts};
+use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -30,10 +30,9 @@
 //! [--mc-topologies N] [--check] [--json PATH]`
 //! (JSON defaults to `BENCH_pr9.json`; `--trials` is lanes per job).
 
-use elastic_bench::exp::{
-    check_determinism, default_threads, parse_classes, parse_flag, parse_list, reject_unknown_flags,
-};
+use elastic_bench::exp::{check_determinism, default_threads, parse_classes, parse_list};
 use elastic_bench::stabilize::{run_stabilization_campaign, StabilizationOpts, PROCESS_CLASSES};
+use elastic_lint::cli::{parse_flag, reject_unknown_flags};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

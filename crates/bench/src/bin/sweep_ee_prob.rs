@@ -18,9 +18,10 @@
 //! defaults to runtime width dispatch over the streaming pipeline).
 
 use elastic_bench::exp::{
-    ee_prob_experiment, run_experiment_opts, CampaignReport, CliOpts, EE_CONFIGS,
+    ee_prob_experiment, run_experiment_opts, CampaignReport, CliOpts, Experiment, SystemSpec,
+    EE_CONFIGS,
 };
-use elastic_bench::{measure_speedup, WideHarness};
+use elastic_bench::measure_speedup;
 use elastic_core::systems::{paper_example, Config};
 use elastic_netlist::wide::LANES;
 
@@ -51,14 +52,21 @@ fn main() {
     }
 
     // Speedup of the bit-parallel backend over the scalar gate-level
-    // interpreter, on one 64-schedule word of the active configuration.
-    let sys = paper_example(Config::ActiveAntiTokens).expect("builds");
-    let harness = WideHarness::new(&sys.network, sys.output_channel);
-    let scheds = WideHarness::schedules(&sys.network, &sys.env_config, 13, opts.cycles, LANES);
-    let speed = measure_speedup(&harness, &scheds);
+    // interpreter, one worker each, on one 64-trial word of the active
+    // configuration.
+    let config = Config::ActiveAntiTokens;
+    let speed = measure_speedup(&Experiment {
+        label: "speedup".into(),
+        system: SystemSpec::Paper(config),
+        env: paper_example(config).expect("builds").env_config,
+        cycles: opts.cycles,
+        trials: LANES,
+        seed: 13,
+    })
+    .expect("speedup point");
     assert!(speed.rates_match, "wide and scalar paths diverged");
     println!(
-        "\nwide backend: {} trials x {} cycles in {:.3}s; scalar path {:.3}s \
+        "\nwide backend: {} trials x {} cycles in {:.3}s; scalar backend {:.3}s \
          -> {:.1}x per-trial speedup (rates bit-identical)",
         speed.lanes,
         speed.cycles,

@@ -1,6 +1,6 @@
 //! Sharded multi-threaded Monte-Carlo experiment engine.
 //!
-//! A single [`crate::WideHarness::run`] advances at most
+//! A single [`crate::WideHarness::try_run_stim`] advances at most
 //! [`crate::MAX_TRIALS_PER_RUN`] (= 512) trials in one bit-parallel pass.
 //! This module scales the paper's randomized experiments (Sect. 6.1,
 //! Figs. 5–9, Table 1) to arbitrary trial counts across OS threads:
@@ -57,6 +57,8 @@ use elastic_core::network::ElasticNetwork;
 use elastic_core::sim::{DataGen, EnvConfig, SourceCfg};
 use elastic_core::systems::{paper_example, Config};
 use elastic_core::CoreError;
+use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags};
+use elastic_lint::json_str;
 use elastic_netlist::wide::LANES;
 
 use crate::stabilize::{StabilizationOpts, StabilizationReport};
@@ -741,25 +743,6 @@ impl CampaignReport {
     }
 }
 
-/// Minimal JSON string escape (quotes, backslashes, control chars).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Finite floats only — JSON has no NaN/Inf, so degrade to null.
 pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
@@ -853,55 +836,6 @@ impl CliOpts {
     }
 }
 
-/// The first flag of `args` that [`reject_unknown_flags`] rejects.
-fn unknown_flag<'a>(args: &'a [String], values: &[&str], switches: &[&str]) -> Option<&'a str> {
-    let mut rest = args.iter().skip(1).map(String::as_str);
-    while let Some(arg) = rest.next() {
-        if values.contains(&arg) {
-            rest.next();
-        } else if arg.starts_with("--") && !switches.contains(&arg) {
-            return Some(arg);
-        }
-    }
-    None
-}
-
-/// Exits with status 2 when `args` holds, after the program name, an
-/// argument spelled like a flag (`--…`) that is neither one of `values`,
-/// the flags that take a value, nor one of `switches`, the flags that
-/// stand alone: a misspelled flag would otherwise run, and report, the
-/// default campaign. The argument after a value flag is that flag's
-/// value, as [`flag_value`] reads it, and is never taken for a flag.
-pub fn reject_unknown_flags(args: &[String], values: &[&str], switches: &[&str]) {
-    if let Some(flag) = unknown_flag(args, values, switches) {
-        eprintln!("error: unknown flag {flag:?}");
-        std::process::exit(2);
-    }
-}
-
-/// The value following `flag` in `args`, `None` when the flag is absent.
-/// A flag present without a value exits with status 2.
-pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: {flag} requires a value");
-            std::process::exit(2);
-        })
-    })
-}
-
-/// `flag`'s value parsed as `T`, `dflt` when the flag is absent. A missing
-/// or unparsable value exits with status 2 (see [`CliOpts::parse`]).
-pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, dflt: T) -> T {
-    match flag_value(args, flag) {
-        None => dflt,
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("error: invalid value for {flag}: {raw:?}");
-            std::process::exit(2);
-        }),
-    }
-}
-
 /// `flag`'s comma-separated list, `dflt` when the flag is absent; empty
 /// items are skipped and an unparsable one exits with status 2.
 pub fn parse_list<T: std::str::FromStr>(args: &[String], flag: &str, dflt: Vec<T>) -> Vec<T> {
@@ -978,6 +912,7 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
     use elastic_core::systems::linear_pipeline;
+    use elastic_lint::cli::unknown_flag;
 
     #[test]
     fn unknown_flags_are_found_and_values_are_skipped() {
@@ -1110,13 +1045,13 @@ mod tests {
         // WideHarness.
         let (net, out) = system.build().unwrap();
         let h = WideHarness::new(&net, out);
-        let s0 = WideHarness::schedules(&net, &env, 400, 60, 64);
-        let s1 = WideHarness::schedules(&net, &env, 400 + 64, 60, 6);
-        let expect: Vec<f64> = h
-            .run(&s0)
-            .per_lane
+        let plan = h.program().block_plan(1, usize::MAX);
+        let expect: Vec<f64> = [(400, 64), (400 + 64, 6)]
             .into_iter()
-            .chain(h.run(&s1).per_lane)
+            .flat_map(|(seed, lanes)| {
+                let stim = h.generate_stimulus(&net, &env, seed, 60, lanes, 1).unwrap();
+                h.try_run_stim(&stim, lanes, &plan).unwrap().per_lane
+            })
             .collect();
         assert_eq!(res.stats.per_lane, expect);
         assert_eq!(narrow.stats.per_lane, expect);
@@ -1127,7 +1062,7 @@ mod tests {
         // The same experiment on every backend — scalar interpreter on the
         // raw netlist included — must produce the identical per-lane
         // vector: the end-to-end cross-check of the optimize → levelize →
-        // peephole → pack pipeline.
+        // peephole → generate pipeline.
         let (system, env) = pipeline_spec();
         let exp = Experiment {
             label: "backends".into(),

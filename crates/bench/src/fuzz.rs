@@ -33,9 +33,9 @@ use elastic_core::gen::{
     shrink_params_by, DiffOptions, DiffReport, GeneratedSystem, TopoParams,
 };
 use elastic_core::network::{ComponentKind, ElasticNetwork};
-use elastic_lint::lint_network;
+use elastic_lint::{json_str, lint_network};
 
-use crate::exp::{json_f64, json_str};
+use crate::exp::json_f64;
 
 /// Fault classes the inject mode rotates through, keyed on the master
 /// seed: the lowering sabotage plus every transient rail class of

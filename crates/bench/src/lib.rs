@@ -18,7 +18,6 @@ pub mod stabilize;
 mod stream;
 
 use std::sync::OnceLock;
-use std::time::Instant;
 
 use elastic_core::channel::ChanId;
 use elastic_core::compile::{compile, CompileOptions, FaultInjection};
@@ -224,17 +223,18 @@ impl McStats {
     }
 }
 
-/// Maximum schedules a single [`WideHarness::run`] advances at once: the
-/// widest (`W = 8`) multi-word backend packs 512 trials per tape pass.
+/// Maximum trials a single [`WideHarness::try_run_stim`] advances at
+/// once: the widest (`W = 8`) multi-word backend runs 512 trials per tape
+/// pass.
 pub const MAX_TRIALS_PER_RUN: usize = 8 * LANES;
 
 /// Which execution engine a Monte-Carlo run uses.
 ///
 /// All backends produce bit-identical per-lane [`McStats`] for the same
-/// schedules (asserted by tests and the `campaign` binary); they differ
-/// only in speed. `Scalar` runs the raw unoptimized netlist through the
+/// seeds (asserted by tests and the `campaign` binary); they differ only
+/// in speed. `Scalar` runs the raw unoptimized netlist through the
 /// gate-level interpreter — the end-to-end reference that cross-checks the
-/// whole optimize → levelize → peephole → pack pipeline.
+/// whole optimize → levelize → peephole → generate pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// One scalar gate-level [`Simulator`] run per trial, raw netlist.
@@ -450,14 +450,16 @@ impl SimLowering {
     }
 }
 
-/// A lowered network plus everything needed to replay [`Schedule`]s
-/// against it — compile once, run many schedule batches.
+/// A lowered network plus everything needed to simulate trials on it —
+/// compile once, run many stimulus batches.
 ///
-/// Construction runs the [`SimLowering`] pipeline without fault sites;
-/// every run then packs its schedules into a [`PackedStimulus`] matrix and
-/// streams them through a [`WideSim<W>`] with sparse `trailing_zeros`
-/// transfer counting. The raw gate-for-gate compile and the scalar
-/// [`Simulator`] of the reference path are built on that path's first use.
+/// Construction runs the [`SimLowering`] pipeline without fault sites.
+/// The wide path is one producer and one loop:
+/// [`WideHarness::generate_stimulus`] writes a [`PackedStimulus`] matrix
+/// and [`WideHarness::try_run_stim`] streams it through a [`WideSim<W>`]
+/// with bit-sliced transfer counting. The scalar reference path
+/// ([`WideHarness::try_run_scalar`]) replays each trial's [`Schedule`] on
+/// the raw gate-for-gate compile, built on that path's first use.
 ///
 /// # Panics
 ///
@@ -584,98 +586,11 @@ impl WideHarness {
             .collect()
     }
 
-    /// Runs all schedules at once through the narrowest multi-word backend
-    /// that holds them (≤ 64 → `W = 1`, ≤ 128 → `W = 2`, …): one
-    /// peephole-optimized tape pass per cycle advances every trial from the
-    /// packed stimulus matrix. Partial final words are masked to the live
-    /// lanes, so dead lanes can never pollute the statistics.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ScheduleBatch`] for an empty batch, more than
-    /// [`MAX_TRIALS_PER_RUN`] schedules, or mixed horizons.
-    pub fn try_run(&self, schedules: &[Schedule]) -> Result<McStats, CoreError> {
-        match schedules.len() {
-            0 => Err(CoreError::ScheduleBatch("empty schedule batch".into())),
-            n if n <= LANES => self.try_run_w::<1>(schedules),
-            n if n <= 2 * LANES => self.try_run_w::<2>(schedules),
-            n if n <= 4 * LANES => self.try_run_w::<4>(schedules),
-            n if n <= 8 * LANES => self.try_run_w::<8>(schedules),
-            n => Err(CoreError::ScheduleBatch(format!(
-                "{n} schedules exceed the {MAX_TRIALS_PER_RUN}-lane capacity"
-            ))),
-        }
-    }
-
-    /// Panicking wrapper around [`WideHarness::try_run`] for the bench
-    /// binaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics on bad batches (see [`WideHarness::try_run`]).
-    pub fn run(&self, schedules: &[Schedule]) -> McStats {
-        self.try_run(schedules).expect("runs")
-    }
-
-    /// Runs a batch on an explicitly chosen [`Backend`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ScheduleBatch`] when the batch is empty, exceeds the
-    /// backend's lane capacity, or mixes horizons.
-    pub fn try_run_backend(
-        &self,
-        schedules: &[Schedule],
-        backend: Backend,
-    ) -> Result<McStats, CoreError> {
-        match backend {
-            Backend::Scalar => self.try_run_scalar(schedules),
-            Backend::Wide1 => self.try_run_w::<1>(schedules),
-            Backend::Wide2 => self.try_run_w::<2>(schedules),
-            Backend::Wide4 => self.try_run_w::<4>(schedules),
-            Backend::Wide8 => self.try_run_w::<8>(schedules),
-        }
-    }
-
-    /// The multi-word hot loop: pack once, then stream rows into the
-    /// values arena by slot index and count transfers by iterating the set
-    /// bits of the per-word transfer mask (`trailing_zeros`), instead of
-    /// shifting through all 64 lanes every cycle.
-    fn try_run_w<const W: usize>(&self, schedules: &[Schedule]) -> Result<McStats, CoreError> {
-        let cycles = Self::try_horizon(schedules)?;
-        let stim = PackedStimulus::pack(&self.wide_tb, schedules, W)?;
-        let mut sim: WideSim<W> = WideSim::from_program(self.prog.clone());
-        sim.check_input_slots(stim.slots())
-            .map_err(CoreError::from)?;
-        let live = lane_masks::<W>(schedules.len());
-        let [vp, sp, vn] = self.obs_rails;
-        let mut counts = vec![0u32; schedules.len()];
-        for t in 0..cycles as usize {
-            sim.cycle_packed(stim.slots(), stim.row(t));
-            // Positive transfer: V+ & !S+ & !V- (kills excluded), one word
-            // of lanes at a time.
-            for (w, &mask) in live.iter().enumerate() {
-                let mut m = sim.word(vp, w) & !sim.word(sp, w) & !sim.word(vn, w) & mask;
-                while m != 0 {
-                    counts[w * LANES + m.trailing_zeros() as usize] += 1;
-                    m &= m - 1;
-                }
-            }
-        }
-        Ok(McStats {
-            cycles,
-            per_lane: counts
-                .iter()
-                .map(|&c| f64::from(c) / cycles as f64)
-                .collect(),
-        })
-    }
-
-    /// Generates a packed stimulus matrix for `lanes` trials directly —
-    /// the streaming pipeline's producer stage. Bit-identical to packing
-    /// [`WideHarness::schedules`] with the same arguments (each lane `k`
-    /// replays the RNG stream of seed `seed + k`), but built in one fused
-    /// pass without materializing [`Schedule`]s.
+    /// Generates a packed stimulus matrix for `lanes` trials with
+    /// [`PackedStimulus::generate`] — the streaming pipeline's producer
+    /// stage. Lane `k` replays the RNG stream of seed `seed + k`, so
+    /// schedule `k` of [`WideHarness::schedules`] with the same arguments
+    /// is its scalar view.
     ///
     /// # Errors
     ///
@@ -794,43 +709,11 @@ impl WideHarness {
         })
     }
 
-    /// The pre-packing execution path: the same peephole-optimized program,
-    /// but driven per cycle through
-    /// [`NetlistTestbench::wide_inputs_at`]'s freshly allocated
-    /// `(NetId, mask)` vectors. Kept to attribute the stimulus-packing gain
-    /// in benchmarks and as the reference for the packed-equivalence
-    /// property tests (≤ 64 schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty/mixed-horizon batches or more than [`LANES`]
-    /// schedules.
-    pub fn run_unpacked(&self, schedules: &[Schedule]) -> McStats {
-        let cycles = Self::try_horizon(schedules).expect("valid batch");
-        let live = lane_masks::<1>(schedules.len())[0];
-        let mut sim: WideSim<1> = WideSim::from_program(self.prog.clone());
-        let [vp, sp, vn] = self.obs_rails;
-        let mut counts = vec![0u64; schedules.len()];
-        for t in 0..cycles {
-            sim.cycle(&self.wide_tb.wide_inputs_at(schedules, t))
-                .expect("runs");
-            let mask = sim.value(vp) & !sim.value(sp) & !sim.value(vn) & live;
-            for (lane, c) in counts.iter_mut().enumerate() {
-                *c += mask >> lane & 1;
-            }
-        }
-        McStats {
-            cycles,
-            per_lane: counts.iter().map(|&c| c as f64 / cycles as f64).collect(),
-        }
-    }
-
-    /// Reference path: the same schedules, one scalar gate-level
-    /// [`Simulator`] run per trial over the **unoptimized** netlist.
-    /// Produces identical statistics to every other backend (asserted in
-    /// tests) — this is the end-to-end cross-check of the optimizer, the
-    /// peephole pass and the packed stimulus, and the baseline for speedup
-    /// measurements.
+    /// Reference path: one scalar gate-level [`Simulator`] run per
+    /// schedule over the **unoptimized** netlist. Produces identical
+    /// statistics to every other backend (asserted in tests) — this is the
+    /// end-to-end cross-check of the optimizer, the peephole pass and the
+    /// generated stimulus, and the baseline for speedup measurements.
     ///
     /// # Errors
     ///
@@ -880,9 +763,11 @@ pub struct SpeedupReport {
     pub lanes: usize,
     /// Cycles per trial.
     pub cycles: u64,
-    /// Wall-clock seconds for the wide pass (all trials at once).
+    /// Wall-clock seconds of one engine worker on the wide backend:
+    /// stimulus generation and tape execution.
     pub wide_secs: f64,
-    /// Wall-clock seconds for the scalar pass (one run per trial).
+    /// Wall-clock seconds of one worker on the scalar backend: schedule
+    /// generation and one gate-level run per trial.
     pub scalar_secs: f64,
     /// Whether both paths produced identical per-lane rates.
     pub rates_match: bool,
@@ -895,22 +780,34 @@ impl SpeedupReport {
     }
 }
 
-/// Times the wide backend against the scalar path on the same schedule set
-/// and cross-checks their statistics.
-pub fn measure_speedup(harness: &WideHarness, schedules: &[Schedule]) -> SpeedupReport {
-    let t0 = Instant::now();
-    let wide = harness.run(schedules);
-    let wide_secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let scalar = harness.run_scalar(schedules);
-    let scalar_secs = t1.elapsed().as_secs_f64();
-    SpeedupReport {
-        lanes: schedules.len(),
-        cycles: wide.cycles,
-        wide_secs,
-        scalar_secs,
-        rates_match: wide.per_lane == scalar.per_lane,
-    }
+/// Times one engine worker ([`exp::run_prepared`] on the dispatched wide
+/// backend) against one worker of the scalar backend, which runs
+/// [`WideHarness::try_run_scalar`], on the same point, and cross-checks
+/// their per-lane rates. The system is compiled once, outside both times.
+///
+/// # Errors
+///
+/// Everything [`exp::run_experiment`] reports.
+pub fn measure_speedup(point: &exp::Experiment) -> Result<SpeedupReport, exp::ExpError> {
+    let (network, out) = point.system.build()?;
+    let harness = WideHarness::try_new(&network, out)?;
+    let one = exp::EngineOpts {
+        threads: 1,
+        ..exp::EngineOpts::default()
+    };
+    let wide = exp::run_prepared(&harness, &network, point, &one)?;
+    let scalar_backend = exp::EngineOpts {
+        backend: BackendSel::Fixed(Backend::Scalar),
+        ..one
+    };
+    let scalar = exp::run_prepared(&harness, &network, point, &scalar_backend)?;
+    Ok(SpeedupReport {
+        lanes: point.trials,
+        cycles: wide.stats.cycles,
+        wide_secs: wide.wall_secs,
+        scalar_secs: scalar.wall_secs,
+        rates_match: wide.stats.per_lane == scalar.stats.per_lane,
+    })
 }
 
 /// Convenience: positive/negative/kill rates of a channel from a report.
@@ -1018,10 +915,9 @@ mod tests {
     #[test]
     fn try_run_rejects_bad_batches_typed() {
         // Satellite hardening: empty and mixed-horizon batches are typed
-        // errors on every entry point, not panics.
+        // errors on the scalar reference path, not panics.
         let sys = paper_example(Config::ActiveAntiTokens).unwrap();
         let h = WideHarness::new(&sys.network, sys.output_channel);
-        assert!(matches!(h.try_run(&[]), Err(CoreError::ScheduleBatch(_))));
         assert!(matches!(
             h.try_run_scalar(&[]),
             Err(CoreError::ScheduleBatch(_))
@@ -1029,29 +925,21 @@ mod tests {
         let mut mixed = WideHarness::schedules(&sys.network, &sys.env_config, 1, 50, 2);
         mixed.push(Schedule::random(&sys.network, &sys.env_config, 9, 60));
         assert!(matches!(
-            h.try_run(&mixed),
-            Err(CoreError::ScheduleBatch(_))
-        ));
-        assert!(matches!(
             h.try_run_scalar(&mixed),
             Err(CoreError::ScheduleBatch(_))
         ));
-        // Capacity: 65 schedules overflow the single-word backend but fit
-        // the default auto-width path.
-        let many = WideHarness::schedules(&sys.network, &sys.env_config, 1, 20, 65);
-        assert!(matches!(
-            h.try_run_backend(&many, Backend::Wide1),
-            Err(CoreError::ScheduleBatch(_))
-        ));
-        assert_eq!(h.try_run(&many).unwrap().trials(), 65);
     }
 
     #[test]
     fn wide_and_scalar_mc_agree_exactly() {
         let sys = paper_example(Config::ActiveAntiTokens).unwrap();
         let h = WideHarness::new(&sys.network, sys.output_channel);
+        let stim = h
+            .generate_stimulus(&sys.network, &sys.env_config, 5, 400, 6, 1)
+            .unwrap();
+        let plan = h.program().block_plan(1, usize::MAX);
+        let wide = h.try_run_stim(&stim, 6, &plan).unwrap();
         let scheds = WideHarness::schedules(&sys.network, &sys.env_config, 5, 400, 6);
-        let wide = h.run(&scheds);
         let scalar = h.run_scalar(&scheds);
         assert_eq!(wide.per_lane, scalar.per_lane);
         assert!(wide.mean() > 0.1 && wide.mean() < 1.0, "{}", wide.mean());
@@ -1075,13 +963,14 @@ mod tests {
     #[test]
     fn stimulus_path_matches_schedule_path_exactly() {
         // The streaming producer/consumer pair (generate_stimulus +
-        // try_run_stim) must be bit-identical to the batch path (schedules
-        // + try_run) for every width and for blocked execution.
+        // try_run_stim) must be bit-identical to the scalar reference on
+        // the same seeds' schedules for every width and for blocked
+        // execution.
         let sys = paper_example(Config::ActiveAntiTokens).unwrap();
         let h = WideHarness::new(&sys.network, sys.output_channel);
         let (seed, cycles, lanes) = (21u64, 300usize, 70usize);
         let scheds = WideHarness::schedules(&sys.network, &sys.env_config, seed, cycles, lanes);
-        let batch = h.try_run(&scheds).unwrap();
+        let batch = h.run_scalar(&scheds);
         for width in [2usize, 4, 8] {
             let stim = h
                 .generate_stimulus(&sys.network, &sys.env_config, seed, cycles, lanes, width)
@@ -1157,8 +1046,11 @@ mod tests {
         for config in [Config::ActiveAntiTokens, Config::NoEarlyEval] {
             let sys = paper_example(config).unwrap();
             let h = WideHarness::new(&sys.network, sys.output_channel);
-            let scheds = WideHarness::schedules(&sys.network, &sys.env_config, 11, 1500, 32);
-            means.push(h.run(&scheds).mean());
+            let stim = h
+                .generate_stimulus(&sys.network, &sys.env_config, 11, 1500, 32, 1)
+                .unwrap();
+            let plan = h.program().block_plan(1, usize::MAX);
+            means.push(h.try_run_stim(&stim, 32, &plan).unwrap().mean());
         }
         assert!(
             means[0] > means[1] * 1.1,

@@ -56,12 +56,13 @@ use elastic_core::protocol::RecoveryDetector;
 use elastic_core::systems::{linear_pipeline, paper_example, Config};
 use elastic_core::verify::{check_network_convergence, PackedStimulus};
 use elastic_core::CoreError;
+use elastic_lint::json_str;
 use elastic_mc::{BridgeOptions, ConvergenceReport};
 use elastic_netlist::levelize::Program;
 use elastic_netlist::wide::{lane_masks, WideSim, LANES};
 use elastic_netlist::NetId;
 
-use crate::exp::{default_threads, effective_threads, json_f64, json_str};
+use crate::exp::{default_threads, effective_threads, json_f64};
 use crate::stream::run_pipeline;
 use crate::{SimLowering, MAX_TRIALS_PER_RUN};
 

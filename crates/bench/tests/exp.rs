@@ -40,17 +40,20 @@ fn pipeline_experiment(trials: usize, seed: u64, cycles: usize) -> Experiment {
     }
 }
 
-/// Reference path: drive each 64-lane word directly through
-/// `WideHarness::run` (no worker pool, no cursor, no reduction) and flatten
-/// in seed order.
+/// Reference path: generate and run each 64-lane word directly through
+/// the single-word `WideHarness` path (no worker pool, no cursor, no
+/// reduction) and flatten in seed order.
 fn direct_per_lane(exp: &Experiment) -> Vec<f64> {
     let (net, out) = exp.system.build().unwrap();
     let h = WideHarness::new(&net, out);
+    let plan = h.program().block_plan(1, usize::MAX);
     shards(exp.trials, exp.seed)
         .iter()
         .flat_map(|s| {
-            let scheds = WideHarness::schedules(&net, &exp.env, s.seed, exp.cycles, s.lanes);
-            h.run(&scheds).per_lane
+            let stim = h
+                .generate_stimulus(&net, &exp.env, s.seed, exp.cycles, s.lanes, 1)
+                .unwrap();
+            h.try_run_stim(&stim, s.lanes, &plan).unwrap().per_lane
         })
         .collect()
 }
@@ -107,38 +110,6 @@ proptest! {
             }
             prop_assert_eq!(next, seed + n as u64);
         }
-    }
-
-    /// Satellite (c): a `PackedStimulus`-driven run reproduces the
-    /// `wide_inputs_at`-driven (per-cycle allocation) path bit-exactly for
-    /// any shard size — the two stimulus paths execute the identical
-    /// optimized program, so the per-lane rate vectors must be equal, not
-    /// just close.
-    #[test]
-    fn packed_runs_equal_unpacked_runs(n in 1usize..150, seed in 0u64..1000) {
-        let exp = pipeline_experiment(n, seed, 30);
-        let (net, out) = exp.system.build().unwrap();
-        let h = WideHarness::new(&net, out);
-        // Packed, auto-width multi-word path (what campaigns run).
-        let packed: Vec<f64> = shards_for(n, seed, 8 * LANES)
-            .iter()
-            .flat_map(|s| {
-                let scheds = WideHarness::schedules(&net, &exp.env, s.seed, exp.cycles, s.lanes);
-                h.run(&scheds).per_lane
-            })
-            .collect();
-        // Unpacked single-word reference (pre-PR4 stimulus path).
-        let unpacked: Vec<f64> = shards(n, seed)
-            .iter()
-            .flat_map(|s| {
-                let scheds = WideHarness::schedules(&net, &exp.env, s.seed, exp.cycles, s.lanes);
-                h.run_unpacked(&scheds).per_lane
-            })
-            .collect();
-        prop_assert_eq!(&packed, &unpacked);
-        // And the sharded engine agrees with both on every backend width.
-        let engine = run_experiment_backend(&exp, 3, Backend::Wide4).unwrap();
-        prop_assert_eq!(&engine.stats.per_lane, &packed);
     }
 
     /// Tentpole invariant: the streaming pipeline is bit-identical to the

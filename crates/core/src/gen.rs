@@ -641,13 +641,11 @@ pub fn differential_check(
 ) -> Result<DiffReport, CoreError> {
     let net = &sys.network;
     let cycles = opts.cycles.max(1);
-    let mut schedules: Vec<Schedule> = (0..opts.lanes.max(1))
-        .map(|k| Schedule::random(net, &sys.env, opts.seed.wrapping_add(k as u64), cycles))
-        .collect();
+    let lanes = opts.lanes.max(1);
 
     // Side (b): the PR-4 compiled pipeline — optimizing compile (all
-    // channel rails are preserved as outputs), levelize + peephole, packed
-    // stimulus, bit-parallel execution.
+    // channel rails are preserved as outputs), levelize + peephole,
+    // generated stimulus, bit-parallel execution.
     let faults: Vec<FaultInjection> = opts.fault.iter().cloned().collect();
     let compiled = compile(
         net,
@@ -661,29 +659,33 @@ pub fn differential_check(
     let (prog, _) = Program::compile_optimized(&compiled.netlist).map_err(CoreError::from)?;
     let mut wide: WideSim<1> = WideSim::from_program(prog);
     let tb = NetlistTestbench::with_faults(net, &compiled.netlist, GEN_DATA_WIDTH, &faults)?;
+    let mut stim = PackedStimulus::generate(&tb, net, &sys.env, opts.seed, lanes, cycles, 1)?;
     // Rail faults get armed in every lane of the compiled side only; the
-    // behavioural lanes replay the same schedules but ignore the arm
-    // stream, staying the faithful reference.
-    let fault_window = if tb.fault_cols().is_empty() {
-        None
-    } else {
-        let (start, len) = opts
-            .fault_window
-            .unwrap_or((cycles / 4, (cycles / 8).max(1)));
-        for s in &mut schedules {
-            s.arm_fault(0, start, len)?;
+    // behavioural lanes replay the same schedules without the arm stream,
+    // staying the faithful reference.
+    let fault_window = match tb.fault_cols().first() {
+        None => None,
+        Some(&col) => {
+            let (start, len) = opts
+                .fault_window
+                .unwrap_or((cycles / 4, (cycles / 8).max(1)));
+            for lane in 0..lanes {
+                stim.arm_fault(col, lane, start, len)?;
+            }
+            Some((start, len))
         }
-        Some((start, len))
     };
-    let stim = PackedStimulus::pack(&tb, &schedules, 1)?;
     wide.check_input_slots(stim.slots())
         .map_err(CoreError::from)?;
 
-    // Side (a): the behavioural reference, one instance per lane, plus the
-    // DMG replayer fed from lane 0's transfer trace.
-    let mut behavs: Vec<(BehavSim, Schedule)> = schedules
-        .iter()
-        .map(|s| Ok((BehavSim::new(net)?, s.clone())))
+    // Side (a): the behavioural reference, one instance per lane replaying
+    // lane k's schedule, plus the DMG replayer fed from lane 0's transfer
+    // trace.
+    let mut behavs: Vec<(BehavSim, Schedule)> = (0..lanes)
+        .map(|k| {
+            let sched = Schedule::random(net, &sys.env, opts.seed.wrapping_add(k as u64), cycles);
+            Ok((BehavSim::new(net)?, sched))
+        })
         .collect::<Result<_, CoreError>>()?;
     let mut replayer = Replayer::new(&sys.dmg, sys.bounds.clone())
         .map_err(|e| CoreError::Differential(format!("replayer setup: {e}")))?;

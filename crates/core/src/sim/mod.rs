@@ -75,8 +75,9 @@ enum VlPhase {
 ///
 /// For statistical experiments over many random schedules prefer the
 /// compiled bit-parallel backend (`elastic_netlist::wide::WideSimulator`
-/// driven through `crate::verify::NetlistTestbench`), which this simulator
-/// cross-validates (see `crate::verify::cosim_check_wide`).
+/// driven by `crate::verify::PackedStimulus::generate`), which this
+/// simulator cross-validates lane by lane on each lane's
+/// `crate::verify::Schedule` (see `crate::verify::cosim_check_wide`).
 ///
 /// # Example
 ///

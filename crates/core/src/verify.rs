@@ -223,9 +223,9 @@ impl Environment for Schedule {
 /// resolved against the rail-naming convention of [`crate::compile`].
 ///
 /// A testbench translates a [`Schedule`] into per-cycle primary-input
-/// assignments, either for one scalar simulator run ([`Self::inputs_at`])
-/// or for up to 64 schedules at once packed into the lanes of a
-/// [`WideSimulator`] ([`Self::wide_inputs_at`]).
+/// assignments for one scalar simulator run ([`Self::inputs_at`]), and
+/// fixes the column order of the lane words [`PackedStimulus::generate`]
+/// writes for the bit-parallel backends.
 #[derive(Debug, Clone)]
 pub struct NetlistTestbench {
     srcs: Vec<(String, NetId, Vec<NetId>)>,
@@ -358,70 +358,20 @@ impl NetlistTestbench {
         }
         inputs
     }
-
-    /// Lane-packed primary-input assignments for cycle `t`: bit `k` of each
-    /// mask drives lane `k` from `schedules[k]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`LANES`] schedules are supplied.
-    pub fn wide_inputs_at(&self, schedules: &[Schedule], t: u64) -> Vec<(NetId, u64)> {
-        assert!(
-            schedules.len() <= LANES,
-            "at most {LANES} schedules per wide run"
-        );
-        let pack = |f: &dyn Fn(&Schedule) -> bool| -> u64 {
-            schedules
-                .iter()
-                .enumerate()
-                .fold(0u64, |m, (k, s)| m | u64::from(f(s)) << k)
-        };
-        let mut inputs: Vec<(NetId, u64)> = Vec::new();
-        for (name, offer, dins) in &self.srcs {
-            // One schedule lookup per lane; the offer and payload-bit masks
-            // all derive from it (this runs every cycle of the Monte-Carlo
-            // hot path).
-            let mut offer_mask = 0u64;
-            let mut din_masks = vec![0u64; dins.len()];
-            for (k, s) in schedules.iter().enumerate() {
-                if let Some(d) = s.offer_at(name, t) {
-                    offer_mask |= 1 << k;
-                    for (i, m) in din_masks.iter_mut().enumerate() {
-                        *m |= (d >> i & 1) << k;
-                    }
-                }
-            }
-            inputs.push((*offer, offer_mask));
-            for (&din, &m) in dins.iter().zip(&din_masks) {
-                inputs.push((din, m));
-            }
-        }
-        for (name, stop, kill) in &self.sinks {
-            inputs.push((*stop, pack(&|s| s.stop_at(name, t))));
-            inputs.push((*kill, pack(&|s| s.kill_at(name, t))));
-        }
-        for (name, fin) in &self.vls {
-            inputs.push((*fin, pack(&|s| s.finish_at(name, t))));
-        }
-        for (site, &arm) in self.faults.iter().enumerate() {
-            inputs.push((arm, pack(&|s| s.fault_at(site, t))));
-        }
-        inputs
-    }
 }
 
 /// A dense, pre-packed stimulus matrix for the bit-parallel Monte-Carlo hot
-/// path: one `cycles × input-slots` table of lane-word groups, built once
-/// per shard from up to `width × 64` [`Schedule`]s and then streamed into
+/// path: one `cycles × input-slots` table of lane-word groups, generated
+/// once per shard by [`PackedStimulus::generate`] for up to `width × 64`
+/// trials and then streamed into
 /// [`elastic_netlist::wide::WideSim::cycle_packed`] by raw slot index — no
 /// per-cycle heap allocation, no per-lane `HashMap` lookups and no `NetId`
 /// validation inside the simulation loop.
 ///
-/// Lane `l` of every row carries schedule `schedules[l]`; word `l / 64`,
-/// bit `l % 64`. Rows reproduce [`NetlistTestbench::wide_inputs_at`]
-/// bit-for-bit (asserted by unit and property tests), the testbench input
-/// order is preserved, and `slots[i]` is the dense arena index of the
-/// testbench's `i`-th input net.
+/// Lane `l` of every row is trial `l`; word `l / 64`, bit `l % 64`. Column
+/// `i` is the testbench's `i`-th input, in [`NetlistTestbench::inputs_at`]
+/// order, and `slots[i]` is the dense arena index of its net. Lanes past
+/// the trial count are zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedStimulus {
     cycles: usize,
@@ -769,112 +719,12 @@ impl Stream {
 }
 
 impl PackedStimulus {
-    /// Packs `schedules` into a dense stimulus matrix with `width` lane
-    /// words per input (capacity `width × 64` schedules).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ScheduleBatch`] when the batch is empty, exceeds the
-    /// lane capacity, or mixes cycle horizons.
-    pub fn pack(
-        tb: &NetlistTestbench,
-        schedules: &[Schedule],
-        width: usize,
-    ) -> Result<PackedStimulus, CoreError> {
-        check_lanes(schedules.len(), width)?;
-        let cycles = schedules[0].cycles;
-        if let Some(bad) = schedules.iter().find(|s| s.cycles != cycles) {
-            return Err(CoreError::ScheduleBatch(format!(
-                "mixed horizons: {cycles} vs {}",
-                bad.cycles
-            )));
-        }
-        let slots = input_slots(tb);
-        let n = slots.len();
-        let mut words = vec![0u64; cycles * n * width];
-        // One stream lookup per (component, lane) — the per-(cycle × lane)
-        // string hashing of the unpacked path happens once, here, at pack
-        // time.
-        let cell = |t: usize, col: usize, w: usize| (t * n + col) * width + w;
-        let mut col = 0usize;
-        for (name, _, dins) in &tb.srcs {
-            for (lane, sched) in schedules.iter().enumerate() {
-                let (w, bit) = (lane / LANES, lane % LANES);
-                let Some(stream) = sched.offers.get(name) else {
-                    continue;
-                };
-                for (t, &offer) in stream.iter().take(cycles).enumerate() {
-                    if let Some(d) = offer {
-                        words[cell(t, col, w)] |= 1 << bit;
-                        for j in 0..dins.len() {
-                            if d >> j & 1 == 1 {
-                                words[cell(t, col + 1 + j, w)] |= 1 << bit;
-                            }
-                        }
-                    }
-                }
-            }
-            col += 1 + dins.len();
-        }
-        for (name, _, _) in &tb.sinks {
-            for (lane, sched) in schedules.iter().enumerate() {
-                let (w, bit) = (lane / LANES, lane % LANES);
-                for (stream, c) in [
-                    (sched.stops.get(name), col),
-                    (sched.kills.get(name), col + 1),
-                ] {
-                    let Some(stream) = stream else { continue };
-                    for (t, &v) in stream.iter().take(cycles).enumerate() {
-                        if v {
-                            words[cell(t, c, w)] |= 1 << bit;
-                        }
-                    }
-                }
-            }
-            col += 2;
-        }
-        for (name, _) in &tb.vls {
-            for (lane, sched) in schedules.iter().enumerate() {
-                let (w, bit) = (lane / LANES, lane % LANES);
-                let Some(stream) = sched.finishes.get(name) else {
-                    continue;
-                };
-                for (t, &v) in stream.iter().take(cycles).enumerate() {
-                    if v {
-                        words[cell(t, col, w)] |= 1 << bit;
-                    }
-                }
-            }
-            col += 1;
-        }
-        for site in 0..tb.faults.len() {
-            for (lane, sched) in schedules.iter().enumerate() {
-                let (w, bit) = (lane / LANES, lane % LANES);
-                let Some(stream) = sched.faults.get(site) else {
-                    continue;
-                };
-                for (t, &v) in stream.iter().take(cycles).enumerate() {
-                    if v {
-                        words[cell(t, col, w)] |= 1 << bit;
-                    }
-                }
-            }
-            col += 1;
-        }
-        debug_assert_eq!(col, n);
-        Ok(PackedStimulus {
-            cycles,
-            width,
-            slots,
-            words,
-        })
-    }
-
     /// Generates `lanes` random schedules seeded `seed..seed + lanes`
-    /// (wrapping at `u64::MAX`) **directly into packed form**, fusing
-    /// [`Schedule::random`] and [`PackedStimulus::pack`] into one pass.
+    /// (wrapping at `u64::MAX`) **directly into packed form**, without
+    /// materializing a [`Schedule`].
     ///
-    /// This is the streaming Monte-Carlo engine's stimulus producer. Each
+    /// This is the only producer of stimulus lane words; every campaign
+    /// and the wide co-simulation ([`cosim_check_wide`]) run on it. Each
     /// 64-lane word group keeps its lanes' xoshiro256** states side by side
     /// ([`StdRngLanes`]) and runs every stream through one kernel, which
     /// advances all 64 lanes together, one cycle at a time, so a cycle's
@@ -895,10 +745,11 @@ impl PackedStimulus {
     ///   offer mask.
     ///
     /// Every lane makes **exactly the draws [`Schedule::random`] makes, in
-    /// the same order**, so the packed words are bit-identical to
-    /// `PackedStimulus::pack(tb, &[Schedule::random(net, cfg, seed + j,
-    /// cycles), …], width)` (asserted by unit and property tests), without
-    /// materializing a schedule.
+    /// the same order**, so lane `j` is bit-identical to
+    /// [`NetlistTestbench::inputs_at`] of `Schedule::random(net, cfg,
+    /// seed + j, cycles)` on every cycle: `Schedule` is the scalar and
+    /// behavioural view of the generated stream (asserted by unit tests
+    /// on every kernel build, and by the wide co-simulation).
     ///
     /// # Errors
     ///
@@ -1126,8 +977,9 @@ impl PackedStimulus {
     /// Arms the fault column `col` (an entry of
     /// [`NetlistTestbench::fault_cols`]) for lane `lane` over the window
     /// `start..start + len` — each packed trial gets its own independent
-    /// fault instance this way. Bit-identical to arming the corresponding
-    /// [`Schedule`] site with [`Schedule::arm_fault`] before packing.
+    /// fault instance this way. The lane then reads like its [`Schedule`]
+    /// with the same window armed by [`Schedule::arm_fault`] on that
+    /// column's site.
     ///
     /// # Errors
     ///
@@ -1246,41 +1098,33 @@ pub fn cosim_check(
     Ok(())
 }
 
-/// Three-way co-simulation of the bit-parallel backend: runs up to 64
-/// [`Schedule`]s at once through a [`WideSimulator`], the behavioural
-/// simulator once per lane, and the scalar gate-level [`Simulator`] on
-/// lane 0, comparing all four rails (and payload bits on valid cycles) of
-/// every channel, every cycle, in every lane.
+/// Three-way co-simulation of the bit-parallel backend: generates `lanes`
+/// trials seeded `seed..seed + lanes` with [`PackedStimulus::generate`]
+/// and runs them through a [`WideSimulator`], replays each lane's
+/// [`Schedule::random`] through the behavioural simulator and lane 0's
+/// through the scalar gate-level [`Simulator`], and compares all four
+/// rails (and payload bits on valid cycles) of every channel, every cycle,
+/// in every lane.
 ///
 /// This is the compiled-backend extension of the paper's Fig. 8
-/// verification story: the wide backend must be indistinguishable from the
-/// reference interpreters before its Monte-Carlo statistics (Table 1,
-/// Figs. 5–7, 9) can be trusted.
+/// verification story: the generated stimulus and the wide backend must be
+/// indistinguishable from the reference interpreters before their
+/// Monte-Carlo statistics (Table 1, Figs. 5–7, 9) can be trusted.
 ///
 /// # Errors
 ///
-/// Returns the first divergence as [`CoreError::ProtocolViolation`] naming
-/// the cycle, channel and lane, or propagates simulation/compilation
-/// errors.
-///
-/// # Panics
-///
-/// Panics if `schedules` is empty, holds more than 64 entries, or mixes
-/// horizons.
+/// [`CoreError::ScheduleBatch`] when `lanes` is 0 or above 64; the first
+/// divergence as [`CoreError::ProtocolViolation`] naming the cycle,
+/// channel and lane; simulation and compilation errors otherwise.
 #[allow(clippy::too_many_lines)]
 pub fn cosim_check_wide(
     net: &ElasticNetwork,
-    schedules: &[Schedule],
+    cfg: &EnvConfig,
+    seed: u64,
+    lanes: usize,
+    cycles: usize,
     data_width: usize,
 ) -> Result<(), CoreError> {
-    assert!(
-        !schedules.is_empty() && schedules.len() <= LANES,
-        "1..={LANES} schedules required"
-    );
-    assert!(
-        schedules.iter().all(|s| s.cycles == schedules[0].cycles),
-        "schedules must share one horizon"
-    );
     let compiled = compile(
         net,
         &CompileOptions {
@@ -1290,14 +1134,18 @@ pub fn cosim_check_wide(
     )?;
     let nl = &compiled.netlist;
     let tb = NetlistTestbench::new(net, nl, data_width)?;
+    let stim = PackedStimulus::generate(&tb, net, cfg, seed, lanes, cycles, 1)?;
     let mut wide = WideSimulator::new(nl)?;
+    wide.check_input_slots(stim.slots())?;
     let mut scalar = Simulator::new(nl)?;
-    let mut behavs: Vec<(BehavSim, Schedule)> = schedules
-        .iter()
-        .map(|s| Ok((BehavSim::new(net)?, s.clone())))
+    let mut behavs: Vec<(BehavSim, Schedule)> = (0..lanes as u64)
+        .map(|k| {
+            let sched = Schedule::random(net, cfg, seed.wrapping_add(k), cycles);
+            Ok((BehavSim::new(net)?, sched))
+        })
         .collect::<Result<_, CoreError>>()?;
 
-    let diverged = |t: u64, chan, lane: usize, what: &str| CoreError::ProtocolViolation {
+    let diverged = |t: usize, chan, lane: usize, what: &str| CoreError::ProtocolViolation {
         channel: chan,
         message: format!(
             "wide co-simulation divergence at cycle {t} on {} lane {lane}: {what}",
@@ -1305,9 +1153,9 @@ pub fn cosim_check_wide(
         ),
     };
 
-    for t in 0..schedules[0].cycles as u64 {
-        wide.cycle(&tb.wide_inputs_at(schedules, t))?;
-        scalar.cycle(&tb.inputs_at(&schedules[0], t))?;
+    for t in 0..cycles {
+        wide.cycle_packed(stim.slots(), stim.row(t));
+        scalar.cycle(&tb.inputs_at(&behavs[0].1, t as u64))?;
         for (behav, sched) in &mut behavs {
             behav.step(sched)?;
         }
@@ -1627,10 +1475,8 @@ mod tests {
         // gate-level interpreter inside cosim_check_wide.
         for (stages, tokens) in [(1usize, 0usize), (2, 1)] {
             let (net, _, _) = linear_pipeline(stages, tokens).unwrap();
-            let scheds: Vec<Schedule> = (0..16)
-                .map(|k| Schedule::random(&net, &stress_cfg(), 100 + k, 400))
-                .collect();
-            cosim_check_wide(&net, &scheds, 1).unwrap_or_else(|e| panic!("{stages} stages: {e}"));
+            cosim_check_wide(&net, &stress_cfg(), 100, 16, 400, 1)
+                .unwrap_or_else(|e| panic!("{stages} stages: {e}"));
         }
     }
 
@@ -1640,10 +1486,7 @@ mod tests {
         // environment, with every one of the 64 lanes holding a distinct
         // schedule.
         let (net, _, _) = linear_pipeline(3, 1).unwrap();
-        let scheds: Vec<Schedule> = (0..64)
-            .map(|k| Schedule::random(&net, &stress_cfg(), 7000 + k, 300))
-            .collect();
-        cosim_check_wide(&net, &scheds, 2).unwrap();
+        cosim_check_wide(&net, &stress_cfg(), 7000, 64, 300, 2).unwrap();
     }
 
     #[test]
@@ -1651,125 +1494,30 @@ mod tests {
         use crate::systems::{paper_example, Config};
         for config in Config::all() {
             let sys = paper_example(config).unwrap();
-            let scheds: Vec<Schedule> = (0..8)
-                .map(|k| Schedule::random(&sys.network, &sys.env_config, 40 + k, 250))
-                .collect();
-            cosim_check_wide(&sys.network, &scheds, 2)
+            cosim_check_wide(&sys.network, &sys.env_config, 40, 8, 250, 2)
                 .unwrap_or_else(|e| panic!("{config:?}: {e}"));
         }
     }
 
     #[test]
-    fn packed_stimulus_matches_wide_inputs_at() {
-        // The packed matrix must reproduce the per-cycle packing of
-        // `wide_inputs_at` bit for bit, in the same input order — on a
-        // system exercising all three stream kinds (sources with payloads,
-        // sinks, variable-latency units).
-        use crate::ee::{EarlyEval, EeTerm};
-        let mut net = ElasticNetwork::new("stim");
-        let g = net.add_source("g").unwrap();
-        let s1 = net.add_source("s1").unwrap();
-        let bg = net.add_eb("bg", false).unwrap();
-        let b1 = net.add_eb("b1", false).unwrap();
-        let vl = net.add_var_latency("vl").unwrap();
-        let ee = EarlyEval::new(
-            0,
-            vec![
-                EeTerm {
-                    guard_mask: 1,
-                    guard_value: 0,
-                    required: vec![],
-                    select: 0,
-                },
-                EeTerm {
-                    guard_mask: 1,
-                    guard_value: 1,
-                    required: vec![1],
-                    select: 1,
-                },
-            ],
-        );
-        let j = net.add_early_join("w", 2, ee).unwrap();
-        let snk = net.add_sink("snk").unwrap();
-        net.connect(g, 0, bg, 0, "cg").unwrap();
-        net.connect(s1, 0, b1, 0, "c1").unwrap();
-        net.connect(b1, 0, vl, 0, "bv").unwrap();
-        net.connect(bg, 0, j, 0, "jg").unwrap();
-        net.connect(vl, 0, j, 1, "jv").unwrap();
-        net.connect(j, 0, snk, 0, "out").unwrap();
-        let compiled = compile(
-            &net,
-            &CompileOptions {
-                data_width: 2,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
-        let tb = NetlistTestbench::new(&net, &compiled.netlist, 2).unwrap();
-        let cycles = 40usize;
-        let scheds: Vec<Schedule> = (0..10)
-            .map(|k| Schedule::random(&net, &stress_cfg(), 900 + k, cycles))
-            .collect();
-        let stim = PackedStimulus::pack(&tb, &scheds, 1).unwrap();
-        assert_eq!(stim.cycles(), cycles);
-        for t in 0..cycles as u64 {
-            let reference = tb.wide_inputs_at(&scheds, t);
-            let row = stim.row(t as usize);
-            assert_eq!(reference.len(), stim.slots().len());
-            for (i, &(net_id, mask)) in reference.iter().enumerate() {
-                assert_eq!(stim.slots()[i], net_id.index() as u32, "column {i}");
-                assert_eq!(row[i], mask, "cycle {t} input {i}");
-            }
-        }
-        // Width 2: lanes past 63 spill into the second word; the first word
-        // of a 64-schedule prefix is unchanged.
-        let wide_scheds: Vec<Schedule> = (0..80)
-            .map(|k| Schedule::random(&net, &stress_cfg(), 2000 + k, 16))
-            .collect();
-        let two = PackedStimulus::pack(&tb, &wide_scheds, 2).unwrap();
-        let one = PackedStimulus::pack(&tb, &wide_scheds[..64], 1).unwrap();
-        let spill = PackedStimulus::pack(&tb, &wide_scheds[64..], 1).unwrap();
-        for t in 0..16 {
-            for i in 0..two.slots().len() {
-                assert_eq!(two.row(t)[i * 2], one.row(t)[i], "word 0 cycle {t}");
-                assert_eq!(two.row(t)[i * 2 + 1], spill.row(t)[i], "word 1 cycle {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_stimulus_rejects_bad_batches() {
+    fn wide_cosim_rejects_bad_lane_counts_typed() {
         let (net, _, _) = linear_pipeline(1, 0).unwrap();
-        let compiled = compile(&net, &CompileOptions::default()).unwrap();
-        let tb = NetlistTestbench::new(&net, &compiled.netlist, 0).unwrap();
-        let cfg = EnvConfig::default();
-        assert!(matches!(
-            PackedStimulus::pack(&tb, &[], 1),
-            Err(CoreError::ScheduleBatch(_))
-        ));
-        let too_many: Vec<Schedule> = (0..65)
-            .map(|k| Schedule::random(&net, &cfg, k, 5))
-            .collect();
-        assert!(matches!(
-            PackedStimulus::pack(&tb, &too_many, 1),
-            Err(CoreError::ScheduleBatch(_))
-        ));
-        PackedStimulus::pack(&tb, &too_many, 2).unwrap();
-        let mixed = [
-            Schedule::random(&net, &cfg, 1, 5),
-            Schedule::random(&net, &cfg, 2, 6),
-        ];
-        assert!(matches!(
-            PackedStimulus::pack(&tb, &mixed, 1),
-            Err(CoreError::ScheduleBatch(_))
-        ));
+        for lanes in [0, LANES + 1] {
+            assert!(
+                matches!(
+                    cosim_check_wide(&net, &stress_cfg(), 1, lanes, 10, 1),
+                    Err(CoreError::ScheduleBatch(_))
+                ),
+                "{lanes} lanes"
+            );
+        }
     }
 
     #[test]
     fn generate_matches_pack_of_random_schedules() {
-        // The fused generator must be bit-identical to the two-step
-        // Schedule::random → pack path for every stream kind and every RNG
-        // branch: full-rate and sub-rate sources, zero and non-zero
+        // The generator must be bit-identical to the scalar view of
+        // Schedule::random, lane by lane, for every stream kind and every
+        // RNG branch: full-rate and sub-rate sources, zero and non-zero
         // stop/kill probabilities, configured and default VL distributions,
         // and partial final word groups — through every kernel build the
         // host runs.
@@ -1790,10 +1538,10 @@ mod tests {
             // seeds wrapping near u64::MAX.
             for seed in [0u64, 424242, u64::MAX - 10] {
                 let tag = format!("{tag} seed {seed}");
-                assert_generate_matches_pack(&sys.network, &tb, &cfg, seed, 37, &[(150, 3)], &tag);
+                assert_matches_schedules(&sys.network, &tb, &cfg, seed, 37, &[(150, 3)], &tag);
             }
         }
-        // Degenerate counts mirror pack's errors.
+        // Degenerate lane counts are typed errors.
         assert!(matches!(
             PackedStimulus::generate(&tb, &sys.network, &sys.env_config, 1, 0, 10, 1),
             Err(CoreError::ScheduleBatch(_))
@@ -1816,7 +1564,7 @@ mod tests {
             })
             .collect();
         for (cfg, tag) in [(sys.env_config.clone(), "paper"), (stress_cfg(), "stress")] {
-            assert_generate_matches_pack(&sys.network, &tb, &cfg, 77, 9, &shapes, tag);
+            assert_matches_schedules(&sys.network, &tb, &cfg, 77, 9, &shapes, tag);
         }
 
         // Weighted payloads with 0 to 5 cuts, adjacent equal values, a
@@ -1841,7 +1589,7 @@ mod tests {
                     data: crate::sim::DataGen::Weighted(choices.clone()),
                 };
                 let tag = format!("rate {rate} weights {choices:?}");
-                assert_generate_matches_pack(&sys.network, &tb, &cfg, 5, 23, &[(70, 2)], &tag);
+                assert_matches_schedules(&sys.network, &tb, &cfg, 5, 23, &[(70, 2)], &tag);
             }
         }
 
@@ -1859,7 +1607,7 @@ mod tests {
                     ..sys.env_config.clone()
                 };
                 let tag = format!("stop {stop_prob} kill {kill_prob} latency {latency}");
-                assert_generate_matches_pack(&sys.network, &tb, &cfg, 3, 17, &[(65, 2)], &tag);
+                assert_matches_schedules(&sys.network, &tb, &cfg, 3, 17, &[(65, 2)], &tag);
             }
         }
 
@@ -1879,15 +1627,15 @@ mod tests {
                 .unwrap();
                 let tb = NetlistTestbench::new(&sys.network, &nl.netlist, sys.data_width).unwrap();
                 let tag = format!("{design}/{}", config.tag());
-                assert_generate_matches_pack(&sys.network, &tb, &sys.env, 11, 13, &[(65, 2)], &tag);
+                assert_matches_schedules(&sys.network, &tb, &sys.env, 11, 13, &[(65, 2)], &tag);
             }
         }
     }
 
     /// Asserts that, for each `(lanes, width)`, every kernel build
-    /// generates exactly the packing of `Schedule::random` for seeds
-    /// `seed..seed + lanes`.
-    fn assert_generate_matches_pack(
+    /// generates exactly the [`inputs_at_matrix`] of `Schedule::random` for
+    /// seeds `seed..seed + lanes`.
+    fn assert_matches_schedules(
         net: &ElasticNetwork,
         tb: &NetlistTestbench,
         cfg: &EnvConfig,
@@ -1901,16 +1649,50 @@ mod tests {
             .map(|k| Schedule::random(net, cfg, seed.wrapping_add(k), cycles))
             .collect();
         for &(lanes, width) in shapes {
-            let packed = PackedStimulus::pack(tb, &scheds[..lanes], width).unwrap();
+            let reference = inputs_at_matrix(tb, &scheds[..lanes], width);
             for kernel in Kernel::available() {
-                let fused =
+                let generated =
                     PackedStimulus::generate_with(kernel, tb, net, cfg, seed, lanes, cycles, width)
                         .unwrap();
                 assert_eq!(
-                    packed, fused,
+                    generated, reference,
                     "{tag}: {lanes} lanes, width {width}, {kernel:?}"
                 );
             }
+        }
+    }
+
+    /// `schedules` laid out as a stimulus matrix through the scalar view
+    /// [`NetlistTestbench::inputs_at`], lane `l` in bit `l % 64` of word
+    /// `l / 64`. Column `i`'s slot is the arena index of `inputs_at`'s
+    /// `i`-th net, and every lane past `schedules.len()` (the partial final
+    /// word and any unused words) is zero, so equality with this matrix
+    /// asserts both of generate's layout rules as well as every lane word.
+    fn inputs_at_matrix(
+        tb: &NetlistTestbench,
+        schedules: &[Schedule],
+        width: usize,
+    ) -> PackedStimulus {
+        let cycles = schedules[0].cycles();
+        let slots: Vec<u32> = tb
+            .inputs_at(&schedules[0], 0)
+            .iter()
+            .map(|&(id, _)| id.index() as u32)
+            .collect();
+        let n = slots.len();
+        let mut words = vec![0u64; cycles * n * width];
+        for (lane, sched) in schedules.iter().enumerate() {
+            for t in 0..cycles {
+                for (i, &(_, v)) in tb.inputs_at(sched, t as u64).iter().enumerate() {
+                    words[(t * n + i) * width + lane / LANES] |= u64::from(v) << (lane % LANES);
+                }
+            }
+        }
+        PackedStimulus {
+            cycles,
+            width,
+            slots,
+            words,
         }
     }
 
@@ -1943,7 +1725,7 @@ mod tests {
         let offers = Schedule::random(&net, &nan_rate, 4, 50);
         assert!((0..50).all(|t| offers.offer_at("src", t).is_none()));
         for (cfg, tag) in [(nan_stop, "NaN stop"), (nan_rate, "NaN rate")] {
-            assert_generate_matches_pack(&net, &tb, &cfg, 4, 50, &[(70, 2)], tag);
+            assert_matches_schedules(&net, &tb, &cfg, 4, 50, &[(70, 2)], tag);
         }
     }
 
@@ -2005,7 +1787,7 @@ mod tests {
                         ..Default::default()
                     };
                     let tag = format!("{data:?} rate {rate} width {data_width}");
-                    assert_generate_matches_pack(&net, &tb, &cfg, 50, 70, &[(70, 2)], &tag);
+                    assert_matches_schedules(&net, &tb, &cfg, 50, 70, &[(70, 2)], &tag);
                 }
             }
         }
@@ -2183,8 +1965,8 @@ mod tests {
         let tb = NetlistTestbench::with_faults(&net, &compiled.netlist, 2, &[fault]).unwrap();
         let col = tb.fault_cols()[0];
         let cycles = 30usize;
-        // Lane k gets the window (k, 3): arm schedules, pack, and compare
-        // against generate + post-generation arming.
+        // Lane k gets the window (k % 20, 3): arm the schedules, and arm
+        // the generated matrix after generation, on every kernel build.
         let cfg = stress_cfg();
         let mut scheds: Vec<Schedule> = (0..70)
             .map(|k| Schedule::random(&net, &cfg, 600 + k, cycles))
@@ -2192,25 +1974,17 @@ mod tests {
         for (k, s) in scheds.iter_mut().enumerate() {
             s.arm_fault(0, k % 20, 3).unwrap();
         }
-        let packed = PackedStimulus::pack(&tb, &scheds, 2).unwrap();
-        let mut fused = PackedStimulus::generate(&tb, &net, &cfg, 600, 70, cycles, 2).unwrap();
-        for k in 0..70 {
-            fused.arm_fault(col, k, k % 20, 3).unwrap();
-        }
-        assert_eq!(packed, fused);
-        // The per-cycle input paths agree too.
-        for t in 0..cycles as u64 {
-            let reference = tb.wide_inputs_at(&scheds[..64], t);
-            let row = packed.row(t as usize);
-            for (i, &(net_id, mask)) in reference.iter().enumerate() {
-                assert_eq!(packed.slots()[i], net_id.index() as u32);
-                assert_eq!(row[i * 2], mask, "cycle {t} input {i}");
+        let reference = inputs_at_matrix(&tb, &scheds, 2);
+        for kernel in Kernel::available() {
+            let mut armed =
+                PackedStimulus::generate_with(kernel, &tb, &net, &cfg, 600, 70, cycles, 2).unwrap();
+            for k in 0..70 {
+                armed.arm_fault(col, k, k % 20, 3).unwrap();
             }
-            let scalar = tb.inputs_at(&scheds[0], t);
-            assert_eq!(scalar.len(), packed.slots().len());
-            assert_eq!(scalar[col].1, scheds[0].fault_at(0, t));
+            assert_eq!(armed, reference, "{kernel:?}");
         }
         // arm_fault window/site validation on the packed matrix.
+        let mut fused = PackedStimulus::generate(&tb, &net, &cfg, 600, 70, cycles, 2).unwrap();
         assert!(matches!(
             fused.arm_fault(col + 1, 0, 0, 1),
             Err(CoreError::FaultSite(_))

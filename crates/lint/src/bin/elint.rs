@@ -13,30 +13,21 @@
 //! (`elastic_core::corpus`) under all five control configurations.
 //!
 //! Exits 0 when no target produced an error diagnostic, 1 otherwise
-//! (warnings never fail the run), 2 on a usage error.
+//! (warnings never fail the run), 2 on a usage error: an unknown flag, or
+//! a flag missing its value.
 
 use elastic_core::compile::{compile, CompileOptions};
 use elastic_core::corpus::{self, CorpusConfig, Knobs, DESIGNS};
 use elastic_core::gen::{generate, TopoParams, GEN_DATA_WIDTH};
 use elastic_core::systems::{paper_example, Config};
-use elastic_lint::{lint_network_with_env, lint_program, LintReport};
+use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags};
+use elastic_lint::{json_str, lint_network_with_env, lint_program, LintReport};
 use elastic_netlist::levelize::Program;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, dflt: T) -> T {
-    match args.iter().position(|a| a == flag) {
-        None => dflt,
-        Some(i) => {
-            let raw = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("error: {flag} requires a value");
-                std::process::exit(2);
-            });
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value for {flag}: {raw:?}");
-                std::process::exit(2);
-            })
-        }
-    }
-}
+/// The flags `elint` reads that take a value.
+const VALUE_FLAGS: [&str; 3] = ["--seed", "--gen-count", "--json"];
+/// The flags `elint` reads that stand alone.
+const SWITCHES: [&str; 3] = ["--corpus", "--skip-tape", "--quiet"];
 
 /// One linted target: its name and the merged findings of every pass
 /// level that ran on it.
@@ -91,15 +82,13 @@ fn lint_system(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags(&args, &VALUE_FLAGS, &SWITCHES);
     let seed: u64 = parse_flag(&args, "--seed", 2007);
     let gen_count: usize = parse_flag(&args, "--gen-count", 0);
     let corpus = args.iter().any(|a| a == "--corpus");
     let tape = !args.iter().any(|a| a == "--skip-tape");
     let quiet = args.iter().any(|a| a == "--quiet");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned());
+    let json_path = flag_value(&args, "--json");
 
     let mut targets = Vec::new();
     for config in Config::all() {
@@ -186,7 +175,7 @@ fn main() {
             s.push_str(&format!(
                 "    {{\"name\": {}, \"errors\": {}, \"warnings\": {}, \
                  \"diagnostics\": {diags}}}{sep}\n",
-                json_escape(&t.name),
+                json_str(&t.name),
                 t.report.errors().count(),
                 t.report.warnings().count(),
             ));
@@ -205,15 +194,25 @@ fn main() {
     std::process::exit(i32::from(errors > 0));
 }
 
-/// Minimal JSON string escaping for target names (always simple labels,
-/// but stay correct anyway).
-fn json_escape(s: &str) -> String {
-    let escaped: String = s
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c => vec![c],
-        })
-        .collect();
-    format!("\"{escaped}\"")
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elastic_lint::cli::unknown_flag;
+
+    #[test]
+    fn every_elint_flag_is_known_and_typos_are_not() {
+        let unknown = |line: &str| -> Option<String> {
+            let args: Vec<String> = std::iter::once("elint")
+                .chain(line.split_whitespace())
+                .map(String::from)
+                .collect();
+            unknown_flag(&args, &VALUE_FLAGS, &SWITCHES).map(String::from)
+        };
+        assert_eq!(
+            unknown("--seed 2007 --gen-count 32 --corpus --skip-tape --json out.json --quiet"),
+            None
+        );
+        assert_eq!(unknown("--corpsu --quiet").as_deref(), Some("--corpsu"));
+        assert_eq!(unknown("--gen-cout 4").as_deref(), Some("--gen-cout"));
+    }
 }

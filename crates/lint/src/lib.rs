@@ -23,7 +23,8 @@
 //! either human-readable or as JSON by [`LintReport`]. The `elint` binary
 //! drives them over the named paper systems and generated topologies; the
 //! fuzz campaign (`elastic_bench`) lints every sampled topology before
-//! simulating it.
+//! simulating it. The binaries of both crates share [`cli`]'s flag
+//! parsing and [`json_str`].
 //!
 //! # Example
 //!
@@ -52,6 +53,7 @@
 
 use std::fmt;
 
+pub mod cli;
 pub mod network;
 pub mod tape;
 
@@ -233,10 +235,10 @@ impl LintReport {
     }
 }
 
-/// JSON string escaping (same rules as the bench crate's reports: the
-/// workspace vendors no serde, so each crate that emits JSON carries this
-/// ~20-line escaper).
-pub(crate) fn json_str(s: &str) -> String {
+/// `s` as a quoted JSON string, with quotes, backslashes and control
+/// characters escaped. The workspace vendors no serde; this is the one
+/// escaper behind every JSON report, the bench crate's included.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
