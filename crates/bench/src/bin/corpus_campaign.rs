@@ -97,7 +97,6 @@ fn main() {
         for config in configs {
             let sys = build(design, config, &Knobs::default()).expect("corpus design builds");
             let copts = CompileOptions {
-                lint: false,
                 data_width: sys.data_width,
                 ..CompileOptions::default()
             };

@@ -39,7 +39,6 @@ fn main() {
 
     println!("export smoke: {count} generated topologies x 3 exporters (seed {seed})");
     let opts = CompileOptions {
-        lint: false,
         data_width: 2,
         ..CompileOptions::default()
     };

@@ -23,7 +23,8 @@
 //! fault is shrunk to minimal `TopoParams` and reported.
 //!
 //! Usage: `fuzz_topo [--seed N] [--count N] [--cycles N] [--lanes N]
-//! [--threads N] [--json PATH] [--inject]`
+//! [--threads N] [--json PATH] [--inject]`; every count is at least 1 and
+//! `--lanes` at most 64, or the run exits 2 naming the flag.
 
 use elastic_bench::exp::default_threads;
 use elastic_bench::fuzz::{run_fuzz, FuzzOpts};
@@ -45,12 +46,16 @@ fn main() {
     );
     let opts = FuzzOpts {
         seed: parse_flag(&args, "--seed", 1),
-        count: parse_flag(&args, "--count", 200usize).max(1),
-        cycles: parse_flag(&args, "--cycles", 256usize).max(1),
-        lanes: parse_flag(&args, "--lanes", 4usize).max(1),
+        count: parse_flag(&args, "--count", 200),
+        cycles: parse_flag(&args, "--cycles", 256),
+        lanes: parse_flag(&args, "--lanes", 4),
         threads: parse_flag(&args, "--threads", default_threads()),
         inject: args.iter().any(|a| a == "--inject"),
     };
+    if let Some(e) = opts.range_error() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let json_path = flag_value(&args, "--json");
 
     println!(

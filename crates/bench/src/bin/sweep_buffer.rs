@@ -12,7 +12,7 @@
 //! [--backend {auto,scalar,wide,wide1,wide2,wide4,wide8}]` (backend
 //! defaults to runtime width dispatch over the streaming pipeline).
 
-use elastic_bench::exp::{run_experiment_opts, CampaignReport, CliOpts, Experiment, SystemSpec};
+use elastic_bench::exp::{run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec};
 use elastic_core::systems::{paper_example, paper_example_with_c_depth, Config};
 use elastic_netlist::wide::LANES;
 
@@ -38,7 +38,7 @@ fn main() {
             trials: opts.trials,
             seed: opts.seed.wrapping_add(19),
         };
-        let res = run_experiment_opts(&exp, &opts.engine()).expect("campaign point");
+        let res = run_experiment(&exp, &opts.engine()).expect("campaign point");
         println!(
             "{depth:>8} {:>11.3} {:>8.3}",
             res.stats.mean(),

@@ -18,8 +18,7 @@
 //! defaults to runtime width dispatch over the streaming pipeline).
 
 use elastic_bench::exp::{
-    ee_prob_experiment, run_experiment_opts, CampaignReport, CliOpts, Experiment, SystemSpec,
-    EE_CONFIGS,
+    ee_prob_experiment, run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec, EE_CONFIGS,
 };
 use elastic_bench::measure_speedup;
 use elastic_core::systems::{paper_example, Config};
@@ -41,7 +40,7 @@ fn main() {
         for (k, (config, tag)) in EE_CONFIGS.into_iter().enumerate() {
             let exp = ee_prob_experiment(p_i, config, tag, opts.cycles, opts.trials, opts.seed)
                 .expect("builds");
-            let res = run_experiment_opts(&exp, &opts.engine()).expect("campaign point");
+            let res = run_experiment(&exp, &opts.engine()).expect("campaign point");
             cells[k] = (res.stats.mean(), res.stats.ci95());
             report.points.push(res);
         }

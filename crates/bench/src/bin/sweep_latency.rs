@@ -15,7 +15,7 @@
 //! [--backend {auto,scalar,wide,wide1,wide2,wide4,wide8}]` (backend
 //! defaults to runtime width dispatch over the streaming pipeline).
 
-use elastic_bench::exp::{run_experiment_opts, CampaignReport, CliOpts, Experiment, SystemSpec};
+use elastic_bench::exp::{run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec};
 use elastic_core::sim::LatencyDist;
 use elastic_core::systems::{paper_example, Config};
 use elastic_netlist::wide::LANES;
@@ -50,7 +50,7 @@ fn main() {
                 trials: opts.trials,
                 seed: opts.seed.wrapping_add(16),
             };
-            let res = run_experiment_opts(&exp, &opts.engine()).expect("campaign point");
+            let res = run_experiment(&exp, &opts.engine()).expect("campaign point");
             cells[k] = (res.stats.mean(), res.stats.ci95());
             report.points.push(res);
         }

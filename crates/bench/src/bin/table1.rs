@@ -10,8 +10,9 @@
 //!    experiment engine — `--trials` independent gate-level schedules with
 //!    a 95% confidence interval, which is what single-run numbers lack.
 //!
-//! Usage: `table1 [cycles] [--trials N] [--threads N] [--seed N]
-//! [--json PATH]`
+//! Usage: `table1 [cycles] [--trials N] [--threads N] [--cycles N]
+//! [--seed N] [--json PATH] [--queue N]
+//! [--backend {auto,scalar,wide,wide1,wide2,wide4,wide8}]`
 
 use elastic_bench::exp::{run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec};
 use elastic_core::systems::{paper_example, Config};
@@ -54,7 +55,7 @@ fn main() {
             trials: opts.trials,
             seed: opts.seed.wrapping_add(2007),
         };
-        let res = run_experiment(&exp, opts.threads).expect("campaign point");
+        let res = run_experiment(&exp, &opts.engine()).expect("campaign point");
         println!("  {:<22} {}", res.label, res.summary());
         report.points.push(res);
     }

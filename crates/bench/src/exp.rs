@@ -11,13 +11,16 @@
 //!        │ shards_for()             footprint + trial count (or forced);
 //!        ▼                          ⌈trials/L⌉ shards of L = W·64 lanes
 //!   [Shard 0][Shard 1]…[Shard n-1]  seed+L·i .. seed+L·i+lanes
-//!        │ streaming pipeline       compile+optimize once, share
-//!        ▼                          &WideHarness; hybrid workers pack
-//!   pack(k+1) ∥ execute(k)          shard k+1 while shard k executes
-//!        │ reduce (by shard index)  (bounded stimulus queue, see
-//!        ▼                          `stream` module docs)
+//!        │ stream::run_pipeline     compile+optimize once, share
+//!        ▼                          &WideHarness; hybrid workers generate
+//!   generate(k+1) ∥ execute(k)      shard k+1 while shard k executes
+//!        │ results by shard index   (bounded queue, see `stream`); the
+//!        ▼                          scalar backend: schedules ∥ try_run_scalar
 //!   McStats { per_lane[trials] } → mean / stddev / 95% CI
 //! ```
+//!
+//! The entry points are [`run_experiment`] and, on a prebuilt harness,
+//! [`run_prepared`].
 //!
 //! **Determinism contract:** lane *j* of the campaign always runs the
 //! schedule seeded `seed + j`, and shards are reduced in shard-index order
@@ -37,7 +40,7 @@
 //! is immutable instruction data and a
 //! [`elastic_netlist::wide::WideSimulator`] is plain owned state; both are
 //! `Send + Sync` (statically asserted in `elastic_netlist::wide`), so one
-//! [`WideHarness`] is shared by reference across the scoped worker pool and
+//! [`WideHarness`] is shared by reference across the pipeline's workers and
 //! each worker clones the power-up prototype per shard.
 //!
 //! Analytic cross-check: for configurations without early evaluation the
@@ -47,7 +50,6 @@
 
 use std::fmt;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use elastic_core::channel::ChanId;
@@ -62,7 +64,7 @@ use elastic_lint::json_str;
 use elastic_netlist::wide::LANES;
 
 use crate::stabilize::{StabilizationOpts, StabilizationReport};
-use crate::stream::run_shards_streaming;
+use crate::stream::run_pipeline;
 use crate::{
     dispatch_backend, Backend, BackendSel, McStats, WideHarness, DISPATCH_FOOTPRINT_BYTES,
 };
@@ -133,21 +135,14 @@ pub struct Experiment {
 }
 
 /// One unit of worker-pool work: a run of consecutive trials (at most the
-/// backend's lane capacity).
+/// backend's lane capacity). A shard's position in [`shards_for`]'s vector
+/// is its pipeline item index, and so its place in the reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard {
-    /// Shard index (0-based; also its reduction position).
-    pub index: usize,
     /// Seed of the shard's first lane (`lane k` uses `seed + k`).
     pub seed: u64,
     /// Live lanes in this shard (only the final shard may be partial).
     pub lanes: usize,
-}
-
-/// Splits `trials` into ⌈trials/64⌉ single-word shards — the classic PR-3
-/// chunking, equivalent to [`shards_for`] with [`LANES`] lanes per shard.
-pub fn shards(trials: usize, seed: u64) -> Vec<Shard> {
-    shards_for(trials, seed, LANES)
 }
 
 /// Splits `trials` into ⌈trials/lanes_per_shard⌉ shards with deterministic
@@ -166,7 +161,6 @@ pub fn shards_for(trials: usize, seed: u64, lanes_per_shard: usize) -> Vec<Shard
     assert!(lanes_per_shard > 0, "shards need at least one lane");
     (0..trials.div_ceil(lanes_per_shard))
         .map(|i| Shard {
-            index: i,
             seed: seed.wrapping_add((i * lanes_per_shard) as u64),
             lanes: lanes_per_shard.min(trials - i * lanes_per_shard),
         })
@@ -196,8 +190,7 @@ pub struct PointResult {
     /// Backend selection mode label (see [`BackendSel::label`]): `"auto"`
     /// when the width was runtime-dispatched, else the forced backend.
     pub dispatch: &'static str,
-    /// Bounded stimulus-queue depth of the streaming pipeline (1 for the
-    /// batch scalar path).
+    /// Bounded queue depth of the shard pipeline (at least 1).
     pub queue: usize,
 }
 
@@ -307,63 +300,18 @@ pub fn effective_threads(requested: usize, shards: usize) -> usize {
     requested.clamp(1, shards.max(1)).min(default_threads())
 }
 
-/// Runs one campaign point with default engine options (runtime-dispatched
-/// backend, streaming pipeline) — see [`run_experiment_opts`].
+/// Runs one campaign point: compiles the system **once** (through the full
+/// optimize → levelize → peephole pipeline), then runs it like
+/// [`run_prepared`].
 ///
-/// # Errors
-///
-/// [`ExpError::EmptyExperiment`] for a zero-trial/zero-cycle spec;
-/// [`ExpError::NonFiniteProbability`] for a NaN or infinite source rate or
-/// sink probability; [`ExpError::Core`] when the system fails to build or
-/// compile.
-pub fn run_experiment(exp: &Experiment, threads: usize) -> Result<PointResult, ExpError> {
-    run_experiment_opts(
-        exp,
-        &EngineOpts {
-            threads,
-            ..EngineOpts::default()
-        },
-    )
-}
-
-/// Runs one campaign point on a forced [`Backend`] — the pre-dispatch
-/// entry point, kept for backend-equivalence checks. Identical per-lane
-/// results to [`run_experiment_opts`] with [`BackendSel::Auto`] (asserted
-/// by proptests).
-///
-/// # Errors
-///
-/// [`ExpError::EmptyExperiment`] for a zero-trial/zero-cycle spec;
-/// [`ExpError::NonFiniteProbability`] for a NaN or infinite source rate or
-/// sink probability; [`ExpError::Core`] when the system fails to build or
-/// compile.
-pub fn run_experiment_backend(
-    exp: &Experiment,
-    threads: usize,
-    backend: Backend,
-) -> Result<PointResult, ExpError> {
-    run_experiment_opts(
-        exp,
-        &EngineOpts {
-            threads,
-            backend: BackendSel::Fixed(backend),
-            ..EngineOpts::default()
-        },
-    )
-}
-
-/// Runs one campaign point through the streaming pipeline.
-///
-/// The network is compiled **once** (through the full optimize → levelize →
-/// peephole pipeline); the resulting [`WideHarness`] is shared by reference
-/// across the hybrid worker pool of the `stream` module: stimulus packing
-/// (producer), tape execution (consumer) and transfer-count reduction
-/// overlap, so the stimulus for shard *k+1* is packed while shard *k*
-/// executes behind a bounded queue. The word width is taken from
-/// `opts.backend` — [`dispatch_backend`] at runtime for
-/// [`BackendSel::Auto`] — and each shard covers `backend.lanes()` trials.
-/// The scalar reference backend has no packed path and falls back to the
-/// batch engine (one gate-level interpreter run per trial).
+/// The word width is taken from `opts.backend` — [`dispatch_backend`] at
+/// runtime for [`BackendSel::Auto`] — and each shard covers
+/// `backend.lanes()` trials. The shards run through the `stream` module's
+/// worker pool with the [`WideHarness`] shared by reference: the stimulus
+/// for shard *k+1* is generated while shard *k* executes behind a bounded
+/// queue. On the scalar reference backend the producer generates the
+/// shard's schedules instead, and the consumer replays them one gate-level
+/// interpreter run per trial.
 ///
 /// See the module docs for the determinism and oversubscription contracts.
 ///
@@ -378,28 +326,12 @@ pub fn run_experiment_backend(
 ///
 /// Panics only on library bugs (a worker thread panicking mid-shard), never
 /// on bad experiment inputs.
-pub fn run_experiment_opts(exp: &Experiment, opts: &EngineOpts) -> Result<PointResult, ExpError> {
-    run_experiment_streaming(exp, opts, |_, _| {})
-}
-
-/// [`run_experiment_opts`] with a partial-result hook: `on_partial(i, s)`
-/// fires on the calling thread, in shard-index order, as soon as shards
-/// `0..=i` have all completed — live progress for long campaigns without
-/// waiting for the final reduction.
-///
-/// # Errors
-///
-/// See [`run_experiment_opts`].
-pub fn run_experiment_streaming(
-    exp: &Experiment,
-    opts: &EngineOpts,
-    on_partial: impl FnMut(usize, &McStats),
-) -> Result<PointResult, ExpError> {
+pub fn run_experiment(exp: &Experiment, opts: &EngineOpts) -> Result<PointResult, ExpError> {
     check_experiment(exp)?;
     let t0 = Instant::now();
     let (network, out) = exp.system.build()?;
     let harness = WideHarness::try_new(&network, out)?;
-    run_core(&harness, &network, exp, opts, t0, on_partial)
+    run_core(&harness, &network, exp, opts, t0)
 }
 
 /// Runs one campaign point against a **prebuilt** harness, skipping the
@@ -421,7 +353,7 @@ pub fn run_prepared(
     opts: &EngineOpts,
 ) -> Result<PointResult, ExpError> {
     check_experiment(exp)?;
-    run_core(harness, network, exp, opts, Instant::now(), |_, _| {})
+    run_core(harness, network, exp, opts, Instant::now())
 }
 
 /// Rejects an experiment with no trials or cycles, or whose environment
@@ -457,16 +389,15 @@ fn check_experiment(exp: &Experiment) -> Result<(), ExpError> {
     }
 }
 
-/// The engine core shared by every entry point: dispatch the backend,
-/// shard the trials, run the streaming pipeline (or the batch scalar
-/// fallback), reduce in shard-index order.
+/// The engine core shared by both entry points: dispatch the backend,
+/// shard the trials, run the shards through the pipeline, concatenate the
+/// per-shard statistics in shard-index order.
 fn run_core(
     harness: &WideHarness,
     network: &ElasticNetwork,
     exp: &Experiment,
     opts: &EngineOpts,
     t0: Instant,
-    mut on_partial: impl FnMut(usize, &McStats),
 ) -> Result<PointResult, ExpError> {
     let backend = match opts.backend {
         BackendSel::Auto => dispatch_backend(harness.program(), exp.trials),
@@ -474,22 +405,33 @@ fn run_core(
     };
     let work = shards_for(exp.trials, exp.seed, backend.lanes());
     let threads = effective_threads(opts.threads, work.len());
-    let stats = if backend == Backend::Scalar {
-        let mut done = run_batch_scalar(harness, network, exp, &work, threads);
-        done.sort_unstable_by_key(|&(i, _)| i);
-        for (i, s) in &done {
-            on_partial(*i, s);
-        }
-        McStats::concat(done.into_iter().map(|(_, s)| s))
+    let (env, cycles) = (&exp.env, exp.cycles);
+    let per_shard = if backend == Backend::Scalar {
+        run_pipeline(
+            work.len(),
+            threads,
+            opts.queue,
+            |i| {
+                let Shard { seed, lanes, .. } = work[i];
+                Ok(WideHarness::schedules(network, env, seed, cycles, lanes))
+            },
+            |_, schedules| harness.try_run_scalar(&schedules),
+        )?
     } else {
         let width = backend.lanes() / LANES;
         let plan = harness.program().block_plan(width, opts.block_bytes);
-        let per_shard = run_shards_streaming(
-            harness, network, &exp.env, exp.cycles, &work, width, &plan, threads, opts.queue,
-            on_partial,
-        )?;
-        McStats::concat(per_shard)
+        run_pipeline(
+            work.len(),
+            threads,
+            opts.queue,
+            |i| {
+                let Shard { seed, lanes, .. } = work[i];
+                harness.generate_stimulus(network, env, seed, cycles, lanes, width)
+            },
+            |i, stim| harness.try_run_stim(&stim, work[i].lanes, &plan),
+        )?
     };
+    let stats = McStats::concat(per_shard);
     debug_assert_eq!(stats.trials(), exp.trials);
     Ok(PointResult {
         label: exp.label.clone(),
@@ -500,54 +442,7 @@ fn run_core(
         wall_secs: t0.elapsed().as_secs_f64(),
         backend: backend.label(),
         dispatch: opts.backend.label(),
-        queue: if backend == Backend::Scalar {
-            1
-        } else {
-            opts.queue.max(1)
-        },
-    })
-}
-
-/// The scalar fallback: the classic PR4 batch pool — workers claim shards
-/// from an atomic cursor, generate that shard's schedules and run them one
-/// gate-level interpreter pass per trial. Returns unsorted
-/// `(shard index, stats)` pairs.
-fn run_batch_scalar(
-    harness: &WideHarness,
-    network: &ElasticNetwork,
-    exp: &Experiment,
-    work: &[Shard],
-    threads: usize,
-) -> Vec<(usize, McStats)> {
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, McStats)> = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(shard) = work.get(i) else { break };
-                        let scheds = WideHarness::schedules(
-                            network,
-                            &exp.env,
-                            shard.seed,
-                            exp.cycles,
-                            shard.lanes,
-                        );
-                        let stats = harness
-                            .try_run_scalar(&scheds)
-                            .expect("shard sized to the backend (library bug)");
-                        local.push((shard.index, stats));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked (library bug)"))
-            .collect()
+        queue: opts.queue.max(1),
     })
 }
 
@@ -954,6 +849,15 @@ mod tests {
         assert_eq!(unknown_flag(&["--bin".to_string()], &[], &[]), None);
     }
 
+    /// Engine options with `threads` workers and the `backend` selection.
+    fn engine(threads: usize, backend: BackendSel) -> EngineOpts {
+        EngineOpts {
+            threads,
+            backend,
+            ..EngineOpts::default()
+        }
+    }
+
     fn pipeline_spec() -> (SystemSpec, EnvConfig) {
         let (net, _, out) = linear_pipeline(2, 1).unwrap();
         (
@@ -969,16 +873,15 @@ mod tests {
     fn shard_derivation_covers_trials_exactly() {
         // N % 64 == 0, N % 64 != 0 and N < 64 all partition cleanly.
         for (trials, expect) in [(128usize, vec![64, 64]), (100, vec![64, 36]), (5, vec![5])] {
-            let sh = shards(trials, 1000);
+            let sh = shards_for(trials, 1000, LANES);
             assert_eq!(sh.len(), expect.len(), "{trials} trials");
             for (i, s) in sh.iter().enumerate() {
-                assert_eq!(s.index, i);
                 assert_eq!(s.lanes, expect[i]);
                 assert_eq!(s.seed, 1000 + (i * LANES) as u64);
             }
             assert_eq!(sh.iter().map(|s| s.lanes).sum::<usize>(), trials);
         }
-        assert!(shards(0, 0).is_empty());
+        assert!(shards_for(0, 0, LANES).is_empty());
     }
 
     #[test]
@@ -986,7 +889,7 @@ mod tests {
         // Regression: seed arithmetic close to u64::MAX must wrap (like the
         // sweep binaries' seed offsets), not overflow-panic in debug builds.
         let base = u64::MAX - 70;
-        let sh = shards(130, base);
+        let sh = shards_for(130, base, LANES);
         assert_eq!(sh[0].seed, base);
         assert_eq!(sh[1].seed, base.wrapping_add(64));
         assert_eq!(sh[2].seed, 57, "wrapped past u64::MAX");
@@ -999,8 +902,8 @@ mod tests {
             trials: 130,
             seed: base,
         };
-        let one = run_experiment(&exp, 1).unwrap();
-        let multi = run_experiment(&exp, 3).unwrap();
+        let one = run_experiment(&exp, &engine(1, BackendSel::Auto)).unwrap();
+        let multi = run_experiment(&exp, &engine(3, BackendSel::Auto)).unwrap();
         assert_eq!(one.stats.per_lane, multi.stats.per_lane);
     }
 
@@ -1016,7 +919,7 @@ mod tests {
             seed: 1,
         };
         assert!(matches!(
-            run_experiment(&exp, 2),
+            run_experiment(&exp, &engine(2, BackendSel::Auto)),
             Err(ExpError::EmptyExperiment)
         ));
     }
@@ -1036,10 +939,10 @@ mod tests {
             trials: 70,
             seed: 400,
         };
-        let res = run_experiment(&exp, 2).unwrap();
+        let res = run_experiment(&exp, &engine(2, BackendSel::Auto)).unwrap();
         assert_eq!(res.stats.trials(), 70);
         assert_eq!(res.shards, 1, "one 512-lane shard on the default backend");
-        let narrow = run_experiment_backend(&exp, 2, Backend::Wide1).unwrap();
+        let narrow = run_experiment(&exp, &engine(2, BackendSel::Fixed(Backend::Wide1))).unwrap();
         assert_eq!(narrow.shards, 2, "two 64-lane shards on wide1");
         // Reference: drive the two 64-lane shards directly through
         // WideHarness.
@@ -1072,7 +975,8 @@ mod tests {
             trials: 70,
             seed: 3000,
         };
-        let reference = run_experiment_backend(&exp, 1, Backend::Scalar).unwrap();
+        let reference =
+            run_experiment(&exp, &engine(1, BackendSel::Fixed(Backend::Scalar))).unwrap();
         assert_eq!(reference.backend, "scalar");
         for backend in [
             Backend::Wide1,
@@ -1080,7 +984,7 @@ mod tests {
             Backend::Wide4,
             Backend::Wide8,
         ] {
-            let res = run_experiment_backend(&exp, 2, backend).unwrap();
+            let res = run_experiment(&exp, &engine(2, BackendSel::Fixed(backend))).unwrap();
             assert_eq!(res.stats.per_lane, reference.stats.per_lane, "{backend:?}");
             assert_eq!(res.backend, backend.label());
         }
@@ -1097,9 +1001,9 @@ mod tests {
             trials: 130,
             seed: 77,
         };
-        let one = run_experiment(&exp, 1).unwrap();
+        let one = run_experiment(&exp, &engine(1, BackendSel::Auto)).unwrap();
         for threads in [2, 3, 8] {
-            let multi = run_experiment(&exp, threads).unwrap();
+            let multi = run_experiment(&exp, &engine(threads, BackendSel::Auto)).unwrap();
             assert_eq!(
                 one.stats.per_lane, multi.stats.per_lane,
                 "{threads} threads"
@@ -1118,7 +1022,7 @@ mod tests {
             trials: 96,
             seed: 9,
         };
-        let res = run_experiment(&exp, 2).unwrap();
+        let res = run_experiment(&exp, &engine(2, BackendSel::Auto)).unwrap();
         let check =
             lazy_bound_check(&sys.network, &sys.env_config, res.stats.mean(), 0.03).unwrap();
         assert!(

@@ -6,10 +6,10 @@
 //! lints it with the `elastic_lint` static analyzer (the fourth oracle:
 //! live-by-construction generation must produce zero error diagnostics)
 //! and runs the tri-backend differential (DMG replay ↔ compiled-pipeline
-//! cosim ↔ min-cycle-ratio bound). Seeds are claimed from an atomic cursor by a
-//! scoped worker pool, exactly like the Monte-Carlo engine's shards, and
-//! outcomes are reduced in seed order so reports are deterministic for any
-//! thread count.
+//! cosim ↔ min-cycle-ratio bound). Seeds run through the Monte-Carlo
+//! engine's worker pool (`stream::run_pipeline`, whose produce stage is the
+//! whole per-seed check), and outcomes are reduced in seed order so reports
+//! are deterministic for any thread count.
 //!
 //! Failures are shrunk to a minimal failing parameter set before being
 //! reported. In `--inject` mode the campaign instead *sabotages* each
@@ -24,7 +24,6 @@
 //! fault spec.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use elastic_core::compile::FaultInjection;
@@ -34,8 +33,10 @@ use elastic_core::gen::{
 };
 use elastic_core::network::{ComponentKind, ElasticNetwork};
 use elastic_lint::{json_str, lint_network};
+use elastic_netlist::wide::LANES;
 
-use crate::exp::json_f64;
+use crate::exp::{effective_threads, json_f64};
+use crate::stream::run_pipeline;
 
 /// Fault classes the inject mode rotates through, keyed on the master
 /// seed: the lowering sabotage plus every transient rail class of
@@ -58,13 +59,32 @@ pub struct FuzzOpts {
     pub count: usize,
     /// Simulated cycles per lane per topology.
     pub cycles: usize,
-    /// Schedule lanes per topology.
+    /// Schedule lanes per topology (`1..=64`: the differential runs one
+    /// 64-lane word).
     pub lanes: usize,
-    /// Worker threads.
+    /// Worker threads requested; the campaign clamps them like the
+    /// Monte-Carlo engine ([`effective_threads`]).
     pub threads: usize,
     /// Negative mode: inject a dropped-anti-token fault into one eligible
     /// early join per topology and require the harness to catch it.
     pub inject: bool,
+}
+
+impl FuzzOpts {
+    /// The usage error of the first option outside its range, naming its
+    /// `fuzz_topo` flag.
+    pub fn range_error(&self) -> Option<String> {
+        let counts = [
+            ("--count", self.count),
+            ("--cycles", self.cycles),
+            ("--lanes", self.lanes),
+            ("--threads", self.threads),
+        ];
+        if let Some((flag, _)) = counts.iter().find(|&&(_, v)| v == 0) {
+            return Some(format!("{flag} must be at least 1"));
+        }
+        (self.lanes > LANES).then(|| format!("--lanes must be at most {LANES} (one lane word)"))
+    }
 }
 
 impl Default for FuzzOpts {
@@ -114,7 +134,7 @@ pub struct FuzzSummary {
     pub outcomes: Vec<FuzzOutcome>,
     /// Wall-clock seconds for the whole campaign.
     pub wall_secs: f64,
-    /// Worker threads used.
+    /// Worker threads spawned.
     pub threads: usize,
     /// Whether the campaign ran in inject (sensitivity self-test) mode.
     pub inject: bool,
@@ -330,7 +350,8 @@ fn probe_site(
 
 /// Whether the network contains any directed cycle, tokens ignored.
 /// Written as Kahn-style indegree elimination — deliberately a different
-/// algorithm from the lint crate's DFS walk, so the sabotage expectation
+/// algorithm from the DFS walk behind E101
+/// ([`ElasticNetwork::find_uncut_cycle`]), so the sabotage expectation
 /// ("dropping all tokens from a cyclic network must trip E101") does not
 /// share code with the oracle under test.
 fn has_cycle(net: &ElasticNetwork) -> bool {
@@ -412,7 +433,6 @@ fn run_seed(seed: u64, opts: &FuzzOpts) -> FuzzOutcome {
         seed: seed.wrapping_add(0x5eed),
         fault: None,
         fault_window: None,
-        check_bound: true,
     };
     let sys = match generate(&params) {
         Ok(sys) => sys,
@@ -523,38 +543,21 @@ fn run_seed(seed: u64, opts: &FuzzOpts) -> FuzzOutcome {
     }
 }
 
-/// Runs the campaign: `count` seeded topologies claimed by `threads`
-/// workers from an atomic cursor, outcomes reduced in seed order.
+/// Runs the campaign: `count` seeded topologies through the worker pool,
+/// outcomes in seed order.
 pub fn run_fuzz(opts: &FuzzOpts) -> FuzzSummary {
     let t0 = Instant::now();
-    let count = opts.count.max(1);
-    let threads = opts.threads.clamp(1, count);
-    let cursor = AtomicUsize::new(0);
-    let mut outcomes: Vec<(u64, FuzzOutcome)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        let seed = opts.seed.wrapping_add(i as u64);
-                        local.push((seed, run_seed(seed, opts)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fuzz worker panicked (library bug)"))
-            .collect()
-    });
-    outcomes.sort_unstable_by_key(|&(s, _)| s);
+    let threads = effective_threads(opts.threads, opts.count);
+    let outcomes = run_pipeline(
+        opts.count,
+        threads,
+        threads,
+        |i| Ok(run_seed(opts.seed.wrapping_add(i as u64), opts)),
+        |_, outcome| Ok(outcome),
+    )
+    .expect("fuzz stages never fail");
     FuzzSummary {
-        outcomes: outcomes.into_iter().map(|(_, o)| o).collect(),
+        outcomes,
         wall_secs: t0.elapsed().as_secs_f64(),
         threads,
         inject: opts.inject,
@@ -579,10 +582,16 @@ mod tests {
         assert!(a.ok(), "mismatches: {:?}", a.mismatches());
         assert_eq!(a.outcomes.len(), 6);
         // Outcomes are seed-ordered and thread-count independent.
-        let b = run_fuzz(&FuzzOpts { threads: 1, ..opts });
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(x.seed, y.seed);
-            assert_eq!(x.report.is_ok(), y.report.is_ok());
+        let measured = |s: &FuzzSummary| -> Vec<_> {
+            let m = |r: &DiffReport| (r.throughput, r.bound, r.firings);
+            s.outcomes
+                .iter()
+                .map(|o| (o.seed, o.report.as_ref().ok().map(m)))
+                .collect()
+        };
+        for threads in [1, 3] {
+            let b = run_fuzz(&FuzzOpts { threads, ..opts });
+            assert_eq!(measured(&b), measured(&a), "{threads} workers");
         }
         let json = a.to_json("unit");
         assert!(json.contains("\"ok\": true"), "{json}");
@@ -636,5 +645,28 @@ mod tests {
         assert!(json.contains("\"injected_by_class\""), "{json}");
         assert!(json.contains("\"missed_injections\": [\n  ]"), "{json}");
         assert!(json.contains("\"lint_sabotage\""), "{json}");
+    }
+
+    #[test]
+    fn out_of_range_options_name_their_flag() {
+        type Edit = fn(&mut FuzzOpts);
+        let error = |edit: Edit| {
+            let mut opts = FuzzOpts::default();
+            edit(&mut opts);
+            opts.range_error()
+        };
+        assert_eq!(error(|_| {}), None);
+        assert_eq!(error(|o| o.lanes = LANES), None);
+        let cases: [(Edit, &str); 5] = [
+            (|o| o.count = 0, "--count must be at least 1"),
+            (|o| o.cycles = 0, "--cycles must be at least 1"),
+            (|o| o.lanes = 0, "--lanes must be at least 1"),
+            (|o| o.threads = 0, "--threads must be at least 1"),
+            (|o| o.lanes = LANES + 1, "--lanes must be at most 64"),
+        ];
+        for (edit, flag) in cases {
+            let err = error(edit).expect("out of range");
+            assert!(err.starts_with(flag), "{err}");
+        }
     }
 }

@@ -810,18 +810,8 @@ pub fn measure_speedup(point: &exp::Experiment) -> Result<SpeedupReport, exp::Ex
     })
 }
 
-/// Convenience: positive/negative/kill rates of a channel from a report.
-///
-/// # Panics
-///
-/// Panics if `chan` is out of range; binaries resolving user-supplied
-/// channel names must use [`try_rates`] (or [`rate_or_exit`]) instead.
-pub fn rates(report: &SimReport, chan: ChanId) -> (f64, f64, f64) {
-    try_rates(report, chan).expect("channel in range")
-}
-
-/// Checked variant of [`rates`]: `None` when `chan` does not belong to the
-/// report.
+/// Positive/negative/kill rates of a channel from a report: `None` when
+/// `chan` does not belong to the report.
 pub fn try_rates(report: &SimReport, chan: ChanId) -> Option<(f64, f64, f64)> {
     Some((
         report.try_positive_rate(chan)?,

@@ -1038,7 +1038,6 @@ pub fn run_fault_sweep(opts: &StabilizationOpts) -> Result<StabilizationReport, 
                     }
                 }
             },
-            |_, _| {},
         )?
     };
     Ok(StabilizationReport {

@@ -1,57 +1,46 @@
-//! Bounded-queue streaming producer/consumer pipeline for Monte-Carlo
-//! shards.
+//! Bounded-queue producer/consumer pipeline — the workspace's one worker
+//! pool.
 //!
-//! The PR4 engine ran each shard as `generate schedules → pack → execute`
-//! sequentially inside one worker, so the stimulus for shard *k+1* only
-//! started once shard *k* had fully executed. This module overlaps the
-//! stages instead:
+//! Each work item runs as `produce(i) → consume(i, payload)`, and the
+//! stages of different items overlap:
 //!
 //! ```text
 //!             ┌──────────── bounded queue (≤ depth in flight) ───────────┐
-//!   pack(k+1) │ [stim k] [stim k+1] …                                    │
+//!   prod(k+1) │ [payload k] [payload k+1] …                              │
 //!  ───────────┤                                                          │
-//!   workers   │  pop → execute(k) → (k, McStats) ──mpsc──▶ reducer       │
+//!   workers   │  pop → consume(k) → (k, result) ──mpsc──▶ results[k]     │
 //!             └──────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Every worker is a *hybrid* pack-or-execute loop: it prefers popping a
-//! packed stimulus and executing it (draining the queue keeps latency to
-//! first result low); if the queue has nothing to execute it claims the
-//! next shard to pack, provided fewer than `depth` stimuli are packed or
-//! in flight — the backpressure that bounds memory to
-//! `depth × stimulus_bytes`. With one worker the loop degenerates to
-//! pack/execute alternation, which is exactly the batch engine's order.
+//! Every worker is a *hybrid* produce-or-consume loop: it prefers popping a
+//! produced payload and consuming it (draining the queue keeps latency to
+//! first result low); if the queue has nothing to consume it claims the
+//! next item to produce, provided fewer than `depth` payloads are produced
+//! or in flight — the backpressure that bounds memory to
+//! `depth × payload_bytes`. With one worker the loop degenerates to
+//! produce/consume alternation, which is exactly the sequential order.
 //!
-//! The reducer runs on the calling thread: it receives `(shard index,
-//! stats)` pairs over an mpsc channel and emits partial results in
-//! shard-index order through the `on_partial` callback as soon as each
-//! prefix completes. Because shard seeds (not worker identity) determine
-//! every RNG stream and the reduction is by shard index, the final
-//! per-lane vector is bit-identical for every worker count and queue
-//! depth — asserted by the proptests in `tests/exp.rs`.
+//! The calling thread receives `(index, result)` pairs over an mpsc channel
+//! and stores each at its index. Because item indices (not worker
+//! identity) determine every RNG stream, the result vector is bit-identical
+//! for every worker count and queue depth — asserted by the proptests in
+//! `tests/exp.rs`.
 //!
-//! The pipeline itself ([`run_pipeline`]) is generic over the produced
-//! payload and the consumed result: the throughput engine instantiates it
-//! with `PackedStimulus → McStats` ([`run_shards_streaming`]) and the
-//! fault-campaign engine with per-job harness builds → per-lane
-//! stabilization records (`crate::stabilize`), sharing the queueing,
-//! backpressure and in-order reduction.
+//! [`run_pipeline`] is generic over the payload and the result. The
+//! Monte-Carlo engine (`crate::exp`) runs shards on it (packed stimulus →
+//! tape execution; on the scalar backend, the shard's schedules →
+//! gate-level runs), the fault-campaign engine (`crate::stabilize`) per-job
+//! harness builds → per-lane stabilization records, and the fuzz campaign
+//! (`crate::fuzz`) whole per-seed checks → the identity.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 
-use elastic_core::network::ElasticNetwork;
-use elastic_core::sim::EnvConfig;
-use elastic_core::verify::PackedStimulus;
 use elastic_core::CoreError;
-use elastic_netlist::levelize::BlockPlan;
-
-use crate::exp::Shard;
-use crate::{McStats, WideHarness};
 
 /// Shared pipeline state behind one mutex; workers sleep on the paired
-/// condvar whenever they can neither execute nor pack.
+/// condvar whenever they can neither consume nor produce.
 struct PipeState<S> {
     /// Next item index to claim for producing.
     next_pack: usize,
@@ -61,6 +50,10 @@ struct PipeState<S> {
     packing: usize,
     /// First error any stage hit; set once, aborts the pipeline.
     error: Option<CoreError>,
+    /// A worker panicked: its claimed item never completes, so the others
+    /// stop instead of waiting for it (`thread::scope` then re-raises the
+    /// panic).
+    panicked: bool,
 }
 
 impl<S> PipeState<S> {
@@ -71,14 +64,32 @@ impl<S> PipeState<S> {
     }
 }
 
-/// Runs `total` items through the streaming pipeline on `workers` hybrid
-/// threads with a `depth`-bounded payload queue, returning the per-item
-/// results in item-index order. `produce(i)` builds item `i`'s payload
-/// (the expensive, parallelizable stage: stimulus packing, per-job
-/// compilation); `consume(i, payload)` turns it into the item's result
-/// (tape execution, measurement). `on_partial(index, result)` fires on
-/// the calling thread, in index order, as soon as every item up to
-/// `index` has completed.
+/// Marks the pipeline panicked and wakes every sleeping worker when the
+/// worker holding it unwinds.
+struct WakeOnPanic<'a, S> {
+    state: &'a Mutex<PipeState<S>>,
+    cvar: &'a Condvar,
+}
+
+impl<S> Drop for WakeOnPanic<'_, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // `drop` must not panic, so a poisoned lock is skipped; the
+            // notify still wakes the sleepers into its poison error.
+            if let Ok(mut g) = self.state.lock() {
+                g.panicked = true;
+            }
+            self.cvar.notify_all();
+        }
+    }
+}
+
+/// Runs `total` items through the pipeline on `workers` hybrid threads
+/// with a `depth`-bounded payload queue, returning the per-item results in
+/// item-index order. `produce(i)` builds item `i`'s payload (the
+/// expensive, parallelizable stage: stimulus generation, per-job
+/// compilation, a whole fuzz seed); `consume(i, payload)` turns it into
+/// the item's result (tape execution, measurement).
 ///
 /// Determinism: results are keyed by item index, never by worker
 /// identity, so as long as `produce`/`consume` are deterministic
@@ -89,13 +100,16 @@ impl<S> PipeState<S> {
 ///
 /// The first stage error (production or consumption), after the pipeline
 /// has drained.
+///
+/// # Panics
+///
+/// Re-raises a panic of either stage once every worker has stopped.
 pub(crate) fn run_pipeline<S, R>(
     total: usize,
     workers: usize,
     depth: usize,
     produce: impl Fn(usize) -> Result<S, CoreError> + Sync,
     consume: impl Fn(usize, S) -> Result<R, CoreError> + Sync,
-    mut on_partial: impl FnMut(usize, &R),
 ) -> Result<Vec<R>, CoreError>
 where
     S: Send,
@@ -108,6 +122,7 @@ where
         queue: VecDeque::with_capacity(depth),
         packing: 0,
         error: None,
+        panicked: false,
     });
     let cvar = Condvar::new();
     let (tx, rx) = mpsc::channel::<(usize, R)>();
@@ -119,6 +134,7 @@ where
             let (state, cvar) = (&state, &cvar);
             let (produce, consume) = (&produce, &consume);
             s.spawn(move || {
+                let _wake = WakeOnPanic { state, cvar };
                 let fail = |e: CoreError| {
                     let mut g = state.lock().expect("pipeline lock");
                     g.error.get_or_insert(e);
@@ -126,7 +142,7 @@ where
                 };
                 let mut guard = state.lock().expect("pipeline lock");
                 loop {
-                    if guard.error.is_some() {
+                    if guard.error.is_some() || guard.panicked {
                         break;
                     }
                     if let Some((idx, payload)) = guard.queue.pop_front() {
@@ -169,16 +185,11 @@ where
                 }
             });
         }
-        // The reducer: this thread owns the original `tx`; dropping it
-        // leaves the workers' clones, so `rx` ends once they all exit.
+        // This thread owns the original `tx`; dropping it leaves the
+        // workers' clones, so `rx` ends once they all exit.
         drop(tx);
-        let mut emitted = 0usize;
         for (idx, res) in rx {
             results[idx] = Some(res);
-            while emitted < results.len() && results[emitted].is_some() {
-                on_partial(emitted, results[emitted].as_ref().expect("just checked"));
-                emitted += 1;
-            }
         }
     });
 
@@ -191,45 +202,6 @@ where
         .collect())
 }
 
-/// Runs `shards` through the streaming pipeline on `workers` hybrid
-/// threads with a `depth`-bounded stimulus queue, returning the per-shard
-/// statistics in shard-index order. `on_partial(index, stats)` fires on
-/// the calling thread, in index order, as soon as every shard up to
-/// `index` has completed.
-///
-/// Thin instantiation of [`run_pipeline`]: produce = fused stimulus
-/// generation for shard *i*, consume = blocked tape execution.
-///
-/// # Errors
-///
-/// The first stage error (stimulus generation or execution), after the
-/// pipeline has drained.
-#[allow(clippy::too_many_arguments)] // one call site; a builder would obscure the stage wiring
-pub(crate) fn run_shards_streaming(
-    harness: &WideHarness,
-    network: &ElasticNetwork,
-    env: &EnvConfig,
-    cycles: usize,
-    shards: &[Shard],
-    width: usize,
-    plan: &BlockPlan,
-    workers: usize,
-    depth: usize,
-    on_partial: impl FnMut(usize, &McStats),
-) -> Result<Vec<McStats>, CoreError> {
-    run_pipeline::<PackedStimulus, McStats>(
-        shards.len(),
-        workers,
-        depth,
-        |i| {
-            let shard = shards[i];
-            harness.generate_stimulus(network, env, shard.seed, cycles, shard.lanes, width)
-        },
-        |i, stim| harness.try_run_stim(&stim, shards[i].lanes, plan),
-        on_partial,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -239,7 +211,7 @@ mod tests {
     /// Loom-style deterministic stress of the `Mutex<PipeState>`+Condvar
     /// hand-off: many iterations per (workers, depth) combo, with
     /// `yield_now` jostling inside both stages to shake out interleavings,
-    /// asserting the three pipeline invariants the batch engines rely on:
+    /// asserting the three pipeline invariants the engines rely on:
     ///
     /// 1. backpressure — at most `depth` payloads are claimed-or-queued
     ///    plus one popped payload in each worker's hands at any instant,
@@ -247,8 +219,7 @@ mod tests {
     ///    bound; the pop happens under the lock, so claimed-or-queued
     ///    alone is not observable from outside the mutex),
     /// 2. exactly-once — every index is produced once and consumed once,
-    /// 3. ordered reduction — `on_partial` fires for 0..total in strict
-    ///    index order and the result vector is index-keyed.
+    /// 3. index-keyed results — result `i` is item `i`'s.
     #[test]
     fn pipeline_handoff_invariants_hold_under_stress() {
         const TOTAL: usize = 24;
@@ -258,7 +229,6 @@ mod tests {
                 let peak = AtomicIsize::new(0);
                 let produced = AtomicUsize::new(0);
                 let consumed = AtomicUsize::new(0);
-                let mut partial_next = 0usize;
                 let out = run_pipeline::<usize, usize>(
                     TOTAL,
                     workers,
@@ -281,14 +251,8 @@ mod tests {
                         }
                         Ok(payload + 1)
                     },
-                    |idx, res| {
-                        assert_eq!(idx, partial_next, "on_partial out of order");
-                        assert_eq!(*res, idx * 10 + 1);
-                        partial_next += 1;
-                    },
                 )
                 .expect("clean pipeline");
-                assert_eq!(partial_next, TOTAL);
                 assert_eq!(produced.load(Ordering::SeqCst), TOTAL);
                 assert_eq!(consumed.load(Ordering::SeqCst), TOTAL);
                 let peak = peak.load(Ordering::SeqCst);
@@ -320,7 +284,6 @@ mod tests {
                     }
                 },
                 |_, payload| Ok(payload),
-                |_, _| {},
             )
             .expect_err("pipeline must surface the stage error");
             assert!(err.to_string().contains("boom at 7"), "{err}");
@@ -332,22 +295,36 @@ mod tests {
     #[test]
     fn pipeline_aborts_on_consume_error_without_deadlock() {
         for &(workers, depth) in &[(2, 1), (4, 3)] {
-            let err = run_pipeline::<usize, usize>(
-                40,
-                workers,
-                depth,
-                Ok,
-                |i, payload| {
-                    if i == 11 {
-                        Err(CoreError::ScheduleBatch("consume failed".into()))
-                    } else {
-                        Ok(payload)
-                    }
-                },
-                |_, _| {},
-            )
+            let err = run_pipeline::<usize, usize>(40, workers, depth, Ok, |i, payload| {
+                if i == 11 {
+                    Err(CoreError::ScheduleBatch("consume failed".into()))
+                } else {
+                    Ok(payload)
+                }
+            })
             .expect_err("pipeline must surface the stage error");
             assert!(err.to_string().contains("consume failed"), "{err}");
+        }
+    }
+
+    /// A panicking stage stops every worker and re-raises the panic on the
+    /// caller instead of leaving its claimed item in flight forever.
+    #[test]
+    fn pipeline_reraises_a_stage_panic_without_deadlock() {
+        for &(workers, depth) in &[(1, 1), (2, 2), (4, 3)] {
+            let run = std::panic::catch_unwind(|| {
+                run_pipeline::<usize, usize>(
+                    30,
+                    workers,
+                    depth,
+                    |i| {
+                        assert_ne!(i, 5, "stage panic");
+                        Ok(i)
+                    },
+                    |_, payload| Ok(payload),
+                )
+            });
+            assert!(run.is_err(), "{workers} workers, depth {depth}");
         }
     }
 }

@@ -3,8 +3,7 @@
 //! 64-lane words directly, for any trial count and any thread count.
 
 use elastic_bench::exp::{
-    effective_threads, run_experiment, run_experiment_backend, run_experiment_opts,
-    run_experiment_streaming, shards, shards_for, EngineOpts, Experiment, SystemSpec,
+    effective_threads, run_experiment, shards_for, EngineOpts, Experiment, SystemSpec,
 };
 use elastic_bench::{Backend, BackendSel, WideHarness};
 use elastic_core::sim::{EnvConfig, SinkCfg, SourceCfg};
@@ -40,6 +39,14 @@ fn pipeline_experiment(trials: usize, seed: u64, cycles: usize) -> Experiment {
     }
 }
 
+/// Default engine options on `threads` workers.
+fn workers(threads: usize) -> EngineOpts {
+    EngineOpts {
+        threads,
+        ..EngineOpts::default()
+    }
+}
+
 /// Reference path: generate and run each 64-lane word directly through
 /// the single-word `WideHarness` path (no worker pool, no cursor, no
 /// reduction) and flatten in seed order.
@@ -47,7 +54,7 @@ fn direct_per_lane(exp: &Experiment) -> Vec<f64> {
     let (net, out) = exp.system.build().unwrap();
     let h = WideHarness::new(&net, out);
     let plan = h.program().block_plan(1, usize::MAX);
-    shards(exp.trials, exp.seed)
+    shards_for(exp.trials, exp.seed, LANES)
         .iter()
         .flat_map(|s| {
             let stim = h
@@ -65,7 +72,7 @@ proptest! {
     #[test]
     fn sharded_equals_direct_wide_runs(n in 1usize..150, seed in 0u64..1000) {
         let exp = pipeline_experiment(n, seed, 30);
-        let res = run_experiment(&exp, 3).unwrap();
+        let res = run_experiment(&exp, &workers(3)).unwrap();
         prop_assert_eq!(res.stats.trials(), n);
         let direct = direct_per_lane(&exp);
         prop_assert_eq!(&res.stats.per_lane, &direct);
@@ -84,8 +91,8 @@ proptest! {
         threads in 2usize..6,
     ) {
         let exp = pipeline_experiment(n, seed, 25);
-        let reference = run_experiment(&exp, 1).unwrap();
-        let multi = run_experiment(&exp, threads).unwrap();
+        let reference = run_experiment(&exp, &workers(1)).unwrap();
+        let multi = run_experiment(&exp, &workers(threads)).unwrap();
         prop_assert_eq!(&reference.stats.per_lane, &multi.stats.per_lane);
         prop_assert_eq!(reference.stats.cycles, multi.stats.cycles);
     }
@@ -95,14 +102,11 @@ proptest! {
     /// chunking and every wider backend chunk size.
     #[test]
     fn shard_partition_is_exact(n in 1usize..5000, seed in 0u64..u64::MAX / 2) {
-        let sh = shards(n, seed);
-        prop_assert_eq!(sh.len(), n.div_ceil(LANES));
         for chunk in [LANES, 2 * LANES, 4 * LANES, 8 * LANES] {
             let sh = shards_for(n, seed, chunk);
             prop_assert_eq!(sh.len(), n.div_ceil(chunk));
             let mut next = seed;
             for (i, s) in sh.iter().enumerate() {
-                prop_assert_eq!(s.index, i);
                 prop_assert_eq!(s.seed, next);
                 let full = i + 1 < sh.len();
                 prop_assert!(if full { s.lanes == chunk } else { (1..=chunk).contains(&s.lanes) });
@@ -132,7 +136,7 @@ proptest! {
                     BackendSel::Fixed(Backend::Wide8),
                 ] {
                     let opts = EngineOpts { threads, queue, backend, block_bytes };
-                    let res = run_experiment_opts(&exp, &opts).unwrap();
+                    let res = run_experiment(&exp, &opts).unwrap();
                     prop_assert_eq!(
                         &res.stats.per_lane, &direct,
                         "queue={} block={} backend={}",
@@ -142,27 +146,27 @@ proptest! {
             }
         }
     }
+}
 
-    /// The partial-result stream is the final result: partials arrive in
-    /// shard-index order, exactly once each, and their concatenation is the
-    /// reduced per-lane vector.
-    #[test]
-    fn partial_stream_concatenates_to_the_batch_result(
-        n in 1usize..200,
-        seed in 0u64..500,
-        queue in 1usize..4,
-    ) {
-        let exp = pipeline_experiment(n, seed, 25);
-        let opts = EngineOpts { threads: 3, queue, ..EngineOpts::default() };
-        let mut streamed: Vec<f64> = Vec::new();
-        let mut indices: Vec<usize> = Vec::new();
-        let res = run_experiment_streaming(&exp, &opts, |i, s| {
-            indices.push(i);
-            streamed.extend_from_slice(&s.per_lane);
-        }).unwrap();
-        prop_assert_eq!(&indices, &(0..indices.len()).collect::<Vec<_>>());
-        prop_assert_eq!(&streamed, &res.stats.per_lane);
-        prop_assert_eq!(&res.stats.per_lane, &direct_per_lane(&exp));
+/// The scalar reference backend runs its shards through the same worker
+/// pool as the wide backends: every worker count and queue depth replays
+/// the direct single-word vector, the reported depth included.
+#[test]
+fn scalar_backend_is_invariant_under_workers_and_queue() {
+    let exp = pipeline_experiment(150, 11, 30);
+    let direct = direct_per_lane(&exp);
+    for (threads, queue) in [(1, 1), (2, 2), (3, 8)] {
+        let opts = EngineOpts {
+            queue,
+            backend: BackendSel::Fixed(Backend::Scalar),
+            ..workers(threads)
+        };
+        let res = run_experiment(&exp, &opts).unwrap();
+        assert_eq!(
+            res.stats.per_lane, direct,
+            "{threads} workers, queue {queue}"
+        );
+        assert_eq!((res.backend, res.shards, res.queue), ("scalar", 3, queue));
     }
 }
 
@@ -173,7 +177,7 @@ proptest! {
 fn single_trial_campaign_has_finite_stats_and_clean_json() {
     use elastic_bench::exp::CampaignReport;
     let exp = pipeline_experiment(1, 42, 50);
-    let res = run_experiment(&exp, 2).unwrap();
+    let res = run_experiment(&exp, &workers(2)).unwrap();
     assert_eq!(res.stats.trials(), 1);
     assert!(res.stats.mean().is_finite());
     assert_eq!(
@@ -212,7 +216,7 @@ fn oversubscribed_thread_requests_are_clamped() {
         threads: 64,
         ..EngineOpts::default()
     };
-    let res = run_experiment_opts(&exp, &opts).unwrap();
+    let res = run_experiment(&exp, &opts).unwrap();
     assert_eq!(res.requested_threads, 64);
     assert_eq!(res.threads, effective_threads(64, res.shards));
     assert!(
@@ -227,7 +231,7 @@ fn oversubscribed_thread_requests_are_clamped() {
         "spawned {} workers on a {avail}-way host",
         res.threads
     );
-    let single = run_experiment(&exp, 1).unwrap();
+    let single = run_experiment(&exp, &workers(1)).unwrap();
     assert_eq!(single.stats.per_lane, res.stats.per_lane);
 
     // The clamp is monotone and bounded for any request.
@@ -256,8 +260,8 @@ fn generated_system_spec_runs_in_the_engine() {
         trials: 70,
         seed: 9,
     };
-    let one = run_experiment(&exp, 1).unwrap();
-    let multi = run_experiment(&exp, 3).unwrap();
+    let one = run_experiment(&exp, &workers(1)).unwrap();
+    let multi = run_experiment(&exp, &workers(3)).unwrap();
     assert_eq!(one.stats.per_lane, multi.stats.per_lane);
     assert_eq!(one.stats.trials(), 70);
 }
@@ -290,9 +294,13 @@ fn non_finite_probabilities_are_typed_errors() {
         (&nan_rate, "default source", "rate"),
         (&inf_kill, "snk", "kill_prob"),
     ] {
+        let scalar = EngineOpts {
+            backend: BackendSel::Fixed(Backend::Scalar),
+            ..workers(1)
+        };
         let results = [
-            run_experiment(exp, 1),
-            run_experiment_backend(exp, 1, Backend::Scalar),
+            run_experiment(exp, &workers(1)),
+            run_experiment(exp, &scalar),
             run_prepared(&harness, &net, exp, &EngineOpts::default()),
         ];
         for res in results {

@@ -15,7 +15,7 @@
 //! Counterexample seeds shrunk during development are pinned in
 //! `proptest-regressions/fault.txt` and replayed before the random phase.
 
-use elastic_bench::exp::{ee_prob_experiment, run_experiment};
+use elastic_bench::exp::{ee_prob_experiment, run_experiment, EngineOpts};
 use elastic_bench::stabilize::{FAULT_CLASSES, PROCESS_CLASSES};
 use elastic_bench::{SimLowering, WideHarness};
 use elastic_core::compile::{FaultInjection, FaultRail};
@@ -439,7 +439,7 @@ fn empty_fault_campaign_reproduces_bench_pr6_means() {
         let trials: usize = field(line, "trials").parse().unwrap();
         let cycles: usize = field(line, "cycles").parse().unwrap();
         let exp = ee_prob_experiment(p_i, config, tag, cycles, trials, 1).expect("builds");
-        let res = run_experiment(&exp, 2).expect("runs");
+        let res = run_experiment(&exp, &EngineOpts::default()).expect("runs");
         assert_eq!(
             format!("{:.6}", res.stats.mean()),
             field(line, "mean"),

@@ -200,13 +200,6 @@ pub struct CompileOptions {
     /// input, in list order; two sites on the same channel rail are
     /// rejected with [`CoreError::FaultProcess`].
     pub faults: Vec<FaultInjection>,
-    /// Run the static liveness lint before emission:
-    /// [`ElasticNetwork::check_token_liveness`] rejects networks with a
-    /// token-free cycle, which would deadlock at power-up and waste the
-    /// whole downstream compile/simulate budget. Off by default so
-    /// deliberately sick networks stay compilable for negative tests; the
-    /// full multi-pass analyzer lives in the `elastic_lint` crate.
-    pub lint: bool,
 }
 
 /// Per-channel rail nets of a compiled network.
@@ -236,13 +229,6 @@ pub struct Compiled {
     /// [`CompileOptions::optimize`] these are already remapped into the
     /// optimized netlist.
     pub channels: Vec<ChannelNets>,
-}
-
-impl Compiled {
-    /// Conventional net name of a channel rail, e.g. `"S_M1.vp"`.
-    pub fn rail_name(net: &ElasticNetwork, chan: ChanId, rail: &str) -> String {
-        format!("{}.{rail}", sanitize(&net.channel(chan).name))
-    }
 }
 
 /// Sanitizes display names into atom-safe identifiers (alphanumerics and
@@ -291,15 +277,11 @@ fn drive_net(
 ///
 /// Propagates structural errors from [`ElasticNetwork::check`], netlist
 /// errors, [`CoreError::FaultSite`] when a [`CompileOptions::faults`] entry
-/// names a nonexistent join or channel, [`CoreError::BadEarlyEval`] when a guard
-/// mask does not fit in `opts.data_width` bits, and — under
-/// [`CompileOptions::lint`] — [`CoreError::TokenStarvedCycle`].
+/// names a nonexistent join or channel, and [`CoreError::BadEarlyEval`] when a
+/// guard mask does not fit in `opts.data_width` bits.
 #[allow(clippy::too_many_lines)]
 pub fn compile(net: &ElasticNetwork, opts: &CompileOptions) -> Result<Compiled, CoreError> {
     net.check()?;
-    if opts.lint {
-        net.check_token_liveness()?;
-    }
     let w = opts.data_width;
     let mut n = Netlist::new(net.name());
 

@@ -386,21 +386,6 @@ impl Dsl {
         Ok(out)
     }
 
-    /// Marks the channel called `name` as a passive anti-token boundary —
-    /// for configuration sweeps that toggle passivity on an already-built
-    /// design without threading the flag through every combinator.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Netlist`] if no channel has that name.
-    pub fn set_passive_channel(&mut self, name: &str) -> Result<(), CoreError> {
-        let id = self
-            .net
-            .channel_by_name(name)
-            .ok_or_else(|| CoreError::Netlist(format!("no channel named {name}")))?;
-        self.net.set_passive(id)
-    }
-
     /// Read access to the network under construction (e.g. to resolve
     /// channel ids by name before finishing).
     pub fn network(&self) -> &ElasticNetwork {

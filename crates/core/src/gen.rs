@@ -588,8 +588,6 @@ pub struct DiffOptions {
     /// `None`, a rail fault defaults to a window in the middle of the
     /// horizon.
     pub fault_window: Option<(usize, usize)>,
-    /// Cross-check lazy throughput against the min-cycle-ratio bound.
-    pub check_bound: bool,
 }
 
 impl Default for DiffOptions {
@@ -600,7 +598,6 @@ impl Default for DiffOptions {
             seed: 1,
             fault: None,
             fault_window: None,
-            check_bound: true,
         }
     }
 }
@@ -875,29 +872,26 @@ pub fn differential_check(
         .collect();
     let measured = lane_rates.iter().sum::<f64>() / lane_rates.len() as f64;
     let mut bound = None;
-    if opts.check_bound {
-        if let Ok(db) = lazy_throughput_bound(net, &sys.env) {
-            bound = Some(db.bound);
-            if sys.lazy {
-                let mean = measured;
-                let sd = (lane_rates
-                    .iter()
-                    .map(|r| (r - mean) * (r - mean))
-                    .sum::<f64>()
-                    / lane_rates.len() as f64)
-                    .sqrt();
-                let storage: f64 = sys.arcs.iter().map(|a| 2.0 * a.stages as f64).sum();
-                let tol =
-                    0.02 + 3.0 * sd / (lane_rates.len() as f64).sqrt() + storage / cycles as f64;
-                if measured > db.bound + tol {
-                    return Err(CoreError::Differential(format!(
-                        "lazy throughput {measured:.4} beats its min-cycle-ratio bound \
-                         {:.4} (+{tol:.4} tolerance; critical: {}; seed {})",
-                        db.bound,
-                        db.critical.join(" -> "),
-                        opts.seed
-                    )));
-                }
+    if let Ok(db) = lazy_throughput_bound(net, &sys.env) {
+        bound = Some(db.bound);
+        if sys.lazy {
+            let mean = measured;
+            let sd = (lane_rates
+                .iter()
+                .map(|r| (r - mean) * (r - mean))
+                .sum::<f64>()
+                / lane_rates.len() as f64)
+                .sqrt();
+            let storage: f64 = sys.arcs.iter().map(|a| 2.0 * a.stages as f64).sum();
+            let tol = 0.02 + 3.0 * sd / (lane_rates.len() as f64).sqrt() + storage / cycles as f64;
+            if measured > db.bound + tol {
+                return Err(CoreError::Differential(format!(
+                    "lazy throughput {measured:.4} beats its min-cycle-ratio bound \
+                     {:.4} (+{tol:.4} tolerance; critical: {}; seed {})",
+                    db.bound,
+                    db.critical.join(" -> "),
+                    opts.seed
+                )));
             }
         }
     }

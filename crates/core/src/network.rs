@@ -112,6 +112,23 @@ impl ComponentKind {
             ComponentKind::Source | ComponentKind::Sink | ComponentKind::Eb { .. }
         )
     }
+
+    /// Whether no token-free cycle passes through this component: a
+    /// buffer holding an initial token puts a token on every cycle through
+    /// it, and sources and sinks lie on no cycle. The token-liveness check
+    /// ([`ElasticNetwork::check_token_liveness`]) looks for a cycle avoiding
+    /// all of them.
+    pub fn cuts_token_free_path(&self) -> bool {
+        matches!(
+            self,
+            ComponentKind::Source
+                | ComponentKind::Sink
+                | ComponentKind::Eb {
+                    init_token: true,
+                    ..
+                }
+        )
+    }
 }
 
 /// A component instance: kind plus display name.
@@ -567,7 +584,7 @@ impl ElasticNetwork {
 
     fn check_bufferless_cycles(&self) -> Result<(), CoreError> {
         match self.find_uncut_cycle(ComponentKind::cuts_forward_path) {
-            Some(names) => Err(CoreError::BufferlessCycle(names)),
+            Some(cycle) => Err(CoreError::BufferlessCycle(self.names(&cycle))),
             None => Ok(()),
         }
     }
@@ -578,37 +595,36 @@ impl ElasticNetwork {
     /// a token exactly when it passes through an [`ComponentKind::Eb`] with
     /// `init_token` set, so the check looks for a cycle avoiding all of
     /// them. Unlike [`ElasticNetwork::check`] this does not require all
-    /// ports to be wired — it is usable mid-construction and by the lint
-    /// passes of `elastic_lint`.
+    /// ports to be wired — it is usable mid-construction, and lint E101 of
+    /// `elastic_lint` runs the same search.
     ///
     /// # Errors
     ///
     /// [`CoreError::TokenStarvedCycle`] with the component names of a
     /// token-free cycle.
     pub fn check_token_liveness(&self) -> Result<(), CoreError> {
-        let cuts = |k: &ComponentKind| {
-            matches!(
-                k,
-                ComponentKind::Source
-                    | ComponentKind::Sink
-                    | ComponentKind::Eb {
-                        init_token: true,
-                        ..
-                    }
-            )
-        };
-        match self.find_uncut_cycle(cuts) {
-            Some(names) => Err(CoreError::TokenStarvedCycle(names)),
+        match self.find_uncut_cycle(ComponentKind::cuts_token_free_path) {
+            Some(cycle) => Err(CoreError::TokenStarvedCycle(self.names(&cycle))),
             None => Ok(()),
         }
     }
 
+    /// The names of `comps`, in order.
+    fn names(&self, comps: &[CompId]) -> Vec<String> {
+        comps
+            .iter()
+            .map(|c| self.components[c.index()].name.clone())
+            .collect()
+    }
+
     /// Finds one directed cycle avoiding every component for which `cuts`
-    /// is true, returning the names of the components on it. DFS over
-    /// components, following channels forward, where only non-cutting
-    /// components propagate the path. Unwired output ports simply end the
-    /// path, so the search is usable before [`ElasticNetwork::check`].
-    fn find_uncut_cycle(&self, cuts: impl Fn(&ComponentKind) -> bool) -> Option<Vec<String>> {
+    /// is true, returning the components on it in path order. DFS over
+    /// components in id order, following output ports in port order, where
+    /// only non-cutting components propagate the path. Unwired output
+    /// ports simply end the path, so the search is usable before
+    /// [`ElasticNetwork::check`] — the lint passes of `elastic_lint` run it
+    /// on networks in any state of construction.
+    pub fn find_uncut_cycle(&self, cuts: impl Fn(&ComponentKind) -> bool) -> Option<Vec<CompId>> {
         const WHITE: u8 = 0;
         const GREY: u8 = 1;
         const BLACK: u8 = 2;
@@ -641,12 +657,7 @@ impl ElasticNetwork {
                         }
                         GREY => {
                             let pos = path.iter().position(|&p| p == w).expect("on path");
-                            return Some(
-                                path[pos..]
-                                    .iter()
-                                    .map(|&p| self.components[p].name.clone())
-                                    .collect(),
-                            );
+                            return Some(path[pos..].iter().map(|&p| CompId(p as u32)).collect());
                         }
                         _ => {}
                     }

@@ -259,11 +259,6 @@ impl BehavSim {
         Ok(())
     }
 
-    /// Disarms every pending rail fault.
-    pub fn clear_fault(&mut self) {
-        self.faults.clear();
-    }
-
     /// Disables the runtime protocol monitor (kept on by default; only worth
     /// disabling in throughput micro-benchmarks).
     pub fn set_check_protocol(&mut self, on: bool) {

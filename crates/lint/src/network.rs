@@ -116,7 +116,7 @@ fn check_arity(net: &ElasticNetwork, diags: &mut Vec<Diagnostic>) {
 /// rails (joins, forks, variable-latency units) compiles to a
 /// combinational loop.
 fn check_bufferless_cycles(net: &ElasticNetwork, diags: &mut Vec<Diagnostic>) {
-    if let Some(cycle) = find_uncut_cycle(net, ComponentKind::cuts_forward_path) {
+    if let Some(cycle) = net.find_uncut_cycle(ComponentKind::cuts_forward_path) {
         diags.push(
             Diagnostic::error(
                 "E102",
@@ -133,18 +133,7 @@ fn check_bufferless_cycles(net: &ElasticNetwork, diags: &mut Vec<Diagnostic>) {
 /// token, so its joins wait on each other forever (paper Sect. 2's
 /// liveness obligation).
 fn check_token_liveness(net: &ElasticNetwork, diags: &mut Vec<Diagnostic>) {
-    let cuts = |k: &ComponentKind| {
-        matches!(
-            k,
-            ComponentKind::Source
-                | ComponentKind::Sink
-                | ComponentKind::Eb {
-                    init_token: true,
-                    ..
-                }
-        )
-    };
-    if let Some(cycle) = find_uncut_cycle(net, cuts) {
+    if let Some(cycle) = net.find_uncut_cycle(ComponentKind::cuts_token_free_path) {
         diags.push(
             Diagnostic::error(
                 "E101",
@@ -356,7 +345,7 @@ fn check_passive_utility(net: &ElasticNetwork, diags: &mut Vec<Diagnostic>) {
 fn check_single_point_of_failure(net: &ElasticNetwork, diags: &mut Vec<Diagnostic>) {
     let cuts =
         |k: &ComponentKind| !matches!(k, ComponentKind::Eb { .. } | ComponentKind::VarLatency);
-    let Some(cycle) = find_uncut_cycle(net, cuts) else {
+    let Some(cycle) = net.find_uncut_cycle(cuts) else {
         return;
     };
     let tokens = cycle
@@ -427,60 +416,6 @@ fn check_throughput_bound(net: &ElasticNetwork, env: &EnvConfig, diags: &mut Vec
             ),
         );
     }
-}
-
-/// Finds one directed cycle avoiding every component for which `cuts`
-/// holds, using only public accessors (mirrors the core crate's private
-/// walk, but tolerates unwired ports). Returns the component ids on the
-/// cycle.
-fn find_uncut_cycle(
-    net: &ElasticNetwork,
-    cuts: impl Fn(&ComponentKind) -> bool,
-) -> Option<Vec<CompId>> {
-    const WHITE: u8 = 0;
-    const GREY: u8 = 1;
-    const BLACK: u8 = 2;
-    let n = net.num_components();
-    let ids: Vec<CompId> = net.components().collect();
-    let mut colour = vec![WHITE; n];
-    for &start in &ids {
-        if colour[start.index()] != WHITE || cuts(&net.component(start).kind) {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        let mut path = vec![start];
-        colour[start.index()] = GREY;
-        while let Some(&mut (v, ref mut cursor)) = stack.last_mut() {
-            if *cursor < net.component(v).kind.num_outputs() {
-                let port = *cursor;
-                *cursor += 1;
-                let Some(chan) = net.output_channel(v, port) else {
-                    continue;
-                };
-                let w = net.channel(chan).to.0;
-                if cuts(&net.component(w).kind) {
-                    continue;
-                }
-                match colour[w.index()] {
-                    WHITE => {
-                        colour[w.index()] = GREY;
-                        stack.push((w, 0));
-                        path.push(w);
-                    }
-                    GREY => {
-                        let pos = path.iter().position(|&p| p == w).expect("on path");
-                        return Some(path[pos..].to_vec());
-                    }
-                    _ => {}
-                }
-            } else {
-                colour[v.index()] = BLACK;
-                stack.pop();
-                path.pop();
-            }
-        }
-    }
-    None
 }
 
 /// Renders a cycle as a site string: `a -> b -> c`.

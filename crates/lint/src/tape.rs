@@ -413,7 +413,6 @@ mod tests {
             let compiled = compile(
                 &sys.network,
                 &CompileOptions {
-                    lint: true,
                     data_width: 2,
                     ..CompileOptions::default()
                 },
@@ -447,7 +446,6 @@ mod tests {
         let compiled = compile(
             &sys.network,
             &CompileOptions {
-                lint: true,
                 data_width: 2,
                 faults: vec![FaultInjection::RailFlip {
                     channel: chan,

@@ -103,7 +103,7 @@ pub fn lane_masks<const W: usize>(lanes: usize) -> [u64; W] {
 
 // Thread-safety contract of the wide backend: a compiled `Program` is
 // immutable instruction data, so one compilation can be shared by reference
-// across a `std::thread::scope` worker pool, and a `WideSim` is plain
+// across scoped worker threads, and a `WideSim` is plain
 // owned state (`Vec<[u64; W]>` words, no interior mutability or aliasing),
 // so each worker can clone the power-up prototype and run shards
 // independently. The experiment engine in `elastic_bench` relies on both

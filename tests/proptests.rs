@@ -348,7 +348,6 @@ proptest! {
         let sys = generate(&TopoParams::sample(seed)).unwrap();
         // Early-evaluation guard masks need at least one data bit.
         let opts = CompileOptions {
-            lint: false,
             data_width: 2,
             ..CompileOptions::default()
         };
