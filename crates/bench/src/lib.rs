@@ -28,6 +28,7 @@ use elastic_core::systems::{paper_example, Config, PaperSystem};
 use elastic_core::verify::{NetlistTestbench, PackedStimulus, Schedule};
 use elastic_core::CoreError;
 use elastic_netlist::area::AreaReport;
+use elastic_netlist::kernel::Kernel;
 use elastic_netlist::levelize::{BlockPlan, Program};
 use elastic_netlist::opt::{optimize, optimize_observed};
 use elastic_netlist::sim::Simulator;
@@ -627,11 +628,23 @@ impl WideHarness {
         lanes: usize,
         plan: &BlockPlan,
     ) -> Result<McStats, CoreError> {
+        self.run_stim(stim, lanes, plan, None)
+    }
+
+    /// [`Self::try_run_stim`] on the simulator's own kernel build, or on
+    /// `pin`.
+    fn run_stim(
+        &self,
+        stim: &PackedStimulus,
+        lanes: usize,
+        plan: &BlockPlan,
+        pin: Option<Kernel>,
+    ) -> Result<McStats, CoreError> {
         match stim.width() {
-            1 => self.run_stim_w::<1>(stim, lanes, plan),
-            2 => self.run_stim_w::<2>(stim, lanes, plan),
-            4 => self.run_stim_w::<4>(stim, lanes, plan),
-            8 => self.run_stim_w::<8>(stim, lanes, plan),
+            1 => self.run_stim_w::<1>(stim, lanes, plan, pin),
+            2 => self.run_stim_w::<2>(stim, lanes, plan, pin),
+            4 => self.run_stim_w::<4>(stim, lanes, plan, pin),
+            8 => self.run_stim_w::<8>(stim, lanes, plan, pin),
             w => Err(CoreError::ScheduleBatch(format!(
                 "unsupported stimulus width {w} (expected 1, 2, 4 or 8)"
             ))),
@@ -643,6 +656,7 @@ impl WideHarness {
         stim: &PackedStimulus,
         lanes: usize,
         plan: &BlockPlan,
+        pin: Option<Kernel>,
     ) -> Result<McStats, CoreError> {
         if lanes == 0 || lanes > W * LANES {
             return Err(CoreError::ScheduleBatch(format!(
@@ -652,6 +666,9 @@ impl WideHarness {
         }
         let cycles = stim.cycles() as u64;
         let mut sim: WideSim<W> = WideSim::from_program(self.prog.clone());
+        if let Some(kernel) = pin {
+            sim = sim.with_kernel(kernel);
+        }
         sim.check_input_slots(stim.slots())
             .map_err(CoreError::from)?;
         let live = lane_masks::<W>(lanes);
@@ -903,6 +920,41 @@ mod tests {
     }
 
     #[test]
+    fn no_inverter_survives_in_fig9_or_corpus_tapes() {
+        // The kill- and stop-gating literals of the controllers are all
+        // read as complements by the gates consuming them (AndNot, Nor2,
+        // AndN inverted tails), so no `Not` instruction is left in any of
+        // the five Fig. 9 tapes or the 30 corpus tapes.
+        use elastic_core::corpus::{all_systems, Knobs};
+        use elastic_netlist::levelize::Instr;
+        let mut tapes: Vec<(String, WideHarness)> = Config::all()
+            .into_iter()
+            .map(|c| {
+                let sys = paper_example(c).unwrap();
+                (
+                    c.label().to_string(),
+                    WideHarness::new(&sys.network, sys.output_channel),
+                )
+            })
+            .collect();
+        for sys in all_systems(&Knobs::default()).unwrap() {
+            let label = format!("{}/{}", sys.design, sys.config.tag());
+            tapes.push((label, WideHarness::new(&sys.network, sys.output_channel)));
+        }
+        assert_eq!(tapes.len(), 35);
+        for (label, h) in &tapes {
+            let p = h.program();
+            let nots = p
+                .high()
+                .iter()
+                .chain(p.low())
+                .filter(|i| matches!(i, Instr::Not { .. }))
+                .count();
+            assert_eq!(nots, 0, "{label}: {nots} inverters left");
+        }
+    }
+
+    #[test]
     fn try_run_rejects_bad_batches_typed() {
         // Satellite hardening: empty and mixed-horizon batches are typed
         // errors on the scalar reference path, not panics.
@@ -954,24 +1006,40 @@ mod tests {
     fn stimulus_path_matches_schedule_path_exactly() {
         // The streaming producer/consumer pair (generate_stimulus +
         // try_run_stim) must be bit-identical to the scalar reference on
-        // the same seeds' schedules for every width and for blocked
-        // execution.
-        let sys = paper_example(Config::ActiveAntiTokens).unwrap();
-        let h = WideHarness::new(&sys.network, sys.output_channel);
-        let (seed, cycles, lanes) = (21u64, 300usize, 70usize);
-        let scheds = WideHarness::schedules(&sys.network, &sys.env_config, seed, cycles, lanes);
-        let batch = h.run_scalar(&scheds);
-        for width in [2usize, 4, 8] {
-            let stim = h
-                .generate_stimulus(&sys.network, &sys.env_config, seed, cycles, lanes, width)
-                .unwrap();
-            for budget in [usize::MAX, 256] {
-                let plan = h.program().block_plan(width, budget);
-                let streamed = h.try_run_stim(&stim, lanes, &plan).unwrap();
-                assert_eq!(
-                    streamed.per_lane, batch.per_lane,
-                    "width {width} budget {budget}"
-                );
+        // the same seeds' schedules for every width, for blocked
+        // execution and on every kernel build this CPU runs, on the Fig. 9
+        // tape and a corpus tape.
+        use elastic_core::corpus::{self, CorpusConfig, Knobs};
+        let fig9 = paper_example(Config::ActiveAntiTokens).unwrap();
+        let design = corpus::build("rr_arbiter", CorpusConfig::Active, &Knobs::default()).unwrap();
+        let (seed, cycles) = (21u64, 300usize);
+        for (net, out, env) in [
+            (&fig9.network, fig9.output_channel, &fig9.env_config),
+            (&design.network, design.output_channel, &design.env),
+        ] {
+            let h = WideHarness::new(net, out);
+            let batch = h.run_scalar(&WideHarness::schedules(net, env, seed, cycles, 70));
+            for width in [1usize, 2, 4, 8] {
+                let lanes = batch.per_lane.len().min(width * LANES);
+                let stim = h
+                    .generate_stimulus(net, env, seed, cycles, lanes, width)
+                    .unwrap();
+                for budget in [usize::MAX, 256] {
+                    let plan = h.program().block_plan(width, budget);
+                    let streamed = h.try_run_stim(&stim, lanes, &plan).unwrap();
+                    assert_eq!(
+                        streamed.per_lane,
+                        batch.per_lane[..lanes],
+                        "width {width} budget {budget}"
+                    );
+                    for kernel in Kernel::available() {
+                        let pinned = h.run_stim(&stim, lanes, &plan, Some(kernel)).unwrap();
+                        assert_eq!(
+                            pinned.per_lane, streamed.per_lane,
+                            "{kernel:?} width {width} budget {budget}"
+                        );
+                    }
+                }
             }
         }
     }

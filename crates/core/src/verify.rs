@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use elastic_mc::{
     check_fair, netlist_kripke, parse, BridgeOptions, ConvergenceReport, Kripke, NetlistKripke,
 };
+use elastic_netlist::kernel::Kernel;
 use elastic_netlist::sim::Simulator;
 use elastic_netlist::wide::{WideSimulator, LANES};
 use elastic_netlist::NetId;
@@ -477,94 +478,6 @@ fn threshold_stream(
     }
 }
 
-/// [`threshold_stream`] built with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn threshold_stream_avx2(
-    rngs: &mut StdRngLanes,
-    first: Option<u64>,
-    second: Option<&[u64]>,
-    cycles: usize,
-    emit: impl FnMut(usize, u64, &[u64]),
-) {
-    threshold_stream(rngs, first, second, cycles, emit);
-}
-
-/// [`threshold_stream`] built with AVX-512F enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn threshold_stream_avx512(
-    rngs: &mut StdRngLanes,
-    first: Option<u64>,
-    second: Option<&[u64]>,
-    cycles: usize,
-    emit: impl FnMut(usize, u64, &[u64]),
-) {
-    threshold_stream(rngs, first, second, cycles, emit);
-}
-
-/// A build of [`threshold_stream`]. Every build draws the same words and
-/// emits the same masks; they differ only in the instructions the
-/// compiler may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kernel {
-    /// Built for the baseline target.
-    Portable,
-    /// Built with AVX2 enabled. Only [`Kernel::available`] constructs it,
-    /// after checking that the CPU has AVX2.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// Built with AVX-512F enabled. Only [`Kernel::available`] constructs
-    /// it, after checking that the CPU has AVX-512F.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl Kernel {
-    /// Every build this CPU can run, fastest first.
-    fn available() -> Vec<Kernel> {
-        let mut builds = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                builds.push(Kernel::Avx512);
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                builds.push(Kernel::Avx2);
-            }
-        }
-        builds.push(Kernel::Portable);
-        builds
-    }
-
-    /// The fastest build this CPU can run.
-    fn best() -> Kernel {
-        Kernel::available()[0]
-    }
-
-    /// Runs [`threshold_stream`] through this build.
-    fn run(
-        self,
-        rngs: &mut StdRngLanes,
-        first: Option<u64>,
-        second: Option<&[u64]>,
-        cycles: usize,
-        emit: impl FnMut(usize, u64, &[u64]),
-    ) {
-        match self {
-            Kernel::Portable => threshold_stream(rngs, first, second, cycles, emit),
-            // SAFETY: `Kernel::Avx2` and `Kernel::Avx512` are only
-            // constructed by `Kernel::available`, once
-            // `is_x86_feature_detected!` has returned true for their target
-            // feature, so this CPU executes the build.
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { threshold_stream_avx2(rngs, first, second, cycles, emit) },
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => unsafe { threshold_stream_avx512(rngs, first, second, cycles, emit) },
-        }
-    }
-}
-
 /// Pre-resolved payload of one stimulus stream: what a lane sends on the
 /// cycles it offers. The per-draw work of `weighted_draw` (re-summing the
 /// weight total, re-filtering unusable entries, the float walk) is hoisted
@@ -807,25 +720,35 @@ impl PackedStimulus {
                 } = stream;
                 let threshold = offer.as_ref().map(|d| d.threshold);
                 // One kernel call per payload plan, each with a small
-                // emission forced inline. An emission behind a call, or one
-                // closure branching on the plan, kept the compiler from
-                // holding the lanes' generator state in registers across
-                // cycles and cost the AVX-512 build about half its gain.
+                // emission forced inline and the generator states passed as
+                // the kernel's `&mut` state. An emission behind a call, one
+                // closure branching on the plan, or states reached through
+                // a capture kept the compiler from holding the lanes'
+                // generator state in registers across cycles and cost the
+                // AVX-512 build about half its gain. `None` is written in
+                // each closure rather than captured, so every build is
+                // compiled without the second draw it never makes.
                 match plan {
                     SrcPlan::Fixed(v) => kernel.run(
                         &mut rngs,
-                        threshold,
-                        None,
-                        cycles,
                         #[inline(always)]
-                        |t, hit, _| {
-                            let offered = hit & live;
-                            let base = cell(t, col, g);
-                            words[base] = offered;
-                            for j in 0..bits {
-                                words[base + (1 + j) * width] =
-                                    offered & 0u64.wrapping_sub(v >> j & 1);
-                            }
+                        |rngs| {
+                            threshold_stream(
+                                rngs,
+                                threshold,
+                                None,
+                                cycles,
+                                #[inline(always)]
+                                |t, hit, _| {
+                                    let offered = hit & live;
+                                    let base = cell(t, col, g);
+                                    words[base] = offered;
+                                    for j in 0..bits {
+                                        words[base + (1 + j) * width] =
+                                            offered & 0u64.wrapping_sub(v >> j & 1);
+                                    }
+                                },
+                            );
                         },
                     ),
                     SrcPlan::Count(modulus_bits) => {
@@ -835,22 +758,28 @@ impl PackedStimulus {
                         let mut count = vec![0u64; bits.min(*modulus_bits)];
                         kernel.run(
                             &mut rngs,
-                            threshold,
-                            None,
-                            cycles,
                             #[inline(always)]
-                            |t, hit, _| {
-                                let offered = hit & live;
-                                let base = cell(t, col, g);
-                                words[base] = offered;
-                                for (j, &plane) in count.iter().enumerate() {
-                                    words[base + (1 + j) * width] = plane & offered;
-                                }
-                                // Ripple-carry increment of the offering lanes.
-                                let mut carry = offered;
-                                for plane in &mut count {
-                                    (*plane, carry) = (*plane ^ carry, *plane & carry);
-                                }
+                            |rngs| {
+                                threshold_stream(
+                                    rngs,
+                                    threshold,
+                                    None,
+                                    cycles,
+                                    #[inline(always)]
+                                    |t, hit, _| {
+                                        let offered = hit & live;
+                                        let base = cell(t, col, g);
+                                        words[base] = offered;
+                                        for (j, &plane) in count.iter().enumerate() {
+                                            words[base + (1 + j) * width] = plane & offered;
+                                        }
+                                        // Ripple-carry increment of the offering lanes.
+                                        let mut carry = offered;
+                                        for plane in &mut count {
+                                            (*plane, carry) = (*plane ^ carry, *plane & carry);
+                                        }
+                                    },
+                                );
                             },
                         );
                     }
@@ -863,23 +792,29 @@ impl PackedStimulus {
                         let last = values[cuts.len()];
                         kernel.run(
                             &mut rngs,
-                            threshold,
-                            Some(cuts),
-                            cycles,
                             #[inline(always)]
-                            |t, hit, below| {
-                                let offered = hit & live;
-                                let base = cell(t, col, g);
-                                words[base] = offered;
-                                for j in 0..bits {
-                                    let mut plane = 0u64.wrapping_sub(last >> j & 1);
-                                    for (c, &b) in below.iter().enumerate() {
-                                        if (values[c] ^ values[c + 1]) >> j & 1 == 1 {
-                                            plane ^= b;
+                            |rngs| {
+                                threshold_stream(
+                                    rngs,
+                                    threshold,
+                                    Some(cuts),
+                                    cycles,
+                                    #[inline(always)]
+                                    |t, hit, below| {
+                                        let offered = hit & live;
+                                        let base = cell(t, col, g);
+                                        words[base] = offered;
+                                        for j in 0..bits {
+                                            let mut plane = 0u64.wrapping_sub(last >> j & 1);
+                                            for (c, &b) in below.iter().enumerate() {
+                                                if (values[c] ^ values[c + 1]) >> j & 1 == 1 {
+                                                    plane ^= b;
+                                                }
+                                            }
+                                            words[base + (1 + j) * width] = plane & offered;
                                         }
-                                    }
-                                    words[base + (1 + j) * width] = plane & offered;
-                                }
+                                    },
+                                );
                             },
                         );
                     }

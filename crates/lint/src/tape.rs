@@ -11,7 +11,7 @@
 //! | E201 | def-before-use: an operand read before any write (strict per-tape order pre-peephole; post-peephole, a read of a slot never written anywhere and not input/state/constant) |
 //! | E202 | a slot written more than once in one tape |
 //! | E203 | dead store surviving DCE (optimized programs only) |
-//! | E204 | slot index or N-ary operand window out of bounds |
+//! | E204 | slot index or N-ary operand window out of bounds, or an `AndN` inverted tail longer than its window |
 //! | E205 | fault-arm input column (`fault.<chan>.<rail>`) referenced more or less than once |
 //!
 //! The pass functions take plain slices, so tests fabricate violations
@@ -78,7 +78,8 @@ pub fn source_slots(netlist: &Netlist, num_slots: usize) -> Vec<bool> {
 }
 
 /// E204: every destination and operand slot must index into the slot
-/// arena, and every N-ary operand window must lie within the pool.
+/// arena, every N-ary operand window must lie within the pool, and an
+/// [`Instr::AndN`]'s inverted tail must fit in its window (`inv <= len`).
 pub fn check_slot_bounds(
     phase: &str,
     tape: &[Instr],
@@ -100,6 +101,15 @@ pub fn check_slot_bounds(
                     ),
                 ));
                 continue; // operands() would index out of bounds
+            }
+        }
+        if let Instr::AndN { len, inv, .. } = instr {
+            if inv > len {
+                diags.push(Diagnostic::error(
+                    "E204",
+                    format!("{phase}[{pc}]"),
+                    format!("inverted tail of {inv} operands exceeds the {len}-operand window"),
+                ));
             }
         }
         let mut slots = instr.operands(args);
@@ -381,11 +391,28 @@ mod tests {
             dst: 0,
             start: 1,
             len: 3,
+            inv: 0,
         }];
         let mut diags = Vec::new();
         check_slot_bounds("low", &tape, &[0, 1], 4, &mut diags);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "E204");
+        // An inverted tail longer than its (in-pool) window is caught too.
+        let tape = [Instr::AndN {
+            dst: 0,
+            start: 0,
+            len: 2,
+            inv: 3,
+        }];
+        let mut diags = Vec::new();
+        check_slot_bounds("low", &tape, &[1, 2], 4, &mut diags);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, "E204");
+        assert!(
+            diags[0].message.contains("inverted tail"),
+            "{}",
+            diags[0].message
+        );
     }
 
     #[test]

@@ -102,14 +102,33 @@ pub enum Instr {
         /// Inverted input slot.
         b: u32,
     },
-    /// N-ary AND over `args[start..start + len]` (see [`Program::args`]).
+    /// `slots[dst] = !(slots[a] | slots[b])` — produced by the
+    /// [`Program::peephole`] pass absorbing a `Not` into the non-inverted
+    /// side of an [`Instr::AndNot`] (`!a & !b`). Never emitted by the
+    /// initial lowering.
+    Nor2 {
+        /// Destination slot.
+        dst: u32,
+        /// First inverted input slot.
+        a: u32,
+        /// Second inverted input slot.
+        b: u32,
+    },
+    /// N-ary AND with an inverted operand tail, over the window
+    /// `args[start..start + len]` (see [`Program::args`]): the first
+    /// `len - inv` operands are the plain part, the last `inv` the tail,
+    /// and `slots[dst] = AND(plain) & !OR(tail)`. The initial lowering
+    /// emits `inv = 0`; the [`Program::peephole`] pass moves each operand
+    /// computed by a `Not` into the tail as that `Not`'s source.
     AndN {
         /// Destination slot.
         dst: u32,
         /// Start offset into the operand pool.
         start: u32,
-        /// Number of operands.
+        /// Number of operands, plain part and tail together.
         len: u32,
+        /// Number of operands in the inverted tail (`inv <= len`).
+        inv: u32,
     },
     /// N-ary OR over `args[start..start + len]`.
     OrN {
@@ -156,6 +175,7 @@ impl Instr {
             | Instr::Xor2 { dst, .. }
             | Instr::AndNot { dst, .. }
             | Instr::OrNot { dst, .. }
+            | Instr::Nor2 { dst, .. }
             | Instr::AndN { dst, .. }
             | Instr::OrN { dst, .. }
             | Instr::Mux { dst, .. }
@@ -176,6 +196,10 @@ impl Instr {
     }
 }
 
+// A tape word stays five `u32`s wide: `Mux` and `AndN` carry four
+// fields next to the tag, and no variant may carry more.
+const _: () = assert!(std::mem::size_of::<Instr>() == 20);
+
 /// Appends the slots `instr` reads to `out`. A [`Instr::LatchEn`] reads its
 /// own destination (the hold path), so `dst` is among its operands.
 fn push_operands(instr: Instr, args: &[u32], out: &mut Vec<u32>) {
@@ -186,7 +210,8 @@ fn push_operands(instr: Instr, args: &[u32], out: &mut Vec<u32>) {
         | Instr::Or2 { a, b, .. }
         | Instr::Xor2 { a, b, .. }
         | Instr::AndNot { a, b, .. }
-        | Instr::OrNot { a, b, .. } => {
+        | Instr::OrNot { a, b, .. }
+        | Instr::Nor2 { a, b, .. } => {
             out.push(a);
             out.push(b);
         }
@@ -369,7 +394,7 @@ impl Program {
         &self.low
     }
 
-    /// Operand pool for [`Instr::AndN`] / [`Instr::OrN`].
+    /// Operand pool for [`Instr::AndN`] / [`Instr::OrN`] windows.
     pub fn args(&self) -> &[u32] {
         &self.args
     }
@@ -465,14 +490,22 @@ impl Program {
     /// 1. **copy-chain collapsing** — readers of a `Copy` destination are
     ///    redirected to its source (sound within a tape: every slot is
     ///    written at most once per tape, in dependency order);
-    /// 2. **inverter fusion** — `Not` feeding `And2`/`Or2` becomes a single
-    ///    [`Instr::AndNot`]/[`Instr::OrNot`], and inverted mux selects swap
-    ///    their arms;
+    /// 2. **inverter fusion** — each reader of a `Not` reads its source
+    ///    instead, as a complement: an `And2`, `AndNot` or `AndN` operand
+    ///    becomes an [`Instr::AndNot`], an [`Instr::Nor2`] or a member of
+    ///    the [`Instr::AndN`] inverted tail (a tail operand that is itself
+    ///    a `Not` output moves back to the plain part), an `Or2` operand
+    ///    an [`Instr::OrNot`], and an inverted mux select swaps the arms.
+    ///    Step 4 then drops every `Not` whose readers all absorbed it; a
+    ///    `Not` whose value is observed (output, state, flip-flop data) or
+    ///    read by another gate kind stays;
     /// 3. **constant folding** — slots never written by either tape (and
     ///    not inputs or state) are stuck at their power-up value, `Fill`
     ///    destinations are tape-local constants, and both fold through
     ///    every gate kind (including shrinking `AndN`/`OrN` operand runs
-    ///    and deleting never-enabled hold latches);
+    ///    and deleting never-enabled hold latches). An inverted operand
+    ///    folds as its complement: constant-true zeroes its gate,
+    ///    constant-false drops out;
     /// 4. **phase-aware dead-code elimination** — an instruction survives
     ///    only if its destination is read before being overwritten, by a
     ///    live instruction, a flip-flop capture, or an end-of-cycle
@@ -485,7 +518,9 @@ impl Program {
     /// captures are guaranteed to hold their exact per-cycle values; other
     /// slots may be stale. Equivalence on the preserved nets is asserted
     /// against the scalar interpreter by property tests over random
-    /// netlists.
+    /// netlists, on every [`Kernel`](crate::kernel::Kernel) build of the
+    /// wide backend. The pass is idempotent: a second run over its output
+    /// changes nothing.
     pub fn peephole(&mut self) -> PeepholeStats {
         let n = self.num_slots;
         let mut stats = PeepholeStats {
@@ -610,7 +645,10 @@ pub struct PeepholeStats {
     pub instrs_before: usize,
     /// Instructions across both tapes after the pass.
     pub instrs_after: usize,
-    /// `Not` + `And2`/`Or2` pairs fused into `AndNot`/`OrNot`.
+    /// Inverters absorbed into a reader: each time a reader's operand was
+    /// replaced by the source of the `Not` computing it (into `AndNot`,
+    /// `OrNot`, `Nor2`, an `AndN` tail, or a swapped mux), counted once
+    /// per reader operand.
     pub fused: usize,
     /// Folding steps applied (one instruction may fold several times on its
     /// way to a fixpoint).
@@ -628,27 +666,26 @@ fn rewrite_tape(
     num_slots: usize,
     stats: &mut PeepholeStats,
 ) -> (Vec<Instr>, bool) {
-    // Tape-local facts, keyed by slot. All are sound for the remainder of
-    // the tape because every slot is written at most once per tape and the
-    // tape is in dependency order.
-    let mut alias: Vec<u32> = (0..num_slots as u32).collect();
-    let mut inv: Vec<Option<u32>> = vec![None; num_slots];
-    let mut konst: Vec<Option<bool>> = konst_base.to_vec();
+    let mut facts = Facts {
+        alias: (0..num_slots as u32).collect(),
+        inv: vec![None; num_slots],
+        konst: konst_base.to_vec(),
+    };
     let mut out: Vec<Instr> = Vec::with_capacity(tape.len());
     let mut changed = false;
     for &orig in tape {
-        match simplify(orig, args, &alias, &inv, &konst, stats) {
+        match simplify(orig, args, &facts, stats) {
             None => changed = true, // hold-latch deleted: the slot keeps its value
             Some(instr) => {
                 changed |= instr != orig;
                 match instr {
-                    Instr::Fill { dst, ones } => konst[dst as usize] = Some(ones),
+                    Instr::Fill { dst, ones } => facts.konst[dst as usize] = Some(ones),
                     Instr::Copy { dst, src } => {
-                        alias[dst as usize] = src;
-                        konst[dst as usize] = konst[src as usize];
-                        inv[dst as usize] = inv[src as usize];
+                        facts.alias[dst as usize] = src;
+                        facts.konst[dst as usize] = facts.konst[src as usize];
+                        facts.inv[dst as usize] = facts.inv[src as usize];
                     }
-                    Instr::Not { dst, src } => inv[dst as usize] = Some(src),
+                    Instr::Not { dst, src } => facts.inv[dst as usize] = Some(src),
                     _ => {}
                 }
                 out.push(instr);
@@ -658,6 +695,28 @@ fn rewrite_tape(
     (out, changed)
 }
 
+/// Tape-local facts of [`rewrite_tape`], keyed by slot. All are sound for
+/// the remainder of the tape because every slot is written at most once
+/// per tape and the tape is in dependency order.
+struct Facts {
+    /// The source of the `Copy` writing a slot (the slot itself if none).
+    alias: Vec<u32>,
+    /// The source of the `Not` writing a slot.
+    inv: Vec<Option<u32>>,
+    /// A slot's constant value.
+    konst: Vec<Option<bool>>,
+}
+
+impl Facts {
+    /// Follows copies from `s` to the slot holding its value.
+    fn resolve(&self, mut s: u32) -> u32 {
+        while self.alias[s as usize] != s {
+            s = self.alias[s as usize];
+        }
+        s
+    }
+}
+
 /// Folds one instruction to a local fixpoint under the tape-local facts.
 /// Returns `None` when the instruction can be deleted outright (a hold
 /// latch whose enable is constant-false or whose data is its own output).
@@ -665,19 +724,12 @@ fn rewrite_tape(
 fn simplify(
     orig: Instr,
     args: &mut Vec<u32>,
-    alias: &[u32],
-    inv: &[Option<u32>],
-    konst: &[Option<bool>],
+    facts: &Facts,
     stats: &mut PeepholeStats,
 ) -> Option<Instr> {
-    let r = |mut s: u32| {
-        while alias[s as usize] != s {
-            s = alias[s as usize];
-        }
-        s
-    };
-    let k = |s: u32| konst[s as usize];
-    let iv = |s: u32| inv[s as usize];
+    let r = |s: u32| facts.resolve(s);
+    let k = |s: u32| facts.konst[s as usize];
+    let iv = |s: u32| facts.inv[s as usize];
     let mut cur = match orig {
         Instr::Fill { .. } | Instr::AndN { .. } | Instr::OrN { .. } => orig,
         Instr::Copy { dst, src } => Instr::Copy { dst, src: r(src) },
@@ -707,6 +759,11 @@ fn simplify(
             a: r(a),
             b: r(b),
         },
+        Instr::Nor2 { dst, a, b } => Instr::Nor2 {
+            dst,
+            a: r(a),
+            b: r(b),
+        },
         Instr::Mux { dst, sel, a, b } => Instr::Mux {
             dst,
             sel: r(sel),
@@ -731,26 +788,29 @@ fn simplify(
                 (None, Some(x)) => Instr::Copy { dst, src: x }, // double negation
                 (None, None) => break,
             },
+            // The AND family: one literal list, one canonical form.
             Instr::And2 { dst, a, b } => {
-                if k(a) == Some(false)
-                    || k(b) == Some(false)
-                    || iv(a) == Some(b)
-                    || iv(b) == Some(a)
-                {
-                    Instr::Fill { dst, ones: false }
-                } else if k(a) == Some(true) || a == b {
-                    Instr::Copy { dst, src: b }
-                } else if k(b) == Some(true) {
-                    Instr::Copy { dst, src: a }
-                } else if let Some(x) = iv(b) {
-                    stats.fused += 1;
-                    Instr::AndNot { dst, a, b: x }
-                } else if let Some(x) = iv(a) {
-                    stats.fused += 1;
-                    Instr::AndNot { dst, a: b, b: x }
-                } else {
-                    break;
-                }
+                fold_and(dst, &[(a, false), (b, false)], cur, args, facts, stats)
+            }
+            Instr::AndNot { dst, a, b } => {
+                fold_and(dst, &[(a, false), (b, true)], cur, args, facts, stats)
+            }
+            Instr::Nor2 { dst, a, b } => {
+                fold_and(dst, &[(a, true), (b, true)], cur, args, facts, stats)
+            }
+            Instr::AndN {
+                dst,
+                start,
+                len,
+                inv,
+            } => {
+                let plain = (len - inv) as usize;
+                let lits: Vec<(u32, bool)> = args[start as usize..(start + len) as usize]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| (s, i >= plain))
+                    .collect();
+                fold_and(dst, &lits, cur, args, facts, stats)
             }
             Instr::Or2 { dst, a, b } => {
                 if k(a) == Some(true) || k(b) == Some(true) || iv(a) == Some(b) || iv(b) == Some(a)
@@ -782,20 +842,6 @@ fn simplify(
                 }
                 (None, None) => break,
             },
-            // a & !b
-            Instr::AndNot { dst, a, b } => {
-                if k(a) == Some(false) || k(b) == Some(true) || a == b {
-                    Instr::Fill { dst, ones: false }
-                } else if k(b) == Some(false) || iv(b) == Some(a) {
-                    Instr::Copy { dst, src: a }
-                } else if k(a) == Some(true) || iv(a) == Some(b) {
-                    Instr::Not { dst, src: b }
-                } else if let Some(x) = iv(b) {
-                    Instr::And2 { dst, a, b: x } // !b == x
-                } else {
-                    break;
-                }
-            }
             // a | !b
             Instr::OrNot { dst, a, b } => {
                 if k(a) == Some(true) || k(b) == Some(false) || a == b {
@@ -805,42 +851,10 @@ fn simplify(
                 } else if k(a) == Some(false) || iv(a) == Some(b) {
                     Instr::Not { dst, src: b }
                 } else if let Some(x) = iv(b) {
+                    stats.fused += 1;
                     Instr::Or2 { dst, a, b: x } // !b == x
                 } else {
                     break;
-                }
-            }
-            Instr::AndN { dst, start, len } => {
-                let range = start as usize..(start + len) as usize;
-                let ops: Vec<u32> = args[range.clone()].iter().map(|&s| r(s)).collect();
-                if ops.iter().any(|&s| k(s) == Some(false))
-                    || ops.iter().any(|&s| iv(s).is_some_and(|x| ops.contains(&x)))
-                {
-                    Instr::Fill { dst, ones: false }
-                } else {
-                    let mut kept: Vec<u32> = Vec::with_capacity(ops.len());
-                    for &s in &ops {
-                        if k(s) != Some(true) && !kept.contains(&s) {
-                            kept.push(s);
-                        }
-                    }
-                    match kept[..] {
-                        [] => Instr::Fill { dst, ones: true },
-                        [x] => Instr::Copy { dst, src: x },
-                        [x, y] => Instr::And2 { dst, a: x, b: y },
-                        _ => {
-                            if kept[..] == args[range] {
-                                break;
-                            }
-                            let new_start = args.len() as u32;
-                            args.extend_from_slice(&kept);
-                            Instr::AndN {
-                                dst,
-                                start: new_start,
-                                len: kept.len() as u32,
-                            }
-                        }
-                    }
                 }
             }
             Instr::OrN { dst, start, len } => {
@@ -889,6 +903,7 @@ fn simplify(
                     (_, Some(false)) => Instr::And2 { dst, a: sel, b: a },
                     (None, None) => {
                         if let Some(x) = iv(sel) {
+                            stats.fused += 1;
                             Instr::Mux {
                                 dst,
                                 sel: x,
@@ -912,10 +927,81 @@ fn simplify(
                 None => break,
             },
         };
+        if next == cur {
+            break;
+        }
         stats.folded += 1;
         cur = next;
     }
     Some(cur)
+}
+
+/// Folds an AND of literals — `(slot, inverted)` pairs — into the cheapest
+/// instruction writing it to `dst`. Each operand is alias-resolved, and an
+/// operand written by a `Not` is read as that `Not`'s source with the
+/// polarity flipped (the inverter is absorbed). A constant literal folds:
+/// false zeroes the AND, true drops out; a repeated literal drops, and a
+/// literal beside its complement zeroes the AND. The survivors pick the
+/// form — `Fill`, `Copy`, `Not`, `And2`, `AndNot`, `Nor2`, or an `AndN`
+/// whose inverted tail holds the inverted literals — and `cur` is returned
+/// unchanged when it already is that `AndN`.
+fn fold_and(
+    dst: u32,
+    lits: &[(u32, bool)],
+    cur: Instr,
+    args: &mut Vec<u32>,
+    facts: &Facts,
+    stats: &mut PeepholeStats,
+) -> Instr {
+    let mut kept: Vec<(u32, bool)> = Vec::with_capacity(lits.len());
+    for &(s, neg) in lits {
+        let mut lit = (facts.resolve(s), neg);
+        if let Some(x) = facts.inv[lit.0 as usize] {
+            stats.fused += 1;
+            lit = (x, !neg);
+        }
+        match facts.konst[lit.0 as usize] {
+            Some(v) if v == lit.1 => return Instr::Fill { dst, ones: false },
+            Some(_) => {}
+            None if kept.contains(&(lit.0, !lit.1)) => return Instr::Fill { dst, ones: false },
+            None if !kept.contains(&lit) => kept.push(lit),
+            None => {}
+        }
+    }
+    // Plain literals first, then the inverted tail, each in operand order.
+    kept.sort_by_key(|&(_, neg)| neg);
+    match kept[..] {
+        [] => Instr::Fill { dst, ones: true },
+        [(a, false)] => Instr::Copy { dst, src: a },
+        [(a, true)] => Instr::Not { dst, src: a },
+        [(a, false), (b, false)] => Instr::And2 { dst, a, b },
+        [(a, false), (b, true)] => Instr::AndNot { dst, a, b },
+        [(a, true), (b, true)] => Instr::Nor2 { dst, a, b },
+        _ => {
+            let inv = kept.iter().filter(|&&(_, neg)| neg).count() as u32;
+            let window = || kept.iter().map(|&(s, _)| s);
+            if let Instr::AndN {
+                start,
+                len,
+                inv: cur_inv,
+                ..
+            } = cur
+            {
+                let ops = &args[start as usize..(start + len) as usize];
+                if cur_inv == inv && ops.iter().copied().eq(window()) {
+                    return cur;
+                }
+            }
+            let start = args.len() as u32;
+            args.extend(window());
+            Instr::AndN {
+                dst,
+                start,
+                len: kept.len() as u32,
+                inv,
+            }
+        }
+    }
 }
 
 /// Whether `net` is (re)computed during `phase`, i.e. gets an instruction.
@@ -967,6 +1053,7 @@ fn lower_gate(netlist: &Netlist, net: NetId, args: &mut Vec<u32>) -> Option<Inst
                     dst,
                     start,
                     len: many.len() as u32,
+                    inv: 0,
                 }
             }
         },
@@ -1067,8 +1154,12 @@ mod tests {
                     | Instr::Or2 { dst, a, b }
                     | Instr::Xor2 { dst, a, b }
                     | Instr::AndNot { dst, a, b }
-                    | Instr::OrNot { dst, a, b } => (dst, vec![a, b]),
-                    Instr::AndN { dst, start, len } | Instr::OrN { dst, start, len } => (
+                    | Instr::OrNot { dst, a, b }
+                    | Instr::Nor2 { dst, a, b } => (dst, vec![a, b]),
+                    Instr::AndN {
+                        dst, start, len, ..
+                    }
+                    | Instr::OrN { dst, start, len } => (
                         dst,
                         p.args()[start as usize..(start + len) as usize].to_vec(),
                     ),
@@ -1165,10 +1256,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn peephole_fuses_and_preserves_outputs() {
-        // The x & !y / x | !y shapes of elastic controllers must fuse, and
-        // the observed output must stay cycle-exact.
+    /// Every instruction of both tapes of `p`.
+    fn instrs(p: &Program) -> impl Iterator<Item = &Instr> {
+        p.high().iter().chain(p.low())
+    }
+
+    /// A fusion case of [`peephole_fuses_and_preserves_outputs`]: the
+    /// netlist, the program the peephole pass starts from, the nets to
+    /// probe, and a check of the optimized program.
+    type FusionCase = (Netlist, Program, Vec<NetId>, fn(&Program, &PeepholeStats));
+
+    /// The x & !y / x | !y kill-gating shapes of elastic controllers fuse
+    /// into `AndNot`/`OrNot`.
+    fn fusion_and_not_or_not() -> FusionCase {
         let mut n = Netlist::new("fuse");
         let a = n.input("a");
         let b = n.input("b");
@@ -1180,17 +1280,181 @@ mod tests {
         n.bind_dff(q, d).unwrap();
         let out = n.or2(kill, keep);
         n.mark_output(out).unwrap();
-        let (p, stats) = Program::compile_optimized(&n).unwrap();
-        assert!(stats.fused >= 2, "{stats:?}");
-        assert!(stats.instrs_after < stats.instrs_before, "{stats:?}");
-        assert!(
-            p.low()
-                .iter()
-                .any(|i| matches!(i, Instr::AndNot { .. } | Instr::OrNot { .. })),
-            "fused ops survive into the tape: {:?}",
-            p.low()
-        );
-        cosim_programs(&n, p, &[out, q], 24);
+        let p = Program::compile(&n).unwrap();
+        let check: fn(&Program, &PeepholeStats) = |p, stats| {
+            assert!(stats.fused >= 2, "{stats:?}");
+            assert!(stats.instrs_after < stats.instrs_before, "{stats:?}");
+            assert!(
+                p.low()
+                    .iter()
+                    .any(|i| matches!(i, Instr::AndNot { .. } | Instr::OrNot { .. })),
+                "fused ops survive into the tape: {:?}",
+                p.low()
+            );
+        };
+        (n, p, vec![out, q], check)
+    }
+
+    /// `and([a, !b, c])` becomes one `AndN` whose one-operand inverted
+    /// tail reads `b`, and the `Not` is gone.
+    fn fusion_and_tail() -> FusionCase {
+        let mut n = Netlist::new("tail");
+        let a = n.input("a");
+        let b = n.input("b");
+        let c = n.input("c");
+        let nb = n.not(b);
+        let x = n.and([a, nb, c]);
+        let q = n.dff_bound(x, false);
+        n.mark_output(x).unwrap();
+        let p = Program::compile(&n).unwrap();
+        let check: fn(&Program, &PeepholeStats) = |p, stats| {
+            assert!(stats.fused >= 1, "{stats:?}");
+            assert!(
+                !instrs(p).any(|i| matches!(i, Instr::Not { .. })),
+                "inverter absorbed: {:?}",
+                p.low()
+            );
+            let tails: Vec<&[u32]> = instrs(p)
+                .filter_map(|&i| match i {
+                    Instr::AndN {
+                        start,
+                        len: 3,
+                        inv: 1,
+                        ..
+                    } => Some(&p.args()[start as usize..start as usize + 3]),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                tails.len(),
+                1,
+                "one AndN with a one-operand tail: {:?}",
+                p.low()
+            );
+            assert_eq!(tails[0][2], 1, "the tail reads b (slot 1): {:?}", tails[0]);
+        };
+        (n, p, vec![x, q], check)
+    }
+
+    /// `and_not(!a, b)` becomes `Nor2(a, b)`.
+    fn fusion_nor2() -> FusionCase {
+        let mut n = Netlist::new("nor");
+        let a = n.input("a");
+        let b = n.input("b");
+        let na = n.not(a);
+        let y = n.and_not(na, b);
+        n.mark_output(y).unwrap();
+        let p = Program::compile(&n).unwrap();
+        let check: fn(&Program, &PeepholeStats) = |p, stats| {
+            assert!(stats.fused >= 2, "{stats:?}");
+            assert!(p.high().is_empty(), "{:?}", p.high());
+            assert_eq!(p.low(), &[Instr::Nor2 { dst: 4, a: 0, b: 1 }]);
+        };
+        (n, p, vec![y], check)
+    }
+
+    /// A `Not` marked as an output survives, while its reader still
+    /// absorbs it.
+    fn fusion_observed_not() -> FusionCase {
+        let mut n = Netlist::new("seen");
+        let a = n.input("a");
+        let b = n.input("b");
+        let na = n.not(a);
+        let y = n.and2(na, b);
+        n.mark_output(na).unwrap();
+        n.mark_output(y).unwrap();
+        let p = Program::compile(&n).unwrap();
+        let check: fn(&Program, &PeepholeStats) = |p, _| {
+            assert!(
+                p.low().contains(&Instr::Not { dst: 2, src: 0 }),
+                "observed inverter kept: {:?}",
+                p.low()
+            );
+            assert!(
+                p.low().contains(&Instr::AndNot { dst: 3, a: 1, b: 0 }),
+                "reader absorbed it: {:?}",
+                p.low()
+            );
+        };
+        (n, p, vec![na, y], check)
+    }
+
+    /// Constants in an inverted tail fold as complements: a constant-false
+    /// tail operand drops out, a constant-true one zeroes the `AndN`. The
+    /// lowering never emits a tail, so the start program's `AndN`s are
+    /// rewritten to equivalent tailed ones over the constants.
+    fn fusion_constant_tail() -> FusionCase {
+        let mut n = Netlist::new("ktail");
+        let a = n.input("a");
+        let b = n.input("b");
+        let c = n.input("c");
+        let zero = n.constant(false);
+        let one = n.constant(true);
+        let nz = n.not(zero);
+        let no = n.not(one);
+        let keep = n.and([a, b, nz]); // a & b & !0 == a & b
+        let kill = n.and([a, c, no]); // a & c & !1 == 0
+        n.mark_output(keep).unwrap();
+        n.mark_output(kill).unwrap();
+        let mut p = Program::compile(&n).unwrap();
+        for instr in p.high.iter_mut().chain(p.low.iter_mut()) {
+            let tailed = match instr.dst() {
+                d if d == keep.0 => [a.0, b.0, zero.0],
+                d if d == kill.0 => [a.0, c.0, one.0],
+                _ => continue,
+            };
+            let start = p.args.len() as u32;
+            p.args.extend(tailed);
+            *instr = Instr::AndN {
+                dst: instr.dst(),
+                start,
+                len: 3,
+                inv: 1,
+            };
+        }
+        let check: fn(&Program, &PeepholeStats) = |p, _| {
+            assert!(
+                p.low().contains(&Instr::And2 { dst: 7, a: 0, b: 1 }),
+                "constant-false tail operand dropped: {:?}",
+                p.low()
+            );
+            assert!(
+                p.low().contains(&Instr::Fill {
+                    dst: 8,
+                    ones: false
+                }),
+                "constant-true tail operand zeroed the AND: {:?}",
+                p.low()
+            );
+        };
+        (n, p, vec![keep, kill], check)
+    }
+
+    #[test]
+    fn peephole_fuses_and_preserves_outputs() {
+        // Each case's optimized program passes its check, a second
+        // peephole pass over it changes nothing, and its observed nets stay
+        // cycle-exact against the unoptimized program.
+        for (n, mut p, probes, check) in [
+            fusion_and_not_or_not(),
+            fusion_and_tail(),
+            fusion_nor2(),
+            fusion_observed_not(),
+            fusion_constant_tail(),
+        ] {
+            let name = n.name().to_string();
+            let stats = p.peephole();
+            check(&p, &stats);
+            let mut again = p.clone();
+            let second = again.peephole();
+            assert_eq!(
+                (again.high(), again.low(), again.args()),
+                (p.high(), p.low(), p.args()),
+                "{name}: a second pass changed the program"
+            );
+            assert_eq!((second.fused, second.folded), (0, 0), "{name}: {second:?}");
+            cosim_programs(&n, p, &probes, 24);
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! * a compiled, bit-parallel backend: [`levelize::Program`] lowers the
 //!   gate graph into a flat instruction tape and [`wide::WideSimulator`]
 //!   steps 64 independent trials per cycle with word-wide operations,
+//!   through the portable, AVX2 or AVX-512F build a [`kernel::Kernel`]
+//!   selects at run time,
 //! * structural sanity checks, including combinational-cycle detection,
 //! * an [`area`] model that counts factored-form literals, latches and
 //!   flip-flops the way SIS reports them in the paper's Table 1,
@@ -49,6 +51,7 @@ mod error;
 pub mod area;
 pub mod check;
 pub mod export;
+pub mod kernel;
 pub mod levelize;
 pub mod opt;
 pub mod sim;

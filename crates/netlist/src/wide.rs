@@ -54,6 +54,7 @@
 
 use crate::build::{NetId, Netlist};
 use crate::error::NetlistError;
+use crate::kernel::Kernel;
 use crate::levelize::{BlockPlan, Instr, Program};
 
 /// Number of independent trials evaluated per step (bits in the lane word).
@@ -125,6 +126,17 @@ const _: () = {
 /// capture of flip-flop data inputs. There is no oscillation error at run
 /// time — [`Program::compile`] rejects the offending netlists statically.
 ///
+/// Every cycle entry point ([`WideSim::cycle_wide`],
+/// [`WideSim::cycle_packed`], [`WideSim::cycle_packed_blocked`] and the
+/// `W = 1` [`WideSimulator::cycle`]) runs one `#[inline(always)]` cycle
+/// body — commit, input writes, both phase tapes, capture — through the
+/// [`Kernel`] build chosen once, when the simulator is made: the fastest
+/// build this CPU runs ([`Kernel::best`]) from two words up, portable for
+/// one word, so Monte-Carlo shards, fault campaigns and co-simulation of
+/// one width all execute the same build. Every build computes the same
+/// lane words; [`WideSim::with_kernel`] pins one, which the tests use to
+/// compare them.
+///
 /// The `W = 1` instance is aliased as [`WideSimulator`] and carries the
 /// per-lane convenience API (`value`, `set_input`, `state`, …); wider
 /// instances are driven through [`WideSim::cycle_wide`] or the allocation-
@@ -141,6 +153,8 @@ pub struct WideSim<const W: usize> {
     /// Per-slot input marker for input validation.
     is_input: Vec<bool>,
     time: u64,
+    /// The build every cycle runs through.
+    kernel: Kernel,
 }
 
 /// The single-word (64-trial) instance of [`WideSim`] — the backend
@@ -188,7 +202,30 @@ impl<const W: usize> WideSim<W> {
             captured,
             is_input,
             time: 0,
+            kernel: Self::default_kernel(),
         }
+    }
+
+    /// The build a `W`-word simulator runs unless pinned with
+    /// [`WideSim::with_kernel`]: [`Kernel::best`] from two words up, and
+    /// the portable build for one word. A one-word lane value is a scalar,
+    /// so a SIMD build has nothing to widen there, and the one-word tape
+    /// measured no faster on it (BENCH.md).
+    fn default_kernel() -> Kernel {
+        if W >= 2 {
+            Kernel::best()
+        } else {
+            Kernel::portable()
+        }
+    }
+
+    /// Runs every later cycle through `kernel`'s build instead of the
+    /// default one. The lane words are the same on every build; this
+    /// exists to compare them.
+    #[must_use]
+    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
+        self.kernel = kernel;
+        self
     }
 
     /// Total number of independent trials: `W ×` [`LANES`].
@@ -245,15 +282,16 @@ impl<const W: usize> WideSim<W> {
     ///
     /// # Errors
     ///
-    /// Input errors from [`WideSim::set_input_words`]. Unlike the scalar
-    /// interpreter there is no oscillation path — settling is one pass per
-    /// phase over the compiled tape.
+    /// Input errors from [`WideSim::set_input_words`], checked before the
+    /// cycle runs. Unlike the scalar interpreter there is no oscillation
+    /// path — settling is one pass per phase over the compiled tape.
     pub fn cycle_wide(&mut self, inputs: &[(NetId, [u64; W])]) -> Result<(), NetlistError> {
-        self.commit();
+        // Inputs and flip-flop outputs are distinct slots, so writing the
+        // inputs ahead of the rising edge leaves the cycle unchanged.
         for &(net, words) in inputs {
             self.set_input_words(net, words)?;
         }
-        self.finish_cycle();
+        self.step(&[], &[], None);
         Ok(())
     }
 
@@ -284,16 +322,7 @@ impl<const W: usize> WideSim<W> {
     /// slot is a primary input; release builds panic on out-of-range slots
     /// via the slice index.
     pub fn cycle_packed(&mut self, slots: &[u32], row: &[u64]) {
-        debug_assert_eq!(row.len(), slots.len() * W, "one W-word group per slot");
-        self.commit();
-        for (i, &s) in slots.iter().enumerate() {
-            debug_assert!(self.is_input[s as usize], "slot {s} is not an input");
-            let v = &mut self.values[s as usize];
-            for w in 0..W {
-                v[w] = row[i * W + w];
-            }
-        }
-        self.finish_cycle();
+        self.step(slots, row, None);
     }
 
     /// [`cycle_packed`](Self::cycle_packed) with a cache-blocking plan from
@@ -302,51 +331,67 @@ impl<const W: usize> WideSim<W> {
     /// the result is bit-identical to `cycle_packed` for every plan — the
     /// split only bounds the working set touched between block boundaries.
     pub fn cycle_packed_blocked(&mut self, slots: &[u32], row: &[u64], plan: &BlockPlan) {
+        self.step(slots, row, Some(plan));
+    }
+
+    /// Runs [`cycle_body`] through the simulator's kernel build — the one
+    /// place a cycle picks its build — and advances time.
+    fn step(&mut self, slots: &[u32], row: &[u64], plan: Option<&BlockPlan>) {
         debug_assert_eq!(row.len(), slots.len() * W, "one W-word group per slot");
-        self.commit();
-        for (i, &s) in slots.iter().enumerate() {
+        for &s in slots {
             debug_assert!(self.is_input[s as usize], "slot {s} is not an input");
-            let v = &mut self.values[s as usize];
-            for w in 0..W {
-                v[w] = row[i * W + w];
+        }
+        let WideSim {
+            prog,
+            values,
+            captured,
+            kernel,
+            ..
+        } = self;
+        kernel.run(
+            values.as_mut_slice(),
+            #[inline(always)]
+            |values| Self::cycle_body(prog, values, captured, slots, row, plan),
+        );
+        self.time += 1;
+    }
+
+    /// One clock cycle, the body every [`Kernel`] build compiles: rising
+    /// edge (each flip-flop output takes its captured data), input writes
+    /// (`slots[i]` takes `row[i*W .. (i+1)*W]`), the high and low tapes —
+    /// as `plan`'s blocks, or whole — and the capture of every flip-flop's
+    /// data input.
+    #[inline(always)]
+    fn cycle_body(
+        prog: &Program,
+        values: &mut [[u64; W]],
+        captured: &mut [[u64; W]],
+        slots: &[u32],
+        row: &[u64],
+        plan: Option<&BlockPlan>,
+    ) {
+        for (slot, f) in captured.iter().zip(prog.ffs()) {
+            values[f.q as usize] = *slot;
+        }
+        for (&s, words) in slots.iter().zip(row.chunks_exact(W)) {
+            values[s as usize].copy_from_slice(words);
+        }
+        let whole = [(0, prog.high().len()), (0, prog.low().len())];
+        let (high, low) = match plan {
+            Some(plan) => (plan.high(), plan.low()),
+            None => (&whole[..1], &whole[1..]),
+        };
+        for (tape, blocks) in [(prog.high(), high), (prog.low(), low)] {
+            for &(s, e) in blocks {
+                Self::run_tape(values, &tape[s..e], prog.args());
             }
         }
-        for &(s, e) in plan.high() {
-            Self::run_tape(&mut self.values, &self.prog.high()[s..e], self.prog.args());
-        }
-        for &(s, e) in plan.low() {
-            Self::run_tape(&mut self.values, &self.prog.low()[s..e], self.prog.args());
-        }
-        for (slot, f) in self.captured.iter_mut().zip(self.prog.ffs()) {
-            *slot = self.values[f.d as usize];
-        }
-        self.time += 1;
-    }
-
-    /// Rising edge: commit the captured flip-flop data to the outputs.
-    fn commit(&mut self) {
-        for (slot, f) in self.captured.iter().zip(self.prog.ffs()) {
-            self.values[f.q as usize] = *slot;
+        for (slot, f) in captured.iter_mut().zip(prog.ffs()) {
+            *slot = values[f.d as usize];
         }
     }
 
-    /// Settle both phases, capture flip-flop data, advance time.
-    fn finish_cycle(&mut self) {
-        self.settle();
-        for (slot, f) in self.captured.iter_mut().zip(self.prog.ffs()) {
-            *slot = self.values[f.d as usize];
-        }
-        self.time += 1;
-    }
-
-    /// Settles the combinational logic and transparent latches for both
-    /// clock phases (high then low) without touching flip-flops: a single
-    /// pass over each tape, in dependency order.
-    pub fn settle(&mut self) {
-        Self::run_tape(&mut self.values, self.prog.high(), self.prog.args());
-        Self::run_tape(&mut self.values, self.prog.low(), self.prog.args());
-    }
-
+    #[inline(always)]
     fn run_tape(values: &mut [[u64; W]], tape: &[Instr], args: &[u32]) {
         for &instr in tape {
             match instr {
@@ -394,15 +439,39 @@ impl<const W: usize> WideSim<W> {
                         d[w] = x[w] | !y[w];
                     }
                 }
-                Instr::AndN { dst, start, len } => {
+                Instr::Nor2 { dst, a, b } => {
+                    let (x, y) = (values[a as usize], values[b as usize]);
+                    let d = &mut values[dst as usize];
+                    for w in 0..W {
+                        d[w] = !(x[w] | y[w]);
+                    }
+                }
+                Instr::AndN {
+                    dst,
+                    start,
+                    len,
+                    inv,
+                } => {
+                    let window = &args[start as usize..(start + len) as usize];
+                    let (plain, tail) = window.split_at((len - inv) as usize);
                     let mut acc = [u64::MAX; W];
-                    for &a in &args[start as usize..(start + len) as usize] {
+                    for &a in plain {
                         let v = values[a as usize];
                         for w in 0..W {
                             acc[w] &= v[w];
                         }
                     }
-                    values[dst as usize] = acc;
+                    let mut any = [0u64; W];
+                    for &a in tail {
+                        let v = values[a as usize];
+                        for w in 0..W {
+                            any[w] |= v[w];
+                        }
+                    }
+                    let d = &mut values[dst as usize];
+                    for w in 0..W {
+                        d[w] = acc[w] & !any[w];
+                    }
                 }
                 Instr::OrN { dst, start, len } => {
                     let mut acc = [0u64; W];
@@ -496,15 +565,14 @@ impl WideSim<1> {
     ///
     /// # Errors
     ///
-    /// Input errors from [`WideSimulator::set_input`]. Unlike the scalar
-    /// interpreter there is no oscillation path — settling is one pass per
-    /// phase over the compiled tape.
+    /// Input errors from [`WideSimulator::set_input`], checked before the
+    /// cycle runs. Unlike the scalar interpreter there is no oscillation
+    /// path — settling is one pass per phase over the compiled tape.
     pub fn cycle(&mut self, inputs: &[(NetId, u64)]) -> Result<(), NetlistError> {
-        self.commit();
         for &(net, mask) in inputs {
             self.set_input(net, mask)?;
         }
-        self.finish_cycle();
+        self.step(&[], &[], None);
         Ok(())
     }
 

@@ -9,6 +9,7 @@ use elastic_circuits::core::systems::{
 use elastic_circuits::dmg::analysis::simple_cycles;
 use elastic_circuits::dmg::examples::{fig1_dmg, pipeline_ring};
 use elastic_circuits::dmg::exec::{RandomExecutor, SchedulingPolicy};
+use elastic_circuits::netlist::kernel::Kernel;
 use elastic_circuits::netlist::levelize::Program;
 use elastic_circuits::netlist::sim::Simulator;
 use elastic_circuits::netlist::wide::{WideSim, WideSimulator, LANES};
@@ -269,6 +270,97 @@ proptest! {
                     lane,
                     net.net_name(id)
                 );
+            }
+        }
+    }
+
+    /// The peephole-optimized tape on every kernel build: a `WideSim<8>`
+    /// (512 trials per pass) runs the optimized tape of a random netlist
+    /// through each build this CPU runs, fed packed stimulus rows the way
+    /// Monte-Carlo shards feed it. Every build must produce the same words
+    /// on the preserved observation set, and one lane per word must match
+    /// a scalar `Simulator` run driven with that lane's inputs. Latches of
+    /// both phases come from `random_netlist`; observed readers of
+    /// inverters appended to it put `Nor2`s and `AndN` inverted tails on
+    /// the tape.
+    #[test]
+    fn optimized_tape_matches_scalar_on_every_kernel(seed in 0u64..10_000, lane_pick in 0u64..64) {
+        const W: usize = 8;
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(5).wrapping_add(2));
+        let mut net = random_netlist(&mut rng);
+        let all: Vec<NetId> = net.nets().collect();
+        for _ in 0..rng.gen_range(1usize..5) {
+            let pick = all[rng.gen_range(0..all.len())];
+            net.mark_output(pick).unwrap();
+        }
+        for _ in 0..rng.gen_range(1usize..4) {
+            let pick = |rng: &mut StdRng| all[rng.gen_range(0..all.len())];
+            let (x, y, z) = (pick(&mut rng), pick(&mut rng), pick(&mut rng));
+            let nx = net.not(x);
+            let ny = net.not(y);
+            let reader = match rng.gen_range(0u32..3) {
+                0 => net.and_not(nx, y), // Nor2(x, y)
+                1 => net.and([x, ny, z]), // AndN, tail [y]
+                _ => net.and([nx, z, ny]), // AndN, tail [x, y]
+            };
+            net.mark_output(reader).unwrap();
+        }
+        let (prog, _) = Program::compile_optimized(&net).unwrap();
+        let mut probes: Vec<NetId> = net.outputs().to_vec();
+        probes.extend(net.state_elements());
+        let slots: Vec<u32> = net.inputs().iter().map(|i| i.index() as u32).collect();
+        // One lane per word, at a different bit in each.
+        let lanes: Vec<usize> = (0..W)
+            .map(|w| w * LANES + (lane_pick as usize + 7 * w) % LANES)
+            .collect();
+        let builds = Kernel::available();
+        let mut sims: Vec<WideSim<W>> = builds
+            .iter()
+            .map(|&k| WideSim::from_program(prog.clone()).with_kernel(k))
+            .collect();
+        let mut scalars: Vec<Simulator> = lanes.iter().map(|_| Simulator::new(&net).unwrap()).collect();
+        for cycle in 0..24 {
+            let row: Vec<u64> = (0..slots.len() * W).map(|_| rng.gen_range(0..u64::MAX)).collect();
+            for sim in &mut sims {
+                sim.cycle_packed(&slots, &row);
+            }
+            for &id in &probes {
+                for (sim, kernel) in sims.iter().zip(&builds).skip(1) {
+                    for w in 0..W {
+                        prop_assert_eq!(
+                            sim.word(id, w),
+                            sims[0].word(id, w),
+                            "cycle {} word {} net {}: {:?} vs {:?}",
+                            cycle,
+                            w,
+                            net.net_name(id),
+                            kernel,
+                            builds[0]
+                        );
+                    }
+                }
+            }
+            for (scalar, &lane) in scalars.iter_mut().zip(&lanes) {
+                let drive: Vec<(NetId, bool)> = net
+                    .inputs()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &id)| (id, row[i * W + lane / LANES] >> (lane % LANES) & 1 == 1))
+                    .collect();
+                scalar.cycle(&drive).unwrap();
+                for &id in &probes {
+                    for (sim, kernel) in sims.iter().zip(&builds) {
+                        prop_assert_eq!(
+                            sim.lane(id, lane),
+                            scalar.value(id),
+                            "cycle {} lane {} net {} on {:?}",
+                            cycle,
+                            lane,
+                            net.net_name(id),
+                            kernel
+                        );
+                    }
+                }
             }
         }
     }
