@@ -34,7 +34,7 @@
 //!
 //! Usage: `campaign [--trials N] [--threads N] [--cycles N] [--seed N]
 //! [--queue N] [--backend {auto,scalar,wide,wide1,wide2,wide4,wide8}]
-//! [--json PATH]` (JSON defaults to `BENCH_pr6.json`).
+//! [--json PATH]`; the report is written only to the `--json` path.
 
 use elastic_bench::exp::{
     ee_prob_experiment, lazy_bound_check, run_prepared, CampaignReport, CliOpts, EngineOpts,
@@ -43,6 +43,7 @@ use elastic_bench::exp::{
 use elastic_bench::{Backend, BackendSel, WideHarness};
 use elastic_core::network::ElasticNetwork;
 use elastic_core::systems::Config;
+use elastic_lint::cli::write_report;
 
 /// Fast-branch probabilities swept per configuration cell.
 const CELLS_P: [f64; 3] = [0.0, 0.5, 1.0];
@@ -59,7 +60,6 @@ fn main() {
     // cycles) so `cycles_per_sec` is comparable point by point.
     let opts = CliOpts::parse(1024, 2000);
     let engine = opts.engine();
-    let json_path = opts.json.clone().unwrap_or_else(|| "BENCH_pr6.json".into());
     let mut report = CampaignReport {
         name: format!(
             "pr6_campaign trials={} cycles={} threads={} queue={} backend={}",
@@ -266,6 +266,5 @@ fn main() {
         });
     }
 
-    report.write_json(&json_path).expect("write json");
-    println!("wrote {json_path}");
+    write_report(opts.json.as_deref(), &report.to_json());
 }

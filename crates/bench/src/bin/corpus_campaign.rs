@@ -23,15 +23,18 @@
 //!
 //! Usage: `corpus_campaign [--trials N] [--threads N] [--cycles N]
 //! [--seed N] [--queue N] [--backend {auto,scalar,wide,wide1,wide2,wide4,
-//! wide8}] [--json PATH]` (JSON defaults to `BENCH_pr10.json`).
+//! wide8}] [--json PATH]`; the report is written only to the `--json`
+//! path.
 
 use elastic_bench::exp::{
-    json_f64, lazy_bound_check, run_prepared, CampaignReport, CliOpts, Experiment, SystemSpec,
+    lazy_bound_check, run_prepared, CampaignReport, CliOpts, Experiment, SystemSpec,
 };
 use elastic_bench::WideHarness;
 use elastic_core::compile::{compile, CompileOptions};
 use elastic_core::corpus::{build, CorpusConfig, Knobs, DESIGNS};
 use elastic_core::network::ElasticNetwork;
+use elastic_lint::cli::write_report;
+use elastic_lint::json::Json;
 use elastic_netlist::export::round_trip_check;
 use elastic_netlist::wide::LANES;
 
@@ -64,10 +67,6 @@ impl Gain {
 fn main() {
     let opts = CliOpts::parse(LANES, 2000);
     let engine = opts.engine();
-    let json_path = opts
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_pr10.json".into());
     let mut report = CampaignReport {
         name: format!(
             "pr10_corpus trials={} cycles={} threads={} queue={} backend={}",
@@ -231,27 +230,22 @@ fn main() {
         );
     }
 
-    // Splice the gains table into the standard campaign JSON.
-    let mut json = report.to_json();
-    let tail = "\n}\n";
-    assert!(json.ends_with(tail), "campaign JSON shape changed");
-    json.truncate(json.len() - tail.len());
-    json.push_str(",\n  \"gains\": [\n");
-    for (i, g) in gains.iter().enumerate() {
-        let sep = if i + 1 == gains.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"design\": \"{}\", \"config\": \"{}\", \"ee_prob\": {}, \
-             \"latency\": {}, \"mean\": {}, \"lazy_mean\": {}, \"gain\": {}}}{sep}\n",
-            g.design,
-            g.config.tag(),
-            json_f64(g.ee_prob),
-            g.latency,
-            json_f64(g.mean),
-            json_f64(g.lazy_mean),
-            json_f64(g.ratio()),
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&json_path, json).expect("write json");
-    println!("wrote {json_path}");
+    // The standard campaign report, with the gains table as one more
+    // member.
+    let Json::Object(mut fields) = report.to_json() else {
+        unreachable!("a campaign report is a JSON object");
+    };
+    let gains = gains.iter().map(|g| {
+        Json::object([
+            ("design", g.design.into()),
+            ("config", g.config.tag().into()),
+            ("ee_prob", g.ee_prob.into()),
+            ("latency", g.latency.into()),
+            ("mean", g.mean.into()),
+            ("lazy_mean", g.lazy_mean.into()),
+            ("gain", g.ratio().into()),
+        ])
+    });
+    fields.push(("gains".into(), Json::array(gains)));
+    write_report(opts.json.as_deref(), &Json::Object(fields));
 }

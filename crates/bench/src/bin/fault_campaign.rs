@@ -20,13 +20,16 @@
 //!
 //! Usage: `fault_campaign [--topologies N] [--trials N] [--cycles N]
 //! [--seed N] [--threads N] [--queue N] [--window N] [--tail N]
-//! [--classes a,b,...|all] [--check] [--json PATH]`
-//! (JSON defaults to `BENCH_pr7.json`; `--trials` is lanes per job,
-//! `--window` the armed cycles per lane, `1..=cycles`).
+//! [--classes a,b,...|all] [--check] [--json PATH]` (`--trials` is lanes
+//! per job, `--window` the armed cycles per lane, `1..=cycles`). The report
+//! is written only to the `--json` path. `--topologies`, `--trials`,
+//! `--threads` and `--queue` of 0 exit 2, naming the flag.
 
 use elastic_bench::exp::{check_determinism, default_threads, parse_classes};
 use elastic_bench::stabilize::{run_fault_sweep, StabilizationOpts, FAULT_CLASSES};
-use elastic_lint::cli::{parse_flag, reject_unknown_flags};
+use elastic_lint::cli::{
+    flag_value, parse_flag, parse_positive, reject_unknown_flags, write_report,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -47,18 +50,18 @@ fn main() {
         &["--check"],
     );
     let opts = StabilizationOpts {
-        topologies: parse_flag(&args, "--topologies", 100usize).max(1),
+        topologies: parse_positive(&args, "--topologies", 100),
         seed: parse_flag(&args, "--seed", 1),
         cycles: parse_flag(&args, "--cycles", 256usize),
-        lanes: parse_flag(&args, "--trials", 64usize),
+        lanes: parse_positive(&args, "--trials", 64),
         intensities: vec![parse_flag(&args, "--window", 1usize)],
         recovery_tail: parse_flag(&args, "--tail", 16usize),
-        threads: parse_flag(&args, "--threads", default_threads()),
-        queue: parse_flag(&args, "--queue", 2usize),
+        threads: parse_positive(&args, "--threads", default_threads()),
+        queue: parse_positive(&args, "--queue", 2),
         classes: parse_classes(&args, &FAULT_CLASSES),
         ..StabilizationOpts::default()
     };
-    let json_path = parse_flag(&args, "--json", "BENCH_pr7.json".to_string());
+    let json_path = flag_value(&args, "--json");
 
     println!(
         "fault_campaign: {} topologies x {} classes, {} trials x {} cycles each, \
@@ -118,6 +121,5 @@ fn main() {
         check_determinism(&report, run_fault_sweep);
     }
 
-    std::fs::write(&json_path, report.to_recovery_json()).expect("write json");
-    println!("wrote {json_path}");
+    write_report(json_path.as_deref(), &report.to_recovery_json());
 }

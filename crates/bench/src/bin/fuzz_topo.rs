@@ -28,7 +28,7 @@
 
 use elastic_bench::exp::default_threads;
 use elastic_bench::fuzz::{run_fuzz, FuzzOpts};
-use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags};
+use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags, write_report};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -74,19 +74,9 @@ fn main() {
 
     let summary = run_fuzz(&opts);
 
-    let passed = summary.outcomes.iter().filter(|o| o.report.is_ok()).count();
-    let ee: usize = summary
-        .outcomes
-        .iter()
-        .filter_map(|o| o.report.as_ref().ok())
-        .map(|r| r.ee_joins)
-        .sum();
-    let bound_checked = summary
-        .outcomes
-        .iter()
-        .filter_map(|o| o.report.as_ref().ok())
-        .filter(|r| r.bound.is_some())
-        .count();
+    let passed = summary.reports().count();
+    let ee: usize = summary.reports().map(|r| r.ee_joins).sum();
+    let bound_checked = summary.reports().filter(|r| r.bound.is_some()).count();
     println!(
         "  {passed}/{} differentials clean ({ee} early joins exercised, \
          {bound_checked} bound checks) in {:.2}s",
@@ -139,18 +129,15 @@ fn main() {
         }
     }
 
-    if let Some(path) = json_path {
-        let name = format!(
-            "fuzz_topo seed={} count={} cycles={} lanes={}{}",
-            opts.seed,
-            opts.count,
-            opts.cycles,
-            opts.lanes,
-            if opts.inject { " inject" } else { "" }
-        );
-        summary.write_json(&name, &path).expect("write json");
-        println!("wrote {path}");
-    }
+    let name = format!(
+        "fuzz_topo seed={} count={} cycles={} lanes={}{}",
+        opts.seed,
+        opts.count,
+        opts.cycles,
+        opts.lanes,
+        if opts.inject { " inject" } else { "" }
+    );
+    write_report(json_path.as_deref(), &summary.to_json(&name));
 
     if !summary.ok() {
         eprintln!("fuzz_topo: FAILED");

@@ -27,12 +27,15 @@
 //! Usage: `stabilization_campaign [--topologies N] [--trials N]
 //! [--cycles N] [--period N] [--intensities a,b,...] [--tail N]
 //! [--seed N] [--threads N] [--queue N] [--classes a,b,...|all]
-//! [--mc-topologies N] [--check] [--json PATH]`
-//! (JSON defaults to `BENCH_pr9.json`; `--trials` is lanes per job).
+//! [--mc-topologies N] [--check] [--json PATH]` (`--trials` is lanes per
+//! job). The report is written only to the `--json` path. `--topologies`,
+//! `--trials`, `--threads` and `--queue` of 0 exit 2, naming the flag.
 
 use elastic_bench::exp::{check_determinism, default_threads, parse_classes, parse_list};
 use elastic_bench::stabilize::{run_stabilization_campaign, StabilizationOpts, PROCESS_CLASSES};
-use elastic_lint::cli::{parse_flag, reject_unknown_flags};
+use elastic_lint::cli::{
+    flag_value, parse_flag, parse_positive, reject_unknown_flags, write_report,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -55,19 +58,19 @@ fn main() {
         &["--check"],
     );
     let opts = StabilizationOpts {
-        topologies: parse_flag(&args, "--topologies", 100usize).max(1),
+        topologies: parse_positive(&args, "--topologies", 100),
         seed: parse_flag(&args, "--seed", 1),
         cycles: parse_flag(&args, "--cycles", 256usize),
-        lanes: parse_flag(&args, "--trials", 64usize),
+        lanes: parse_positive(&args, "--trials", 64),
         period: parse_flag(&args, "--period", 32usize),
         intensities: parse_list(&args, "--intensities", vec![1, 2, 4]),
         recovery_tail: parse_flag(&args, "--tail", 16usize),
-        threads: parse_flag(&args, "--threads", default_threads()),
-        queue: parse_flag(&args, "--queue", 2usize),
+        threads: parse_positive(&args, "--threads", default_threads()),
+        queue: parse_positive(&args, "--queue", 2),
         classes: parse_classes(&args, &PROCESS_CLASSES),
         mc_topologies: parse_flag(&args, "--mc-topologies", 4usize),
     };
-    let json_path = parse_flag(&args, "--json", "BENCH_pr9.json".to_string());
+    let json_path = flag_value(&args, "--json");
 
     println!(
         "stabilization_campaign: {} topologies x {} classes x {} intensities, \
@@ -173,6 +176,5 @@ fn main() {
         check_determinism(&report, run_stabilization_campaign);
     }
 
-    std::fs::write(&json_path, report.to_json()).expect("write json");
-    println!("wrote {json_path}");
+    write_report(json_path.as_deref(), &report.to_json());
 }

@@ -22,6 +22,7 @@ use elastic_bench::exp::{
 };
 use elastic_bench::measure_speedup;
 use elastic_core::systems::{paper_example, Config};
+use elastic_lint::cli::write_report;
 use elastic_netlist::wide::LANES;
 
 fn main() {
@@ -73,8 +74,5 @@ fn main() {
         speed.scalar_secs,
         speed.speedup()
     );
-    if let Some(path) = &opts.json {
-        report.write_json(path).expect("write json");
-        println!("wrote {path}");
-    }
+    write_report(opts.json.as_deref(), &report.to_json());
 }

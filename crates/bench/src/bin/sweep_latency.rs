@@ -18,6 +18,7 @@
 use elastic_bench::exp::{run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec};
 use elastic_core::sim::LatencyDist;
 use elastic_core::systems::{paper_example, Config};
+use elastic_lint::cli::write_report;
 use elastic_netlist::wide::LANES;
 
 fn main() {
@@ -61,8 +62,5 @@ fn main() {
     }
     println!("\n* mean of the geometric completion stream (Bernoulli at 1/mean);");
     println!("  schedules are open-loop, so exact fixed latencies are not expressible.");
-    if let Some(path) = &opts.json {
-        report.write_json(path).expect("write json");
-        println!("wrote {path}");
-    }
+    write_report(opts.json.as_deref(), &report.to_json());
 }

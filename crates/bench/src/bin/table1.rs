@@ -16,6 +16,7 @@
 
 use elastic_bench::exp::{run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec};
 use elastic_core::systems::{paper_example, Config};
+use elastic_lint::cli::write_report;
 use elastic_netlist::wide::LANES;
 
 fn main() {
@@ -59,8 +60,5 @@ fn main() {
         println!("  {:<22} {}", res.label, res.summary());
         report.points.push(res);
     }
-    if let Some(path) = &opts.json {
-        report.write_json(path).expect("write json");
-        println!("wrote {path}");
-    }
+    write_report(opts.json.as_deref(), &report.to_json());
 }

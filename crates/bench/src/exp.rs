@@ -49,7 +49,6 @@
 //! [`lazy_bound_check`].
 
 use std::fmt;
-use std::io::Write as _;
 use std::time::Instant;
 
 use elastic_core::channel::ChanId;
@@ -59,8 +58,8 @@ use elastic_core::network::ElasticNetwork;
 use elastic_core::sim::{DataGen, EnvConfig, SourceCfg};
 use elastic_core::systems::{paper_example, Config};
 use elastic_core::CoreError;
-use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags};
-use elastic_lint::json_str;
+use elastic_lint::cli::{flag_value, parse_flag, parse_positive, reject_unknown_flags};
+use elastic_lint::json::Json;
 use elastic_netlist::wide::LANES;
 
 use crate::stabilize::{StabilizationOpts, StabilizationReport};
@@ -547,7 +546,8 @@ pub struct ScalingRow {
     pub wall_secs: f64,
 }
 
-/// A campaign-level record serialized to `BENCH_pr3.json`-style files.
+/// A campaign-level record: the report of `campaign` (`BENCH_pr6.json`),
+/// `corpus_campaign` (`BENCH_pr10.json`), `table1` and the sweeps.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignReport {
     /// Campaign name.
@@ -561,89 +561,52 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Renders the whole report as a JSON object (hand-rolled: the
-    /// workspace is offline and vendors no serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"campaign\": {},\n", json_str(&self.name)));
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let sep = if i + 1 == self.points.len() { "" } else { "," };
-            s.push_str(&format!(
-                "    {{\"point\": {}, \"mean\": {}, \"sd\": {}, \"ci95\": {}, \
-                 \"trials\": {}, \"cycles\": {}, \"shards\": {}, \"threads\": {}, \
-                 \"requested_threads\": {}, \"queue\": {}, \"wall_secs\": {}, \
-                 \"backend\": {}, \"dispatch\": {}, \"cycles_per_sec\": {}}}{sep}\n",
-                json_str(&p.label),
-                json_f64(p.stats.mean()),
-                json_f64(p.stats.stddev()),
-                json_f64(p.stats.ci95()),
-                p.stats.trials(),
-                p.stats.cycles,
-                p.shards,
-                p.threads,
-                p.requested_threads,
-                p.queue,
-                json_f64(p.wall_secs),
-                json_str(p.backend),
-                json_str(p.dispatch),
-                json_f64(p.cycles_per_sec()),
-            ));
-        }
-        s.push_str("  ],\n  \"bound_checks\": [\n");
-        for (i, (label, c)) in self.bound_checks.iter().enumerate() {
-            let sep = if i + 1 == self.bound_checks.len() {
-                ""
-            } else {
-                ","
-            };
-            s.push_str(&format!(
-                "    {{\"point\": {}, \"bound\": {}, \"measured\": {}, \
-                 \"tolerance\": {}, \"ok\": {}, \"critical\": [{}]}}{sep}\n",
-                json_str(label),
-                json_f64(c.bound),
-                json_f64(c.measured),
-                json_f64(c.tolerance),
-                c.ok,
-                c.critical
-                    .iter()
-                    .map(|n| json_str(n))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            ));
-        }
-        s.push_str("  ],\n  \"scaling\": [\n");
-        for (i, &row) in self.scaling.iter().enumerate() {
-            let sep = if i + 1 == self.scaling.len() { "" } else { "," };
-            s.push_str(&format!(
-                "    {{\"requested_threads\": {}, \"effective_threads\": {}, \
-                 \"wall_secs\": {}}}{sep}\n",
-                row.requested,
-                row.effective,
-                json_f64(row.wall_secs)
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Writes the JSON rendering to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
-    }
-}
-
-/// Finite floats only — JSON has no NaN/Inf, so degrade to null.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
+    /// The whole report as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let points = self.points.iter().map(|p| {
+            Json::object([
+                ("point", p.label.as_str().into()),
+                ("mean", p.stats.mean().into()),
+                ("sd", p.stats.stddev().into()),
+                ("ci95", p.stats.ci95().into()),
+                ("trials", p.stats.trials().into()),
+                ("cycles", p.stats.cycles.into()),
+                ("shards", p.shards.into()),
+                ("threads", p.threads.into()),
+                ("requested_threads", p.requested_threads.into()),
+                ("queue", p.queue.into()),
+                ("wall_secs", p.wall_secs.into()),
+                ("backend", p.backend.into()),
+                ("dispatch", p.dispatch.into()),
+                ("cycles_per_sec", p.cycles_per_sec().into()),
+            ])
+        });
+        let bound_checks = self.bound_checks.iter().map(|(label, c)| {
+            Json::object([
+                ("point", label.as_str().into()),
+                ("bound", c.bound.into()),
+                ("measured", c.measured.into()),
+                ("tolerance", c.tolerance.into()),
+                ("ok", c.ok.into()),
+                (
+                    "critical",
+                    Json::array(c.critical.iter().map(String::as_str)),
+                ),
+            ])
+        });
+        let scaling = self.scaling.iter().map(|row| {
+            Json::object([
+                ("requested_threads", row.requested.into()),
+                ("effective_threads", row.effective.into()),
+                ("wall_secs", row.wall_secs.into()),
+            ])
+        });
+        Json::object([
+            ("campaign", self.name.as_str().into()),
+            ("points", Json::array(points)),
+            ("bound_checks", Json::array(bound_checks)),
+            ("scaling", Json::array(scaling)),
+        ])
     }
 }
 
@@ -661,7 +624,7 @@ pub struct CliOpts {
     pub cycles: usize,
     /// Base seed.
     pub seed: u64,
-    /// Optional JSON output path.
+    /// The `--json` report path; no report is written without one.
     pub json: Option<String>,
     /// Backend selection (defaults to runtime dispatch, `auto`).
     pub backend: BackendSel,
@@ -691,14 +654,6 @@ impl CliOpts {
     pub fn parse(default_trials: usize, default_cycles: usize) -> CliOpts {
         let args: Vec<String> = std::env::args().collect();
         reject_unknown_flags(&args, &Self::FLAGS, &[]);
-        let positive = |flag: &str, dflt: usize| -> usize {
-            let v = parse_flag(&args, flag, dflt);
-            if v == 0 {
-                eprintln!("error: {flag} must be at least 1");
-                std::process::exit(2);
-            }
-            v
-        };
         let backend = match flag_value(&args, "--backend") {
             None => BackendSel::Auto,
             Some(raw) => BackendSel::parse(&raw).unwrap_or_else(|| {
@@ -710,13 +665,13 @@ impl CliOpts {
             }),
         };
         CliOpts {
-            trials: positive("--trials", default_trials),
-            threads: positive("--threads", default_threads()),
-            cycles: positive("--cycles", default_cycles),
+            trials: parse_positive(&args, "--trials", default_trials),
+            threads: parse_positive(&args, "--threads", default_threads()),
+            cycles: parse_positive(&args, "--cycles", default_cycles),
             seed: parse_flag(&args, "--seed", 1),
             json: flag_value(&args, "--json"),
             backend,
-            queue: positive("--queue", EngineOpts::default().queue),
+            queue: parse_positive(&args, "--queue", EngineOpts::default().queue),
         }
     }
 
@@ -1074,7 +1029,7 @@ mod tests {
                 },
             ],
         };
-        let json = report.to_json();
+        let json = report.to_json().to_string();
         assert!(json.contains("\"campaign\": \"unit \\\"quoted\\\"\""));
         assert!(json.contains("\"point\": \"p\\\\0\""));
         assert!(json.contains("\"mean\": 0.500000"));

@@ -23,7 +23,6 @@
 //! `TopoParams` that still accepts the same class, and reported with its
 //! fault spec.
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use elastic_core::compile::FaultInjection;
@@ -32,10 +31,12 @@ use elastic_core::gen::{
     shrink_params_by, DiffOptions, DiffReport, GeneratedSystem, TopoParams,
 };
 use elastic_core::network::{ComponentKind, ElasticNetwork};
-use elastic_lint::{json_str, lint_network};
+use elastic_lint::cli::positive;
+use elastic_lint::json::Json;
+use elastic_lint::lint_network;
 use elastic_netlist::wide::LANES;
 
-use crate::exp::{effective_threads, json_f64};
+use crate::exp::effective_threads;
 use crate::stream::run_pipeline;
 
 /// Fault classes the inject mode rotates through, keyed on the master
@@ -80,10 +81,13 @@ impl FuzzOpts {
             ("--lanes", self.lanes),
             ("--threads", self.threads),
         ];
-        if let Some((flag, _)) = counts.iter().find(|&&(_, v)| v == 0) {
-            return Some(format!("{flag} must be at least 1"));
-        }
-        (self.lanes > LANES).then(|| format!("--lanes must be at most {LANES} (one lane word)"))
+        counts
+            .iter()
+            .find_map(|&(flag, v)| positive(flag, v).err())
+            .or_else(|| {
+                (self.lanes > LANES)
+                    .then(|| format!("--lanes must be at most {LANES} (one lane word)"))
+            })
     }
 }
 
@@ -141,6 +145,11 @@ pub struct FuzzSummary {
 }
 
 impl FuzzSummary {
+    /// The differential reports of the seeds that passed.
+    pub fn reports(&self) -> impl Iterator<Item = &DiffReport> {
+        self.outcomes.iter().filter_map(|o| o.report.as_ref().ok())
+    }
+
     /// Seeds whose differential failed (clean mode).
     pub fn mismatches(&self) -> Vec<&FuzzOutcome> {
         self.outcomes.iter().filter(|o| o.report.is_err()).collect()
@@ -162,16 +171,8 @@ impl FuzzSummary {
         INJECT_CLASSES
             .iter()
             .map(|&class| {
-                let eligible = self
-                    .outcomes
-                    .iter()
-                    .filter(|o| o.fault == Some(class))
-                    .count();
-                let caught = self
-                    .outcomes
-                    .iter()
-                    .filter(|o| o.fault == Some(class) && o.injected == Some(true))
-                    .count();
+                let (eligible, caught) =
+                    self.tally(|o| (o.fault == Some(class)).then_some(o.injected == Some(true)));
                 (class, eligible, caught)
             })
             .collect()
@@ -187,32 +188,21 @@ impl FuzzSummary {
     /// `(eligible, caught)` counts of the token-drop lint sabotage
     /// (inject mode).
     pub fn lint_sabotage_counts(&self) -> (usize, usize) {
-        let eligible = self
-            .outcomes
-            .iter()
-            .filter(|o| o.lint_sabotage.is_some())
-            .count();
-        let caught = self
-            .outcomes
-            .iter()
-            .filter(|o| o.lint_sabotage == Some(true))
-            .count();
-        (eligible, caught)
+        self.tally(|o| o.lint_sabotage)
     }
 
     /// `(eligible, caught)` counts of the inject mode.
     pub fn injection_counts(&self) -> (usize, usize) {
-        let eligible = self
-            .outcomes
+        self.tally(|o| o.injected)
+    }
+
+    /// `(eligible, caught)`: the outcomes `verdict` answers for (`Some`),
+    /// and those it answers `Some(true)` for.
+    fn tally(&self, verdict: impl Fn(&FuzzOutcome) -> Option<bool>) -> (usize, usize) {
+        self.outcomes
             .iter()
-            .filter(|o| o.injected.is_some())
-            .count();
-        let caught = self
-            .outcomes
-            .iter()
-            .filter(|o| o.injected == Some(true))
-            .count();
-        (eligible, caught)
+            .filter_map(verdict)
+            .fold((0, 0), |(e, c), hit| (e + 1, c + usize::from(hit)))
     }
 
     /// Whether the campaign met its acceptance criteria: zero differential
@@ -232,100 +222,63 @@ impl FuzzSummary {
             && (!self.inject || (eligible > 0 && lint_eligible > 0))
     }
 
-    /// Renders the campaign as a JSON object (hand-rolled like the
-    /// Monte-Carlo engine's reports; the workspace vendors no serde).
-    pub fn to_json(&self, name: &str) -> String {
+    /// The campaign as a JSON object, named `name`.
+    pub fn to_json(&self, name: &str) -> Json {
         let (eligible, caught) = self.injection_counts();
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"campaign\": {},\n", json_str(name)));
-        s.push_str(&format!("  \"topologies\": {},\n", self.outcomes.len()));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!("  \"wall_secs\": {},\n", json_f64(self.wall_secs)));
-        s.push_str(&format!(
-            "  \"ee_joins\": {},\n",
-            self.outcomes
-                .iter()
-                .filter_map(|o| o.report.as_ref().ok())
-                .map(|r| r.ee_joins)
-                .sum::<usize>()
-        ));
-        s.push_str(&format!(
-            "  \"bound_checked\": {},\n",
-            self.outcomes
-                .iter()
-                .filter_map(|o| o.report.as_ref().ok())
-                .filter(|r| r.bound.is_some())
-                .count()
-        ));
-        s.push_str(&format!("  \"injected\": {eligible},\n"));
-        s.push_str(&format!("  \"injected_caught\": {caught},\n"));
         let (lint_eligible, lint_caught) = self.lint_sabotage_counts();
-        s.push_str(&format!(
-            "  \"lint_sabotage\": {{\"eligible\": {lint_eligible}, \"caught\": {lint_caught}}},\n"
-        ));
-        s.push_str("  \"lint_violations\": [\n");
-        let lint_violations = self.lint_violations();
-        for (i, o) in lint_violations.iter().enumerate() {
-            let sep = if i + 1 == lint_violations.len() {
-                ""
-            } else {
-                ","
-            };
-            s.push_str(&format!(
-                "    {{\"seed\": {}, \"error\": {}, \"minimal\": {}}}{sep}\n",
-                o.seed,
-                json_str(o.lint.as_deref().unwrap_or("?")),
-                json_str(&format!("{:?}", o.minimal.as_ref().unwrap_or(&o.params))),
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"injected_by_class\": {\n");
+        let ee_joins: usize = self.reports().map(|r| r.ee_joins).sum();
+        let bound_checked = self.reports().filter(|r| r.bound.is_some()).count();
+        let counts =
+            |e: usize, c: usize| Json::object([("eligible", e.into()), ("caught", c.into())]);
+        let minimal = |o: &FuzzOutcome| format!("{:?}", o.minimal.as_ref().unwrap_or(&o.params));
+        let lint_violations = self.lint_violations().into_iter().map(|o| {
+            Json::object([
+                ("seed", o.seed.into()),
+                ("error", o.lint.as_deref().unwrap_or("?").into()),
+                ("minimal", minimal(o).into()),
+            ])
+        });
         let by_class = self.injections_by_class();
-        for (i, (class, eligible, caught)) in by_class.iter().enumerate() {
-            let sep = if i + 1 == by_class.len() { "" } else { "," };
-            s.push_str(&format!(
-                "    {}: {{\"eligible\": {eligible}, \"caught\": {caught}}}{sep}\n",
-                json_str(class)
-            ));
-        }
-        s.push_str("  },\n");
-        s.push_str("  \"missed_injections\": [\n");
-        let missed = self.missed();
-        for (i, o) in missed.iter().enumerate() {
-            let sep = if i + 1 == missed.len() { "" } else { "," };
-            s.push_str(&format!(
-                "    {{\"seed\": {}, \"class\": {}, \"minimal\": {}}}{sep}\n",
-                o.seed,
-                json_str(o.fault.unwrap_or("?")),
-                json_str(&format!("{:?}", o.minimal.as_ref().unwrap_or(&o.params))),
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"mismatches\": [\n");
-        let mismatches = self.mismatches();
-        for (i, o) in mismatches.iter().enumerate() {
-            let sep = if i + 1 == mismatches.len() { "" } else { "," };
-            let msg = o.report.as_ref().err().map(String::as_str).unwrap_or("");
-            s.push_str(&format!(
-                "    {{\"seed\": {}, \"error\": {}, \"minimal\": {}}}{sep}\n",
-                o.seed,
-                json_str(msg),
-                json_str(&format!("{:?}", o.minimal.as_ref().unwrap_or(&o.params))),
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"ok\": {}\n}}\n", self.ok()));
-        s
-    }
-
-    /// Writes the JSON rendering to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_json(&self, name: &str, path: &str) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json(name).as_bytes())
+        let missed = self.missed().into_iter().map(|o| {
+            Json::object([
+                ("seed", o.seed.into()),
+                ("class", o.fault.unwrap_or("?").into()),
+                ("minimal", minimal(o).into()),
+            ])
+        });
+        let mismatches = self.mismatches().into_iter().map(|o| {
+            Json::object([
+                ("seed", o.seed.into()),
+                (
+                    "error",
+                    o.report.as_ref().err().cloned().unwrap_or_default().into(),
+                ),
+                ("minimal", minimal(o).into()),
+            ])
+        });
+        Json::object([
+            ("campaign", name.into()),
+            ("topologies", self.outcomes.len().into()),
+            ("threads", self.threads.into()),
+            ("wall_secs", self.wall_secs.into()),
+            ("ee_joins", ee_joins.into()),
+            ("bound_checked", bound_checked.into()),
+            ("injected", eligible.into()),
+            ("injected_caught", caught.into()),
+            ("lint_sabotage", counts(lint_eligible, lint_caught)),
+            ("lint_violations", Json::array(lint_violations)),
+            (
+                "injected_by_class",
+                Json::object(
+                    by_class
+                        .into_iter()
+                        .map(|(class, e, c)| (class, counts(e, c))),
+                ),
+            ),
+            ("missed_injections", Json::array(missed)),
+            ("mismatches", Json::array(mismatches)),
+            ("ok", self.ok().into()),
+        ])
     }
 }
 
@@ -593,7 +546,7 @@ mod tests {
             let b = run_fuzz(&FuzzOpts { threads, ..opts });
             assert_eq!(measured(&b), measured(&a), "{threads} workers");
         }
-        let json = a.to_json("unit");
+        let json = a.to_json("unit").to_string();
         assert!(json.contains("\"ok\": true"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(json.matches(open).count(), json.matches(close).count());
@@ -641,9 +594,9 @@ mod tests {
         );
         assert!(summary.missed().is_empty());
         assert!(summary.ok());
-        let json = summary.to_json("unit");
+        let json = summary.to_json("unit").to_string();
         assert!(json.contains("\"injected_by_class\""), "{json}");
-        assert!(json.contains("\"missed_injections\": [\n  ]"), "{json}");
+        assert!(json.contains("\"missed_injections\": []"), "{json}");
         assert!(json.contains("\"lint_sabotage\""), "{json}");
     }
 

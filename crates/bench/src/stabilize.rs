@@ -56,13 +56,13 @@ use elastic_core::protocol::RecoveryDetector;
 use elastic_core::systems::{linear_pipeline, paper_example, Config};
 use elastic_core::verify::{check_network_convergence, PackedStimulus};
 use elastic_core::CoreError;
-use elastic_lint::json_str;
+use elastic_lint::json::Json;
 use elastic_mc::{BridgeOptions, ConvergenceReport};
 use elastic_netlist::levelize::Program;
 use elastic_netlist::wide::{lane_masks, WideSim, LANES};
 use elastic_netlist::NetId;
 
-use crate::exp::{default_threads, effective_threads, json_f64};
+use crate::exp::{default_threads, effective_threads};
 use crate::stream::run_pipeline;
 use crate::{SimLowering, MAX_TRIALS_PER_RUN};
 
@@ -385,145 +385,111 @@ impl StabilizationReport {
             .collect()
     }
 
-    /// Renders the stabilization report as a JSON object (hand-rolled like
-    /// every other report in this crate; the workspace vendors no serde).
-    pub fn to_json(&self) -> String {
+    /// The stabilization report as a JSON object.
+    pub fn to_json(&self) -> Json {
         let o = &self.opts;
         let name = format!(
             "pr9_stabilization_campaign topologies={} cycles={} lanes={} period={} tail={} seed={}",
             o.topologies, o.cycles, o.lanes, o.period, o.recovery_tail, o.seed
         );
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"campaign\": {},\n", json_str(&name)));
-        s.push_str(&format!("  \"topologies\": {},\n", self.opts.topologies));
-        s.push_str(&format!("  \"cycles\": {},\n", self.opts.cycles));
-        s.push_str(&format!("  \"lanes\": {},\n", self.opts.lanes));
-        s.push_str(&format!("  \"period\": {},\n", self.opts.period));
-        s.push_str(&format!(
-            "  \"intensities\": [{}],\n",
-            self.opts
-                .intensities
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "  \"recovery_tail\": {},\n",
-            self.opts.recovery_tail
-        ));
-        s.push_str(&format!("  \"seed\": {},\n", self.opts.seed));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!("  \"queue\": {},\n", self.opts.queue));
-        s.push_str(&format!("  \"wall_secs\": {},\n", json_f64(self.wall_secs)));
-        s.push_str("  \"classes\": [\n");
-        for (i, c) in self.classes.iter().enumerate() {
-            let sep = if i + 1 == self.classes.len() { "" } else { "," };
-            s.push_str(&format!(
-                "    {{\"class\": {}, \"stab_p50\": {}, \"stab_p99\": {}, \
-                 \"non_stabilization_rate\": {}, \"mean_violation_rate\": {},\n",
-                json_str(&c.class),
-                json_f64(c.stab_p50),
-                json_f64(c.stab_p99),
-                json_f64(c.non_stabilization_rate),
-                json_f64(c.mean_violation_rate),
-            ));
-            s.push_str("     \"curve\": [\n");
-            for (k, p) in c.points.iter().enumerate() {
-                let psep = if k + 1 == c.points.len() { "" } else { "," };
-                s.push_str(&format!(
-                    "      {{\"intensity\": {}, \"sites\": {}, \"trials\": {}, \
-                     \"disturbed\": {}, \"stabilized\": {}, \"stab_p50\": {}, \
-                     \"stab_p99\": {}, \"non_stabilization_rate\": {}, \
-                     \"mean_violation_rate\": {}, \"mean_throughput_dip\": {}}}{psep}\n",
-                    p.intensity,
-                    p.sites,
-                    p.trials,
-                    p.disturbed,
-                    p.stabilized,
-                    json_f64(p.stab_p50),
-                    json_f64(p.stab_p99),
-                    json_f64(p.non_stabilization_rate),
-                    json_f64(p.mean_violation_rate),
-                    json_f64(p.mean_dip),
-                ));
-            }
-            s.push_str(&format!("     ]}}{sep}\n"));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"mc\": [\n");
-        for (i, v) in self.mc.iter().enumerate() {
-            let sep = if i + 1 == self.mc.len() { "" } else { "," };
-            match (&v.report, &v.error) {
-                (Some(r), _) => s.push_str(&format!(
-                    "    {{\"system\": {}, \"status\": \"ok\", \"converging\": {}, \
-                     \"ff_states\": {}, \"legal\": {}, \"diverging\": {}, \
-                     \"convergence_bound\": {}, \"fault_inputs\": {}}}{sep}\n",
-                    json_str(&v.system),
-                    r.converging,
-                    r.ff_states,
-                    r.legal,
-                    r.diverging,
-                    r.convergence_bound,
-                    r.fault_inputs,
-                )),
-                (None, err) => s.push_str(&format!(
-                    "    {{\"system\": {}, \"status\": \"skipped\", \"error\": {}}}{sep}\n",
-                    json_str(&v.system),
-                    json_str(err.as_deref().unwrap_or("unknown")),
-                )),
-            }
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let classes = self.classes.iter().map(|c| {
+            let curve = c.points.iter().map(|p| {
+                Json::object([
+                    ("intensity", p.intensity.into()),
+                    ("sites", p.sites.into()),
+                    ("trials", p.trials.into()),
+                    ("disturbed", p.disturbed.into()),
+                    ("stabilized", p.stabilized.into()),
+                    ("stab_p50", p.stab_p50.into()),
+                    ("stab_p99", p.stab_p99.into()),
+                    ("non_stabilization_rate", p.non_stabilization_rate.into()),
+                    ("mean_violation_rate", p.mean_violation_rate.into()),
+                    ("mean_throughput_dip", p.mean_dip.into()),
+                ])
+            });
+            Json::object([
+                ("class", c.class.as_str().into()),
+                ("stab_p50", c.stab_p50.into()),
+                ("stab_p99", c.stab_p99.into()),
+                ("non_stabilization_rate", c.non_stabilization_rate.into()),
+                ("mean_violation_rate", c.mean_violation_rate.into()),
+                ("curve", Json::array(curve)),
+            ])
+        });
+        let mc = self.mc.iter().map(|v| match &v.report {
+            Some(r) => Json::object([
+                ("system", v.system.as_str().into()),
+                ("status", "ok".into()),
+                ("converging", r.converging.into()),
+                ("ff_states", r.ff_states.into()),
+                ("legal", r.legal.into()),
+                ("diverging", r.diverging.into()),
+                ("convergence_bound", r.convergence_bound.into()),
+                ("fault_inputs", r.fault_inputs.into()),
+            ]),
+            None => Json::object([
+                ("system", v.system.as_str().into()),
+                ("status", "skipped".into()),
+                ("error", v.error.as_deref().unwrap_or("unknown").into()),
+            ]),
+        });
+        Json::object([
+            ("campaign", name.into()),
+            ("topologies", o.topologies.into()),
+            ("cycles", o.cycles.into()),
+            ("lanes", o.lanes.into()),
+            ("period", o.period.into()),
+            ("intensities", Json::array(o.intensities.iter().copied())),
+            ("recovery_tail", o.recovery_tail.into()),
+            ("seed", o.seed.into()),
+            ("threads", self.threads.into()),
+            ("queue", o.queue.into()),
+            ("wall_secs", self.wall_secs.into()),
+            ("classes", Json::array(classes)),
+            ("mc", Json::array(mc)),
+        ])
     }
 
-    /// Renders a one-shot sweep as the recovery report: per class, the
-    /// sites, trials, disturbed and recovered (stabilized) lanes, the
+    /// A one-shot sweep as the recovery report: per class, the sites,
+    /// trials, disturbed and recovered (stabilized) lanes, the
     /// recovery-time p50/p99, the non-recovery rate and the mean throughput
     /// dip over the **disturbed** lanes. The report has a single window
     /// length: the first intensity, whose curve point each class renders.
-    pub fn to_recovery_json(&self) -> String {
+    pub fn to_recovery_json(&self) -> Json {
         let o = &self.opts;
         let window = o.intensities[0];
         let name = format!(
             "pr7_fault_campaign topologies={} cycles={} lanes={} window={window} tail={} seed={}",
             o.topologies, o.cycles, o.lanes, o.recovery_tail, o.seed
         );
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"campaign\": {},\n", json_str(&name)));
-        s.push_str(&format!("  \"topologies\": {},\n", o.topologies));
-        s.push_str(&format!("  \"cycles\": {},\n", o.cycles));
-        s.push_str(&format!("  \"lanes\": {},\n", o.lanes));
-        s.push_str(&format!("  \"window_len\": {window},\n"));
-        s.push_str(&format!("  \"recovery_tail\": {},\n", o.recovery_tail));
-        s.push_str(&format!("  \"seed\": {},\n", o.seed));
-        s.push_str(&format!("  \"threads\": {},\n", self.threads));
-        s.push_str(&format!("  \"requested_threads\": {},\n", o.threads));
-        s.push_str(&format!("  \"queue\": {},\n", o.queue));
-        s.push_str(&format!("  \"wall_secs\": {},\n", json_f64(self.wall_secs)));
-        s.push_str("  \"classes\": [\n");
-        for (i, c) in self.classes.iter().enumerate() {
-            let sep = if i + 1 == self.classes.len() { "" } else { "," };
+        let classes = self.classes.iter().map(|c| {
             let p = &c.points[0];
-            s.push_str(&format!(
-                "    {{\"class\": {}, \"sites\": {}, \"trials\": {}, \
-                 \"disturbed\": {}, \"recovered\": {}, \"recovery_p50\": {}, \
-                 \"recovery_p99\": {}, \"non_recovery_rate\": {}, \
-                 \"mean_throughput_dip\": {}}}{sep}\n",
-                json_str(&c.class),
-                p.sites,
-                p.trials,
-                p.disturbed,
-                p.stabilized,
-                json_f64(p.stab_p50),
-                json_f64(p.stab_p99),
-                json_f64(p.non_stabilization_rate),
-                json_f64(p.mean_disturbed_dip),
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+            Json::object([
+                ("class", c.class.as_str().into()),
+                ("sites", p.sites.into()),
+                ("trials", p.trials.into()),
+                ("disturbed", p.disturbed.into()),
+                ("recovered", p.stabilized.into()),
+                ("recovery_p50", p.stab_p50.into()),
+                ("recovery_p99", p.stab_p99.into()),
+                ("non_recovery_rate", p.non_stabilization_rate.into()),
+                ("mean_throughput_dip", p.mean_disturbed_dip.into()),
+            ])
+        });
+        Json::object([
+            ("campaign", name.into()),
+            ("topologies", o.topologies.into()),
+            ("cycles", o.cycles.into()),
+            ("lanes", o.lanes.into()),
+            ("window_len", window.into()),
+            ("recovery_tail", o.recovery_tail.into()),
+            ("seed", o.seed.into()),
+            ("threads", self.threads.into()),
+            ("requested_threads", o.threads.into()),
+            ("queue", o.queue.into()),
+            ("wall_secs", self.wall_secs.into()),
+            ("classes", Json::array(classes)),
+        ])
     }
 }
 
@@ -1139,7 +1105,7 @@ mod tests {
             ..small_opts(2)
         })
         .unwrap();
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         for class in PROCESS_CLASSES {
             assert!(json.contains(&format!("\"class\": \"{class}\"")), "{json}");
         }
@@ -1274,7 +1240,7 @@ mod tests {
             ..recovery_opts(2)
         })
         .unwrap();
-        let json = r.to_recovery_json();
+        let json = r.to_recovery_json().to_string();
         for class in FAULT_CLASSES {
             assert!(json.contains(&format!("\"class\": \"{class}\"")), "{json}");
         }
@@ -1368,6 +1334,9 @@ mod tests {
             ..recovery_opts(1)
         })
         .unwrap();
-        assert!(whole.to_recovery_json().contains("\"window_len\": 96,"));
+        assert!(whole
+            .to_recovery_json()
+            .to_string()
+            .contains("\"window_len\": 96,"));
     }
 }

@@ -196,7 +196,7 @@ fn single_trial_campaign_has_finite_stats_and_clean_json() {
         points: vec![res],
         ..Default::default()
     };
-    let json = report.to_json();
+    let json = report.to_json().to_string();
     assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
     assert!(json.contains("\"sd\": 0.000000"), "{json}");
     assert!(json.contains("\"ci95\": 0.000000"), "{json}");

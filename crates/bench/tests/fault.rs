@@ -398,8 +398,8 @@ fn workspace_file(name: &str) -> std::path::PathBuf {
         .unwrap_or_else(|| panic!("{name} not found above {}", env!("CARGO_MANIFEST_DIR")))
 }
 
-/// Pulls `"key": value` out of one JSON point line (hand-rolled, like the
-/// writers in this workspace).
+/// Pulls `"key": value` out of one JSON point line (the workspace vendors
+/// no JSON parser; the report writer keeps each point on one line).
 fn field<'a>(line: &'a str, key: &str) -> &'a str {
     let pat = format!("\"{key}\": ");
     let start = line.find(&pat).unwrap_or_else(|| panic!("{key} in {line}")) + pat.len();

@@ -13,15 +13,17 @@
 //! (`elastic_core::corpus`) under all five control configurations.
 //!
 //! Exits 0 when no target produced an error diagnostic, 1 otherwise
-//! (warnings never fail the run), 2 on a usage error: an unknown flag, or
-//! a flag missing its value.
+//! (warnings never fail the run), 2 on a usage error (an unknown flag, or
+//! a flag missing its value) or a `--json` path that cannot be written.
+//! No report file is written without `--json`.
 
 use elastic_core::compile::{compile, CompileOptions};
 use elastic_core::corpus::{self, CorpusConfig, Knobs, DESIGNS};
 use elastic_core::gen::{generate, TopoParams, GEN_DATA_WIDTH};
 use elastic_core::systems::{paper_example, Config};
-use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags};
-use elastic_lint::{json_str, lint_network_with_env, lint_program, LintReport};
+use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags, write_report};
+use elastic_lint::json::Json;
+use elastic_lint::{lint_network_with_env, lint_program, LintReport};
 use elastic_netlist::levelize::Program;
 
 /// The flags `elint` reads that take a value.
@@ -166,30 +168,23 @@ fn main() {
         targets.len()
     );
 
-    if let Some(path) = json_path {
-        let mut s = String::from("{\n  \"targets\": [\n");
-        for (i, t) in targets.iter().enumerate() {
-            let sep = if i + 1 == targets.len() { "" } else { "," };
-            // Indent the per-target diagnostics array under its object.
-            let diags = t.report.render_json().replace('\n', "\n    ");
-            s.push_str(&format!(
-                "    {{\"name\": {}, \"errors\": {}, \"warnings\": {}, \
-                 \"diagnostics\": {diags}}}{sep}\n",
-                json_str(&t.name),
-                t.report.errors().count(),
-                t.report.warnings().count(),
-            ));
-        }
-        s.push_str(&format!(
-            "  ],\n  \"errors\": {errors},\n  \"warnings\": {warnings},\n  \"ok\": {}\n}}\n",
-            errors == 0
-        ));
-        if let Err(e) = std::fs::write(&path, s) {
-            eprintln!("error: writing {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("wrote {path}");
-    }
+    let report = Json::object([
+        (
+            "targets",
+            Json::array(targets.iter().map(|t| {
+                Json::object([
+                    ("name", t.name.as_str().into()),
+                    ("errors", t.report.errors().count().into()),
+                    ("warnings", t.report.warnings().count().into()),
+                    ("diagnostics", t.report.to_json()),
+                ])
+            })),
+        ),
+        ("errors", errors.into()),
+        ("warnings", warnings.into()),
+        ("ok", (errors == 0).into()),
+    ]);
+    write_report(json_path.as_deref(), &report);
 
     std::process::exit(i32::from(errors > 0));
 }

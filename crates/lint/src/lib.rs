@@ -20,11 +20,12 @@
 //!
 //! All passes report through one [`Diagnostic`] type with stable codes
 //! (`E1xx` network errors, `E2xx` tape errors, `Wxxx` warnings), rendered
-//! either human-readable or as JSON by [`LintReport`]. The `elint` binary
+//! human-readable or built into a JSON value by [`LintReport`]. The `elint` binary
 //! drives them over the named paper systems and generated topologies; the
 //! fuzz campaign (`elastic_bench`) lints every sampled topology before
 //! simulating it. The binaries of both crates share [`cli`]'s flag
-//! parsing and [`json_str`].
+//! parsing and report writing, and [`json`]'s value type behind every
+//! JSON report.
 //!
 //! # Example
 //!
@@ -53,7 +54,10 @@
 
 use std::fmt;
 
+use json::Json;
+
 pub mod cli;
+pub mod json;
 pub mod network;
 pub mod tape;
 
@@ -206,38 +210,26 @@ impl LintReport {
         out
     }
 
-    /// JSON rendering: an array of finding objects (hand-rolled; the
-    /// workspace vendors no serde).
-    pub fn render_json(&self) -> String {
-        let mut s = String::from("[\n");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            let sep = if i + 1 == self.diagnostics.len() {
-                ""
-            } else {
-                ","
-            };
-            let suggestion = d
-                .suggestion
-                .as_ref()
-                .map_or_else(|| "null".to_string(), |t| json_str(t));
-            s.push_str(&format!(
-                "  {{\"code\": {}, \"severity\": {}, \"site\": {}, \"message\": {}, \
-                 \"suggestion\": {}}}{sep}\n",
-                json_str(d.code),
-                json_str(d.severity.label()),
-                json_str(&d.site),
-                json_str(&d.message),
-                suggestion,
-            ));
-        }
-        s.push(']');
-        s
+    /// The findings as a JSON array of finding objects.
+    pub fn to_json(&self) -> Json {
+        Json::array(self.diagnostics.iter().map(|d| {
+            Json::object([
+                ("code", d.code.into()),
+                ("severity", d.severity.label().into()),
+                ("site", d.site.as_str().into()),
+                ("message", d.message.as_str().into()),
+                (
+                    "suggestion",
+                    d.suggestion.as_deref().map_or(Json::Null, Into::into),
+                ),
+            ])
+        }))
     }
 }
 
 /// `s` as a quoted JSON string, with quotes, backslashes and control
-/// characters escaped. The workspace vendors no serde; this is the one
-/// escaper behind every JSON report, the bench crate's included.
+/// characters escaped: the one escaper behind every JSON report, through
+/// [`json::Json`].
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -280,7 +272,7 @@ mod tests {
         );
         assert!(human.contains("help: give some buffer"), "{human}");
         assert!(human.contains("1 error(s), 1 warning(s)"), "{human}");
-        let json = report.render_json();
+        let json = report.to_json().to_string();
         assert!(json.contains("\"code\": \"E101\""), "{json}");
         assert!(json.contains("\"suggestion\": null"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {

@@ -671,10 +671,12 @@ fn rewrite_tape(
         inv: vec![None; num_slots],
         konst: konst_base.to_vec(),
     };
+    // The literal buffer of every AND-family fold of this pass.
+    let mut lits = Vec::new();
     let mut out: Vec<Instr> = Vec::with_capacity(tape.len());
     let mut changed = false;
     for &orig in tape {
-        match simplify(orig, args, &facts, stats) {
+        match simplify(orig, args, &facts, &mut lits, stats) {
             None => changed = true, // hold-latch deleted: the slot keeps its value
             Some(instr) => {
                 changed |= instr != orig;
@@ -725,6 +727,7 @@ fn simplify(
     orig: Instr,
     args: &mut Vec<u32>,
     facts: &Facts,
+    lits: &mut Vec<(u32, bool)>,
     stats: &mut PeepholeStats,
 ) -> Option<Instr> {
     let r = |s: u32| facts.resolve(s);
@@ -789,28 +792,8 @@ fn simplify(
                 (None, None) => break,
             },
             // The AND family: one literal list, one canonical form.
-            Instr::And2 { dst, a, b } => {
-                fold_and(dst, &[(a, false), (b, false)], cur, args, facts, stats)
-            }
-            Instr::AndNot { dst, a, b } => {
-                fold_and(dst, &[(a, false), (b, true)], cur, args, facts, stats)
-            }
-            Instr::Nor2 { dst, a, b } => {
-                fold_and(dst, &[(a, true), (b, true)], cur, args, facts, stats)
-            }
-            Instr::AndN {
-                dst,
-                start,
-                len,
-                inv,
-            } => {
-                let plain = (len - inv) as usize;
-                let lits: Vec<(u32, bool)> = args[start as usize..(start + len) as usize]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| (s, i >= plain))
-                    .collect();
-                fold_and(dst, &lits, cur, args, facts, stats)
+            Instr::And2 { .. } | Instr::AndNot { .. } | Instr::Nor2 { .. } | Instr::AndN { .. } => {
+                fold_and(cur, args, facts, lits, stats)
             }
             Instr::Or2 { dst, a, b } => {
                 if k(a) == Some(true) || k(b) == Some(true) || iv(a) == Some(b) || iv(b) == Some(a)
@@ -936,8 +919,10 @@ fn simplify(
     Some(cur)
 }
 
-/// Folds an AND of literals — `(slot, inverted)` pairs — into the cheapest
-/// instruction writing it to `dst`. Each operand is alias-resolved, and an
+/// Folds `cur`, an `And2`, `AndNot`, `Nor2` or `AndN`, read as an AND of
+/// literals — `(slot, inverted)` pairs, kept in the scratch buffer `lits` —
+/// into the cheapest instruction writing its `dst`. Each operand is
+/// alias-resolved, and an
 /// operand written by a `Not` is read as that `Not`'s source with the
 /// polarity flipped (the inverter is absorbed). A constant literal folds:
 /// false zeroes the AND, true drops out; a repeated literal drops, and a
@@ -946,15 +931,31 @@ fn simplify(
 /// whose inverted tail holds the inverted literals — and `cur` is returned
 /// unchanged when it already is that `AndN`.
 fn fold_and(
-    dst: u32,
-    lits: &[(u32, bool)],
     cur: Instr,
     args: &mut Vec<u32>,
     facts: &Facts,
+    lits: &mut Vec<(u32, bool)>,
     stats: &mut PeepholeStats,
 ) -> Instr {
-    let mut kept: Vec<(u32, bool)> = Vec::with_capacity(lits.len());
-    for &(s, neg) in lits {
+    let dst = cur.dst();
+    lits.clear();
+    match cur {
+        Instr::And2 { a, b, .. } => lits.extend([(a, false), (b, false)]),
+        Instr::AndNot { a, b, .. } => lits.extend([(a, false), (b, true)]),
+        Instr::Nor2 { a, b, .. } => lits.extend([(a, true), (b, true)]),
+        Instr::AndN {
+            start, len, inv, ..
+        } => {
+            let plain = (len - inv) as usize;
+            let window = &args[start as usize..(start + len) as usize];
+            lits.extend(window.iter().enumerate().map(|(i, &s)| (s, i >= plain)));
+        }
+        _ => {}
+    }
+    // Compact the surviving literals into the front of the buffer.
+    let mut kept = 0;
+    for i in 0..lits.len() {
+        let (s, neg) = lits[i];
         let mut lit = (facts.resolve(s), neg);
         if let Some(x) = facts.inv[lit.0 as usize] {
             stats.fused += 1;
@@ -963,14 +964,20 @@ fn fold_and(
         match facts.konst[lit.0 as usize] {
             Some(v) if v == lit.1 => return Instr::Fill { dst, ones: false },
             Some(_) => {}
-            None if kept.contains(&(lit.0, !lit.1)) => return Instr::Fill { dst, ones: false },
-            None if !kept.contains(&lit) => kept.push(lit),
+            None if lits[..kept].contains(&(lit.0, !lit.1)) => {
+                return Instr::Fill { dst, ones: false }
+            }
+            None if !lits[..kept].contains(&lit) => {
+                lits[kept] = lit;
+                kept += 1;
+            }
             None => {}
         }
     }
+    lits.truncate(kept);
     // Plain literals first, then the inverted tail, each in operand order.
-    kept.sort_by_key(|&(_, neg)| neg);
-    match kept[..] {
+    lits.sort_by_key(|&(_, neg)| neg);
+    match lits[..] {
         [] => Instr::Fill { dst, ones: true },
         [(a, false)] => Instr::Copy { dst, src: a },
         [(a, true)] => Instr::Not { dst, src: a },
@@ -978,8 +985,8 @@ fn fold_and(
         [(a, false), (b, true)] => Instr::AndNot { dst, a, b },
         [(a, true), (b, true)] => Instr::Nor2 { dst, a, b },
         _ => {
-            let inv = kept.iter().filter(|&&(_, neg)| neg).count() as u32;
-            let window = || kept.iter().map(|&(s, _)| s);
+            let inv = lits.iter().filter(|&&(_, neg)| neg).count() as u32;
+            let window = || lits.iter().map(|&(s, _)| s);
             if let Instr::AndN {
                 start,
                 len,
@@ -997,7 +1004,7 @@ fn fold_and(
             Instr::AndN {
                 dst,
                 start,
-                len: kept.len() as u32,
+                len: lits.len() as u32,
                 inv,
             }
         }
