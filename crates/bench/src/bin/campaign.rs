@@ -43,7 +43,6 @@ use elastic_bench::exp::{
 use elastic_bench::{Backend, BackendSel, WideHarness};
 use elastic_core::network::ElasticNetwork;
 use elastic_core::systems::Config;
-use elastic_lint::cli::write_report;
 
 /// Fast-branch probabilities swept per configuration cell.
 const CELLS_P: [f64; 3] = [0.0, 0.5, 1.0];
@@ -266,5 +265,5 @@ fn main() {
         });
     }
 
-    write_report(opts.json.as_deref(), &report.to_json());
+    opts.json.write(&report.to_json());
 }

@@ -33,7 +33,6 @@ use elastic_bench::WideHarness;
 use elastic_core::compile::{compile, CompileOptions};
 use elastic_core::corpus::{build, CorpusConfig, Knobs, DESIGNS};
 use elastic_core::network::ElasticNetwork;
-use elastic_lint::cli::write_report;
 use elastic_lint::json::Json;
 use elastic_netlist::export::round_trip_check;
 use elastic_netlist::wide::LANES;
@@ -247,5 +246,5 @@ fn main() {
         ])
     });
     fields.push(("gains".into(), Json::array(gains)));
-    write_report(opts.json.as_deref(), &Json::Object(fields));
+    opts.json.write(&Json::Object(fields));
 }

@@ -27,9 +27,7 @@
 
 use elastic_bench::exp::{check_determinism, default_threads, parse_classes};
 use elastic_bench::stabilize::{run_fault_sweep, StabilizationOpts, FAULT_CLASSES};
-use elastic_lint::cli::{
-    flag_value, parse_flag, parse_positive, reject_unknown_flags, write_report,
-};
+use elastic_lint::cli::{flag_value, parse_flag, parse_positive, reject_unknown_flags, ReportFile};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -61,7 +59,7 @@ fn main() {
         classes: parse_classes(&args, &FAULT_CLASSES),
         ..StabilizationOpts::default()
     };
-    let json_path = flag_value(&args, "--json");
+    let report_file = ReportFile::open(flag_value(&args, "--json").as_deref());
 
     println!(
         "fault_campaign: {} topologies x {} classes, {} trials x {} cycles each, \
@@ -121,5 +119,5 @@ fn main() {
         check_determinism(&report, run_fault_sweep);
     }
 
-    write_report(json_path.as_deref(), &report.to_recovery_json());
+    report_file.write(&report.to_recovery_json());
 }

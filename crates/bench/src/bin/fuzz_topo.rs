@@ -28,7 +28,7 @@
 
 use elastic_bench::exp::default_threads;
 use elastic_bench::fuzz::{run_fuzz, FuzzOpts};
-use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags, write_report};
+use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags, ReportFile};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -56,7 +56,7 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
-    let json_path = flag_value(&args, "--json");
+    let report_file = ReportFile::open(flag_value(&args, "--json").as_deref());
 
     println!(
         "fuzz_topo: {} topologies from seed {}, {} cycles x {} lanes, {} threads{}",
@@ -137,7 +137,7 @@ fn main() {
         opts.lanes,
         if opts.inject { " inject" } else { "" }
     );
-    write_report(json_path.as_deref(), &summary.to_json(&name));
+    report_file.write(&summary.to_json(&name));
 
     if !summary.ok() {
         eprintln!("fuzz_topo: FAILED");

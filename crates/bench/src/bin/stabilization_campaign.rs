@@ -33,9 +33,7 @@
 
 use elastic_bench::exp::{check_determinism, default_threads, parse_classes, parse_list};
 use elastic_bench::stabilize::{run_stabilization_campaign, StabilizationOpts, PROCESS_CLASSES};
-use elastic_lint::cli::{
-    flag_value, parse_flag, parse_positive, reject_unknown_flags, write_report,
-};
+use elastic_lint::cli::{flag_value, parse_flag, parse_positive, reject_unknown_flags, ReportFile};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -70,7 +68,7 @@ fn main() {
         classes: parse_classes(&args, &PROCESS_CLASSES),
         mc_topologies: parse_flag(&args, "--mc-topologies", 4usize),
     };
-    let json_path = flag_value(&args, "--json");
+    let report_file = ReportFile::open(flag_value(&args, "--json").as_deref());
 
     println!(
         "stabilization_campaign: {} topologies x {} classes x {} intensities, \
@@ -176,5 +174,5 @@ fn main() {
         check_determinism(&report, run_stabilization_campaign);
     }
 
-    write_report(json_path.as_deref(), &report.to_json());
+    report_file.write(&report.to_json());
 }

@@ -14,7 +14,6 @@
 
 use elastic_bench::exp::{run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec};
 use elastic_core::systems::{paper_example, paper_example_with_c_depth, Config};
-use elastic_lint::cli::write_report;
 use elastic_netlist::wide::LANES;
 
 fn main() {
@@ -50,5 +49,5 @@ fn main() {
     println!("\ndepth 0 is Table 1 row 2 (no buffer); depth 1 is row 1;");
     println!("beyond depth 1 the bypass is no longer the bottleneck, and each");
     println!("extra stage only adds forward latency on the S->W path.");
-    write_report(opts.json.as_deref(), &report.to_json());
+    opts.json.write(&report.to_json());
 }

@@ -22,7 +22,6 @@ use elastic_bench::exp::{
 };
 use elastic_bench::measure_speedup;
 use elastic_core::systems::{paper_example, Config};
-use elastic_lint::cli::write_report;
 use elastic_netlist::wide::LANES;
 
 fn main() {
@@ -74,5 +73,5 @@ fn main() {
         speed.scalar_secs,
         speed.speedup()
     );
-    write_report(opts.json.as_deref(), &report.to_json());
+    opts.json.write(&report.to_json());
 }

@@ -18,7 +18,6 @@
 use elastic_bench::exp::{run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec};
 use elastic_core::sim::LatencyDist;
 use elastic_core::systems::{paper_example, Config};
-use elastic_lint::cli::write_report;
 use elastic_netlist::wide::LANES;
 
 fn main() {
@@ -62,5 +61,5 @@ fn main() {
     }
     println!("\n* mean of the geometric completion stream (Bernoulli at 1/mean);");
     println!("  schedules are open-loop, so exact fixed latencies are not expressible.");
-    write_report(opts.json.as_deref(), &report.to_json());
+    opts.json.write(&report.to_json());
 }

@@ -16,7 +16,6 @@
 
 use elastic_bench::exp::{run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec};
 use elastic_core::systems::{paper_example, Config};
-use elastic_lint::cli::write_report;
 use elastic_netlist::wide::LANES;
 
 fn main() {
@@ -60,5 +59,5 @@ fn main() {
         println!("  {:<22} {}", res.label, res.summary());
         report.points.push(res);
     }
-    write_report(opts.json.as_deref(), &report.to_json());
+    opts.json.write(&report.to_json());
 }

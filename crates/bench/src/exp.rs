@@ -58,7 +58,7 @@ use elastic_core::network::ElasticNetwork;
 use elastic_core::sim::{DataGen, EnvConfig, SourceCfg};
 use elastic_core::systems::{paper_example, Config};
 use elastic_core::CoreError;
-use elastic_lint::cli::{flag_value, parse_flag, parse_positive, reject_unknown_flags};
+use elastic_lint::cli::{flag_value, parse_flag, parse_positive, reject_unknown_flags, ReportFile};
 use elastic_lint::json::Json;
 use elastic_netlist::wide::LANES;
 
@@ -613,7 +613,7 @@ impl CampaignReport {
 /// Shared command-line options of the campaign binaries
 /// (`--trials N --threads N --cycles N --seed N --json PATH --queue N
 /// --backend {auto,scalar,wide,wide1,wide2,wide4,wide8}`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CliOpts {
     /// Trials per point.
     pub trials: usize,
@@ -624,8 +624,9 @@ pub struct CliOpts {
     pub cycles: usize,
     /// Base seed.
     pub seed: u64,
-    /// The `--json` report path; no report is written without one.
-    pub json: Option<String>,
+    /// The `--json` report file, created when the options are parsed; no
+    /// report is written without one.
+    pub json: ReportFile,
     /// Backend selection (defaults to runtime dispatch, `auto`).
     pub backend: BackendSel,
     /// Streaming-pipeline stimulus queue depth.
@@ -664,14 +665,22 @@ impl CliOpts {
                 std::process::exit(2);
             }),
         };
+        let (trials, threads, cycles, seed, queue) = (
+            parse_positive(&args, "--trials", default_trials),
+            parse_positive(&args, "--threads", default_threads()),
+            parse_positive(&args, "--cycles", default_cycles),
+            parse_flag(&args, "--seed", 1),
+            parse_positive(&args, "--queue", EngineOpts::default().queue),
+        );
         CliOpts {
-            trials: parse_positive(&args, "--trials", default_trials),
-            threads: parse_positive(&args, "--threads", default_threads()),
-            cycles: parse_positive(&args, "--cycles", default_cycles),
-            seed: parse_flag(&args, "--seed", 1),
-            json: flag_value(&args, "--json"),
+            trials,
+            threads,
+            cycles,
+            seed,
+            // Last, so a usage error leaves an existing report untouched.
+            json: ReportFile::open(flag_value(&args, "--json").as_deref()),
             backend,
-            queue: parse_positive(&args, "--queue", EngineOpts::default().queue),
+            queue,
         }
     }
 

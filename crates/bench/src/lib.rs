@@ -17,7 +17,7 @@ pub mod fuzz;
 pub mod stabilize;
 mod stream;
 
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use elastic_core::channel::ChanId;
 use elastic_core::compile::{compile, CompileOptions, FaultInjection};
@@ -458,7 +458,9 @@ impl SimLowering {
 /// The wide path is one producer and one loop:
 /// [`WideHarness::generate_stimulus`] writes a [`PackedStimulus`] matrix
 /// and [`WideHarness::try_run_stim`] streams it through a [`WideSim<W>`]
-/// with bit-sliced transfer counting. The scalar reference path
+/// with bit-sliced transfer counting, on the tape folded to the inputs
+/// the matrix holds fixed ([`Program::fold_inputs`]); each distinct fixed
+/// set is folded once and kept. The scalar reference path
 /// ([`WideHarness::try_run_scalar`]) replays each trial's [`Schedule`] on
 /// the raw gate-for-gate compile, built on that path's first use.
 ///
@@ -474,14 +476,21 @@ pub struct WideHarness {
     /// The scalar reference path, built on first use.
     scalar: OnceLock<Result<ScalarRef, CoreError>>,
     /// Peephole-optimized tape over the observed-cone netlist — the wide
-    /// path all `Wide*` backends execute.
+    /// path all `Wide*` backends execute, folded to each stimulus's fixed
+    /// inputs.
     prog: Program,
+    /// [`Self::prog`] folded to each fixed-input set a run has brought.
+    folds: Mutex<Vec<Fold>>,
     /// Testbench resolved against the observed-cone netlist.
     wide_tb: NetlistTestbench,
     /// The observed channel's `(V⁺, S⁺, V⁻)` rails in the observed-cone
     /// netlist.
     obs_rails: [NetId; 3],
 }
+
+/// A fixed-input set, as [`PackedStimulus::fixed_inputs`] lists it, and
+/// a [`WideHarness`]'s tape folded to it.
+type Fold = (Vec<(u32, bool)>, Arc<Program>);
 
 /// The scalar reference path of a [`WideHarness`]: the raw (unoptimized)
 /// compile's testbench, its power-up-state [`Simulator`] (cloned per
@@ -516,6 +525,7 @@ impl WideHarness {
             out,
             scalar: OnceLock::new(),
             prog: lowered.prog,
+            folds: Mutex::new(Vec::new()),
             wide_tb: lowered.tb,
             obs_rails: lowered.out,
         })
@@ -609,13 +619,29 @@ impl WideHarness {
         PackedStimulus::generate(&self.wide_tb, net, env, seed, lanes, cycles, width)
     }
 
+    /// [`Self::program`] folded to `fixed` (see [`Program::fold_inputs`]),
+    /// folded on the first call with that set and kept.
+    fn folded(&self, fixed: &[(u32, bool)]) -> Result<Arc<Program>, CoreError> {
+        // An entry is pushed whole, so a poisoned lock holds no torn entry.
+        let mut folds = self.folds.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, prog)) = folds.iter().find(|(set, _)| set[..] == *fixed) {
+            return Ok(Arc::clone(prog));
+        }
+        let prog = Arc::new(self.prog.fold_inputs(fixed).map_err(CoreError::from)?);
+        folds.push((fixed.to_vec(), Arc::clone(&prog)));
+        Ok(prog)
+    }
+
     /// Executes a pre-built stimulus matrix — the streaming pipeline's
     /// consumer stage. The word width is dispatched at runtime from
-    /// `stim.width()` onto the matching monomorphized backend, and the tape
-    /// runs through `plan`'s cache blocks
+    /// `stim.width()` onto the matching monomorphized backend. The tape is
+    /// [`Self::program`] folded to the inputs the matrix holds fixed
+    /// ([`PackedStimulus::fixed_inputs`]), run through a cache-block plan
+    /// rebuilt on it for `plan`'s byte budget
     /// ([`WideSim::cycle_packed_blocked`]). Only the first `lanes` trials
     /// count toward the statistics; trailing lanes of a partial word are
-    /// masked out.
+    /// masked out. (A dead lane may read a folded input as its fixed
+    /// value, and no count reads a dead lane.)
     ///
     /// # Errors
     ///
@@ -665,7 +691,9 @@ impl WideHarness {
             )));
         }
         let cycles = stim.cycles() as u64;
-        let mut sim: WideSim<W> = WideSim::from_program(self.prog.clone());
+        let prog = self.folded(stim.fixed_inputs())?;
+        let plan = prog.block_plan(W, plan.budget_bytes());
+        let mut sim: WideSim<W> = WideSim::from_program(Program::clone(&prog));
         if let Some(kernel) = pin {
             sim = sim.with_kernel(kernel);
         }
@@ -695,7 +723,7 @@ impl WideHarness {
             }
         };
         for t in 0..cycles as usize {
-            sim.cycle_packed_blocked(stim.slots(), stim.row(t), plan);
+            sim.cycle_packed_blocked(stim.slots(), stim.row(t), &plan);
             for (w, &mask) in live.iter().enumerate() {
                 let mut carry = sim.word(vp, w) & !sim.word(sp, w) & !sim.word(vn, w) & mask;
                 for plane in planes[w].iter_mut() {
@@ -766,8 +794,10 @@ impl WideHarness {
         self.try_run_scalar(schedules).expect("runs")
     }
 
-    /// The peephole-optimized program the wide backends execute (tape
-    /// statistics for reports and benches).
+    /// The peephole-optimized program the wide backends execute, before
+    /// [`Self::try_run_stim`] folds it to a stimulus's fixed inputs (tape
+    /// statistics for reports and benches, the width dispatch's
+    /// footprint).
     pub fn program(&self) -> &Program {
         &self.prog
     }
@@ -919,30 +949,65 @@ mod tests {
         println!("tape: raw {raw_len} instrs -> optimized {opt_len}");
     }
 
+    /// The five Fig. 9 systems, then the 30 corpus systems at the default
+    /// knobs: label, network, environment and harness.
+    fn fig9_and_corpus() -> Vec<(String, ElasticNetwork, EnvConfig, WideHarness)> {
+        use elastic_core::corpus::{all_systems, Knobs};
+        let mut systems: Vec<_> = Config::all()
+            .into_iter()
+            .map(|c| {
+                let sys = paper_example(c).unwrap();
+                let h = WideHarness::new(&sys.network, sys.output_channel);
+                (c.label().to_string(), sys.network, sys.env_config, h)
+            })
+            .collect();
+        for sys in all_systems(&Knobs::default()).unwrap() {
+            let label = format!("{}/{}", sys.design, sys.config.tag());
+            let h = WideHarness::new(&sys.network, sys.output_channel);
+            systems.push((label, sys.network, sys.env, h));
+        }
+        assert_eq!(systems.len(), 35);
+        systems
+    }
+
+    #[test]
+    fn fig9_and_corpus_tape_totals_are_pinned() {
+        // The instruction totals of the 35 tapes, and of the 30 corpus
+        // tapes folded to their environment's fixed inputs. A change that
+        // grows a tape fails here; one that shrinks them updates the pins.
+        let tapes = fig9_and_corpus();
+        let len = |p: &Program| p.high().len() + p.low().len();
+        let (fig9, corpus) = tapes.split_at(5);
+        let total = |set: &[(String, ElasticNetwork, EnvConfig, WideHarness)]| -> usize {
+            set.iter().map(|(_, _, _, h)| len(h.program())).sum()
+        };
+        let folded: usize = corpus
+            .iter()
+            .map(|(label, net, env, h)| {
+                let stim = h.generate_stimulus(net, env, 1, 1, 1, 1).unwrap();
+                let p = h.program().fold_inputs(stim.fixed_inputs()).unwrap();
+                assert!(
+                    len(&p) <= len(h.program()),
+                    "{label}: folding grew the tape"
+                );
+                len(&p)
+            })
+            .sum();
+        assert_eq!(
+            (total(fig9), total(corpus), folded),
+            (1548, 4679, 4148),
+            "Fig. 9, corpus, corpus folded"
+        );
+    }
+
     #[test]
     fn no_inverter_survives_in_fig9_or_corpus_tapes() {
         // The kill- and stop-gating literals of the controllers are all
         // read as complements by the gates consuming them (AndNot, Nor2,
         // AndN inverted tails), so no `Not` instruction is left in any of
         // the five Fig. 9 tapes or the 30 corpus tapes.
-        use elastic_core::corpus::{all_systems, Knobs};
         use elastic_netlist::levelize::Instr;
-        let mut tapes: Vec<(String, WideHarness)> = Config::all()
-            .into_iter()
-            .map(|c| {
-                let sys = paper_example(c).unwrap();
-                (
-                    c.label().to_string(),
-                    WideHarness::new(&sys.network, sys.output_channel),
-                )
-            })
-            .collect();
-        for sys in all_systems(&Knobs::default()).unwrap() {
-            let label = format!("{}/{}", sys.design, sys.config.tag());
-            tapes.push((label, WideHarness::new(&sys.network, sys.output_channel)));
-        }
-        assert_eq!(tapes.len(), 35);
-        for (label, h) in &tapes {
+        for (label, _, _, h) in &fig9_and_corpus() {
             let p = h.program();
             let nots = p
                 .high()

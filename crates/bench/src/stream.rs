@@ -20,11 +20,13 @@
 //! `depth × payload_bytes`. With one worker the loop degenerates to
 //! produce/consume alternation, which is exactly the sequential order.
 //!
-//! The calling thread receives `(index, result)` pairs over an mpsc channel
-//! and stores each at its index. Because item indices (not worker
-//! identity) determine every RNG stream, the result vector is bit-identical
-//! for every worker count and queue depth — asserted by the proptests in
-//! `tests/exp.rs`.
+//! The calling thread is worker 0, beside `workers − 1` scoped threads, so
+//! a one-worker call runs on the caller alone and starts no thread. Every
+//! worker sends `(index, result)` pairs over an mpsc channel; once its own
+//! loop ends, the calling thread stores each at its index. Because item
+//! indices (not worker identity) determine every RNG stream, the result
+//! vector is bit-identical for every worker count and queue depth —
+//! asserted by the proptests in `tests/exp.rs`.
 //!
 //! [`run_pipeline`] is generic over the payload and the result. The
 //! Monte-Carlo engine (`crate::exp`) runs shards on it (packed stimulus →
@@ -84,12 +86,15 @@ impl<S> Drop for WakeOnPanic<'_, S> {
     }
 }
 
-/// Runs `total` items through the pipeline on `workers` hybrid threads
+/// Runs `total` items through the pipeline on `workers` hybrid workers
 /// with a `depth`-bounded payload queue, returning the per-item results in
 /// item-index order. `produce(i)` builds item `i`'s payload (the
 /// expensive, parallelizable stage: stimulus generation, per-job
 /// compilation, a whole fuzz seed); `consume(i, payload)` turns it into
 /// the item's result (tape execution, measurement).
+///
+/// The calling thread is worker 0 and `workers − 1` scoped threads are the
+/// rest, so a one-worker call starts no thread.
 ///
 /// Determinism: results are keyed by item index, never by worker
 /// identity, so as long as `produce`/`consume` are deterministic
@@ -127,67 +132,74 @@ where
     let cvar = Condvar::new();
     let (tx, rx) = mpsc::channel::<(usize, R)>();
 
-    let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (state, cvar) = (&state, &cvar);
-            let (produce, consume) = (&produce, &consume);
-            s.spawn(move || {
-                let _wake = WakeOnPanic { state, cvar };
-                let fail = |e: CoreError| {
-                    let mut g = state.lock().expect("pipeline lock");
-                    g.error.get_or_insert(e);
-                    cvar.notify_all();
-                };
-                let mut guard = state.lock().expect("pipeline lock");
-                loop {
-                    if guard.error.is_some() || guard.panicked {
-                        break;
+    // One worker's produce-or-consume loop, sending each `(index,
+    // result)` on its `tx` until the pipeline drains or aborts. It only
+    // borrows, so every worker runs a copy.
+    let work = |tx: mpsc::Sender<(usize, R)>| {
+        let _wake = WakeOnPanic {
+            state: &state,
+            cvar: &cvar,
+        };
+        let fail = |e: CoreError| {
+            let mut g = state.lock().expect("pipeline lock");
+            g.error.get_or_insert(e);
+            cvar.notify_all();
+        };
+        let mut guard = state.lock().expect("pipeline lock");
+        loop {
+            if guard.error.is_some() || guard.panicked {
+                break;
+            }
+            if let Some((idx, payload)) = guard.queue.pop_front() {
+                drop(guard);
+                // A queue slot freed: producers blocked on depth
+                // can proceed while this worker consumes.
+                cvar.notify_all();
+                match consume(idx, payload) {
+                    Ok(res) => {
+                        let _ = tx.send((idx, res));
                     }
-                    if let Some((idx, payload)) = guard.queue.pop_front() {
-                        drop(guard);
-                        // A queue slot freed: producers blocked on depth
-                        // can proceed while this worker consumes.
-                        cvar.notify_all();
-                        match consume(idx, payload) {
-                            Ok(res) => {
-                                let _ = tx.send((idx, res));
-                            }
-                            Err(e) => {
-                                fail(e);
-                                break;
-                            }
-                        }
-                        guard = state.lock().expect("pipeline lock");
-                    } else if guard.next_pack < total && guard.queue.len() + guard.packing < depth {
-                        let idx = guard.next_pack;
-                        guard.next_pack += 1;
-                        guard.packing += 1;
-                        drop(guard);
-                        match produce(idx) {
-                            Ok(payload) => {
-                                guard = state.lock().expect("pipeline lock");
-                                guard.packing -= 1;
-                                guard.queue.push_back((idx, payload));
-                                cvar.notify_all();
-                            }
-                            Err(e) => {
-                                fail(e);
-                                break;
-                            }
-                        }
-                    } else if guard.drained(total) {
+                    Err(e) => {
+                        fail(e);
                         break;
-                    } else {
-                        guard = cvar.wait(guard).expect("pipeline lock");
                     }
                 }
-            });
+                guard = state.lock().expect("pipeline lock");
+            } else if guard.next_pack < total && guard.queue.len() + guard.packing < depth {
+                let idx = guard.next_pack;
+                guard.next_pack += 1;
+                guard.packing += 1;
+                drop(guard);
+                match produce(idx) {
+                    Ok(payload) => {
+                        guard = state.lock().expect("pipeline lock");
+                        guard.packing -= 1;
+                        guard.queue.push_back((idx, payload));
+                        cvar.notify_all();
+                    }
+                    Err(e) => {
+                        fail(e);
+                        break;
+                    }
+                }
+            } else if guard.drained(total) {
+                break;
+            } else {
+                guard = cvar.wait(guard).expect("pipeline lock");
+            }
         }
-        // This thread owns the original `tx`; dropping it leaves the
-        // workers' clones, so `rx` ends once they all exit.
-        drop(tx);
+    };
+
+    let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            let tx = tx.clone();
+            s.spawn(move || work(tx));
+        }
+        // This thread is worker 0. It hands over the original `tx`, which
+        // drops when its loop ends, so `rx` ends once the spawned workers
+        // exit too.
+        work(tx);
         for (idx, res) in rx {
             results[idx] = Some(res);
         }

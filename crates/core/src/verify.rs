@@ -381,6 +381,9 @@ pub struct PackedStimulus {
     /// Row-major: `words[(t * slots.len() + i) * width + w]` is lane word
     /// `w` of input `i` at cycle `t`.
     words: Vec<u64>,
+    /// The `(slot, value)` of every column the environment holds at one
+    /// value, in column order (see [`Self::fixed_inputs`]).
+    fixed: Vec<(u32, bool)>,
 }
 
 /// `1 / 2^53`: the scale of the rand shim's 53-bit unit-interval draw.
@@ -519,6 +522,20 @@ fn walk_select(m: u64, total: f64, entries: &[(u64, f64)]) -> usize {
 }
 
 impl SrcPlan {
+    /// Bit `j` of every payload this plan sends, when all share it.
+    fn shared_bit(&self, j: usize) -> Option<bool> {
+        let bit = |v: u64| v >> j & 1 == 1;
+        match self {
+            SrcPlan::Fixed(v) => Some(bit(*v)),
+            // The counter's bits from `modulus_bits` up stay 0.
+            SrcPlan::Count(modulus_bits) => (j >= *modulus_bits).then_some(false),
+            SrcPlan::Walk { values, .. } => {
+                let first = bit(values[0]);
+                values.iter().all(|&v| bit(v) == first).then_some(first)
+            }
+        }
+    }
+
     fn new(data: &DataGen) -> SrcPlan {
         let choices = match data {
             DataGen::Const(v) => return SrcPlan::Fixed(*v),
@@ -821,12 +838,50 @@ impl PackedStimulus {
                 }
             }
         }
+        let fixed = Self::fixed_inputs_of(tb, &streams, &slots);
         Ok(PackedStimulus {
             cycles,
             width,
             slots,
             words,
+            fixed,
         })
+    }
+
+    /// The list [`Self::fixed_inputs`] returns, read off the `streams` of
+    /// `tb`'s columns: a sink column without a stream never draws.
+    fn fixed_inputs_of(
+        tb: &NetlistTestbench,
+        streams: &[Stream],
+        slots: &[u32],
+    ) -> Vec<(u32, bool)> {
+        let sink_col: usize = tb.srcs.iter().map(|(_, _, dins)| 1 + dins.len()).sum();
+        let vl_col = sink_col + 2 * tb.sinks.len();
+        let mut konst: Vec<Option<bool>> = vec![None; vl_col + tb.vls.len()];
+        for k in &mut konst[sink_col..vl_col] {
+            *k = Some(false);
+        }
+        for s in streams {
+            let offer = match &s.offer {
+                None => Some(true),
+                Some(d) if d.threshold == 0 => Some(false),
+                Some(d) if d.threshold >= 1 << 53 => Some(true),
+                Some(_) => None,
+            };
+            konst[s.col] = offer;
+            for j in 0..s.bits {
+                konst[s.col + 1 + j] = match (offer, s.plan.shared_bit(j)) {
+                    (Some(false), _) | (_, Some(false)) => Some(false),
+                    (Some(true), bit) => bit,
+                    (None, _) => None,
+                };
+            }
+        }
+        konst
+            .into_iter()
+            .zip(slots)
+            .filter_map(|(k, &slot)| k.map(|v| (slot, v)))
+            .collect()
     }
 
     /// Resolves `cfg` for every source, sink and VL unit of `net` into the
@@ -896,6 +951,20 @@ impl PackedStimulus {
     /// [`elastic_netlist::wide::WideSim::check_input_slots`].
     pub fn slots(&self) -> &[u32] {
         &self.slots
+    }
+
+    /// The inputs this matrix holds at one value on every cycle and every
+    /// live lane because of how the environment is built, as `(slot,
+    /// value)` pairs in column order: the offer of a source that makes no
+    /// offer draw (1); payload bits every value of the source's plan
+    /// shares, under such an offer, or that are 0 in every value; sink
+    /// stops and kills that never draw (0); and Bernoulli columns with
+    /// probability 0 or 1. A fault arm is never listed, since
+    /// [`Self::arm_fault`] writes it after generation. Lanes past the
+    /// trial count read 0 in every column whatever this lists; the matrix
+    /// keeps every column.
+    pub fn fixed_inputs(&self) -> &[(u32, bool)] {
+        &self.fixed
     }
 
     /// The stimulus row of cycle `t`: `slots.len() × width` lane words,
@@ -1589,11 +1658,171 @@ mod tests {
                 let generated =
                     PackedStimulus::generate_with(kernel, tb, net, cfg, seed, lanes, cycles, width)
                         .unwrap();
+                assert_constant(&generated, lanes, &format!("{tag}: {kernel:?}"));
                 assert_eq!(
-                    generated, reference,
+                    without_fixed(generated),
+                    reference,
                     "{tag}: {lanes} lanes, width {width}, {kernel:?}"
                 );
             }
+        }
+    }
+
+    /// `stim` without its list of fixed inputs, which a matrix built by
+    /// [`inputs_at_matrix`] does not have.
+    fn without_fixed(stim: PackedStimulus) -> PackedStimulus {
+        PackedStimulus {
+            fixed: Vec::new(),
+            ..stim
+        }
+    }
+
+    /// The `(slot, value)` of every column of `stim` that holds one value
+    /// on every cycle and in each of its first `lanes` lanes, in column
+    /// order.
+    fn scanned_constants(stim: &PackedStimulus, lanes: usize) -> Vec<(u32, bool)> {
+        let width = stim.width();
+        let live: Vec<u64> = (0..width)
+            .map(|w| match lanes.saturating_sub(w * LANES) {
+                0 => 0,
+                l if l >= LANES => u64::MAX,
+                l => (1 << l) - 1,
+            })
+            .collect();
+        let mut out = Vec::new();
+        for (col, &slot) in stim.slots().iter().enumerate() {
+            let (mut ones, mut zeros) = (true, true);
+            for t in 0..stim.cycles() {
+                let words = &stim.row(t)[col * width..(col + 1) * width];
+                for (&word, &mask) in words.iter().zip(&live) {
+                    ones &= word & mask == mask;
+                    zeros &= word & mask == 0;
+                }
+            }
+            if ones || zeros {
+                out.push((slot, ones));
+            }
+        }
+        out
+    }
+
+    /// Asserts that every input `stim` lists as fixed holds its value on
+    /// every cycle and live lane of `stim`.
+    fn assert_constant(stim: &PackedStimulus, lanes: usize, tag: &str) {
+        let constant = scanned_constants(stim, lanes);
+        for fixed in stim.fixed_inputs() {
+            assert!(
+                constant.contains(fixed),
+                "{tag}: {fixed:?} listed as fixed, scan finds {constant:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn fixed_inputs_list_exactly_the_constant_columns() {
+        use crate::compile::FaultRail;
+        use crate::corpus::{self, CorpusConfig, Knobs, DESIGNS};
+        use crate::sim::DataGen;
+        use crate::systems::{paper_example, Config};
+        // Every stream kind on a two-stage pipeline with a fault arm: an
+        // offer drawing at 0, a sub-rate or 1; constant, counted,
+        // alternating and walked payloads; sink stops and kills that never
+        // draw, draw at a sub-rate, or draw at 1.
+        let (net, _, _) = linear_pipeline(2, 0).unwrap();
+        let fault = FaultInjection::StuckAt {
+            channel: "c1".into(),
+            rail: FaultRail::Sp,
+            value: true,
+        };
+        let compiled = compile(
+            &net,
+            &CompileOptions {
+                data_width: 3,
+                faults: vec![fault.clone()],
+                ..CompileOptions::default()
+            },
+        )
+        .unwrap();
+        let tb = NetlistTestbench::with_faults(&net, &compiled.netlist, 3, &[fault]).unwrap();
+        let slots = input_slots(&tb);
+        let arm = slots[tb.fault_cols()[0]];
+        let (offer, dins, stop, kill) = (slots[0], &slots[1..4], slots[4], slots[5]);
+        // Each payload with the mask of bits every value shares and of
+        // bits 0 in every value.
+        let payloads = [
+            (DataGen::Const(0b101), 0b111, 0b010),
+            (DataGen::Counter, 0b000, 0b000),
+            (DataGen::Alternate, 0b110, 0b110),
+            (
+                DataGen::Weighted(vec![(0b001, 0.5), (0b011, 0.5)]),
+                0b101,
+                0b100,
+            ),
+            (
+                DataGen::Weighted(vec![(0b110, 0.3), (0b010, 0.7)]),
+                0b011,
+                0b001,
+            ),
+        ];
+        for rate in [0.0, 0.6, 1.0] {
+            for (data, shared, zero) in &payloads {
+                for (stop_prob, kill_prob) in [(0.0, 0.3), (1.0, 0.0), (0.4, 1.0)] {
+                    let cfg = EnvConfig {
+                        default_source: SourceCfg {
+                            rate,
+                            data: data.clone(),
+                        },
+                        default_sink: SinkCfg {
+                            stop_prob,
+                            kill_prob,
+                        },
+                        ..EnvConfig::default()
+                    };
+                    let tag = format!("rate {rate} {data:?} stop {stop_prob} kill {kill_prob}");
+                    let stim = PackedStimulus::generate(&tb, &net, &cfg, 9, 70, 40, 2).unwrap();
+                    assert_constant(&stim, 70, &tag);
+                    let listed = |slot: u32| stim.fixed_inputs().iter().any(|&(s, _)| s == slot);
+                    assert!(!listed(arm), "{tag}: fault arm listed");
+                    // A column drawn at a sub-rate is never listed, nor a
+                    // payload bit that differs between offered values.
+                    assert_eq!(listed(offer), rate != 0.6, "{tag}: offer");
+                    assert_eq!(listed(stop), stop_prob != 0.4, "{tag}: stop");
+                    assert_eq!(listed(kill), kill_prob != 0.3, "{tag}: kill");
+                    for (j, &din) in dins.iter().enumerate() {
+                        let fixed = rate == 0.0
+                            || zero >> j & 1 == 1
+                            || rate == 1.0 && shared >> j & 1 == 1;
+                        assert_eq!(listed(din), fixed, "{tag}: payload bit {j}");
+                    }
+                }
+            }
+        }
+        // The Fig. 9 environment (harness payload width) and the 30 corpus
+        // environments (design payload width): the listed set is what a
+        // scan of a 2000-cycle matrix finds constant.
+        let mut systems: Vec<(String, ElasticNetwork, EnvConfig, usize)> = Config::all()
+            .into_iter()
+            .map(|c| {
+                let sys = paper_example(c).unwrap();
+                (c.label().to_string(), sys.network, sys.env_config, 2)
+            })
+            .collect();
+        for design in DESIGNS {
+            for config in CorpusConfig::all() {
+                let sys = corpus::build(design, config, &Knobs::default()).unwrap();
+                let label = format!("{design}/{}", config.tag());
+                systems.push((label, sys.network, sys.env, sys.data_width));
+            }
+        }
+        for (label, net, env, data_width) in systems {
+            let opts = CompileOptions {
+                data_width,
+                ..CompileOptions::default()
+            };
+            let nl = compile(&net, &opts).unwrap().netlist;
+            let tb = NetlistTestbench::new(&net, &nl, data_width).unwrap();
+            let stim = PackedStimulus::generate(&tb, &net, &env, 3, 64, 2000, 1).unwrap();
+            assert_eq!(stim.fixed_inputs(), scanned_constants(&stim, 64), "{label}");
         }
     }
 
@@ -1628,6 +1857,7 @@ mod tests {
             width,
             slots,
             words,
+            fixed: Vec::new(),
         }
     }
 
@@ -1916,7 +2146,7 @@ mod tests {
             for k in 0..70 {
                 armed.arm_fault(col, k, k % 20, 3).unwrap();
             }
-            assert_eq!(armed, reference, "{kernel:?}");
+            assert_eq!(without_fixed(armed), reference, "{kernel:?}");
         }
         // arm_fault window/site validation on the packed matrix.
         let mut fused = PackedStimulus::generate(&tb, &net, &cfg, 600, 70, cycles, 2).unwrap();

@@ -4,7 +4,8 @@
 //! optionally, a sweep of generated topologies, at every IR level: the
 //! component network (token-liveness, arity, counterflow, reachability,
 //! throughput bound), then the compiled gate netlist's levelized tapes
-//! before and after peephole optimization (translation validation).
+//! before and after peephole optimization, and after folding to the inputs
+//! the system's environment holds fixed (translation validation).
 //!
 //! Usage: `elint [--seed N] [--gen-count N] [--corpus] [--skip-tape]
 //! [--json PATH] [--quiet]`
@@ -21,7 +22,8 @@ use elastic_core::compile::{compile, CompileOptions};
 use elastic_core::corpus::{self, CorpusConfig, Knobs, DESIGNS};
 use elastic_core::gen::{generate, TopoParams, GEN_DATA_WIDTH};
 use elastic_core::systems::{paper_example, Config};
-use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags, write_report};
+use elastic_core::verify::{NetlistTestbench, PackedStimulus};
+use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags, ReportFile};
 use elastic_lint::json::Json;
 use elastic_lint::{lint_network_with_env, lint_program, LintReport};
 use elastic_netlist::levelize::Program;
@@ -67,6 +69,14 @@ fn lint_system(
                 }
                 if let Ok((p, _)) = Program::compile_optimized(&compiled.netlist) {
                     report.merge(lint_program(&compiled.netlist, &p, true));
+                    report.merge(lint_folded(
+                        name,
+                        net,
+                        env,
+                        &compiled.netlist,
+                        &p,
+                        data_width,
+                    ));
                 }
             }
             Err(e) => report.diagnostics.push(elastic_lint::Diagnostic::error(
@@ -82,6 +92,42 @@ fn lint_system(
     }
 }
 
+/// Tape lint of `optimized` folded to the inputs `env` holds fixed
+/// ([`Program::fold_inputs`]), the tape the Monte-Carlo engine runs in
+/// that environment; its diagnostics name the folded tape.
+fn lint_folded(
+    name: &str,
+    net: &elastic_core::network::ElasticNetwork,
+    env: &elastic_core::sim::EnvConfig,
+    netlist: &elastic_netlist::Netlist,
+    optimized: &Program,
+    data_width: usize,
+) -> LintReport {
+    // A one-lane, one-cycle matrix carries the environment's fixed inputs.
+    let folded = NetlistTestbench::new(net, netlist, data_width)
+        .and_then(|tb| PackedStimulus::generate(&tb, net, env, 0, 1, 1, 1))
+        .map_err(|e| e.to_string())
+        .and_then(|stim| {
+            optimized
+                .fold_inputs(stim.fixed_inputs())
+                .map_err(|e| e.to_string())
+        });
+    match folded {
+        Ok(folded) => {
+            let mut report = lint_program(netlist, &folded, true);
+            for d in &mut report.diagnostics {
+                d.site = format!("folded {}", d.site);
+            }
+            report
+        }
+        Err(e) => LintReport::new(vec![elastic_lint::Diagnostic::error(
+            "E204",
+            name.to_string(),
+            format!("folding to the environment failed: {e}"),
+        )]),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     reject_unknown_flags(&args, &VALUE_FLAGS, &SWITCHES);
@@ -90,7 +136,7 @@ fn main() {
     let corpus = args.iter().any(|a| a == "--corpus");
     let tape = !args.iter().any(|a| a == "--skip-tape");
     let quiet = args.iter().any(|a| a == "--quiet");
-    let json_path = flag_value(&args, "--json");
+    let report_file = ReportFile::open(flag_value(&args, "--json").as_deref());
 
     let mut targets = Vec::new();
     for config in Config::all() {
@@ -184,7 +230,7 @@ fn main() {
         ("warnings", warnings.into()),
         ("ok", (errors == 0).into()),
     ]);
-    write_report(json_path.as_deref(), &report);
+    report_file.write(&report);
 
     std::process::exit(i32::from(errors > 0));
 }

@@ -71,22 +71,80 @@ pub fn parse_positive(args: &[String], flag: &str, dflt: usize) -> usize {
     })
 }
 
-/// Writes `report` to `path`, the value of `--json`, and nothing without
-/// one. A path that cannot be written exits with status 2, naming it.
-pub fn write_report(path: Option<&str>, report: &Json) {
-    let Some(path) = path else {
-        return;
-    };
-    if let Err(e) = std::fs::write(path, format!("{report}\n")) {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(2);
+/// The `--json` report file of a run: created, or truncated, when the
+/// command line is read, and written once the run is done. A path that
+/// cannot be written thus fails before the run rather than after it.
+#[derive(Debug)]
+pub struct ReportFile {
+    /// The path and its open file; `None` without `--json`.
+    target: Option<(String, std::fs::File)>,
+}
+
+impl ReportFile {
+    /// Creates or truncates `path`; without a path, a report file that
+    /// writes nothing.
+    ///
+    /// # Errors
+    ///
+    /// The error creating the file.
+    pub fn create(path: Option<&str>) -> std::io::Result<ReportFile> {
+        let target = match path {
+            Some(path) => Some((path.to_string(), std::fs::File::create(path)?)),
+            None => None,
+        };
+        Ok(ReportFile { target })
     }
-    println!("wrote {path}");
+
+    /// [`Self::create`], exiting with status 2 naming the path when it
+    /// cannot be created.
+    pub fn open(path: Option<&str>) -> ReportFile {
+        Self::create(path).unwrap_or_else(|e| {
+            eprintln!("error: writing {}: {e}", path.unwrap_or_default());
+            std::process::exit(2);
+        })
+    }
+
+    /// Writes `report` and a newline to the file, and nothing without one.
+    /// A write that fails exits with status 2, naming the path.
+    pub fn write(self, report: &Json) {
+        use std::io::Write;
+        let Some((path, mut file)) = self.target else {
+            return;
+        };
+        if let Err(e) = file.write_all(format!("{report}\n").as_bytes()) {
+            eprintln!("error: writing {path}: {e}");
+            std::process::exit(2);
+        }
+        println!("wrote {path}");
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn report_file_is_created_before_the_run_and_written_after() {
+        let dir = std::env::temp_dir().join(format!("elastic-report-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("report.json");
+        let path_str = path.to_str().unwrap();
+        std::fs::write(&path, "stale").unwrap();
+        // Opening truncates, before anything is written.
+        let file = ReportFile::create(Some(path_str)).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        let report = Json::object([("ok", true.into())]);
+        file.write(&report);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            format!("{report}\n")
+        );
+        // A path in a missing directory fails when it is opened.
+        assert!(ReportFile::create(Some(dir.join("missing/r.json").to_str().unwrap())).is_err());
+        // Without a path nothing is created or written.
+        ReportFile::create(None).unwrap().write(&report);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn positive_names_the_flag_of_a_zero_count() {

@@ -496,7 +496,7 @@ impl Program {
     ///    the [`Instr::AndN`] inverted tail (a tail operand that is itself
     ///    a `Not` output moves back to the plain part), an `Or2` operand
     ///    an [`Instr::OrNot`], and an inverted mux select swaps the arms.
-    ///    Step 4 then drops every `Not` whose readers all absorbed it; a
+    ///    Step 5 then drops every `Not` whose readers all absorbed it; a
     ///    `Not` whose value is observed (output, state, flip-flop data) or
     ///    read by another gate kind stays;
     /// 3. **constant folding** — slots never written by either tape (and
@@ -506,13 +506,23 @@ impl Program {
     ///    and deleting never-enabled hold latches). An inverted operand
     ///    folds as its complement: constant-true zeroes its gate,
     ///    constant-false drops out;
-    /// 4. **phase-aware dead-code elimination** — an instruction survives
+    /// 4. **value numbering** — an instruction whose canonical form (its
+    ///    kind and operand literals, commutative operands sorted, the AND
+    ///    family as one literal list) matches an earlier instruction of the
+    ///    same tape becomes a `Copy` of that instruction's destination, so
+    ///    step 1 redirects its readers. A merge needs every operand to be
+    ///    written before the first occurrence or never written in that
+    ///    tape, so both occurrences read the same values; a `LatchEn`,
+    ///    whose hold path reads its own previous value, never merges;
+    /// 5. **phase-aware dead-code elimination** — an instruction survives
     ///    only if its destination is read before being overwritten, by a
     ///    live instruction, a flip-flop capture, or an end-of-cycle
     ///    observation of an output/state net. A combinational gate whose
     ///    value is only consumed after the low phase thus executes once per
     ///    cycle instead of twice — for latch-free controllers this removes
-    ///    the high tape entirely.
+    ///    the high tape entirely. A merged duplicate whose value is
+    ///    observed keeps its `Copy`. The elimination also runs before
+    ///    steps 1–4, which then skip what nothing reads.
     ///
     /// After the pass, only primary outputs, state elements and flip-flop
     /// captures are guaranteed to hold their exact per-cycle values; other
@@ -522,21 +532,58 @@ impl Program {
     /// wide backend. The pass is idempotent: a second run over its output
     /// changes nothing.
     pub fn peephole(&mut self) -> PeepholeStats {
+        self.optimize(&[])
+    }
+
+    /// A copy of this program with the primary inputs `fixed` — `(slot,
+    /// value)` pairs — held at their values: the [`Program::peephole`]
+    /// pass reruns with each of those slots read as a constant, so the
+    /// logic they feed folds away. The folded program still lists every
+    /// input and still accepts a write to every input slot; it matches
+    /// this one on the observation set of [`Program::peephole`] whenever
+    /// each fixed input carries its value.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::UnknownNet`] naming the first slot of `fixed` that
+    /// is not a primary input.
+    pub fn fold_inputs(&self, fixed: &[(u32, bool)]) -> Result<Program, NetlistError> {
+        if let Some(&(s, _)) = fixed
+            .iter()
+            .find(|&&(s, _)| !self.inputs.contains(&NetId(s)))
+        {
+            return Err(NetlistError::UnknownNet(NetId(s)));
+        }
+        let mut folded = self.clone();
+        folded.optimize(fixed);
+        Ok(folded)
+    }
+
+    /// The [`Program::peephole`] pass with the input slots of `fixed` held
+    /// at their values.
+    fn optimize(&mut self, fixed: &[(u32, bool)]) -> PeepholeStats {
         let n = self.num_slots;
         let mut stats = PeepholeStats {
             instrs_before: self.high.len() + self.low.len(),
             ..PeepholeStats::default()
         };
+        // Rewriting only deletes or simplifies, so what is dead now stays
+        // dead: drop it first and the passes skip it (the recomputation of
+        // latch-free logic in the high tape is most of a lowered tape).
+        self.eliminate_dead();
         // Global constants: slots never written by either tape are stuck at
         // their power-up value — unless they are inputs (driven by the
-        // testbench) or state elements (flip-flop commits and `load_state`
-        // write them outside the tapes).
+        // testbench, constant only when fixed) or state elements (flip-flop
+        // commits and `load_state` write them outside the tapes).
         let mut konst_base: Vec<Option<bool>> = self.init.iter().map(|&b| Some(b)).collect();
         for i in self.high.iter().chain(self.low.iter()) {
             konst_base[i.dst() as usize] = None;
         }
         for &i in &self.inputs {
             konst_base[i.index()] = None;
+        }
+        for &(s, v) in fixed {
+            konst_base[s as usize] = Some(v);
         }
         for &s in &self.state_nets {
             konst_base[s.index()] = None;
@@ -562,7 +609,7 @@ impl Program {
         stats
     }
 
-    /// Phase-aware dead-code elimination over both tapes (step 4 of
+    /// Phase-aware dead-code elimination over both tapes (step 5 of
     /// [`Program::peephole`]): backward liveness in execution order (low
     /// tape, then high tape, with needs at the top of the high tape wrapping
     /// to the previous cycle's end), iterated to a fixpoint. Roots are the
@@ -653,12 +700,15 @@ pub struct PeepholeStats {
     /// Folding steps applied (one instruction may fold several times on its
     /// way to a fixpoint).
     pub folded: usize,
+    /// Instructions value numbering turned into a `Copy` of an earlier
+    /// instruction of the same tape.
+    pub merged: usize,
 }
 
 /// One forward rewrite pass over a tape: alias-resolves operands through
-/// copies, then folds/fuses each instruction to a fixpoint (see
-/// [`Program::peephole`] steps 1–3). Returns the rewritten tape and whether
-/// anything changed.
+/// copies, folds/fuses each instruction to a fixpoint, and merges it with
+/// an equal earlier one (see [`Program::peephole`] steps 1–4). Returns the
+/// rewritten tape and whether anything changed.
 fn rewrite_tape(
     tape: &[Instr],
     args: &mut Vec<u32>,
@@ -671,14 +721,32 @@ fn rewrite_tape(
         inv: vec![None; num_slots],
         konst: konst_base.to_vec(),
     };
-    // The literal buffer of every AND-family fold of this pass.
+    // The literal buffer of every AND- and OR-family fold of this pass.
     let mut lits = Vec::new();
+    // `pending[s]`: slot `s` is written later in this tape, so a read of
+    // it here sees the previous cycle's value.
+    let mut pending = vec![false; num_slots];
+    for i in tape {
+        pending[i.dst() as usize] = true;
+    }
+    let mut numbering = ValueTable::new(tape.len());
+    let mut form = Vec::new();
     let mut out: Vec<Instr> = Vec::with_capacity(tape.len());
     let mut changed = false;
     for &orig in tape {
         match simplify(orig, args, &facts, &mut lits, stats) {
             None => changed = true, // hold-latch deleted: the slot keeps its value
-            Some(instr) => {
+            Some(mut instr) => {
+                let dst = instr.dst();
+                if canonical_form(instr, args, &mut form)
+                    && form[1..].iter().all(|&lit| !pending[(lit >> 1) as usize])
+                {
+                    if let Some(src) = numbering.find_or_insert(&form, dst) {
+                        stats.merged += 1;
+                        instr = Instr::Copy { dst, src };
+                    }
+                }
+                pending[dst as usize] = false;
                 changed |= instr != orig;
                 match instr {
                     Instr::Fill { dst, ones } => facts.konst[dst as usize] = Some(ones),
@@ -716,6 +784,102 @@ impl Facts {
             s = self.alias[s as usize];
         }
         s
+    }
+}
+
+/// Writes the canonical form of `instr` to `form` for value numbering: a
+/// kind word, then the operands as literals `slot << 1 | inverted`. The
+/// AND family (`Not` is a one-literal AND) and the OR family (`Or2`,
+/// `OrNot`, `OrN`) list their literals, and `Xor2` its two operands,
+/// sorted, so commuted operands give one form and an `AndNot` the form of
+/// the equal one-tail `AndN`; a `Mux` keeps its operand order. Returns
+/// false for the kinds that never merge: `Fill` and `Copy`, which the
+/// constant and copy facts already cover, and `LatchEn`, whose hold path
+/// reads its own previous value.
+fn canonical_form(instr: Instr, args: &[u32], form: &mut Vec<u32>) -> bool {
+    const AND: u32 = 0;
+    const OR: u32 = 1;
+    const XOR: u32 = 2;
+    const MUX: u32 = 3;
+    let lit = |s: u32, inverted: bool| s << 1 | u32::from(inverted);
+    form.clear();
+    match instr {
+        Instr::Fill { .. } | Instr::Copy { .. } | Instr::LatchEn { .. } => return false,
+        Instr::Not { src, .. } => form.extend([AND, lit(src, true)]),
+        Instr::And2 { a, b, .. } => form.extend([AND, lit(a, false), lit(b, false)]),
+        Instr::AndNot { a, b, .. } => form.extend([AND, lit(a, false), lit(b, true)]),
+        Instr::Nor2 { a, b, .. } => form.extend([AND, lit(a, true), lit(b, true)]),
+        Instr::AndN {
+            start, len, inv, ..
+        } => {
+            let plain = (len - inv) as usize;
+            let window = &args[start as usize..(start + len) as usize];
+            form.push(AND);
+            form.extend(window.iter().enumerate().map(|(i, &s)| lit(s, i >= plain)));
+        }
+        Instr::Or2 { a, b, .. } => form.extend([OR, lit(a, false), lit(b, false)]),
+        Instr::OrNot { a, b, .. } => form.extend([OR, lit(a, false), lit(b, true)]),
+        Instr::OrN { start, len, .. } => {
+            form.push(OR);
+            form.extend(
+                args[start as usize..(start + len) as usize]
+                    .iter()
+                    .map(|&s| lit(s, false)),
+            );
+        }
+        Instr::Xor2 { a, b, .. } => form.extend([XOR, lit(a, false), lit(b, false)]),
+        Instr::Mux { sel, a, b, .. } => {
+            form.extend([MUX, lit(sel, false), lit(a, false), lit(b, false)]);
+            return true;
+        }
+    }
+    form[1..].sort_unstable();
+    true
+}
+
+/// The value-numbering table of one [`rewrite_tape`] pass: the canonical
+/// form of each instruction entered so far and the slot it wrote. The
+/// forms sit back to back in one buffer and the buckets probe linearly by
+/// a hash of the form, so a lookup allocates nothing.
+struct ValueTable {
+    /// Every entered form, back to back.
+    forms: Vec<u32>,
+    /// Per entry: the start and length of its form, and its slot.
+    entries: Vec<(usize, usize, u32)>,
+    /// Entry index + 1 per bucket, 0 for an empty bucket; a power of two
+    /// at least twice the entries a pass can enter.
+    buckets: Vec<u32>,
+}
+
+impl ValueTable {
+    /// A table for a pass over a `len`-instruction tape.
+    fn new(len: usize) -> ValueTable {
+        ValueTable {
+            forms: Vec::new(),
+            entries: Vec::with_capacity(len),
+            buckets: vec![0; (2 * len).next_power_of_two().max(2)],
+        }
+    }
+
+    /// The slot of the entry whose form is `form`; when there is none,
+    /// enters `form` as written to `dst` and returns `None`.
+    fn find_or_insert(&mut self, form: &[u32], dst: u32) -> Option<u32> {
+        let hash = form.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ u64::from(w)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+        });
+        let mask = self.buckets.len() - 1;
+        let mut b = (hash >> 32) as usize & mask;
+        while let Some(e) = self.buckets[b].checked_sub(1) {
+            let (start, len, slot) = self.entries[e as usize];
+            if self.forms[start..start + len] == *form {
+                return Some(slot);
+            }
+            b = (b + 1) & mask;
+        }
+        self.buckets[b] = self.entries.len() as u32 + 1;
+        self.entries.push((self.forms.len(), form.len(), dst));
+        self.forms.extend_from_slice(form);
+        None
     }
 }
 
@@ -841,33 +1005,40 @@ fn simplify(
                 }
             }
             Instr::OrN { dst, start, len } => {
+                // The operands, alias-resolved, in the literal buffer.
                 let range = start as usize..(start + len) as usize;
-                let ops: Vec<u32> = args[range.clone()].iter().map(|&s| r(s)).collect();
-                if ops.iter().any(|&s| k(s) == Some(true))
-                    || ops.iter().any(|&s| iv(s).is_some_and(|x| ops.contains(&x)))
-                {
+                lits.clear();
+                lits.extend(args[range.clone()].iter().map(|&s| (r(s), false)));
+                if lits.iter().any(|&(s, _)| {
+                    k(s) == Some(true) || iv(s).is_some_and(|x| lits.contains(&(x, false)))
+                }) {
                     Instr::Fill { dst, ones: true }
                 } else {
-                    let mut kept: Vec<u32> = Vec::with_capacity(ops.len());
-                    for &s in &ops {
-                        if k(s) != Some(false) && !kept.contains(&s) {
-                            kept.push(s);
+                    // Compact the operands that are neither constant false
+                    // nor repeated into the front of the buffer.
+                    let mut kept = 0;
+                    for i in 0..lits.len() {
+                        let lit = lits[i];
+                        if k(lit.0) != Some(false) && !lits[..kept].contains(&lit) {
+                            lits[kept] = lit;
+                            kept += 1;
                         }
                     }
-                    match kept[..] {
+                    lits.truncate(kept);
+                    match lits[..] {
                         [] => Instr::Fill { dst, ones: false },
-                        [x] => Instr::Copy { dst, src: x },
-                        [x, y] => Instr::Or2 { dst, a: x, b: y },
+                        [(x, _)] => Instr::Copy { dst, src: x },
+                        [(x, _), (y, _)] => Instr::Or2 { dst, a: x, b: y },
                         _ => {
-                            if kept[..] == args[range] {
+                            if lits.iter().map(|&(s, _)| s).eq(args[range].iter().copied()) {
                                 break;
                             }
                             let new_start = args.len() as u32;
-                            args.extend_from_slice(&kept);
+                            args.extend(lits.iter().map(|&(s, _)| s));
                             Instr::OrN {
                                 dst,
                                 start: new_start,
-                                len: kept.len() as u32,
+                                len: kept as u32,
                             }
                         }
                     }
@@ -1233,12 +1404,26 @@ mod tests {
             .any(|i| matches!(i, Instr::Copy { dst, .. } if *dst == l.0)));
     }
 
-    /// Runs both programs cycle by cycle on the same input pattern and
-    /// compares the given nets after every cycle (via a wide backend at
-    /// lane 0 — the only Program executor in this crate).
+    /// Runs `optimized` and the unoptimized compile of `n` cycle by cycle
+    /// on the same input pattern and compares the given nets after every
+    /// cycle.
     fn cosim_programs(n: &Netlist, optimized: Program, probes: &[NetId], cycles: usize) {
+        cosim_pair(n, Program::compile(n).unwrap(), optimized, probes, cycles);
+    }
+
+    /// Runs both programs, tapes over the nets of `n`, cycle by cycle on
+    /// the same input pattern and compares the given nets after every
+    /// cycle (via a wide backend — the only Program executor in this
+    /// crate).
+    fn cosim_pair(
+        n: &Netlist,
+        reference: Program,
+        optimized: Program,
+        probes: &[NetId],
+        cycles: usize,
+    ) {
         use crate::wide::WideSim;
-        let mut reference = WideSim::<1>::new(n).unwrap();
+        let mut reference = WideSim::<1>::from_program(reference);
         let mut opt = WideSim::<1>::from_program(optimized);
         let inputs = n.inputs().to_vec();
         for t in 0..cycles {
@@ -1437,19 +1622,158 @@ mod tests {
         (n, p, vec![keep, kill], check)
     }
 
+    /// Rewrites the instruction writing `dst` in both tapes of `p` to an
+    /// `AndN` over `ops` with an inverted tail of `inv` operands.
+    fn rewrite_as_and_n(p: &mut Program, dst: NetId, ops: &[u32], inv: u32) {
+        for instr in p.high.iter_mut().chain(p.low.iter_mut()) {
+            if instr.dst() == dst.0 {
+                let start = p.args.len() as u32;
+                p.args.extend(ops);
+                *instr = Instr::AndN {
+                    dst: dst.0,
+                    start,
+                    len: ops.len() as u32,
+                    inv,
+                };
+            }
+        }
+    }
+
+    /// Commuted operands merge: `and2(b, a)` becomes a copy of
+    /// `and2(a, b)`, which makes the two readers `xor(x, c)` and
+    /// `xor(c, y)` equal in turn. The second reader is observed, so its
+    /// value stays, as a `Copy` of the first.
+    fn numbering_commuted() -> FusionCase {
+        let mut n = Netlist::new("commuted");
+        let a = n.input("a");
+        let b = n.input("b");
+        let c = n.input("c");
+        let x = n.and2(a, b);
+        let y = n.and2(b, a);
+        let first = n.xor(x, c);
+        let second = n.xor(c, y);
+        n.mark_output(first).unwrap();
+        n.mark_output(second).unwrap();
+        let p = Program::compile(&n).unwrap();
+        let check: fn(&Program, &PeepholeStats) = |p, stats| {
+            assert_eq!(stats.merged, 2, "{stats:?}");
+            let [first, second] = [p.outputs()[0].0, p.outputs()[1].0];
+            assert!(p.high().is_empty(), "{:?}", p.high());
+            assert_eq!(p.low().len(), 3, "{:?}", p.low());
+            assert!(p.low().contains(&Instr::And2 { dst: 3, a: 0, b: 1 }));
+            assert!(p.low().contains(&Instr::Xor2 {
+                dst: first,
+                a: 3,
+                b: 2
+            }));
+            assert!(p.low().contains(&Instr::Copy {
+                dst: second,
+                src: first
+            }));
+        };
+        (n, p, vec![first, second], check)
+    }
+
+    /// An `AndNot` and the equal `AndN` with a one-operand tail merge.
+    fn numbering_and_not_tail() -> FusionCase {
+        let mut n = Netlist::new("tail2");
+        let a = n.input("a");
+        let b = n.input("b");
+        let x = n.and_not(a, b);
+        let y = n.and2(a, b); // rewritten below to AndN([a | b])
+        n.mark_output(x).unwrap();
+        n.mark_output(y).unwrap();
+        let mut p = Program::compile(&n).unwrap();
+        rewrite_as_and_n(&mut p, y, &[a.0, b.0], 1);
+        let check: fn(&Program, &PeepholeStats) = |p, stats| {
+            assert!(stats.merged >= 1, "{stats:?}");
+            let [x, y] = [p.outputs()[0].0, p.outputs()[1].0];
+            assert_eq!(
+                p.low(),
+                &[
+                    Instr::AndNot { dst: x, a: 0, b: 1 },
+                    Instr::Copy { dst: y, src: x }
+                ]
+            );
+        };
+        (n, p, vec![x, y], check)
+    }
+
+    /// An operand written later in the tape does not merge: with the
+    /// low-phase latch `l`'s instruction moved after the first of two
+    /// equal readers `and2(b, l)`, the first reads the latch's previous
+    /// value and the second its new one.
+    fn numbering_read_before_write() -> FusionCase {
+        let mut n = Netlist::new("wrap");
+        let a = n.input("a");
+        let b = n.input("b");
+        let en = n.input("en");
+        let l = n.latch_en(LatchPhase::Low, en, false);
+        n.bind_latch(l, a).unwrap();
+        let x = n.and2(b, l);
+        let y = n.and2(b, l);
+        n.mark_output(x).unwrap();
+        n.mark_output(y).unwrap();
+        let mut p = Program::compile(&n).unwrap();
+        let at = |p: &Program, dst: NetId| p.low.iter().position(|i| i.dst() == dst.0).unwrap();
+        let reader = p.low.remove(at(&p, x));
+        let latch = at(&p, l);
+        p.low.insert(latch, reader);
+        assert!(at(&p, x) < at(&p, l) && at(&p, l) < at(&p, y));
+        let check: fn(&Program, &PeepholeStats) = |p, _| {
+            let [x, y] = [p.outputs()[0].0, p.outputs()[1].0];
+            for dst in [x, y] {
+                assert!(
+                    p.low().contains(&Instr::And2 { dst, a: 1, b: 3 }),
+                    "both readers computed: {:?}",
+                    p.low()
+                );
+            }
+        };
+        (n, p, vec![x, y, l], check)
+    }
+
+    /// Two enable latches with the same data and enable never merge: each
+    /// holds its own value (here, from different power-up values).
+    fn numbering_latches() -> FusionCase {
+        let mut n = Netlist::new("latches");
+        let a = n.input("a");
+        let en = n.input("en");
+        let l1 = n.latch_en(LatchPhase::High, en, false);
+        let l2 = n.latch_en(LatchPhase::High, en, true);
+        n.bind_latch(l1, a).unwrap();
+        n.bind_latch(l2, a).unwrap();
+        n.mark_output(l1).unwrap();
+        n.mark_output(l2).unwrap();
+        let p = Program::compile(&n).unwrap();
+        let check: fn(&Program, &PeepholeStats) = |p, stats| {
+            assert_eq!(stats.merged, 0, "{stats:?}");
+            let latches = instrs(p)
+                .filter(|i| matches!(i, Instr::LatchEn { .. }))
+                .count();
+            assert_eq!(latches, 2, "{:?}", p.high());
+        };
+        (n, p, vec![l1, l2], check)
+    }
+
     #[test]
     fn peephole_fuses_and_preserves_outputs() {
         // Each case's optimized program passes its check, a second
         // peephole pass over it changes nothing, and its observed nets stay
-        // cycle-exact against the unoptimized program.
+        // cycle-exact against the program the pass started from.
         for (n, mut p, probes, check) in [
             fusion_and_not_or_not(),
             fusion_and_tail(),
             fusion_nor2(),
             fusion_observed_not(),
             fusion_constant_tail(),
+            numbering_commuted(),
+            numbering_and_not_tail(),
+            numbering_read_before_write(),
+            numbering_latches(),
         ] {
             let name = n.name().to_string();
+            let start = p.clone();
             let stats = p.peephole();
             check(&p, &stats);
             let mut again = p.clone();
@@ -1459,8 +1783,106 @@ mod tests {
                 (p.high(), p.low(), p.args()),
                 "{name}: a second pass changed the program"
             );
-            assert_eq!((second.fused, second.folded), (0, 0), "{name}: {second:?}");
-            cosim_programs(&n, p, &probes, 24);
+            assert_eq!(
+                (second.fused, second.folded, second.merged),
+                (0, 0, 0),
+                "{name}: {second:?}"
+            );
+            cosim_pair(&n, start, p, &probes, 24);
+        }
+    }
+
+    #[test]
+    fn canonical_forms_equate_commuted_and_equal_gates() {
+        let args = [1, 0, 2, 0, 1, 2];
+        let form = |i: Instr| {
+            let mut f = Vec::new();
+            canonical_form(i, &args, &mut f).then_some(f)
+        };
+        let eq = |i: Instr, j: Instr| {
+            assert_eq!(form(i), form(j), "{i:?} vs {j:?}");
+        };
+        eq(
+            Instr::And2 { dst: 9, a: 0, b: 1 },
+            Instr::And2 { dst: 8, a: 1, b: 0 },
+        );
+        eq(
+            Instr::AndNot { dst: 9, a: 1, b: 0 },
+            Instr::AndN {
+                dst: 8,
+                start: 0,
+                len: 2,
+                inv: 1,
+            },
+        );
+        eq(
+            Instr::Or2 { dst: 9, a: 2, b: 0 },
+            Instr::OrN {
+                dst: 8,
+                start: 2,
+                len: 2,
+            },
+        );
+        eq(
+            Instr::Xor2 { dst: 9, a: 0, b: 1 },
+            Instr::Xor2 { dst: 8, a: 1, b: 0 },
+        );
+        // An inverted literal, a select and a hold path are not commuted
+        // away.
+        assert_ne!(
+            form(Instr::AndNot { dst: 9, a: 1, b: 0 }),
+            form(Instr::AndNot { dst: 9, a: 0, b: 1 })
+        );
+        assert_ne!(
+            form(Instr::Mux {
+                dst: 9,
+                sel: 0,
+                a: 1,
+                b: 2
+            }),
+            form(Instr::Mux {
+                dst: 9,
+                sel: 1,
+                a: 0,
+                b: 2
+            })
+        );
+        assert_eq!(
+            form(Instr::LatchEn {
+                dst: 9,
+                d: 0,
+                en: 1
+            }),
+            None
+        );
+        assert_eq!(form(Instr::Copy { dst: 9, src: 0 }), None);
+    }
+
+    #[test]
+    fn fold_inputs_folds_fixed_inputs_and_rejects_other_slots() {
+        let mut n = Netlist::new("fold");
+        let a = n.input("a");
+        let b = n.input("b");
+        let q = n.dff(false);
+        let x = n.and2(a, b);
+        let d = n.xor(x, q);
+        n.bind_dff(q, d).unwrap();
+        n.mark_output(x).unwrap();
+        let (p, _) = Program::compile_optimized(&n).unwrap();
+        // b held at 1: x is a copy of a. b held at 0: x is constant.
+        let high = p.fold_inputs(&[(b.0, true)]).unwrap();
+        assert!(high.low().contains(&Instr::Copy { dst: x.0, src: a.0 }));
+        let low = p.fold_inputs(&[(b.0, false)]).unwrap();
+        assert!(low.low().contains(&Instr::Fill {
+            dst: x.0,
+            ones: false
+        }));
+        assert_eq!(high.inputs(), p.inputs(), "every input stays an input");
+        for bad in [x.0, q.0, 99] {
+            assert!(matches!(
+                p.fold_inputs(&[(a.0, true), (bad, false)]),
+                Err(NetlistError::UnknownNet(NetId(s))) if s == bad
+            ));
         }
     }
 

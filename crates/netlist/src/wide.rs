@@ -105,7 +105,7 @@ pub fn lane_masks<const W: usize>(lanes: usize) -> [u64; W] {
 // Thread-safety contract of the wide backend: a compiled `Program` is
 // immutable instruction data, so one compilation can be shared by reference
 // across scoped worker threads, and a `WideSim` is plain
-// owned state (`Vec<[u64; W]>` words, no interior mutability or aliasing),
+// owned state (`Vec<u64>` words, no interior mutability or aliasing),
 // so each worker can clone the power-up prototype and run shards
 // independently. The experiment engine in `elastic_bench` relies on both
 // bounds; this assertion turns an accidental `Rc`/`RefCell` regression into
@@ -146,10 +146,10 @@ pub struct WideSim<const W: usize> {
     prog: Program,
     /// One `[u64; W]` per net: bit `k` of word `w` is the value in lane
     /// `w * 64 + k`.
-    values: Vec<[u64; W]>,
+    values: LaneWords<W>,
     /// Flip-flop data captured at the end of the last settle, one entry per
     /// element of [`Program::ffs`].
-    captured: Vec<[u64; W]>,
+    captured: LaneWords<W>,
     /// Per-slot input marker for input validation.
     is_input: Vec<bool>,
     time: u64,
@@ -160,6 +160,51 @@ pub struct WideSim<const W: usize> {
 /// The single-word (64-trial) instance of [`WideSim`] — the backend
 /// introduced in PR 2, API-compatible with its original form.
 pub type WideSimulator = WideSim<1>;
+
+/// Bytes of a cache line, the alignment of a [`LaneWords`] buffer.
+const CACHE_LINE: usize = 64;
+
+/// A run of `[u64; W]` lane groups that starts on a cache-line boundary,
+/// so at `W = 8` no group straddles two lines: an over-allocated
+/// `Vec<u64>` and the offset of the first aligned word. A clone aligns
+/// its own buffer.
+#[derive(Debug)]
+struct LaneWords<const W: usize> {
+    buf: Vec<u64>,
+    start: usize,
+    len: usize,
+}
+
+impl<const W: usize> LaneWords<W> {
+    /// The groups `groups`, aligned.
+    fn new(groups: impl ExactSizeIterator<Item = [u64; W]>) -> Self {
+        let len = groups.len();
+        let mut buf = vec![0u64; len * W + CACHE_LINE / 8 - 1];
+        let start = buf.as_ptr().align_offset(CACHE_LINE);
+        for (dst, group) in buf[start..].chunks_exact_mut(W).zip(groups) {
+            dst.copy_from_slice(&group);
+        }
+        LaneWords { buf, start, len }
+    }
+
+    fn as_slice(&self) -> &[[u64; W]] {
+        self.buf[self.start..self.start + self.len * W]
+            .as_chunks()
+            .0
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [[u64; W]] {
+        self.buf[self.start..self.start + self.len * W]
+            .as_chunks_mut()
+            .0
+    }
+}
+
+impl<const W: usize> Clone for LaneWords<W> {
+    fn clone(&self) -> Self {
+        Self::new(self.as_slice().iter().copied())
+    }
+}
 
 /// Broadcasts a `bool` to a full lane word.
 fn splat(v: bool) -> u64 {
@@ -194,8 +239,12 @@ impl<const W: usize> WideSim<W> {
         for &i in prog.inputs() {
             is_input[i.index()] = true;
         }
-        let values: Vec<[u64; W]> = prog.init().iter().map(|&b| [splat(b); W]).collect();
-        let captured = prog.ffs().iter().map(|f| values[f.q as usize]).collect();
+        let values = LaneWords::new(prog.init().iter().map(|&b| [splat(b); W]));
+        let captured = LaneWords::new(
+            prog.ffs()
+                .iter()
+                .map(|f| [splat(prog.init()[f.q as usize]); W]),
+        );
         WideSim {
             prog,
             values,
@@ -250,7 +299,7 @@ impl<const W: usize> WideSim<W> {
     ///
     /// Panics if `net` is out of range or `w >= W`.
     pub fn word(&self, net: NetId, w: usize) -> u64 {
-        self.values[net.index()][w]
+        self.values.as_slice()[net.index()][w]
     }
 
     /// Value of one net in one of the `W × 64` lanes.
@@ -260,7 +309,7 @@ impl<const W: usize> WideSim<W> {
     /// Panics if `net` is out of range or `lane >= W * 64`.
     pub fn lane(&self, net: NetId, lane: usize) -> bool {
         assert!(lane < W * LANES, "lane {lane} out of range");
-        self.values[net.index()][lane / LANES] >> (lane % LANES) & 1 == 1
+        self.values.as_slice()[net.index()][lane / LANES] >> (lane % LANES) & 1 == 1
     }
 
     /// Sets all `W` words of a primary input for the upcoming settle.
@@ -269,10 +318,10 @@ impl<const W: usize> WideSim<W> {
     ///
     /// [`NetlistError::UnknownNet`] if `net` is not a primary input.
     pub fn set_input_words(&mut self, net: NetId, words: [u64; W]) -> Result<(), NetlistError> {
-        if net.index() >= self.values.len() || !self.is_input[net.index()] {
+        if !self.is_input.get(net.index()).copied().unwrap_or(false) {
             return Err(NetlistError::UnknownNet(net));
         }
-        self.values[net.index()] = words;
+        self.values.as_mut_slice()[net.index()] = words;
         Ok(())
     }
 
@@ -303,7 +352,7 @@ impl<const W: usize> WideSim<W> {
     /// [`NetlistError::UnknownNet`] naming the first offending slot.
     pub fn check_input_slots(&self, slots: &[u32]) -> Result<(), NetlistError> {
         for &s in slots {
-            if s as usize >= self.values.len() || !self.is_input[s as usize] {
+            if !self.is_input.get(s as usize).copied().unwrap_or(false) {
                 return Err(NetlistError::UnknownNet(NetId(s)));
             }
         }
@@ -351,7 +400,7 @@ impl<const W: usize> WideSim<W> {
         kernel.run(
             values.as_mut_slice(),
             #[inline(always)]
-            |values| Self::cycle_body(prog, values, captured, slots, row, plan),
+            |values| Self::cycle_body(prog, values, captured.as_mut_slice(), slots, row, plan),
         );
         self.time += 1;
     }
@@ -525,11 +574,11 @@ impl WideSim<1> {
         if lane >= LANES {
             return Err(NetlistError::LaneOutOfRange { lane, lanes: LANES });
         }
-        if net.index() >= self.values.len() || !self.is_input[net.index()] {
+        if !self.is_input.get(net.index()).copied().unwrap_or(false) {
             return Err(NetlistError::UnknownNet(net));
         }
-        let cur = self.values[net.index()][0];
-        self.values[net.index()][0] = cur & !(1 << lane) | (u64::from(v) << lane);
+        let word = &mut self.values.as_mut_slice()[net.index()][0];
+        *word = *word & !(1 << lane) | (u64::from(v) << lane);
         Ok(())
     }
 
@@ -540,7 +589,7 @@ impl WideSim<1> {
     ///
     /// Panics if `net` is out of range.
     pub fn value(&self, net: NetId) -> u64 {
-        self.values[net.index()][0]
+        self.values.as_slice()[net.index()][0]
     }
 
     /// Value of one net in one lane.
@@ -550,7 +599,7 @@ impl WideSim<1> {
     /// Panics if `net` is out of range or `lane >= LANES`.
     pub fn value_lane(&self, net: NetId, lane: usize) -> bool {
         assert!(lane < LANES, "lane {lane} out of range");
-        self.values[net.index()][0] >> lane & 1 == 1
+        self.value(net) >> lane & 1 == 1
     }
 
     /// Extracts one lane across several nets — the wide counterpart of
@@ -583,7 +632,7 @@ impl WideSim<1> {
         self.prog
             .state_nets()
             .iter()
-            .map(|&n| self.values[n.index()][0])
+            .map(|&n| self.value(n))
             .collect()
     }
 
@@ -609,12 +658,13 @@ impl WideSim<1> {
                 got: words.len(),
             });
         }
+        let values = values.as_mut_slice();
         for (&net, &w) in state_nets.iter().zip(words) {
             values[net.index()] = [w];
         }
         // Every flip-flop is a state net, so its freshly loaded output is
         // exactly what the next rising edge must commit.
-        for (slot, f) in captured.iter_mut().zip(prog.ffs()) {
+        for (slot, f) in captured.as_mut_slice().iter_mut().zip(prog.ffs()) {
             *slot = values[f.q as usize];
         }
         Ok(())
@@ -974,6 +1024,27 @@ mod tests {
                 }
             }
             assert_eq!(flat.time(), blocked.time());
+        }
+    }
+
+    #[test]
+    fn lane_arenas_start_on_a_cache_line() {
+        // The value arena and the capture buffer of a simulator and of its
+        // clones start on a 64-byte boundary, so no eight-word lane group
+        // straddles two cache lines.
+        let mut n = Netlist::new("aligned");
+        let a = n.input("a");
+        let q = n.dff(true);
+        let d = n.xor(q, a);
+        n.bind_dff(q, d).unwrap();
+        let sim = WideSim::<8>::new(&n).unwrap();
+        let copies = [sim.clone(), sim.clone().clone()];
+        for s in std::iter::once(&sim).chain(&copies) {
+            for arena in [&s.values, &s.captured] {
+                assert_eq!(arena.as_slice().as_ptr() as usize % CACHE_LINE, 0);
+            }
+            assert_eq!(s.values.as_slice(), sim.values.as_slice());
+            assert_eq!(s.captured.as_slice(), &[[u64::MAX; 8]]);
         }
     }
 

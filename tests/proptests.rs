@@ -365,6 +365,101 @@ proptest! {
         }
     }
 
+    /// The tape folded to fixed inputs (`Program::fold_inputs`) on every
+    /// kernel build: a random subset of a random netlist's inputs is held
+    /// at random constants in every lane and cycle, and a `WideSim<8>` on
+    /// the folded optimized tape must match a scalar `Simulator` on the
+    /// preserved observation set in one lane per word. Gates appended in
+    /// duplicate, with commuted operands, give value numbering equal
+    /// instructions to merge, one of them folding to a constant.
+    #[test]
+    fn folded_tape_matches_scalar_on_every_kernel(seed in 0u64..10_000, lane_pick in 0u64..64) {
+        const W: usize = 8;
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(7).wrapping_add(3));
+        let mut net = random_netlist(&mut rng);
+        let all: Vec<NetId> = net.nets().collect();
+        for _ in 0..rng.gen_range(1usize..5) {
+            let pick = all[rng.gen_range(0..all.len())];
+            net.mark_output(pick).unwrap();
+        }
+        for _ in 0..rng.gen_range(1usize..4) {
+            let pick = |rng: &mut StdRng| all[rng.gen_range(0..all.len())];
+            let (x, y, z) = (pick(&mut rng), pick(&mut rng), pick(&mut rng));
+            let (first, second) = match rng.gen_range(0u32..3) {
+                0 => (net.and2(x, y), net.and2(y, x)),
+                1 => (net.and([x, y, z]), net.and([z, x, y])),
+                _ => (net.or2(x, y), net.or2(y, x)),
+            };
+            let same = net.xor(first, second); // 0 once merged
+            let reader = net.or2(same, z);
+            net.mark_output(reader).unwrap();
+            if rng.gen_bool(0.3) {
+                net.mark_output(second).unwrap();
+            }
+        }
+        let mut fixed: Vec<(u32, bool)> = Vec::new();
+        for i in net.inputs() {
+            if rng.gen_bool(0.5) {
+                fixed.push((i.index() as u32, rng.gen_bool(0.5)));
+            }
+        }
+        let (prog, _) = Program::compile_optimized(&net).unwrap();
+        let folded = prog.fold_inputs(&fixed).unwrap();
+        prop_assert!(folded.high().len() + folded.low().len() <= prog.high().len() + prog.low().len());
+        let mut probes: Vec<NetId> = net.outputs().to_vec();
+        probes.extend(net.state_elements());
+        let slots: Vec<u32> = net.inputs().iter().map(|i| i.index() as u32).collect();
+        let lanes: Vec<usize> = (0..W)
+            .map(|w| w * LANES + (lane_pick as usize + 5 * w) % LANES)
+            .collect();
+        let builds = Kernel::available();
+        let mut sims: Vec<WideSim<W>> = builds
+            .iter()
+            .map(|&k| WideSim::from_program(folded.clone()).with_kernel(k))
+            .collect();
+        let mut scalars: Vec<Simulator> = lanes.iter().map(|_| Simulator::new(&net).unwrap()).collect();
+        for cycle in 0..24 {
+            let row: Vec<u64> = slots
+                .iter()
+                .flat_map(|s| {
+                    let held = fixed.iter().find(|&&(f, _)| f == *s).map(|&(_, v)| v);
+                    (0..W)
+                        .map(|_| match held {
+                            Some(v) => 0u64.wrapping_sub(u64::from(v)),
+                            None => rng.gen_range(0..u64::MAX),
+                        })
+                        .collect::<Vec<u64>>()
+                })
+                .collect();
+            for sim in &mut sims {
+                sim.cycle_packed(&slots, &row);
+            }
+            for (scalar, &lane) in scalars.iter_mut().zip(&lanes) {
+                let drive: Vec<(NetId, bool)> = net
+                    .inputs()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &id)| (id, row[i * W + lane / LANES] >> (lane % LANES) & 1 == 1))
+                    .collect();
+                scalar.cycle(&drive).unwrap();
+                for &id in &probes {
+                    for (sim, kernel) in sims.iter().zip(&builds) {
+                        prop_assert_eq!(
+                            sim.lane(id, lane),
+                            scalar.value(id),
+                            "cycle {} lane {} net {} on {:?}, fixed {:?}",
+                            cycle,
+                            lane,
+                            net.net_name(id),
+                            kernel,
+                            fixed
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// The multi-word backend: lane k of a `WideSim<4>` (256 trials per
     /// pass) matches a scalar `Simulator` run driven with lane k's inputs,
     /// on every net of random netlists — trial k lives in word k/64,
