@@ -22,8 +22,10 @@
 //! The entry points are [`run_experiment`] and, on a prebuilt harness,
 //! [`run_prepared`].
 //!
-//! **Determinism contract:** lane *j* of the campaign always runs the
-//! schedule seeded `seed + j`, and shards are reduced in shard-index order
+//! **Determinism contract:** trial *j* of the campaign always runs lane
+//! *j* mod 64 of the lane word seeded `seed + 64⌊j/64⌋` (stimulus contract
+//! 2, `elastic_core::verify::STIMULUS_CONTRACT`), every shard holds a
+//! multiple of 64 trials, and shards are reduced in shard-index order
 //! — so the per-lane vector (and therefore mean/sd/CI) is bit-identical for
 //! every thread count, **every queue depth, every backend (runtime-
 //! dispatched or forced), every cache-block size and every chunk size**,
@@ -128,8 +130,8 @@ pub struct Experiment {
     /// Number of independent trials (any size; split into ⌈trials/64⌉
     /// shards).
     pub trials: usize,
-    /// Base seed: trial `j` replays the schedule seeded `seed + j`
-    /// (wrapping at `u64::MAX`).
+    /// Base seed: trial `j` is lane `j mod 64` of the lane word seeded
+    /// `seed + 64⌊j/64⌋` (wrapping at `u64::MAX`).
     pub seed: u64,
 }
 
@@ -138,17 +140,19 @@ pub struct Experiment {
 /// is its pipeline item index, and so its place in the reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard {
-    /// Seed of the shard's first lane (`lane k` uses `seed + k`).
+    /// Seed of the shard's first lane; its lane `k` is lane `k mod 64` of
+    /// the word seeded `seed + 64⌊k/64⌋`.
     pub seed: u64,
     /// Live lanes in this shard (only the final shard may be partial).
     pub lanes: usize,
 }
 
 /// Splits `trials` into ⌈trials/lanes_per_shard⌉ shards with deterministic
-/// seed derivation: shard `i` starts at `seed + lanes_per_shard·i`, so the
-/// flattened lane order is exactly `seed, seed+1, …, seed+trials-1` —
-/// independent of the thread count **and of the chunk size**: re-chunking
-/// for a wider backend permutes nothing. Arithmetic wraps at `u64::MAX`
+/// seed derivation: shard `i` starts at `seed + lanes_per_shard·i`. With a
+/// multiple of 64 lanes per shard (every backend's), trial `j` of the
+/// flattened order is therefore lane `j mod 64` of the word seeded
+/// `seed + 64⌊j/64⌋` — independent of the thread count **and of the chunk
+/// size**: re-chunking for a wider backend permutes nothing. Arithmetic wraps at `u64::MAX`
 /// (consistently with the per-lane derivation in
 /// [`WideHarness::schedules`]), so a near-maximal user seed stays
 /// deterministic instead of panicking in debug builds.
@@ -171,7 +175,7 @@ pub fn shards_for(trials: usize, seed: u64, lanes_per_shard: usize) -> Vec<Shard
 pub struct PointResult {
     /// Point label (copied from the [`Experiment`]).
     pub label: String,
-    /// Reduced statistics; `per_lane[j]` is the trial seeded `seed + j`.
+    /// Reduced statistics; `per_lane[j]` is trial `j`.
     pub stats: McStats,
     /// Worker threads actually spawned (requested, clamped to the shard
     /// count and the machine's available parallelism).
@@ -601,12 +605,17 @@ impl CampaignReport {
                 ("wall_secs", row.wall_secs.into()),
             ])
         });
-        Json::object([
+        let mut fields = vec![
             ("campaign", self.name.as_str().into()),
             ("points", Json::array(points)),
             ("bound_checks", Json::array(bound_checks)),
-            ("scaling", Json::array(scaling)),
-        ])
+        ];
+        // A campaign that measured no thread scaling (the corpus) has no
+        // `scaling` field rather than an empty one.
+        if !self.scaling.is_empty() {
+            fields.push(("scaling", Json::array(scaling)));
+        }
+        Json::object(fields)
     }
 }
 
@@ -1062,5 +1071,11 @@ mod tests {
                 "{open}{close}"
             );
         }
+        // Without scaling rows the field is left out.
+        let unscaled = CampaignReport {
+            scaling: Vec::new(),
+            ..report
+        };
+        assert!(!unscaled.to_json().to_string().contains("\"scaling\""));
     }
 }

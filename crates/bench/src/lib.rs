@@ -12,6 +12,7 @@
 //! module scales single runs to arbitrary-size campaigns sharded across OS
 //! threads; [`stabilize`] runs the fault campaigns on the same lowering.
 
+pub mod diff;
 pub mod exp;
 pub mod fuzz;
 pub mod stabilize;
@@ -574,9 +575,10 @@ impl WideHarness {
         Ok(cycles as u64)
     }
 
-    /// Generates `lanes` independent random schedules with seeds
-    /// `seed..seed + lanes` (wrapping at `u64::MAX`, matching the shard
-    /// seed derivation of `exp::shards_for`).
+    /// The schedules of trials `0..lanes` of a point seeded `seed`: lane
+    /// `k` is lane `k mod 64` of the lane word seeded `seed + 64⌊k/64⌋`
+    /// (wrapping at `u64::MAX`; see [`Schedule::random`]), so a shard of
+    /// `exp::shards_for`, seeded at its first trial, reads its own trials.
     ///
     /// # Panics
     ///
@@ -592,16 +594,18 @@ impl WideHarness {
             (1..=MAX_TRIALS_PER_RUN).contains(&lanes),
             "1..={MAX_TRIALS_PER_RUN} lanes"
         );
-        (0..lanes as u64)
-            .map(|k| Schedule::random(net, env, seed.wrapping_add(k), cycles))
+        (0..lanes)
+            .map(|k| {
+                let word_seed = seed.wrapping_add((k / LANES * LANES) as u64);
+                Schedule::random(net, env, word_seed, k % LANES, cycles)
+            })
             .collect()
     }
 
     /// Generates a packed stimulus matrix for `lanes` trials with
     /// [`PackedStimulus::generate`] — the streaming pipeline's producer
-    /// stage. Lane `k` replays the RNG stream of seed `seed + k`, so
-    /// schedule `k` of [`WideHarness::schedules`] with the same arguments
-    /// is its scalar view.
+    /// stage. Schedule `k` of [`WideHarness::schedules`] with the same
+    /// arguments is the scalar view of lane `k`.
     ///
     /// # Errors
     ///
@@ -1001,6 +1005,22 @@ mod tests {
     }
 
     #[test]
+    fn folded_fig9_and_corpus_tapes_pass_the_tape_lint() {
+        // The tapes the engine runs: each system's observed-cone lowering,
+        // folded to its environment's fixed inputs, through the tape
+        // passes (E201-E204) with no error.
+        use elastic_lint::tape::lint_program;
+        for (label, net, env, h) in &fig9_and_corpus() {
+            let lowered = SimLowering::build(net, h.out, &[]).unwrap();
+            let stim = PackedStimulus::generate(&lowered.tb, net, env, 1, 1, 1, 1).unwrap();
+            let folded = lowered.prog.fold_inputs(stim.fixed_inputs()).unwrap();
+            let report = lint_program(&lowered.netlist, &folded, true);
+            let errors: Vec<_> = report.errors().collect();
+            assert!(errors.is_empty(), "{label}: {errors:?}");
+        }
+    }
+
+    #[test]
     fn no_inverter_survives_in_fig9_or_corpus_tapes() {
         // The kill- and stop-gating literals of the controllers are all
         // read as complements by the gates consuming them (AndNot, Nor2,
@@ -1030,7 +1050,7 @@ mod tests {
             Err(CoreError::ScheduleBatch(_))
         ));
         let mut mixed = WideHarness::schedules(&sys.network, &sys.env_config, 1, 50, 2);
-        mixed.push(Schedule::random(&sys.network, &sys.env_config, 9, 60));
+        mixed.push(Schedule::random(&sys.network, &sys.env_config, 9, 0, 60));
         assert!(matches!(
             h.try_run_scalar(&mixed),
             Err(CoreError::ScheduleBatch(_))

@@ -574,7 +574,8 @@ pub struct DiffOptions {
     /// Independent schedules run in parallel lanes of the compiled
     /// pipeline (each also simulated behaviourally).
     pub lanes: usize,
-    /// Base schedule seed; lane `k` uses `seed + k`.
+    /// Seed of the lane word; lane `k` is its lane `k`
+    /// ([`Schedule::random`]).
     pub seed: u64,
     /// Optional deliberate bug in the gate-level lowering (negative
     /// tests).
@@ -680,7 +681,7 @@ pub fn differential_check(
     // trace.
     let mut behavs: Vec<(BehavSim, Schedule)> = (0..lanes)
         .map(|k| {
-            let sched = Schedule::random(net, &sys.env, opts.seed.wrapping_add(k as u64), cycles);
+            let sched = Schedule::random(net, &sys.env, opts.seed, k, cycles);
             Ok((BehavSim::new(net)?, sched))
         })
         .collect::<Result<_, CoreError>>()?;
@@ -919,7 +920,7 @@ pub fn check_seed(seed: u64, opts: &DiffOptions) -> Result<DiffReport, CoreError
 }
 
 /// Finds an early join that actually *generates* anti-tokens under the
-/// system's environment for the schedule seeded `seed` — run it with the
+/// system's environment for lane 0 of the word seeded `seed` — run it with the
 /// `DiffOptions::seed` of the differential the fault will be injected
 /// into, so the probe observes lane 0 of that very run. This is the
 /// observability precondition of [`FaultInjection::DropAntiToken`]
@@ -953,7 +954,7 @@ pub fn injectable_join(sys: &GeneratedSystem, seed: u64, cycles: usize) -> Optio
         })
         .collect();
     let mut behav = BehavSim::new(net).ok()?;
-    let mut sched = Schedule::random(net, &sys.env, seed, cycles);
+    let mut sched = Schedule::random(net, &sys.env, seed, 0, cycles);
     let mut generated = vec![false; joins.len()];
     for _ in 0..cycles {
         behav.step(&mut sched).ok()?;
@@ -981,7 +982,7 @@ type SiteCandidate = (FaultInjection, fn((bool, bool, bool)) -> bool);
 /// Finds an *effective* injection site for the rail-fault class labelled
 /// `class` (a [`FaultInjection::label`] string): a channel, rail and start
 /// cycle where arming the fault actually changes the rail value, observed
-/// from a clean behavioural pre-run of the schedule seeded `seed` — run it
+/// from a clean behavioural pre-run of lane 0 of the word seeded `seed` — run it
 /// with the `DiffOptions::seed` the fault will be injected under, so the
 /// probe watches lane 0 of that very differential. This is the
 /// observability precondition of the rail-fault negative tests: a stuck-at
@@ -1006,7 +1007,7 @@ pub fn injectable_site(
         return None;
     }
     let mut behav = BehavSim::new(net).ok()?;
-    let mut sched = Schedule::random(net, &sys.env, seed, cycles);
+    let mut sched = Schedule::random(net, &sys.env, seed, 0, cycles);
     let mut rails: Vec<Vec<(bool, bool, bool)>> = vec![Vec::with_capacity(cycles); chans.len()];
     for _ in 0..cycles {
         behav.step(&mut sched).ok()?;
@@ -1223,7 +1224,7 @@ mod tests {
             };
             // The fault is observable only when the faithful run actually
             // generates anti-tokens at a join under the very schedules the
-            // differential will replay (lane 0 is seeded `base.seed`).
+            // differential will replay (lane 0 of the word seeded `base.seed`).
             let Some(join_name) = injectable_join(&sys, base.seed, base.cycles) else {
                 continue;
             };

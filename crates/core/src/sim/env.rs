@@ -55,12 +55,12 @@ pub enum DataGen {
 }
 
 impl DataGen {
-    /// Draws the next payload. `seq` is the per-source sequence counter the
-    /// stateful generators ([`DataGen::Counter`], [`DataGen::Alternate`])
-    /// advance; stateless generators leave it untouched. Shared between
-    /// [`RandomEnv`] and the pre-generated schedules of
-    /// [`crate::verify::Schedule`], so both testbenches sample the same
-    /// distributions (paper Sect. 6.1).
+    /// Draws the next payload for [`RandomEnv`]. `seq` is the per-source
+    /// sequence counter the stateful generators ([`DataGen::Counter`],
+    /// [`DataGen::Alternate`]) advance; stateless generators leave it
+    /// untouched. The pre-generated schedules of
+    /// [`crate::verify::Schedule`] sample the same distributions (paper
+    /// Sect. 6.1) from the stimulus contract's hashed uniforms instead.
     pub fn sample(&self, rng: &mut StdRng, seq: &mut u64) -> u64 {
         match self {
             DataGen::Const(v) => *v,
@@ -139,7 +139,7 @@ impl SourceCfg {
     /// as 0. Every stimulus producer ([`RandomEnv`],
     /// `crate::verify::Schedule::random` and
     /// `crate::verify::PackedStimulus::generate`) reads the rate through
-    /// this one function, so they consume the RNG alike.
+    /// this one function, so they agree on when a source draws.
     pub fn offer_draw(&self) -> Option<f64> {
         // A NaN rate fails the first test, and `f64::max` returns the
         // non-NaN operand.

@@ -23,13 +23,232 @@ use elastic_netlist::kernel::Kernel;
 use elastic_netlist::sim::Simulator;
 use elastic_netlist::wide::{WideSimulator, LANES};
 use elastic_netlist::NetId;
-use rand::rngs::{StdRng, StdRngLanes, BLOCK_LANES};
-use rand::{Rng, SeedableRng};
 
 use crate::compile::{compile, sanitize, CompileOptions, FaultInjection};
 use crate::error::CoreError;
 use crate::network::{CompId, ComponentKind, ElasticNetwork};
 use crate::sim::{BehavSim, DataGen, EnvConfig, Environment};
+
+/// Version of the stimulus contract: the rule by which
+/// [`PackedStimulus::generate`] turns a seed and an environment into lane
+/// words, and [`Schedule::random`] into the view of one lane. Every report
+/// header carries it. A rule that moves any draw is a new version, checked
+/// against the reports of the last one statistically rather than bit for
+/// bit.
+///
+/// Version 2 draws every environment column as a Bernoulli process, 64
+/// lanes at a time:
+///
+/// * A column's probability (read through
+///   [`crate::sim::SourceCfg::offer_draw`],
+///   [`crate::sim::SinkCfg::stop_draw`], [`crate::sim::SinkCfg::kill_draw`]
+///   or [`crate::sim::LatencyDist::finish_draw`]) is quantized to
+///   `P = round(p·2³²)`. `P = 0` never fires and `P = 2³²` always does;
+///   neither draws.
+/// * Lane `l`'s uniform at cycle `t` is the 32-bit `U` whose bit `31 − j`
+///   is bit `l` of `u_j = SplitMix64(key + γ·(32t + j + 1))`, with `γ`
+///   SplitMix64's Weyl increment. The lane fires when `U < P`.
+/// * `key` hashes the seed of the lane word's first lane, the environment
+///   column and the draw within the column, never a component name. The
+///   environment columns are every source's offer, then every sink's stop
+///   and kill, then every variable-latency unit's finish, each group in
+///   component order. Draw 0 is the column's Bernoulli draw, draw 1 a
+///   source's payload.
+/// * A weighted payload takes entry `i` when `i` of the integer cumulative
+///   cuts of its weights lie at or below its uniform (draw 1). A sub-rate
+///   source draws its payload on every cycle and sends it when it offers.
+///   `Counter` and `Alternate` payloads count the lane's offers and draw
+///   nothing.
+pub const STIMULUS_CONTRACT: u32 = 2;
+
+/// `2³²`, the scale of a quantized probability.
+const ONE: u64 = 1 << 32;
+
+/// Bits of a lane's uniform, one hashed word each.
+const UNIFORM_BITS: usize = 32;
+
+/// SplitMix64's Weyl increment.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function.
+#[inline(always)]
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `p` quantized to `round(p·2³²)`, for `p` in `[0, 1]`.
+fn quantize(p: f64) -> u64 {
+    // The cast saturates, and reads a NaN as 0.
+    (p * ONE as f64).round() as u64
+}
+
+/// The key of draw `draw` of environment column `col` in the lane word
+/// whose first lane is seeded `seed`.
+fn draw_key(seed: u64, col: usize, draw: usize) -> u64 {
+    let stream = (2 * col + draw + 1) as u64;
+    mix64(mix64(seed).wrapping_add(GAMMA.wrapping_mul(stream)))
+}
+
+/// Word `j` of cycle `t` under `key`: bit `l` is bit `31 − j` of lane
+/// `l`'s uniform.
+#[inline(always)]
+fn uniform_word(key: u64, t: u64, j: usize) -> u64 {
+    let counter = t
+        .wrapping_mul(UNIFORM_BITS as u64)
+        .wrapping_add(j as u64 + 1);
+    mix64(key.wrapping_add(GAMMA.wrapping_mul(counter)))
+}
+
+/// How many of the non-decreasing `cuts` lie at or below lane `lane`'s
+/// uniform at cycle `t` under `key`: the lane view of [`compare_column`].
+/// The uniform's bits are read from the top only while a cut lies inside
+/// the range they leave open, so the count is the full 32-bit
+/// comparison's.
+fn lane_rank(key: u64, t: u64, lane: usize, cuts: &[u64]) -> usize {
+    let mut low = 0u64;
+    for j in 0..UNIFORM_BITS {
+        let high = low + (ONE >> j);
+        if cuts.iter().all(|&c| c <= low || c >= high) {
+            break;
+        }
+        low |= (uniform_word(key, t, j) >> lane & 1) << (UNIFORM_BITS - 1 - j);
+    }
+    cuts.iter().filter(|&&c| c <= low).count()
+}
+
+/// Cycles the comparison kernel draws together, one per vector lane.
+const BLOCK: usize = 16;
+
+/// `γ·32i` for the `i`-th cycle of a block: the counter step between the
+/// words of consecutive cycles.
+const BLOCK_OFFSETS: [u64; BLOCK] = {
+    let mut offsets = [0; BLOCK];
+    let mut i = 0;
+    while i < BLOCK {
+        offsets[i] = GAMMA.wrapping_mul((UNIFORM_BITS * i) as u64);
+        i += 1;
+    }
+    offsets
+};
+
+/// The stimulus kernel: compares the uniforms of the lanes of `live`
+/// under `key` with `cut`, for `below.len()` blocks of [`BLOCK`] cycles.
+/// Bit `l` of `below[b][i]` is set when lane `l`'s uniform at cycle
+/// `b·BLOCK + i` lies below `cut`.
+///
+/// The comparison is bit-sliced, one hashed word per uniform bit from the
+/// top, over the cycles of a block at once: a lane is decided at the
+/// first bit where it differs from the cut. A block stops drawing once
+/// every lane is decided, or once the cut's remaining bits are 0, where an
+/// undecided lane is equal so far and so not below. A cut of 0 or `2³²`
+/// decides every lane without drawing.
+#[inline(always)]
+fn compare_column(key: u64, cut: u64, live: u64, below: &mut [[u64; BLOCK]]) {
+    let drawn = cut > 0 && cut < ONE;
+    let bits = if drawn {
+        UNIFORM_BITS - cut.trailing_zeros() as usize
+    } else {
+        0
+    };
+    for (b, mask) in below.iter_mut().enumerate() {
+        *mask = [if cut >= ONE { live } else { 0 }; BLOCK];
+        let mut open = [if drawn { live } else { 0 }; BLOCK];
+        for j in 0..bits {
+            let base = (b * BLOCK * UNIFORM_BITS + j + 1) as u64;
+            let base = key.wrapping_add(GAMMA.wrapping_mul(base));
+            // All ones where the cut has a 1 at this bit: there, an
+            // undecided lane with a 0 falls below it. Elsewhere a lane
+            // with a 1 rises above it.
+            let set = 0u64.wrapping_sub(cut >> (UNIFORM_BITS - 1 - j) & 1);
+            let mut undecided = 0;
+            for ((m, o), off) in mask.iter_mut().zip(&mut open).zip(BLOCK_OFFSETS) {
+                let word = mix64(base.wrapping_add(off));
+                *m |= *o & !word & set;
+                *o &= !(word ^ set);
+                undecided |= *o;
+            }
+            if undecided == 0 {
+                break;
+            }
+        }
+    }
+}
+
+/// [`compare_column`] through `kernel`, once for each of the
+/// non-decreasing `cuts`: `below` holds `cuts.len()` runs of blocks, the
+/// run of cut `c` first at `c · below.len() / cuts.len()`.
+fn draw_column(kernel: Kernel, key: u64, cuts: &[u64], live: u64, below: &mut [[u64; BLOCK]]) {
+    let blocks = below.len() / cuts.len();
+    for (&cut, run) in cuts.iter().zip(below.chunks_exact_mut(blocks)) {
+        kernel.run(
+            run,
+            #[inline(always)]
+            |run| compare_column(key, cut, live, run),
+        );
+    }
+}
+
+/// The rail an environment column drives.
+#[derive(Debug, Clone, Copy)]
+enum Rail {
+    Offer,
+    Stop,
+    Kill,
+    Finish,
+}
+
+/// One environment column of [`STIMULUS_CONTRACT`], resolved from the
+/// configuration.
+struct EnvColumn<'a> {
+    /// The component's display name.
+    name: &'a str,
+    rail: Rail,
+    /// The quantized probability of the column's Bernoulli draw: 2³² for
+    /// a source that offers on every cycle, 0 for a stop or kill that
+    /// never fires.
+    p: u64,
+    /// A source's payload; a constant 0 on the other rails.
+    plan: SrcPlan,
+}
+
+/// The environment columns of `net` under `cfg`, in key order: every
+/// source's offer, then every sink's stop and kill, then every
+/// variable-latency unit's finish, each group in component order.
+fn env_columns<'a>(net: &'a ElasticNetwork, cfg: &EnvConfig) -> Vec<EnvColumn<'a>> {
+    let (mut srcs, mut sinks, mut vls) = (Vec::new(), Vec::new(), Vec::new());
+    let column = |name, rail, p| EnvColumn {
+        name,
+        rail,
+        p,
+        plan: SrcPlan::Fixed(0),
+    };
+    for comp in net.components() {
+        let name = net.component(comp).name.as_str();
+        match &net.component(comp).kind {
+            ComponentKind::Source => {
+                let c = cfg.sources.get(name).unwrap_or(&cfg.default_source);
+                srcs.push(EnvColumn {
+                    plan: SrcPlan::new(&c.data),
+                    ..column(name, Rail::Offer, c.offer_draw().map_or(ONE, quantize))
+                });
+            }
+            ComponentKind::Sink => {
+                let c = cfg.sinks.get(name).copied().unwrap_or(cfg.default_sink);
+                for (rail, draw) in [(Rail::Stop, c.stop_draw()), (Rail::Kill, c.kill_draw())] {
+                    sinks.push(column(name, rail, draw.map_or(0, quantize)));
+                }
+            }
+            ComponentKind::VarLatency => {
+                let dist = cfg.vls.get(name).unwrap_or(&cfg.default_vl);
+                vls.push(column(name, Rail::Finish, quantize(dist.finish_draw())));
+            }
+            _ => {}
+        }
+    }
+    srcs.into_iter().chain(sinks).chain(vls).collect()
+}
 
 /// A pre-generated environment schedule, replayable both by the behavioural
 /// simulator (as an [`Environment`]) and by the netlist testbench (as
@@ -49,15 +268,30 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Generates a random schedule for `net` using the probabilities in
-    /// `cfg`. Source payloads are drawn from the configured
+    /// The schedule of lane `lane` of the lane word seeded `seed` (see
+    /// [`STIMULUS_CONTRACT`]): the per-lane view of the words
+    /// [`PackedStimulus::generate`] writes for that lane, drawn from the
+    /// same hashed words. Source payloads follow the configured
     /// [`crate::sim::DataGen`] (e.g. the paper's 0.6/0.3/0.1 opcode
     /// distribution, Sect. 6.1). Variable-latency completion streams are
-    /// Bernoulli with rate `1/mean(latency)` — any stream is a legal delay
+    /// Bernoulli with rate `1/mean(latency)`: any stream is a legal delay
     /// behaviour, and both back-ends interpret the *same* stream, so
     /// equivalence is exact.
-    pub fn random(net: &ElasticNetwork, cfg: &EnvConfig, seed: u64, cycles: usize) -> Schedule {
-        let mut rng = StdRng::seed_from_u64(seed);
+    ///
+    /// Trial `k` of a campaign seeded `s` is lane `k mod 64` of the word
+    /// seeded `s + 64⌊k/64⌋`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below 64.
+    pub fn random(
+        net: &ElasticNetwork,
+        cfg: &EnvConfig,
+        seed: u64,
+        lane: usize,
+        cycles: usize,
+    ) -> Schedule {
+        assert!(lane < LANES, "lane {lane} of a {LANES}-lane word");
         let mut s = Schedule {
             offers: HashMap::new(),
             stops: HashMap::new(),
@@ -66,40 +300,36 @@ impl Schedule {
             faults: Vec::new(),
             cycles,
         };
-        for comp in net.components() {
-            let name = net.component(comp).name.clone();
-            match &net.component(comp).kind {
-                ComponentKind::Source => {
-                    let c = cfg.sources.get(&name).unwrap_or(&cfg.default_source);
-                    let offer = c.offer_draw();
+        for (col, c) in env_columns(net, cfg).iter().enumerate() {
+            let rank = |draw, t: usize, cuts: &[u64]| {
+                lane_rank(draw_key(seed, col, draw), t as u64, lane, cuts)
+            };
+            let fires = (0..cycles).map(|t| rank(0, t, &[c.p]) == 0);
+            let name = c.name.to_string();
+            let flags = match c.rail {
+                Rail::Offer => {
                     let mut seq = 0u64;
-                    let stream = (0..cycles)
-                        .map(|_| {
-                            offer
-                                .is_none_or(|p| rng.gen_bool(p))
-                                .then(|| c.data.sample(&mut rng, &mut seq))
+                    let stream = fires
+                        .enumerate()
+                        .map(|(t, offers)| {
+                            offers.then(|| match &c.plan {
+                                SrcPlan::Fixed(v) => *v,
+                                SrcPlan::Count(modulus_bits) => {
+                                    seq += 1;
+                                    (seq - 1) & u64::MAX >> (64 - modulus_bits)
+                                }
+                                SrcPlan::Walk { cuts, values } => values[rank(1, t, cuts)],
+                            })
                         })
                         .collect();
                     s.offers.insert(name, stream);
+                    continue;
                 }
-                ComponentKind::Sink => {
-                    let c = cfg.sinks.get(&name).copied().unwrap_or(cfg.default_sink);
-                    for (draw, streams) in
-                        [(c.stop_draw(), &mut s.stops), (c.kill_draw(), &mut s.kills)]
-                    {
-                        let stream = (0..cycles)
-                            .map(|_| draw.is_some_and(|p| rng.gen_bool(p)))
-                            .collect();
-                        streams.insert(name.clone(), stream);
-                    }
-                }
-                ComponentKind::VarLatency => {
-                    let p = cfg.vls.get(&name).unwrap_or(&cfg.default_vl).finish_draw();
-                    s.finishes
-                        .insert(name, (0..cycles).map(|_| rng.gen_bool(p)).collect());
-                }
-                _ => {}
-            }
+                Rail::Stop => &mut s.stops,
+                Rail::Kill => &mut s.kills,
+                Rail::Finish => &mut s.finishes,
+            };
+            flags.insert(name, fires.collect());
         }
         s
     }
@@ -386,139 +616,18 @@ pub struct PackedStimulus {
     fixed: Vec<(u32, bool)>,
 }
 
-/// `1 / 2^53`: the scale of the rand shim's 53-bit unit-interval draw.
-const UNIT_53: f64 = 1.0 / (1u64 << 53) as f64;
-
-/// Integer-threshold Bernoulli, bit-identical to the rand shim's
-/// `gen_bool(p)` (which tests `((r >> 11) as f64) * 2⁻⁵³ < p`).
-///
-/// Let `m = r >> 11 < 2^53`. Both `m as f64` and the `2⁻⁵³` scaling are
-/// exact, so `gen_bool` accepts iff `m < p·2^53` as reals; `p·2^53` is
-/// itself exact for any `p ∈ [0, 1]` (a power-of-two scaling never
-/// rounds), hence `m < p·2^53 ⇔ m < ⌈p·2^53⌉` over the integers. One
-/// shift and one integer compare per draw, no float conversion — the form
-/// [`below`] evaluates for 64 lanes at once, asserted equivalent in
-/// `bool_draw_matches_gen_bool`.
-struct BoolDraw {
-    threshold: u64,
-}
-
-impl BoolDraw {
-    fn new(p: f64) -> BoolDraw {
-        debug_assert!((0.0..=1.0).contains(&p));
-        BoolDraw {
-            threshold: (p * (1u64 << 53) as f64).ceil() as u64,
-        }
-    }
-}
-
-// The generator's RNG blocks and the stimulus matrix's lane words have the
-// same 64 lanes.
-const _: () = assert!(BLOCK_LANES == LANES);
-
-/// Bit `l` is set when the top 53 bits of `draws[l]` lie below `threshold`
-/// — [`BoolDraw`]'s test for 64 lanes at once.
-#[inline(always)]
-fn below(draws: &[u64; BLOCK_LANES], threshold: u64) -> u64 {
-    let mut mask = 0u64;
-    for (l, &r) in draws.iter().enumerate() {
-        // Both `r >> 11` and `threshold` lie in [0, 2^53], so the sign bit
-        // of their difference is exactly `r >> 11 < threshold`.
-        mask |= ((r >> 11).wrapping_sub(threshold) >> 63) << l;
-    }
-    mask
-}
-
-/// The stimulus kernel: runs one stream of the 64 lanes of `rngs` for
-/// `cycles` cycles and hands cycle `t`'s masks to `emit(t, hit, below)`.
-/// A cycle makes up to two draws per lane, in [`Schedule::random`]'s
-/// order:
-///
-/// * `first`: when `Some(threshold)`, every lane draws and bit `l` of
-///   `hit` is set when lane `l`'s draw is below `threshold`; when `None`,
-///   nothing is drawn and `hit` is all ones. This is a source's offer or a
-///   sink's or VL unit's Bernoulli column.
-/// * `second`: when `Some(cuts)`, the lanes of `hit` draw again (a masked
-///   step: the other lanes keep their state) and bit `l` of `below[c]` is
-///   set when lane `l`'s draw is below `cuts[c]`. This is a weighted
-///   payload, with the cuts of its [`SrcPlan::Walk`] (possibly none); a
-///   lane outside `hit` reads a draw it has not made. When `None`,
-///   `below` is empty.
-///
-/// No lane loop carries a dependence from one lane to the next, so they
-/// vectorize.
-#[inline(always)]
-fn threshold_stream(
-    rngs: &mut StdRngLanes,
-    first: Option<u64>,
-    second: Option<&[u64]>,
-    cycles: usize,
-    mut emit: impl FnMut(usize, u64, &[u64]),
-) {
-    let mut draws = [0u64; BLOCK_LANES];
-    let mut masks = vec![0u64; second.map_or(0, <[u64]>::len)];
-    for t in 0..cycles {
-        let hit = match first {
-            Some(threshold) => {
-                rngs.next_u64s(&mut draws);
-                below(&draws, threshold)
-            }
-            None => u64::MAX,
-        };
-        if let Some(cuts) = second {
-            // Without an offer draw every lane steps: the plain step draws
-            // what a masked step under `u64::MAX` would, without the blend.
-            if first.is_some() {
-                rngs.next_u64s_masked(hit, &mut draws);
-            } else {
-                rngs.next_u64s(&mut draws);
-            }
-            for (mask, &cut) in masks.iter_mut().zip(cuts) {
-                *mask = below(&draws, cut);
-            }
-        }
-        emit(t, hit, &masks);
-    }
-}
-
-/// Pre-resolved payload of one stimulus stream: what a lane sends on the
-/// cycles it offers. The per-draw work of `weighted_draw` (re-summing the
-/// weight total, re-filtering unusable entries, the float walk) is hoisted
-/// to construction, keeping a weighted draw to one `next_u64` and integer
-/// compares with **exactly** the original's FP semantics and RNG
-/// consumption (including the degenerate-distribution early return that
-/// draws nothing).
+/// Pre-resolved payload of a source: what a lane sends on the cycles it
+/// offers.
 enum SrcPlan {
-    /// A constant payload, no draw: `Const`, a degenerate weighted
-    /// distribution, and the empty payload of a Bernoulli column.
+    /// A constant payload, no draw: `Const`, a weighted distribution with
+    /// one usable entry or none, and the empty payload of the other rails.
     Fixed(u64),
     /// `Counter` (`Count(64)`) and `Alternate` (`Count(1)`), no draw: the
     /// low bits of the number of earlier offers of the lane.
     Count(usize),
-    /// Weighted distribution, compiled to integer mantissa cutoffs: a draw
-    /// with top-53-bit mantissa `m` selects `values[#cuts ≤ m]`. The cuts
-    /// are non-decreasing, so the cuts at or below `m` are a prefix.
+    /// A weighted distribution: a lane whose uniform has `i` of the
+    /// non-decreasing `cuts` at or below it sends `values[i]`.
     Walk { cuts: Vec<u64>, values: Vec<u64> },
-}
-
-/// The entry index `weighted_draw` picks for a raw mantissa `m`, replicated
-/// operation for operation: `rng.gen_range(0.0..total)` is start + unit ×
-/// (end − start) clamped below the open upper bound, followed by the
-/// first-hit subtractive walk with last-usable-entry fallback.
-fn walk_select(m: u64, total: f64, entries: &[(u64, f64)]) -> usize {
-    let v = m as f64 * UNIT_53 * total;
-    let mut x = if v < total {
-        v
-    } else {
-        total.next_down().max(0.0)
-    };
-    for (i, &(_, w)) in entries.iter().enumerate() {
-        if x < w {
-            return i;
-        }
-        x -= w;
-    }
-    entries.len() - 1
 }
 
 impl SrcPlan {
@@ -543,38 +652,30 @@ impl SrcPlan {
             DataGen::Alternate => return SrcPlan::Count(1),
             DataGen::Weighted(choices) => choices,
         };
-        let usable = |w: f64| w.is_finite() && w > 0.0;
-        let total: f64 = choices.iter().map(|&(_, w)| w).filter(|&w| usable(w)).sum();
-        if !(total.is_finite() && total > 0.0) {
-            // weighted_draw returns before touching the RNG here: an empty
-            // list maps to payload 0, anything else to the first entry.
-            return SrcPlan::Fixed(choices.first().map_or(0, |c| c.0));
-        }
+        // Entries without a positive finite weight are never drawn; with
+        // none left, or a total that overflows, the payload is the first
+        // entry (0 for an empty list), as in the behavioural environment's
+        // weighted draw.
         let entries: Vec<(u64, f64)> = choices
             .iter()
-            .filter(|&&(_, w)| usable(w))
+            .filter(|&&(_, w)| w.is_finite() && w > 0.0)
             .copied()
             .collect();
-        // The selected index is monotone non-decreasing in the mantissa
-        // (every step of `walk_select` — two multiplications, the clamp,
-        // and the running subtraction — preserves ordering), so each
-        // boundary is an exact integer cutoff recoverable by binary search
-        // over the 2^53 mantissa values. This moves all floating-point off
-        // the per-draw path: a draw is one shift plus `entries.len() - 1`
-        // integer compares.
-        let cuts: Vec<u64> = (0..entries.len() - 1)
-            .map(|i| {
-                // Smallest m with walk_select(m) > i; 2^53 when unreachable.
-                let (mut lo, mut hi) = (0u64, 1u64 << 53);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if walk_select(mid, total, &entries) > i {
-                        hi = mid;
-                    } else {
-                        lo = mid + 1;
-                    }
-                }
-                lo
+        let total: f64 = entries.iter().map(|&(_, w)| w).sum();
+        if entries.is_empty() || !total.is_finite() {
+            return SrcPlan::Fixed(choices.first().map_or(0, |c| c.0));
+        }
+        if let [(v, _)] = entries[..] {
+            return SrcPlan::Fixed(v);
+        }
+        // Entry `i` takes the uniforms from cut `i − 1` up to cut `i`: the
+        // running sum of the weights, as a share of 2³².
+        let mut sum = 0.0;
+        let cuts = entries[..entries.len() - 1]
+            .iter()
+            .map(|&(_, w)| {
+                sum += w;
+                quantize((sum / total).min(1.0))
             })
             .collect();
         SrcPlan::Walk {
@@ -619,67 +720,50 @@ fn input_slots(tb: &NetlistTestbench) -> Vec<u32> {
     slots
 }
 
-/// How [`PackedStimulus::generate`] fills one stimulus stream of a 64-lane
-/// word group, resolved once from the environment. Streams are listed in
-/// the order [`Schedule::random`] draws them. A source's stream is its
-/// offer column and the payload columns after it; a sink's stop or kill
-/// and a VL unit's finish are a Bernoulli column with no payload.
-struct Stream {
-    /// The offer or Bernoulli column.
+/// Lane word `w` of column `col` of a row-major stimulus matrix of `n`
+/// columns of `width` words, cycle by cycle.
+fn column_words(
+    words: &mut [u64],
+    n: usize,
+    width: usize,
+    w: usize,
     col: usize,
-    /// The Bernoulli draw behind `col`, `None` for a source that offers on
-    /// every cycle without drawing.
-    offer: Option<BoolDraw>,
-    /// Payload columns after `col` (a source's data bits).
-    bits: usize,
-    /// What an offering lane sends.
-    plan: SrcPlan,
+) -> impl Iterator<Item = &mut u64> {
+    words[col * width + w..].iter_mut().step_by(n * width)
 }
 
-impl Stream {
-    /// A Bernoulli column drawn with probability `p`.
-    fn bernoulli(col: usize, p: f64) -> Stream {
-        Stream {
-            col,
-            offer: Some(BoolDraw::new(p)),
-            bits: 0,
-            plan: SrcPlan::Fixed(0),
-        }
-    }
+/// An environment column placed in the stimulus matrix: its offer, stop,
+/// kill or finish column `col`, and the `bits` payload columns after a
+/// source's offer.
+struct Stream<'a> {
+    env: EnvColumn<'a>,
+    col: usize,
+    bits: usize,
 }
 
 impl PackedStimulus {
-    /// Generates `lanes` random schedules seeded `seed..seed + lanes`
-    /// (wrapping at `u64::MAX`) **directly into packed form**, without
-    /// materializing a [`Schedule`].
+    /// Generates lane words for `lanes` trials under [`STIMULUS_CONTRACT`]:
+    /// lane `k` is lane `k mod 64` of the lane word seeded
+    /// `seed + 64⌊k/64⌋` (wrapping at `u64::MAX`), whatever the width, so
+    /// shards of 64-lane multiples seeded at their first trial split a
+    /// point without changing a trial.
     ///
     /// This is the only producer of stimulus lane words; every campaign
-    /// and the wide co-simulation ([`cosim_check_wide`]) run on it. Each
-    /// 64-lane word group keeps its lanes' xoshiro256** states side by side
-    /// ([`StdRngLanes`]) and runs every stream through one kernel, which
-    /// advances all 64 lanes together, one cycle at a time, so a cycle's
-    /// lane word comes out of one vectorized pass over the lanes. The
-    /// kernel runs as its AVX-512F or AVX2 build when the CPU has that
-    /// feature. Per cycle and lane, a stream makes at most two draws:
+    /// and the wide co-simulation ([`cosim_check_wide`]) run on it. Every
+    /// column comes from one primitive, a 64-lane Bernoulli mask drawn by
+    /// a bit-sliced comparison of hashed words with the column's quantized
+    /// probability (see [`STIMULUS_CONTRACT`]). The comparison runs
+    /// through [`Kernel::best`], vectorized across cycles, on every word
+    /// width. A weighted payload compares its own uniform with the cuts of
+    /// its weights in the same way, and a sub-rate source sends it only on
+    /// the cycles it offers. `Counter` and `Alternate` payloads are
+    /// bit-sliced per-lane counters incremented under the offer mask.
     ///
-    /// * sink stops and kills, VL finishes and sub-rate offers draw one
-    ///   word in every lane and compare it against the probability's
-    ///   threshold;
-    /// * weighted payloads draw a second word, compared against the cuts
-    ///   of the payload's walk. At full rate every lane draws it; at a
-    ///   sub-rate only the lanes that offered this cycle step their
-    ///   generator, and the others keep their state (a masked step);
-    /// * `Const`, `Counter`, `Alternate` and degenerate weighted payloads
-    ///   draw nothing. `Counter` and `Alternate` keep one sequence counter
-    ///   per lane, bit-sliced across the lanes and incremented under the
-    ///   offer mask.
-    ///
-    /// Every lane makes **exactly the draws [`Schedule::random`] makes, in
-    /// the same order**, so lane `j` is bit-identical to
-    /// [`NetlistTestbench::inputs_at`] of `Schedule::random(net, cfg,
-    /// seed + j, cycles)` on every cycle: `Schedule` is the scalar and
-    /// behavioural view of the generated stream (asserted by unit tests
-    /// on every kernel build, and by the wide co-simulation).
+    /// Lane `k` is bit-identical to [`NetlistTestbench::inputs_at`] of
+    /// `Schedule::random(net, cfg, seed + 64⌊k/64⌋, k mod 64, cycles)` on
+    /// every cycle: [`Schedule`] is the scalar and behavioural view of the
+    /// generated words (asserted by unit tests on every kernel build, and
+    /// by the wide co-simulation).
     ///
     /// # Errors
     ///
@@ -723,122 +807,78 @@ impl PackedStimulus {
         // schedules are unarmed, matching `Schedule::random`. Campaigns arm
         // per-lane windows afterwards with [`Self::arm_fault`].
         let mut words = vec![0u64; cycles * n * width];
-        let cell = |t: usize, col: usize, w: usize| (t * n + col) * width + w;
+        let blocks = cycles.div_ceil(BLOCK);
+        let mut fires = vec![[0u64; BLOCK]; blocks];
+        let mut below = Vec::new();
         for g in 0..lanes.div_ceil(LANES) {
-            let glen = LANES.min(lanes - g * LANES);
-            let live = u64::MAX >> (LANES - glen);
-            let mut rngs = StdRngLanes::seed_from_u64(seed.wrapping_add((g * LANES) as u64));
-            for stream in &streams {
-                let &Stream {
-                    col,
-                    ref offer,
-                    bits,
-                    ref plan,
-                } = stream;
-                let threshold = offer.as_ref().map(|d| d.threshold);
-                // One kernel call per payload plan, each with a small
-                // emission forced inline and the generator states passed as
-                // the kernel's `&mut` state. An emission behind a call, one
-                // closure branching on the plan, or states reached through
-                // a capture kept the compiler from holding the lanes'
-                // generator state in registers across cycles and cost the
-                // AVX-512 build about half its gain. `None` is written in
-                // each closure rather than captured, so every build is
-                // compiled without the second draw it never makes.
-                match plan {
-                    SrcPlan::Fixed(v) => kernel.run(
-                        &mut rngs,
-                        #[inline(always)]
-                        |rngs| {
-                            threshold_stream(
-                                rngs,
-                                threshold,
-                                None,
-                                cycles,
-                                #[inline(always)]
-                                |t, hit, _| {
-                                    let offered = hit & live;
-                                    let base = cell(t, col, g);
-                                    words[base] = offered;
-                                    for j in 0..bits {
-                                        words[base + (1 + j) * width] =
-                                            offered & 0u64.wrapping_sub(v >> j & 1);
-                                    }
-                                },
-                            );
-                        },
-                    ),
+            let live = u64::MAX >> (LANES - LANES.min(lanes - g * LANES));
+            let word_seed = seed.wrapping_add((g * LANES) as u64);
+            for (k, s) in streams.iter().enumerate() {
+                let key = |draw| draw_key(word_seed, k, draw);
+                draw_column(kernel, key(0), &[s.env.p], live, &mut fires);
+                let fired = fires.as_flattened();
+                for (w, &f) in column_words(&mut words, n, width, g, s.col).zip(fired) {
+                    *w = f;
+                }
+                let plane = |j: usize| s.col + 1 + j;
+                match &s.env.plan {
+                    _ if s.bits == 0 => {}
+                    SrcPlan::Fixed(v) => {
+                        for j in 0..s.bits {
+                            let bit = 0u64.wrapping_sub(v >> j & 1);
+                            for (w, &f) in
+                                column_words(&mut words, n, width, g, plane(j)).zip(fired)
+                            {
+                                *w = f & bit;
+                            }
+                        }
+                    }
                     SrcPlan::Count(modulus_bits) => {
                         // Bit-sliced per-lane sequence counter: `count[j]`
                         // holds bit `j` of every lane's number of earlier
                         // offers, modulo the payload width.
-                        let mut count = vec![0u64; bits.min(*modulus_bits)];
-                        kernel.run(
-                            &mut rngs,
-                            #[inline(always)]
-                            |rngs| {
-                                threshold_stream(
-                                    rngs,
-                                    threshold,
-                                    None,
-                                    cycles,
-                                    #[inline(always)]
-                                    |t, hit, _| {
-                                        let offered = hit & live;
-                                        let base = cell(t, col, g);
-                                        words[base] = offered;
-                                        for (j, &plane) in count.iter().enumerate() {
-                                            words[base + (1 + j) * width] = plane & offered;
-                                        }
-                                        // Ripple-carry increment of the offering lanes.
-                                        let mut carry = offered;
-                                        for plane in &mut count {
-                                            (*plane, carry) = (*plane ^ carry, *plane & carry);
-                                        }
-                                    },
-                                );
-                            },
-                        );
+                        let mut count = vec![0u64; s.bits.min(*modulus_bits)];
+                        for (t, &offered) in fired[..cycles].iter().enumerate() {
+                            for (j, &c) in count.iter().enumerate() {
+                                words[(t * n + plane(j)) * width + g] = c & offered;
+                            }
+                            // Ripple-carry increment of the offering lanes.
+                            let mut carry = offered;
+                            for c in &mut count {
+                                (*c, carry) = (*c ^ carry, *c & carry);
+                            }
+                        }
                     }
                     SrcPlan::Walk { cuts, values } => {
+                        below.resize(blocks * cuts.len(), [0; BLOCK]);
+                        draw_column(kernel, key(1), cuts, live, &mut below);
+                        let masks: Vec<&[u64]> = below
+                            .chunks_exact(blocks)
+                            .map(<[_]>::as_flattened)
+                            .collect();
                         // A lane takes `values[i]` with `i` the number of
-                        // cuts at or below its draw, so `below[c]` is set
+                        // cuts at or below its uniform, so `below[c]` is set
                         // exactly when `i <= c`. Reading down from the last
                         // value, payload bit `j` flips at every cut where
                         // adjacent values differ in bit `j`.
-                        let last = values[cuts.len()];
-                        kernel.run(
-                            &mut rngs,
-                            #[inline(always)]
-                            |rngs| {
-                                threshold_stream(
-                                    rngs,
-                                    threshold,
-                                    Some(cuts),
-                                    cycles,
-                                    #[inline(always)]
-                                    |t, hit, below| {
-                                        let offered = hit & live;
-                                        let base = cell(t, col, g);
-                                        words[base] = offered;
-                                        for j in 0..bits {
-                                            let mut plane = 0u64.wrapping_sub(last >> j & 1);
-                                            for (c, &b) in below.iter().enumerate() {
-                                                if (values[c] ^ values[c + 1]) >> j & 1 == 1 {
-                                                    plane ^= b;
-                                                }
-                                            }
-                                            words[base + (1 + j) * width] = plane & offered;
-                                        }
-                                    },
-                                );
-                            },
-                        );
+                        for j in 0..s.bits {
+                            let last = 0u64.wrapping_sub(values[cuts.len()] >> j & 1);
+                            let flips: Vec<&[u64]> = (0..cuts.len())
+                                .filter(|&c| (values[c] ^ values[c + 1]) >> j & 1 == 1)
+                                .map(|c| masks[c])
+                                .collect();
+                            for (t, w) in
+                                column_words(&mut words, n, width, g, plane(j)).enumerate()
+                            {
+                                let bit = flips.iter().fold(last, |bit, m| bit ^ m[t]);
+                                *w = bit & fired[t];
+                            }
+                        }
                     }
                 }
             }
         }
-        let fixed = Self::fixed_inputs_of(tb, &streams, &slots);
+        let fixed = Self::fixed_inputs_of(&streams, &slots);
         Ok(PackedStimulus {
             cycles,
             width,
@@ -849,91 +889,64 @@ impl PackedStimulus {
     }
 
     /// The list [`Self::fixed_inputs`] returns, read off the `streams` of
-    /// `tb`'s columns: a sink column without a stream never draws.
-    fn fixed_inputs_of(
-        tb: &NetlistTestbench,
-        streams: &[Stream],
-        slots: &[u32],
-    ) -> Vec<(u32, bool)> {
-        let sink_col: usize = tb.srcs.iter().map(|(_, _, dins)| 1 + dins.len()).sum();
-        let vl_col = sink_col + 2 * tb.sinks.len();
-        let mut konst: Vec<Option<bool>> = vec![None; vl_col + tb.vls.len()];
-        for k in &mut konst[sink_col..vl_col] {
-            *k = Some(false);
-        }
+    /// a testbench's columns.
+    fn fixed_inputs_of(streams: &[Stream], slots: &[u32]) -> Vec<(u32, bool)> {
+        let mut fixed = Vec::new();
         for s in streams {
-            let offer = match &s.offer {
-                None => Some(true),
-                Some(d) if d.threshold == 0 => Some(false),
-                Some(d) if d.threshold >= 1 << 53 => Some(true),
-                Some(_) => None,
+            let fires = match s.env.p {
+                0 => Some(false),
+                ONE => Some(true),
+                _ => None,
             };
-            konst[s.col] = offer;
-            for j in 0..s.bits {
-                konst[s.col + 1 + j] = match (offer, s.plan.shared_bit(j)) {
-                    (Some(false), _) | (_, Some(false)) => Some(false),
-                    (Some(true), bit) => bit,
-                    (None, _) => None,
-                };
+            let payload = (0..s.bits).map(|j| match (fires, s.env.plan.shared_bit(j)) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), bit) => bit,
+                (None, _) => None,
+            });
+            for (col, k) in (s.col..).zip(std::iter::once(fires).chain(payload)) {
+                if let Some(v) = k {
+                    fixed.push((slots[col], v));
+                }
             }
         }
-        konst
-            .into_iter()
-            .zip(slots)
-            .filter_map(|(k, &slot)| k.map(|v| (slot, v)))
-            .collect()
+        fixed
     }
 
-    /// Resolves `cfg` for every source, sink and VL unit of `net` into the
-    /// streams [`Schedule::random`] draws, in its order, each with its
-    /// stimulus column. A stop or kill that never fires draws nothing and
-    /// gets no stream.
-    fn streams(tb: &NetlistTestbench, net: &ElasticNetwork, cfg: &EnvConfig) -> Vec<Stream> {
-        let mut src_col = 0;
-        let mut sink_col: usize = tb.srcs.iter().map(|(_, _, dins)| 1 + dins.len()).sum();
-        let mut vl_col = sink_col + 2 * tb.sinks.len();
-        let (mut src_i, mut sink_i, mut vl_i) = (0, 0, 0);
-        let mut streams = Vec::new();
-        for comp in net.components() {
-            let name = net.component(comp).name.as_str();
-            match &net.component(comp).kind {
-                ComponentKind::Source => {
-                    let (tb_name, _, dins) = &tb.srcs[src_i];
-                    debug_assert_eq!(tb_name, name, "testbench/network source order");
-                    let c = cfg.sources.get(name).unwrap_or(&cfg.default_source);
-                    streams.push(Stream {
-                        col: src_col,
-                        offer: c.offer_draw().map(BoolDraw::new),
-                        bits: dins.len(),
-                        plan: SrcPlan::new(&c.data),
-                    });
-                    src_col += 1 + dins.len();
-                    src_i += 1;
+    /// Places the environment columns of `net` under `cfg` in `tb`'s
+    /// stimulus columns: `tb` lists the same components, grouped in the
+    /// same order.
+    fn streams<'a>(
+        tb: &NetlistTestbench,
+        net: &'a ElasticNetwork,
+        cfg: &EnvConfig,
+    ) -> Vec<Stream<'a>> {
+        let widths: Vec<(&str, usize)> = tb
+            .srcs
+            .iter()
+            .map(|(name, _, dins)| (name.as_str(), dins.len()))
+            .chain(
+                tb.sinks
+                    .iter()
+                    .flat_map(|(name, _, _)| [(name.as_str(), 0); 2]),
+            )
+            .chain(tb.vls.iter().map(|(name, _)| (name.as_str(), 0)))
+            .collect();
+        let columns = env_columns(net, cfg);
+        assert_eq!(columns.len(), widths.len(), "testbench/network columns");
+        let mut col = 0;
+        columns
+            .into_iter()
+            .zip(widths)
+            .map(|(env, (tb_name, bits))| {
+                debug_assert_eq!(tb_name, env.name, "testbench/network column order");
+                col += 1 + bits;
+                Stream {
+                    env,
+                    col: col - 1 - bits,
+                    bits,
                 }
-                ComponentKind::Sink => {
-                    let (tb_name, _, _) = &tb.sinks[sink_i];
-                    debug_assert_eq!(tb_name, name, "testbench/network sink order");
-                    let c = cfg.sinks.get(name).copied().unwrap_or(cfg.default_sink);
-                    for (col, p) in [(sink_col, c.stop_draw()), (sink_col + 1, c.kill_draw())] {
-                        if let Some(p) = p {
-                            streams.push(Stream::bernoulli(col, p));
-                        }
-                    }
-                    sink_col += 2;
-                    sink_i += 1;
-                }
-                ComponentKind::VarLatency => {
-                    let (tb_name, _) = &tb.vls[vl_i];
-                    debug_assert_eq!(tb_name, name, "testbench/network VL order");
-                    let dist = cfg.vls.get(name).unwrap_or(&cfg.default_vl);
-                    streams.push(Stream::bernoulli(vl_col, dist.finish_draw()));
-                    vl_col += 1;
-                    vl_i += 1;
-                }
-                _ => {}
-            }
-        }
-        streams
+            })
+            .collect()
     }
 
     /// Horizon of the packed schedules, in cycles.
@@ -1102,10 +1115,11 @@ pub fn cosim_check(
     Ok(())
 }
 
-/// Three-way co-simulation of the bit-parallel backend: generates `lanes`
-/// trials seeded `seed..seed + lanes` with [`PackedStimulus::generate`]
-/// and runs them through a [`WideSimulator`], replays each lane's
-/// [`Schedule::random`] through the behavioural simulator and lane 0's
+/// Three-way co-simulation of the bit-parallel backend: generates the
+/// `lanes` trials of the lane word seeded `seed` with
+/// [`PackedStimulus::generate`] and runs them through a
+/// [`WideSimulator`], replays each lane's view ([`Schedule::random`])
+/// through the behavioural simulator and lane 0's
 /// through the scalar gate-level [`Simulator`], and compares all four
 /// rails (and payload bits on valid cycles) of every channel, every cycle,
 /// in every lane.
@@ -1142,9 +1156,9 @@ pub fn cosim_check_wide(
     let mut wide = WideSimulator::new(nl)?;
     wide.check_input_slots(stim.slots())?;
     let mut scalar = Simulator::new(nl)?;
-    let mut behavs: Vec<(BehavSim, Schedule)> = (0..lanes as u64)
+    let mut behavs: Vec<(BehavSim, Schedule)> = (0..lanes)
         .map(|k| {
-            let sched = Schedule::random(net, cfg, seed.wrapping_add(k), cycles);
+            let sched = Schedule::random(net, cfg, seed, k, cycles);
             Ok((BehavSim::new(net)?, sched))
         })
         .collect::<Result<_, CoreError>>()?;
@@ -1369,7 +1383,8 @@ mod tests {
     use super::*;
     use crate::sim::{SinkCfg, SourceCfg};
     use crate::systems::linear_pipeline;
-    use rand::RngCore;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn stress_cfg() -> EnvConfig {
         EnvConfig {
@@ -1395,7 +1410,7 @@ mod tests {
     #[test]
     fn cosim_linear_pipeline() {
         let (net, _, _) = linear_pipeline(3, 1).unwrap();
-        let sched = Schedule::random(&net, &stress_cfg(), 11, 600);
+        let sched = Schedule::random(&net, &stress_cfg(), 11, 0, 600);
         cosim_check(&net, &sched, 2).unwrap();
     }
 
@@ -1419,7 +1434,7 @@ mod tests {
         net.connect(bj, 0, f, 0, "fi").unwrap();
         net.connect(f, 0, k1, 0, "o1").unwrap();
         net.connect(f, 1, k2, 0, "o2").unwrap();
-        let sched = Schedule::random(&net, &stress_cfg(), 23, 800);
+        let sched = Schedule::random(&net, &stress_cfg(), 23, 0, 800);
         cosim_check(&net, &sched, 1).unwrap();
     }
 
@@ -1457,7 +1472,7 @@ mod tests {
         net.connect(bg, 0, j, 0, "jg").unwrap();
         net.connect(vl, 0, j, 1, "jv").unwrap();
         net.connect(j, 0, snk, 0, "out").unwrap();
-        let sched = Schedule::random(&net, &stress_cfg(), 31, 800);
+        let sched = Schedule::random(&net, &stress_cfg(), 31, 0, 800);
         cosim_check(&net, &sched, 1).unwrap();
     }
 
@@ -1466,7 +1481,7 @@ mod tests {
         use crate::systems::{paper_example, Config};
         for config in Config::all() {
             let sys = paper_example(config).unwrap();
-            let sched = Schedule::random(&sys.network, &sys.env_config, 5, 400);
+            let sched = Schedule::random(&sys.network, &sys.env_config, 5, 0, 400);
             cosim_check(&sys.network, &sched, 2).unwrap_or_else(|e| panic!("{config:?}: {e}"));
         }
     }
@@ -1519,12 +1534,11 @@ mod tests {
 
     #[test]
     fn generate_matches_pack_of_random_schedules() {
-        // The generator must be bit-identical to the scalar view of
-        // Schedule::random, lane by lane, for every stream kind and every
-        // RNG branch: full-rate and sub-rate sources, zero and non-zero
-        // stop/kill probabilities, configured and default VL distributions,
-        // and partial final word groups — through every kernel build the
-        // host runs.
+        // The generator must be bit-identical to the lane view of
+        // Schedule::random, lane by lane, for every stream kind: full-rate
+        // and sub-rate sources, zero and non-zero stop/kill probabilities,
+        // configured and default VL distributions, and partial final word
+        // groups — through every kernel build the host runs.
         use crate::corpus::{self, CorpusConfig, Knobs, DESIGNS};
         use crate::systems::{paper_example, Config};
         let sys = paper_example(Config::ActiveAntiTokens).unwrap();
@@ -1574,7 +1588,7 @@ mod tests {
         // Weighted payloads with 0 to 5 cuts, adjacent equal values, a
         // value wider than the two data bits, and degenerate weights —
         // each offered every cycle (the walk, or a constant payload) and
-        // at a sub-rate (the walk's masked step).
+        // at a sub-rate (the walk under the offer mask).
         let payloads = [
             vec![(2, 1.0)],
             vec![(0, 0.5), (3, 0.5)],
@@ -1583,6 +1597,7 @@ mod tests {
             vec![(3, 0.1), (0, 0.2), (5, 0.1), (1, 0.25), (2, 0.15), (0, 0.2)],
             vec![(0, 0.0), (1, f64::NAN), (2, 0.5), (3, -1.0)],
             vec![(3, 0.0), (1, 0.0)],
+            vec![(1, f64::MAX), (2, f64::MAX)],
             vec![],
         ];
         let mut cfg = sys.env_config.clone();
@@ -1597,8 +1612,8 @@ mod tests {
             }
         }
 
-        // Stop, kill and finish at p = 0 and p = 1. A finish stream always
-        // draws: its probability floors at 0.05 (a 1000-cycle latency).
+        // Stop, kill and finish at p = 0 and p = 1. A finish stream's
+        // probability floors at 0.05 (a 1000-cycle latency).
         for (stop_prob, kill_prob) in [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)] {
             for latency in [1, 1000] {
                 let cfg = EnvConfig {
@@ -1637,8 +1652,8 @@ mod tests {
     }
 
     /// Asserts that, for each `(lanes, width)`, every kernel build
-    /// generates exactly the [`inputs_at_matrix`] of `Schedule::random` for
-    /// seeds `seed..seed + lanes`.
+    /// generates exactly the [`inputs_at_matrix`] of the [`lane_views`] of
+    /// a point seeded `seed`.
     fn assert_matches_schedules(
         net: &ElasticNetwork,
         tb: &NetlistTestbench,
@@ -1649,9 +1664,7 @@ mod tests {
         tag: &str,
     ) {
         let most = shapes.iter().map(|&(lanes, _)| lanes).max().unwrap_or(0);
-        let scheds: Vec<Schedule> = (0..most as u64)
-            .map(|k| Schedule::random(net, cfg, seed.wrapping_add(k), cycles))
-            .collect();
+        let scheds = lane_views(net, cfg, seed, most, cycles);
         for &(lanes, width) in shapes {
             let reference = inputs_at_matrix(tb, &scheds[..lanes], width);
             for kernel in Kernel::available() {
@@ -1666,6 +1679,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The schedules of the first `lanes` trials of a point seeded `seed`:
+    /// trial `k` is lane `k mod 64` of the word seeded `seed + 64⌊k/64⌋`.
+    fn lane_views(
+        net: &ElasticNetwork,
+        cfg: &EnvConfig,
+        seed: u64,
+        lanes: usize,
+        cycles: usize,
+    ) -> Vec<Schedule> {
+        (0..lanes)
+            .map(|k| {
+                let word_seed = seed.wrapping_add((k / LANES * LANES) as u64);
+                Schedule::random(net, cfg, word_seed, k % LANES, cycles)
+            })
+            .collect()
     }
 
     /// `stim` without its list of fixed inputs, which a matrix built by
@@ -1866,8 +1896,8 @@ mod tests {
         // A NaN stop probability used to stop every lane on every cycle in
         // the fused generator while schedules never stopped; a NaN source
         // rate panicked in `Schedule::random` and never offered in the
-        // generator. Both producers now read a NaN stop or kill as "never,
-        // without drawing" and a NaN rate as "draw, never offer".
+        // generator. Both producers now read a NaN stop, kill or rate as
+        // "never, without drawing".
         let (net, _, _) = linear_pipeline(2, 1).unwrap();
         let nl = compile(&net, &CompileOptions::default()).unwrap();
         let tb = NetlistTestbench::new(&net, &nl.netlist, 0).unwrap();
@@ -1885,36 +1915,170 @@ mod tests {
             },
             ..stress_cfg()
         };
-        let stops = Schedule::random(&net, &nan_stop, 4, 50);
+        let stops = Schedule::random(&net, &nan_stop, 4, 0, 50);
         assert!((0..50).all(|t| !stops.stop_at("snk", t)));
-        let offers = Schedule::random(&net, &nan_rate, 4, 50);
+        let offers = Schedule::random(&net, &nan_rate, 4, 0, 50);
         assert!((0..50).all(|t| offers.offer_at("src", t).is_none()));
         for (cfg, tag) in [(nan_stop, "NaN stop"), (nan_rate, "NaN rate")] {
             assert_matches_schedules(&net, &tb, &cfg, 4, 50, &[(70, 2)], tag);
         }
     }
 
+    /// Lane `lane`'s uniform at cycle `t` under `key`, built from all 32
+    /// of its hashed words.
+    fn full_uniform(key: u64, t: u64, lane: usize) -> u64 {
+        (0..UNIFORM_BITS).fold(0, |u, j| u << 1 | (uniform_word(key, t, j) >> lane & 1))
+    }
+
     #[test]
-    fn bool_draw_matches_gen_bool() {
-        let mut probs = vec![0.0, 1.0, 0.3, 1.0 / 3.0, 1e-300, 1.0f64.next_down(), 0.5];
-        probs.extend((1..20).map(|k| f64::from(k) / 20.0));
-        for p in probs {
-            let b = BoolDraw::new(p);
-            // The threshold sits exactly on gen_bool's boundary.
-            if b.threshold > 0 {
-                assert!(((b.threshold - 1) as f64 * UNIT_53) < p, "p {p}");
+    fn kernel_matches_the_full_comparison_on_every_build() {
+        // Every mask bit of every build is the full 32-bit comparison of
+        // the lane's uniform with each cut, early exits and all, and so
+        // is the lane view's rank; lanes outside `live` stay clear.
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut cut_sets: Vec<Vec<u64>> = [0, 1, ONE / 2, ONE - 1, ONE]
+            .into_iter()
+            .map(|p| vec![p])
+            .collect();
+        cut_sets.extend((0..6).map(|_| vec![rng.gen_range(0..ONE + 1)]));
+        // Walks: edges among the cuts, equal cuts, two to five cuts.
+        cut_sets.push(vec![0, ONE / 3, ONE]);
+        cut_sets.push(vec![ONE / 4, ONE / 4, 3 * ONE / 4]);
+        for n in 2..=5 {
+            let mut cuts: Vec<u64> = (0..n).map(|_| rng.gen_range(0..ONE + 1)).collect();
+            cuts.sort_unstable();
+            cut_sets.push(cuts);
+        }
+        // 37 cycles: two full blocks and a partial one.
+        let cycles: usize = 37;
+        for kernel in Kernel::available() {
+            for cuts in &cut_sets {
+                for live in [u64::MAX, 0x00FF_F0F0_0000_FFFF] {
+                    let key = rng.next_u64();
+                    let blocks = cycles.div_ceil(BLOCK);
+                    let mut below = vec![[0; BLOCK]; blocks * cuts.len()];
+                    draw_column(kernel, key, cuts, live, &mut below);
+                    for t in 0..cycles {
+                        for lane in 0..LANES {
+                            let u = full_uniform(key, t as u64, lane);
+                            let on = live >> lane & 1 == 1;
+                            for (c, &cut) in cuts.iter().enumerate() {
+                                assert_eq!(
+                                    below[c * blocks + t / BLOCK][t % BLOCK] >> lane & 1 == 1,
+                                    on && u < cut,
+                                    "{kernel:?} cuts {cuts:?} cut {c} cycle {t} lane {lane}"
+                                );
+                            }
+                            let rank = cuts.iter().filter(|&&c| c <= u).count();
+                            assert_eq!(lane_rank(key, t as u64, lane, cuts), rank);
+                        }
+                    }
+                }
             }
-            if b.threshold < 1 << 53 {
-                assert!((b.threshold as f64 * UNIT_53) >= p, "p {p}");
+        }
+    }
+
+    #[test]
+    fn every_width_gives_a_lane_the_same_words() {
+        // A point generated at widths 1, 2 and 8 gives every lane the
+        // words of its own 64-lane word, generated alone at that word's
+        // seed: the words depend on neither the width nor the shard split.
+        use crate::systems::{paper_example, Config};
+        let sys = paper_example(Config::ActiveAntiTokens).unwrap();
+        let nl = compile(
+            &sys.network,
+            &CompileOptions {
+                data_width: 2,
+                ..CompileOptions::default()
+            },
+        )
+        .unwrap()
+        .netlist;
+        let tb = NetlistTestbench::new(&sys.network, &nl, 2).unwrap();
+        let (seed, cycles) = (u64::MAX - 70, 45);
+        for cfg in [sys.env_config.clone(), stress_cfg()] {
+            let alone: Vec<PackedStimulus> = (0..2)
+                .map(|g| {
+                    let word_seed = seed.wrapping_add(64 * g);
+                    PackedStimulus::generate(&tb, &sys.network, &cfg, word_seed, 64, cycles, 1)
+                        .unwrap()
+                })
+                .collect();
+            for (lanes, width) in [(64, 1), (64, 2), (64, 8), (128, 2), (128, 8), (100, 8)] {
+                let stim =
+                    PackedStimulus::generate(&tb, &sys.network, &cfg, seed, lanes, cycles, width)
+                        .unwrap();
+                let n = stim.slots().len();
+                for (g, word) in alone.iter().enumerate().take(lanes.div_ceil(64)) {
+                    let live = u64::MAX >> (64 - (lanes - 64 * g).min(64));
+                    for t in 0..cycles {
+                        for col in 0..n {
+                            assert_eq!(
+                                stim.row(t)[col * width + g],
+                                word.row(t)[col] & live,
+                                "{lanes} lanes, width {width}, cycle {t}, column {col}, word {g}"
+                            );
+                        }
+                    }
+                }
             }
-            // The kernel's 64-lane compare, lane by lane.
-            let (mut x, mut y) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
-            let mut draws = [0u64; BLOCK_LANES];
-            for _ in 0..16 {
-                draws.fill_with(|| x.next_u64());
-                let mask = below(&draws, b.threshold);
-                for l in 0..BLOCK_LANES {
-                    assert_eq!(mask >> l & 1 == 1, y.gen_bool(p), "p {p} lane {l}");
+        }
+    }
+
+    #[test]
+    fn every_column_fires_at_its_quantized_rate() {
+        // Over 10⁶ lane-draws, each Bernoulli column and each weighted
+        // payload bit fires within 5σ of its quantized probability, on the
+        // Fig. 9 environment and the stress environment.
+        use crate::systems::{paper_example, Config};
+        let sys = paper_example(Config::ActiveAntiTokens).unwrap();
+        let nl = compile(
+            &sys.network,
+            &CompileOptions {
+                data_width: 2,
+                ..CompileOptions::default()
+            },
+        )
+        .unwrap()
+        .netlist;
+        let tb = NetlistTestbench::new(&sys.network, &nl, 2).unwrap();
+        let cycles = 15_625;
+        for cfg in [sys.env_config.clone(), stress_cfg()] {
+            let stim =
+                PackedStimulus::generate(&tb, &sys.network, &cfg, 99, 64, cycles, 1).unwrap();
+            for s in PackedStimulus::streams(&tb, &sys.network, &cfg) {
+                let fire = s.env.p as f64 / ONE as f64;
+                // The share of 2³² each payload value covers.
+                let shares: Vec<(u64, f64)> = match &s.env.plan {
+                    SrcPlan::Walk { cuts, values } => {
+                        let mut edges = vec![0];
+                        edges.extend(cuts);
+                        edges.push(ONE);
+                        let spans = edges.windows(2).map(|e| (e[1] - e[0]) as f64 / ONE as f64);
+                        values.iter().copied().zip(spans).collect()
+                    }
+                    SrcPlan::Fixed(v) => vec![(*v, 1.0)],
+                    SrcPlan::Count(_) => continue,
+                };
+                let payload = (0..s.bits).map(|j| {
+                    let share: f64 = shares
+                        .iter()
+                        .filter(|(v, _)| v >> j & 1 == 1)
+                        .map(|s| s.1)
+                        .sum();
+                    (s.col + 1 + j, fire * share)
+                });
+                for (col, rate) in std::iter::once((s.col, fire)).chain(payload) {
+                    let hits: u64 = (0..cycles)
+                        .map(|t| u64::from(stim.row(t)[col].count_ones()))
+                        .sum();
+                    let draws = (cycles * LANES) as f64;
+                    let sigma = (draws * rate * (1.0 - rate)).sqrt();
+                    assert!(
+                        (hits as f64 - draws * rate).abs() <= 5.0 * sigma,
+                        "{} column {col}: {hits} hits in {draws} draws at rate {rate}",
+                        s.env.name
+                    );
                 }
             }
         }
@@ -1991,7 +2155,7 @@ mod tests {
             );
             let tb_raw = NetlistTestbench::new(&sys.network, &raw.netlist, 2).unwrap();
             let tb_opt = NetlistTestbench::new(&sys.network, &opt.netlist, 2).unwrap();
-            let sched = Schedule::random(&sys.network, &sys.env_config, 77, 300);
+            let sched = Schedule::random(&sys.network, &sys.env_config, 77, 0, 300);
             let mut sim_raw = Simulator::new(&raw.netlist).unwrap();
             let mut sim_opt = Simulator::new(&opt.netlist).unwrap();
             for t in 0..300u64 {
@@ -2051,7 +2215,7 @@ mod tests {
     #[test]
     fn fault_arm_window_validation() {
         let (net, _, _) = linear_pipeline(1, 0).unwrap();
-        let mut s = Schedule::random(&net, &EnvConfig::default(), 3, 20);
+        let mut s = Schedule::random(&net, &EnvConfig::default(), 3, 0, 20);
         assert!(matches!(s.arm_fault(0, 5, 0), Err(CoreError::FaultSite(_))));
         assert!(matches!(
             s.arm_fault(0, 15, 6),
@@ -2133,9 +2297,7 @@ mod tests {
         // Lane k gets the window (k % 20, 3): arm the schedules, and arm
         // the generated matrix after generation, on every kernel build.
         let cfg = stress_cfg();
-        let mut scheds: Vec<Schedule> = (0..70)
-            .map(|k| Schedule::random(&net, &cfg, 600 + k, cycles))
-            .collect();
+        let mut scheds = lane_views(&net, &cfg, 600, 70, cycles);
         for (k, s) in scheds.iter_mut().enumerate() {
             s.arm_fault(0, k % 20, 3).unwrap();
         }

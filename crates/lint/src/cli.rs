@@ -3,7 +3,42 @@
 //! with status 2: a misspelled flag would otherwise run, and report, the
 //! default run. So does a report that cannot be written.
 
+use elastic_core::verify::STIMULUS_CONTRACT;
+use elastic_netlist::kernel::Kernel;
+
 use crate::json::Json;
+
+/// Version of the report layout the [`header`] names.
+const REPORT_SCHEMA: u64 = 1;
+
+/// The `"header"` object every report written by [`ReportFile::write`]
+/// starts with: the report schema, the stimulus contract
+/// ([`STIMULUS_CONTRACT`]), the fastest kernel build of the host
+/// ([`Kernel::best`], which generates the stimulus and runs every tape of
+/// two or more words) and the host's available parallelism. The last two
+/// describe the host, not the results.
+fn header() -> Json {
+    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    Json::object([
+        ("schema", Json::Int(REPORT_SCHEMA)),
+        ("stimulus_contract", Json::Int(STIMULUS_CONTRACT.into())),
+        ("kernel", Kernel::best().label().into()),
+        ("available_parallelism", Json::Int(parallelism as u64)),
+    ])
+}
+
+/// `report` with the [`header`] as its first field; a report that is not
+/// an object is returned as it is.
+fn with_header(report: &Json) -> Json {
+    match report {
+        Json::Object(fields) => Json::Object(
+            std::iter::once(("header".to_string(), header()))
+                .chain(fields.iter().cloned())
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
 
 /// The first argument of `args`, after the program name, that is spelled
 /// like a flag (`--…`) but is neither one of `values`, the flags that take
@@ -104,14 +139,16 @@ impl ReportFile {
         })
     }
 
-    /// Writes `report` and a newline to the file, and nothing without one.
-    /// A write that fails exits with status 2, naming the path.
+    /// Writes `report`, with a `"header"` object first (report schema,
+    /// stimulus contract, kernel build, available parallelism), and a
+    /// newline to the file, and nothing without one. A write that fails
+    /// exits with status 2, naming the path.
     pub fn write(self, report: &Json) {
         use std::io::Write;
         let Some((path, mut file)) = self.target else {
             return;
         };
-        if let Err(e) = file.write_all(format!("{report}\n").as_bytes()) {
+        if let Err(e) = file.write_all(format!("{}\n", with_header(report)).as_bytes()) {
             eprintln!("error: writing {path}: {e}");
             std::process::exit(2);
         }
@@ -135,10 +172,15 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
         let report = Json::object([("ok", true.into())]);
         file.write(&report);
+        let written = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(written, format!("{}\n", with_header(&report)));
+        // The header comes first, then the report's own fields.
+        let header = format!("{}", header());
         assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            format!("{report}\n")
+            written,
+            format!("{{\n  \"header\": {header},\n  \"ok\": true\n}}\n")
         );
+        assert!(header.starts_with("{\"schema\": 1, \"stimulus_contract\": 2, \"kernel\": "));
         // A path in a missing directory fails when it is opened.
         assert!(ReportFile::create(Some(dir.join("missing/r.json").to_str().unwrap())).is_err());
         // Without a path nothing is created or written.

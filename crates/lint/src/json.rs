@@ -91,6 +91,197 @@ impl fmt::Display for Json {
     }
 }
 
+impl Json {
+    /// Parses one JSON document: a number without a fraction or exponent
+    /// reads as [`Json::Int`] when it fits, every other number as
+    /// [`Json::Float`], and `null` as [`Json::Null`] (so a report's
+    /// non-finite float reads back as `Null`).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the byte offset of the first malformed token, or
+    /// of trailing input after the document.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let value = p.value()?;
+        p.skip_ws();
+        if p.pos < p.bytes.len() {
+            return Err(p.error("trailing input"));
+        }
+        Ok(value)
+    }
+
+    /// The value of field `key` of an object; `None` for another value
+    /// or a missing key.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// An [`Json::Int`] or [`Json::Float`] as a float.
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Json::Int(i) => Some(i as f64),
+            Json::Float(x) => Some(x),
+            _ => None,
+        }
+    }
+}
+
+/// A cursor over the bytes of a JSON document.
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn error(&self, what: &str) -> String {
+        format!("JSON: {what} at byte {}", self.pos)
+    }
+
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(u8::is_ascii_whitespace)
+        {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes `byte` after any whitespace, or fails.
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected {:?}", byte as char)))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        let rest = &self.bytes[self.pos..];
+        for (word, value) in [
+            ("null", Json::Null),
+            ("true", Json::Bool(true)),
+            ("false", Json::Bool(false)),
+        ] {
+            if rest.starts_with(word.as_bytes()) {
+                self.pos += word.len();
+                return Ok(value);
+            }
+        }
+        match rest.first() {
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'[') => self.items(b']', Parser::value).map(Json::Array),
+            Some(b'{') => self
+                .items(b'}', |p| {
+                    p.skip_ws();
+                    let key = p.string()?;
+                    p.expect(b':')?;
+                    Ok((key, p.value()?))
+                })
+                .map(Json::Object),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(self.error("expected a value")),
+        }
+    }
+
+    /// The comma-separated items of an array or object, from its opening
+    /// bracket to `close`.
+    fn items<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.bytes.get(self.pos) == Some(&close) {
+            self.pos += 1;
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            self.skip_ws();
+            match self.bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(&b) if b == close => {
+                    self.pos += 1;
+                    return Ok(items);
+                }
+                _ => return Err(self.error(&format!("expected ',' or {:?}", close as char))),
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| b.is_ascii_digit() || b"+-.eE".contains(b))
+        {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        if let Ok(i) = text.parse::<u64>() {
+            return Ok(Json::Int(i));
+        }
+        text.parse::<f64>()
+            .map(Json::Float)
+            .map_err(|_| self.error(&format!("bad number {text:?}")))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if self.bytes.get(self.pos) != Some(&b'"') {
+            return Err(self.error("expected a string"));
+        }
+        self.pos += 1;
+        let mut out = Vec::new();
+        loop {
+            let Some(&b) = self.bytes.get(self.pos) else {
+                return Err(self.error("unterminated string"));
+            };
+            self.pos += 1;
+            match b {
+                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
+                b'\\' => {
+                    let escaped = match self.bytes.get(self.pos) {
+                        Some(b'u') => {
+                            let hex = self.bytes.get(self.pos + 1..self.pos + 5);
+                            let code = hex
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| self.error("bad \\u escape"))?;
+                            self.pos += 4;
+                            code
+                        }
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(&c @ (b'"' | b'\\' | b'/')) => c as char,
+                        _ => return Err(self.error("bad escape")),
+                    };
+                    self.pos += 1;
+                    out.extend_from_slice(escaped.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+                _ => out.push(b),
+            }
+        }
+    }
+}
+
 /// `From` impls, each as `type => |value| variant`.
 macro_rules! json_from {
     ($($t:ty => |$v:ident| $e:expr),* $(,)?) => {$(
@@ -159,6 +350,57 @@ mod tests {
         ];
         for (value, want) in cases {
             assert_eq!(value.to_string(), want, "{value:?}");
+        }
+    }
+
+    #[test]
+    fn parse_reads_back_what_display_writes() {
+        let report = Json::object([
+            ("name", "a\"b\\c\nd\u{1}é".into()),
+            ("count", 7u64.into()),
+            ("big", u64::MAX.into()),
+            ("mean", 0.25.into()),
+            ("gone", f64::NAN.into()),
+            ("ok", true.into()),
+            ("none", Json::Null),
+            (
+                "rows",
+                Json::array([Json::object([("x", Json::array(Vec::<Json>::new()))])]),
+            ),
+            ("empty", Json::object([])),
+        ]);
+        let back = Json::parse(&report.to_string()).unwrap();
+        assert_eq!(back.get("name"), report.get("name"));
+        assert_eq!(back.get("count"), Some(&Json::Int(7)));
+        assert_eq!(back.get("big"), Some(&Json::Int(u64::MAX)));
+        assert_eq!(back.get("mean").and_then(Json::as_f64), Some(0.25));
+        assert_eq!(back.get("gone"), Some(&Json::Null));
+        assert_eq!(back.get("rows"), report.get("rows"));
+        assert_eq!(back.get("empty"), Some(&Json::object([])));
+        // A non-finite float is written, and read back, as null.
+        assert_eq!(back.to_string(), report.to_string());
+        // Negative numbers, exponents and escapes the writer never emits.
+        let other = Json::parse(r#" [-1, 2.5e3, "\u0041\/\t", false] "#).unwrap();
+        assert_eq!(
+            other,
+            Json::array([
+                Json::Float(-1.0),
+                Json::Float(2500.0),
+                "A/\t".into(),
+                false.into()
+            ])
+        );
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "\"open",
+            "[1] 2",
+            "nul",
+            "\"\\q\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?}");
         }
     }
 }

@@ -75,6 +75,18 @@ impl Kernel {
         Kernel(Build::Portable)
     }
 
+    /// The build's name in report headers: `portable`, `avx2` or
+    /// `avx512f`.
+    pub fn label(self) -> &'static str {
+        match self.0 {
+            Build::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx512 => "avx512f",
+        }
+    }
+
     /// Runs `body(state)` through this build.
     ///
     /// Mark `body` `#[inline(always)]`, and everything it calls on the hot
@@ -127,5 +139,10 @@ mod tests {
         let mut unique = builds.clone();
         unique.dedup();
         assert_eq!(builds, unique, "each build listed once");
+        // Each build has its own report label, the portable one last.
+        let mut labels: Vec<&str> = builds.iter().map(|k| k.label()).collect();
+        assert_eq!(labels.last(), Some(&"portable"));
+        labels.dedup();
+        assert_eq!(labels.len(), builds.len());
     }
 }

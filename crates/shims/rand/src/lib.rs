@@ -3,10 +3,7 @@
 //! The build environment has no network access, so this workspace vendors a
 //! minimal, dependency-free implementation of exactly the API surface the
 //! other crates use: [`rngs::StdRng`], [`SeedableRng::seed_from_u64`],
-//! [`Rng::gen_bool`] and [`Rng::gen_range`]. It adds one item the real
-//! crate does not have: [`rngs::StdRngLanes`], 64 `StdRng` streams
-//! advanced together (every lane, or the lanes of a mask), which the
-//! stimulus generator vectorizes over.
+//! [`Rng::gen_bool`] and [`Rng::gen_range`].
 //!
 //! The generator is xoshiro256** seeded via SplitMix64 — deterministic for a
 //! given seed, statistically solid for simulation workloads, and NOT
@@ -120,21 +117,6 @@ pub mod rngs {
         s: [u64; 4],
     }
 
-    /// One xoshiro256** step on a state held in four separate words: the
-    /// single definition behind [`StdRng`] and [`StdRngLanes`].
-    #[inline(always)]
-    fn xoshiro256ss(s0: &mut u64, s1: &mut u64, s2: &mut u64, s3: &mut u64) -> u64 {
-        let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = *s1 << 17;
-        *s2 ^= *s0;
-        *s3 ^= *s1;
-        *s1 ^= *s2;
-        *s0 ^= *s3;
-        *s2 ^= t;
-        *s3 = s3.rotate_left(45);
-        result
-    }
-
     impl SeedableRng for StdRng {
         fn seed_from_u64(seed: u64) -> Self {
             // SplitMix64 expansion of the seed, per the xoshiro authors'
@@ -155,137 +137,24 @@ pub mod rngs {
     impl RngCore for StdRng {
         #[inline]
         fn next_u64(&mut self) -> u64 {
-            let [s0, s1, s2, s3] = &mut self.s;
-            xoshiro256ss(s0, s1, s2, s3)
-        }
-    }
-
-    /// Lanes of a [`StdRngLanes`] block: one per bit of a `u64` lane word.
-    pub const BLOCK_LANES: usize = 64;
-
-    /// [`BLOCK_LANES`] independent [`StdRng`] streams in
-    /// structure-of-arrays form: lane `k` starts as
-    /// `StdRng::seed_from_u64(seed + k)`. [`Self::next_u64s`] advances
-    /// every lane by one draw and [`Self::next_u64s_masked`] only the lanes
-    /// of a mask. Each lane makes exactly the draws its own `StdRng` would,
-    /// while the lane loops vectorize.
-    #[derive(Debug, Clone)]
-    pub struct StdRngLanes {
-        /// `s[i][k]` is state word `i` of lane `k`.
-        s: [[u64; BLOCK_LANES]; 4],
-    }
-
-    impl StdRngLanes {
-        /// Seeds lane `k` with `seed + k` (wrapping at `u64::MAX`).
-        pub fn seed_from_u64(seed: u64) -> Self {
-            let mut s = [[0; BLOCK_LANES]; 4];
-            for k in 0..BLOCK_LANES {
-                let lane = StdRng::seed_from_u64(seed.wrapping_add(k as u64));
-                for (word, v) in s.iter_mut().zip(lane.s) {
-                    word[k] = v;
-                }
-            }
-            StdRngLanes { s }
-        }
-
-        /// Advances every lane by one draw: `out[k]` is lane `k`'s next
-        /// `next_u64`.
-        #[inline(always)]
-        pub fn next_u64s(&mut self, out: &mut [u64; BLOCK_LANES]) {
-            let [s0, s1, s2, s3] = &mut self.s;
-            let states = s0.iter_mut().zip(s1.iter_mut()).zip(s2.iter_mut()).zip(s3);
-            for (o, (((a, b), c), d)) in out.iter_mut().zip(states) {
-                *o = xoshiro256ss(a, b, c, d);
-            }
-        }
-
-        /// Advances only the lanes whose bit is set in `commit`: for those,
-        /// `out[k]` is lane `k`'s next `next_u64`. A lane whose bit is clear
-        /// keeps its state, so its `out[k]` is a draw it has not made and
-        /// will make again on its next step.
-        ///
-        /// Every lane computes its step and keeps the old or the new state
-        /// by a mask, without a branch, so the lane loop vectorizes.
-        #[inline(always)]
-        pub fn next_u64s_masked(&mut self, commit: u64, out: &mut [u64; BLOCK_LANES]) {
-            let [s0, s1, s2, s3] = &mut self.s;
-            let states = s0.iter_mut().zip(s1.iter_mut()).zip(s2.iter_mut()).zip(s3);
-            for (k, (o, (((a, b), c), d))) in out.iter_mut().zip(states).enumerate() {
-                // All ones when lane `k` commits its step, else zero.
-                let step = 0u64.wrapping_sub(commit >> k & 1);
-                let (mut a1, mut b1, mut c1, mut d1) = (*a, *b, *c, *d);
-                *o = xoshiro256ss(&mut a1, &mut b1, &mut c1, &mut d1);
-                *a ^= (*a ^ a1) & step;
-                *b ^= (*b ^ b1) & step;
-                *c ^= (*c ^ c1) & step;
-                *d ^= (*d ^ d1) & step;
-            }
+            let s = &mut self.s;
+            let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+            let t = s[1] << 17;
+            s[2] ^= s[0];
+            s[3] ^= s[1];
+            s[1] ^= s[2];
+            s[0] ^= s[3];
+            s[2] ^= t;
+            s[3] = s[3].rotate_left(45);
+            result
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::rngs::{StdRng, StdRngLanes, BLOCK_LANES};
-    use super::{Rng, RngCore, SeedableRng};
-
-    #[test]
-    fn lane_k_of_a_block_is_std_rng_seeded_seed_plus_k() {
-        for seed in [0u64, 42, u64::MAX - 10] {
-            let mut block = StdRngLanes::seed_from_u64(seed);
-            let mut solo: Vec<StdRng> = (0..BLOCK_LANES as u64)
-                .map(|k| StdRng::seed_from_u64(seed.wrapping_add(k)))
-                .collect();
-            let mut out = [0u64; BLOCK_LANES];
-            for round in 0..64 {
-                block.next_u64s(&mut out);
-                for (k, rng) in solo.iter_mut().enumerate() {
-                    assert_eq!(out[k], rng.next_u64(), "seed {seed} round {round} lane {k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn masked_step_advances_only_the_committed_lanes() {
-        // Lane k stepped under a random sequence of commit masks, with
-        // full steps in between, is lane k's own StdRng stepped on exactly
-        // the cycles its bit was set.
-        let mut mask_rng = StdRng::seed_from_u64(7);
-        for seed in [0u64, 42, u64::MAX - 10] {
-            let mut block = StdRngLanes::seed_from_u64(seed);
-            let mut solo: Vec<StdRng> = (0..BLOCK_LANES as u64)
-                .map(|k| StdRng::seed_from_u64(seed.wrapping_add(k)))
-                .collect();
-            let mut out = [0u64; BLOCK_LANES];
-            for round in 0..256 {
-                // Sparse, dense, empty, full and uniform masks.
-                let commit = match round % 5 {
-                    0 => mask_rng.next_u64() & mask_rng.next_u64(),
-                    1 => mask_rng.next_u64() | mask_rng.next_u64(),
-                    2 => 0,
-                    3 => u64::MAX,
-                    _ => mask_rng.next_u64(),
-                };
-                block.next_u64s_masked(commit, &mut out);
-                for (k, rng) in solo.iter_mut().enumerate() {
-                    if commit >> k & 1 == 1 {
-                        assert_eq!(out[k], rng.next_u64(), "seed {seed} round {round} lane {k}");
-                    }
-                }
-                if round % 3 == 0 {
-                    block.next_u64s(&mut out);
-                    for (k, rng) in solo.iter_mut().enumerate() {
-                        assert_eq!(
-                            out[k],
-                            rng.next_u64(),
-                            "seed {seed} full step {round} lane {k}"
-                        );
-                    }
-                }
-            }
-        }
-    }
+    use super::rngs::StdRng;
+    use super::{Rng, SeedableRng};
 
     #[test]
     fn deterministic_for_seed() {

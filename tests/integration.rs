@@ -24,7 +24,7 @@ fn fig8a_cosim_smoke_linear_pipeline() {
         },
         ..Default::default()
     };
-    let sched = Schedule::random(&net, &cfg, 2007, 500);
+    let sched = Schedule::random(&net, &cfg, 2007, 0, 500);
     cosim_check(&net, &sched, 2).expect("gate-level and behavioural sims must agree");
 }
 
@@ -128,7 +128,7 @@ fn gate_level_agrees_with_reference_on_random_networks() {
             },
             ..Default::default()
         };
-        let sched = Schedule::random(&net, &cfg, seed.wrapping_mul(97), 700);
+        let sched = Schedule::random(&net, &cfg, seed.wrapping_mul(97), 0, 700);
         cosim_check(&net, &sched, 2).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
