@@ -88,17 +88,14 @@ fn main() {
     // Compile each (design, configuration) once. The knobs only shape the
     // environment (guard distribution, latency draws), never the network,
     // so one harness serves every knob cell; the round-trip export check
-    // rides along on the same gate-level compile.
+    // rides along on a raw compile at the payload width the campaign
+    // simulates (the bits the guards read).
     let configs = CorpusConfig::all();
     let mut prepared: Vec<(&'static str, CorpusConfig, ElasticNetwork, WideHarness)> = Vec::new();
     for design in DESIGNS {
         for config in configs {
             let sys = build(design, config, &Knobs::default()).expect("corpus design builds");
-            let copts = CompileOptions {
-                data_width: sys.data_width,
-                ..CompileOptions::default()
-            };
-            let compiled = compile(&sys.network, &copts).unwrap_or_else(|e| {
+            let compiled = compile(&sys.network, &CompileOptions::default()).unwrap_or_else(|e| {
                 eprintln!("{design}/{}: gate-level compile failed: {e}", config.tag());
                 std::process::exit(1);
             });

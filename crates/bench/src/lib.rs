@@ -91,6 +91,9 @@ pub fn run_table1_row(config: Config, cycles: u64, seed: u64) -> Table1Row {
 }
 
 /// Compiles the control layer of a system, optimizes it and reports area.
+/// Every configuration compiles at the two-bit opcode width, so Table 1
+/// compares the five areas at one datapath width (the derived width would
+/// give the lazy configuration none).
 ///
 /// # Panics
 ///
@@ -378,7 +381,8 @@ pub fn dispatch_backend(prog: &Program, trials: usize) -> Backend {
 ///    instruction tapes and collapses copies, fuses inverters and drops
 ///    phase-dead recomputation.
 ///
-/// Payloads are [`MC_DATA_WIDTH`] bits wide.
+/// Payloads carry the bits the early-evaluation guards read
+/// ([`ElasticNetwork::required_data_width`]), none for a lazy network.
 #[derive(Debug, Clone)]
 pub struct SimLowering {
     /// The observed-cone netlist the tape was levelized from.
@@ -412,7 +416,6 @@ impl SimLowering {
         let opt = compile(
             net,
             &CompileOptions {
-                data_width: MC_DATA_WIDTH,
                 optimize: true,
                 faults: faults.to_vec(),
                 ..CompileOptions::default()
@@ -440,7 +443,7 @@ impl SimLowering {
             .collect();
         let (netlist, map) = optimize_observed(&opt.netlist, &observe).map_err(CoreError::from)?;
         let remap = |id: NetId| map[id.index()].expect("observed rails survive as outputs");
-        let tb = NetlistTestbench::with_faults(net, &netlist, MC_DATA_WIDTH, faults)?;
+        let tb = NetlistTestbench::with_faults(net, &netlist, faults)?;
         let (prog, _) = Program::compile_optimized(&netlist).map_err(CoreError::from)?;
         Ok(SimLowering {
             prog,
@@ -502,10 +505,6 @@ struct ScalarRef {
     rails: [NetId; 3],
 }
 
-/// Payload width used by the Monte-Carlo harness (matches the 2-bit opcode
-/// space of the paper's example).
-pub const MC_DATA_WIDTH: usize = 2;
-
 impl WideHarness {
     /// Compiles `net` and resolves the testbench handles. `out` is the
     /// channel whose positive-transfer rate is reported as throughput.
@@ -536,16 +535,10 @@ impl WideHarness {
     fn scalar_ref(&self) -> Result<&ScalarRef, CoreError> {
         self.scalar
             .get_or_init(|| {
-                let compiled = compile(
-                    &self.net,
-                    &CompileOptions {
-                        data_width: MC_DATA_WIDTH,
-                        ..CompileOptions::default()
-                    },
-                )?;
+                let compiled = compile(&self.net, &CompileOptions::default())?;
                 let r = &compiled.channels[self.out.index()];
                 Ok(ScalarRef {
-                    tb: NetlistTestbench::new(&self.net, &compiled.netlist, MC_DATA_WIDTH)?,
+                    tb: NetlistTestbench::new(&self.net, &compiled.netlist)?,
                     proto: Simulator::new(&compiled.netlist).map_err(CoreError::from)?,
                     rails: [r.vp, r.sp, r.vn],
                 })
@@ -934,15 +927,9 @@ mod tests {
         // longer does.
         let sys = paper_example(Config::ActiveAntiTokens).unwrap();
         let h = WideHarness::new(&sys.network, sys.output_channel);
-        let raw_nl = compile(
-            &sys.network,
-            &CompileOptions {
-                data_width: MC_DATA_WIDTH,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap()
-        .netlist;
+        let raw_nl = compile(&sys.network, &CompileOptions::default())
+            .unwrap()
+            .netlist;
         let raw = Program::compile(&raw_nl).unwrap();
         let raw_len = raw.high().len() + raw.low().len();
         let opt_len = h.program().high().len() + h.program().low().len();
@@ -977,31 +964,37 @@ mod tests {
     #[test]
     fn fig9_and_corpus_tape_totals_are_pinned() {
         // The instruction totals of the 35 tapes, and of the 30 corpus
-        // tapes folded to their environment's fixed inputs. A change that
-        // grows a tape fails here; one that shrinks them updates the pins.
+        // tapes folded to their environment's fixed inputs, and the
+        // stimulus columns of each set. A change that grows a tape or the
+        // stimulus fails here; one that shrinks them updates the pins.
         let tapes = fig9_and_corpus();
         let len = |p: &Program| p.high().len() + p.low().len();
         let (fig9, corpus) = tapes.split_at(5);
-        let total = |set: &[(String, ElasticNetwork, EnvConfig, WideHarness)]| -> usize {
-            set.iter().map(|(_, _, _, h)| len(h.program())).sum()
+        // (tape, folded tape, stimulus columns) summed over a set.
+        let totals = |set: &[(String, ElasticNetwork, EnvConfig, WideHarness)]| {
+            set.iter()
+                .fold((0, 0, 0), |(tape, folded, cols), (label, net, env, h)| {
+                    let stim = h.generate_stimulus(net, env, 1, 1, 1, 1).unwrap();
+                    let p = h.program().fold_inputs(stim.fixed_inputs()).unwrap();
+                    assert!(
+                        len(&p) <= len(h.program()),
+                        "{label}: folding grew the tape"
+                    );
+                    (
+                        tape + len(h.program()),
+                        folded + len(&p),
+                        cols + stim.slots().len(),
+                    )
+                })
         };
-        let folded: usize = corpus
-            .iter()
-            .map(|(label, net, env, h)| {
-                let stim = h.generate_stimulus(net, env, 1, 1, 1, 1).unwrap();
-                let p = h.program().fold_inputs(stim.fixed_inputs()).unwrap();
-                assert!(
-                    len(&p) <= len(h.program()),
-                    "{label}: folding grew the tape"
-                );
-                len(&p)
-            })
-            .sum();
+        let (fig9_tape, _, fig9_cols) = totals(fig9);
+        let (corpus_tape, corpus_folded, corpus_cols) = totals(corpus);
         assert_eq!(
-            (total(fig9), total(corpus), folded),
+            (fig9_tape, corpus_tape, corpus_folded),
             (1548, 4679, 4148),
             "Fig. 9, corpus, corpus folded"
         );
+        assert_eq!((fig9_cols, corpus_cols), (33, 225), "stimulus columns");
     }
 
     #[test]

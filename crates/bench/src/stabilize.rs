@@ -64,7 +64,7 @@ use elastic_netlist::NetId;
 
 use crate::exp::{default_threads, effective_threads};
 use crate::stream::run_pipeline;
-use crate::{SimLowering, MAX_TRIALS_PER_RUN};
+use crate::{dispatch_backend, SimLowering, MAX_TRIALS_PER_RUN};
 
 /// Every one-shot rail-fault class, in report order: each runs as a
 /// [`FaultProcess::Once`] window whose length is the intensity. (The
@@ -493,16 +493,6 @@ impl StabilizationReport {
     }
 }
 
-/// The word width holding `lanes` trials.
-fn width_for(lanes: usize) -> usize {
-    match lanes {
-        n if n <= LANES => 1,
-        n if n <= 2 * LANES => 2,
-        n if n <= 4 * LANES => 4,
-        _ => 8,
-    }
-}
-
 /// Constructs the fault process a job drives, or `None` when the sampled
 /// topology offers no usable site for the class — the choice is a pure
 /// function of `(sys, class, intensity, opts, sched_seed)`, so every
@@ -611,8 +601,9 @@ fn build_process(
 }
 
 /// Builds one campaign job: sample the topology, construct the process,
-/// lower it with one corruption gate per site, generate the stimulus and
-/// arm every site's per-lane windows.
+/// lower it with one corruption gate per site, generate the stimulus at
+/// the word width [`dispatch_backend`] picks for the tape and arm every
+/// site's per-lane windows.
 fn build_job(
     topo: usize,
     class: &str,
@@ -629,8 +620,7 @@ fn build_job(
     };
     let sites = process.sites();
     let lowered = SimLowering::build(&sys.network, sys.output_channel, &sites)?;
-    let cols = lowered.tb.fault_cols();
-    let width = width_for(opts.lanes);
+    let width = dispatch_backend(&lowered.prog, opts.lanes).lanes() / LANES;
     let baseline = PackedStimulus::generate(
         &lowered.tb,
         &sys.network,
@@ -649,7 +639,7 @@ fn build_job(
             .enumerate()
         {
             for &(start, len) in windows {
-                armed.arm_fault(cols[site], lane, start, len)?;
+                armed.arm_fault(site, lane, start, len)?;
             }
         }
         events.push(
@@ -803,12 +793,7 @@ fn mc_process(net: &elastic_core::ElasticNetwork) -> Option<FaultProcess> {
 }
 
 /// One convergence verdict, with every failure recorded as a typed skip.
-fn mc_verdict(
-    system: &str,
-    net: &elastic_core::ElasticNetwork,
-    data_width: usize,
-    cycles: usize,
-) -> McVerdict {
+fn mc_verdict(system: &str, net: &elastic_core::ElasticNetwork, cycles: usize) -> McVerdict {
     let Some(process) = mc_process(net) else {
         return McVerdict {
             system: system.to_string(),
@@ -816,7 +801,7 @@ fn mc_verdict(
             error: Some("no non-passive channel to corrupt".into()),
         };
     };
-    match check_network_convergence(net, &process, cycles.max(16), data_width, mc_budget()) {
+    match check_network_convergence(net, &process, cycles.max(16), mc_budget()) {
         Ok(report) => McVerdict {
             system: system.to_string(),
             report: Some(report),
@@ -840,7 +825,6 @@ fn mc_section(opts: &StabilizationOpts) -> Vec<McVerdict> {
             Ok((net, _, _)) => out.push(mc_verdict(
                 &format!("linear_pipeline({stages},{tokens})"),
                 &net,
-                0,
                 opts.cycles,
             )),
             Err(e) => out.push(McVerdict {
@@ -852,15 +836,8 @@ fn mc_section(opts: &StabilizationOpts) -> Vec<McVerdict> {
     }
     for cfg in Config::all() {
         let name = format!("paper_example({cfg:?})");
-        // Early-evaluation guards dictate two data bits; the lazy config
-        // checks as pure control.
-        let dw = if matches!(cfg, Config::NoEarlyEval) {
-            0
-        } else {
-            2
-        };
         match paper_example(cfg) {
-            Ok(sys) => out.push(mc_verdict(&name, &sys.network, dw, opts.cycles)),
+            Ok(sys) => out.push(mc_verdict(&name, &sys.network, opts.cycles)),
             Err(e) => out.push(McVerdict {
                 system: name,
                 report: None,
@@ -871,12 +848,8 @@ fn mc_section(opts: &StabilizationOpts) -> Vec<McVerdict> {
     for topo in 0..opts.mc_topologies.min(opts.topologies) {
         let name = format!("topology_{topo}");
         let params = TopoParams::sample(opts.seed.wrapping_add(topo as u64));
-        // Pure-control width: every data bit is another free input, and
-        // the convergence question is a control-protocol question.
-        // Topologies whose early-evaluation guards demand data bits
-        // record the compile error as their skip reason.
         match generate(&params) {
-            Ok(sys) => out.push(mc_verdict(&name, &sys.network, 0, opts.cycles)),
+            Ok(sys) => out.push(mc_verdict(&name, &sys.network, opts.cycles)),
             Err(e) => out.push(McVerdict {
                 system: name,
                 report: None,

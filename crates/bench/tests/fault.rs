@@ -22,7 +22,7 @@ use elastic_core::compile::{FaultInjection, FaultRail};
 use elastic_core::fault::FaultProcess;
 use elastic_core::gen::{generate, injectable_site, GeneratedSystem, TopoParams};
 use elastic_core::systems::Config;
-use elastic_core::verify::{PackedStimulus, Schedule};
+use elastic_core::verify::{NetlistTestbench, PackedStimulus, Schedule};
 use elastic_core::CoreError;
 use elastic_netlist::sim::Simulator;
 use elastic_netlist::wide::{WideSim, LANES};
@@ -133,11 +133,6 @@ fn prepare(topo: u64, class: &str, seed: u64, lanes: usize, window: usize) -> Op
     let process = test_process(&sys, class, seed, window)?;
     let sites = process.sites();
     let lowered = SimLowering::build(&sys.network, sys.output_channel, &sites).ok()?;
-    assert_eq!(
-        lowered.tb.fault_cols().len(),
-        sites.len(),
-        "one column per site"
-    );
     let rails = lowered
         .out
         .iter()
@@ -234,9 +229,8 @@ fn check_lane_equivalence(
     let mut stim =
         PackedStimulus::generate(tb, &p.sys.network, &p.sys.env, p.seed, lanes, CYCLES, width)
             .expect("generates");
-    let cols = tb.fault_cols();
     for &(site, lane, start, len) in &p.windows {
-        stim.arm_fault(cols[site], lane, start, len).expect("arms");
+        stim.arm_fault(site, lane, start, len).expect("arms");
     }
     for blocked in [false, true] {
         let wide = match width {
@@ -359,28 +353,30 @@ fn zero_intensity_process_is_fault_free_bit_for_bit() {
 }
 
 /// Satellite-6 closure at the packed-stimulus layer: malformed process
-/// arming surfaces as typed [`CoreError::FaultSite`] values — wrong
-/// column, wrong lane, window past the horizon — never a panic, and the
-/// testbench resolves exactly one column per site.
+/// arming surfaces as typed [`CoreError::FaultSite`] values — a site past
+/// the last arm or on a fault-free matrix, a wrong lane, a window past the
+/// horizon — never a panic, and the matrix arms exactly one site per
+/// process site.
 #[test]
 fn packed_layer_rejects_bad_process_arming_typed() {
     let p = (0u64..200)
         .find_map(|topo| prepare(topo, "byzantine", 0x5e, 2, 1))
         .expect("some topology supports a byzantine process");
-    let tb = &p.lowered.tb;
-    let cols = tb.fault_cols();
-    assert_eq!(cols.len(), 2, "byzantine resolves two side columns");
-    let mut stim = PackedStimulus::generate(tb, &p.sys.network, &p.sys.env, p.seed, 2, CYCLES, 1)
-        .expect("generates");
+    let (net, env) = (&p.sys.network, &p.sys.env);
+    let mut stim =
+        PackedStimulus::generate(&p.lowered.tb, net, env, p.seed, 2, CYCLES, 1).expect("generates");
+    // Byzantine arms both side rails of one channel: sites 0 and 1.
+    stim.arm_fault(1, 0, 0, 1).expect("site 1 arms");
+    let clean = NetlistTestbench::new(net, &p.lowered.netlist).expect("resolves");
+    let mut unarmed =
+        PackedStimulus::generate(&clean, net, env, p.seed, 2, CYCLES, 1).expect("generates");
     for (err, label) in [
-        (stim.arm_fault(cols[1] + 1, 0, 0, 1), "phantom column"),
-        (stim.arm_fault(cols[0], 64, 0, 1), "phantom lane"),
-        (stim.arm_fault(cols[0], 0, 0, 0), "empty window"),
-        (stim.arm_fault(cols[0], 0, CYCLES - 1, 2), "past horizon"),
-        (
-            stim.arm_fault(cols[0], 0, usize::MAX, 2),
-            "overflowing window",
-        ),
+        (stim.arm_fault(2, 0, 0, 1), "phantom site"),
+        (unarmed.arm_fault(0, 0, 0, 1), "site on a fault-free matrix"),
+        (stim.arm_fault(0, 64, 0, 1), "phantom lane"),
+        (stim.arm_fault(0, 0, 0, 0), "empty window"),
+        (stim.arm_fault(0, 0, CYCLES - 1, 2), "past horizon"),
+        (stim.arm_fault(0, 0, usize::MAX, 2), "overflowing window"),
     ] {
         match err {
             Err(CoreError::FaultSite(_)) => {}

@@ -175,8 +175,14 @@ impl FaultInjection {
 /// Options controlling compilation.
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
-    /// Payload width in bits (0 = control only). Guard-driven early joins
-    /// need enough bits to cover their guard masks.
+    /// Payload bits per channel beyond what the network's guards read:
+    /// [`compile`] emits `max(data_width,`
+    /// [`ElasticNetwork::required_data_width`]`)` bits, so the default 0
+    /// compiles exactly the bits the early-evaluation guards read — all a
+    /// control simulation or model check needs. A wider datapath is for
+    /// checks whose subject is the data: payload co-simulation, the fuzz
+    /// differential's payload comparison, and Table 1's area at the
+    /// opcode width.
     pub data_width: usize,
     /// Give every lazy join a nondeterministic data merge (an extra primary
     /// input steering a mux), as in the paper's Fig. 8(b) data-correctness
@@ -276,13 +282,12 @@ fn drive_net(
 /// # Errors
 ///
 /// Propagates structural errors from [`ElasticNetwork::check`], netlist
-/// errors, [`CoreError::FaultSite`] when a [`CompileOptions::faults`] entry
-/// names a nonexistent join or channel, and [`CoreError::BadEarlyEval`] when a
-/// guard mask does not fit in `opts.data_width` bits.
+/// errors, and [`CoreError::FaultSite`] when a [`CompileOptions::faults`]
+/// entry names a nonexistent join or channel.
 #[allow(clippy::too_many_lines)]
 pub fn compile(net: &ElasticNetwork, opts: &CompileOptions) -> Result<Compiled, CoreError> {
     net.check()?;
-    let w = opts.data_width;
+    let w = opts.data_width.max(net.required_data_width());
     let mut n = Netlist::new(net.name());
 
     // Allocate the four rails (+ data) of every channel as late-bound wires.
@@ -774,20 +779,9 @@ fn emit_join(
     let enable = match ee {
         None => n.and(vpeff.clone()),
         Some(f) => {
-            // Guard bits come from the guard channel's payload.
+            // Guard bits come from the guard channel's payload, which is
+            // at least as wide as every guard mask.
             let guard_bits = channels[ins[f.guard_input].index()].data.clone();
-            let max_bit = f
-                .terms
-                .iter()
-                .map(|t| 64 - t.guard_mask.leading_zeros() as usize)
-                .max()
-                .unwrap_or(0);
-            if max_bit > guard_bits.len() {
-                return Err(CoreError::BadEarlyEval(format!(
-                    "guard mask needs {max_bit} data bits, compiled width is {}",
-                    guard_bits.len()
-                )));
-            }
             let mut terms = Vec::new();
             for t in &f.terms {
                 let mut conj = vec![vpeff[f.guard_input]];
@@ -851,7 +845,7 @@ fn emit_join(
 
     // Output payload: priority mux over the EE terms, or a (possibly
     // nondeterministic) merge for lazy joins.
-    if opts.data_width > 0 {
+    if !chb.data.is_empty() {
         let datas: Vec<Vec<NetId>> = ins
             .iter()
             .map(|&a| channels[a.index()].data.clone())
@@ -863,7 +857,7 @@ fn emit_join(
                 let guard_bits = channels[ins[f.guard_input].index()].data.clone();
                 let mut bits = Vec::new();
                 #[allow(clippy::needless_range_loop)] // bit indexes several parallel vectors
-                for bit in 0..opts.data_width {
+                for bit in 0..chb.data.len() {
                     let mut expr = datas[f.terms.last().expect("nonempty").select][bit];
                     for t in f.terms.iter().rev().skip(1) {
                         let mut conj = Vec::new();
@@ -1027,23 +1021,20 @@ mod tests {
             net.connect(j, 0, snk, 0, "out").unwrap();
             net
         };
-        let err = compile(
-            &build(),
-            &CompileOptions {
-                data_width: 1,
+        // The guard reads bit 2, so every width below 3 compiles at 3 and
+        // a wider one widens the datapath.
+        let net = build();
+        assert_eq!(net.required_data_width(), 3);
+        for (data_width, bits) in [(0, 3), (1, 3), (3, 3), (5, 5)] {
+            let opts = CompileOptions {
+                data_width,
                 ..CompileOptions::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::BadEarlyEval(_)));
-        compile(
-            &build(),
-            &CompileOptions {
-                data_width: 3,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
+            };
+            let compiled = compile(&net, &opts).unwrap();
+            for ch in &compiled.channels {
+                assert_eq!(ch.data.len(), bits, "data_width {data_width}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::error::CoreError;
 
 const SPEC: Spec = Spec {
     design: "flow_counter",
-    data_width: 8,
     output: "r_out->out",
     guards: &["cmd"],
     vls: &["dncalc.vl"],

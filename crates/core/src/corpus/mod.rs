@@ -127,8 +127,6 @@ pub struct CorpusSystem {
     pub env: EnvConfig,
     /// The channel whose positive-transfer rate is the design throughput.
     pub output_channel: ChanId,
-    /// Datapath word width used for gate-level compilation and export.
-    pub data_width: usize,
 }
 
 /// All corpus design names, build order.
@@ -208,7 +206,6 @@ fn mux2(
 /// Static description each design hands to [`assemble`].
 struct Spec {
     design: &'static str,
-    data_width: usize,
     /// Channel observed for throughput.
     output: &'static str,
     /// Source nodes carrying the guard distribution.
@@ -269,7 +266,6 @@ fn assemble(
         network: net,
         env,
         output_channel,
-        data_width: spec.data_width,
     })
 }
 

@@ -11,7 +11,6 @@ use crate::error::CoreError;
 
 const SPEC: Spec = Spec {
     design: "nic_split",
-    data_width: 16,
     output: "r_out->out",
     guards: &["cmd"],
     vls: &["csum.vl"],

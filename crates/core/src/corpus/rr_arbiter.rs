@@ -12,7 +12,6 @@ use crate::error::CoreError;
 
 const SPEC: Spec = Spec {
     design: "rr_arbiter",
-    data_width: 8,
     output: "r_g->out",
     guards: &["cmd"],
     vls: &["remote.vl"],

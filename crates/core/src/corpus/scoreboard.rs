@@ -11,7 +11,6 @@ use crate::error::CoreError;
 
 const SPEC: Spec = Spec {
     design: "scoreboard",
-    data_width: 8,
     output: "r_out->out",
     guards: &["cmd"],
     vls: &["fetch.vl"],

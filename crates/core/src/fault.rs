@@ -121,9 +121,9 @@ impl FaultProcess {
     }
 
     /// The corruption-gate sites this process arms, in site order. Site
-    /// `i`'s arm stream is window list `i` of [`Self::windows`], schedule
-    /// fault site `i` ([`crate::verify::Schedule::arm_fault`]) and
-    /// stimulus column `fault_cols()[i]`.
+    /// `i`'s arm stream is window list `i` of [`Self::windows`], and fault
+    /// site `i` of [`crate::verify::Schedule::arm_fault`] and
+    /// [`crate::verify::PackedStimulus::arm_fault`].
     pub fn sites(&self) -> Vec<FaultInjection> {
         match self {
             FaultProcess::Once { fault, .. }

@@ -54,9 +54,13 @@ use crate::network::ElasticNetwork;
 use crate::sim::{BehavSim, DataGen, EnvConfig, LatencyDist, SinkCfg, SourceCfg};
 use crate::verify::{NetlistTestbench, PackedStimulus, Schedule};
 
-/// Payload width of generated systems (two bits cover every generated
-/// early-evaluation guard mask, like the paper example's opcode).
-pub const GEN_DATA_WIDTH: usize = 2;
+/// Payload width of the [`differential_check`] compile. Generated guards
+/// read payload bit 0 only (over `TopoParams::sample(0..500)` the required
+/// width is 0 for 237 topologies and 1 for 263); the two bits carry the
+/// generated payload values 0–3, and the differential checks that those
+/// values propagate. The derived width would drop the payload comparison
+/// from every lazy topology.
+const GEN_DATA_WIDTH: usize = 2;
 
 /// Intra-cycle timing slack of the replay accounting, in tokens per arc:
 /// an eager fork may deliver a copy before its join consumes the inputs
@@ -656,23 +660,20 @@ pub fn differential_check(
     )?;
     let (prog, _) = Program::compile_optimized(&compiled.netlist).map_err(CoreError::from)?;
     let mut wide: WideSim<1> = WideSim::from_program(prog);
-    let tb = NetlistTestbench::with_faults(net, &compiled.netlist, GEN_DATA_WIDTH, &faults)?;
+    let tb = NetlistTestbench::with_faults(net, &compiled.netlist, &faults)?;
     let mut stim = PackedStimulus::generate(&tb, net, &sys.env, opts.seed, lanes, cycles, 1)?;
-    // Rail faults get armed in every lane of the compiled side only; the
-    // behavioural lanes replay the same schedules without the arm stream,
-    // staying the faithful reference.
-    let fault_window = match tb.fault_cols().first() {
-        None => None,
-        Some(&col) => {
-            let (start, len) = opts
-                .fault_window
-                .unwrap_or((cycles / 4, (cycles / 8).max(1)));
-            for lane in 0..lanes {
-                stim.arm_fault(col, lane, start, len)?;
-            }
-            Some((start, len))
+    // A rail fault (site 0) gets armed in every lane of the compiled side
+    // only; the behavioural lanes replay the same schedules without the
+    // arm stream, staying the faithful reference.
+    let fault_window = faults.iter().any(|f| f.rail().is_some()).then(|| {
+        opts.fault_window
+            .unwrap_or((cycles / 4, (cycles / 8).max(1)))
+    });
+    if let Some((start, len)) = fault_window {
+        for lane in 0..lanes {
+            stim.arm_fault(0, lane, start, len)?;
         }
-    };
+    }
     wide.check_input_slots(stim.slots())
         .map_err(CoreError::from)?;
 

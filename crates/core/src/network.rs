@@ -609,6 +609,25 @@ impl ElasticNetwork {
         }
     }
 
+    /// The payload bits the early-evaluation guards read: the bit count of
+    /// the widest guard mask of any early-evaluation join (the EE block of
+    /// Fig. 6(c) reads bits of its guard channel's payload), 0 when the
+    /// network has none. [`crate::compile::compile`] always emits at least
+    /// this many payload bits per channel, so a control simulation needs
+    /// no width of its own.
+    pub fn required_data_width(&self) -> usize {
+        self.components
+            .iter()
+            .filter_map(|c| match &c.kind {
+                ComponentKind::Join { ee: Some(f), .. } => Some(&f.terms),
+                _ => None,
+            })
+            .flatten()
+            .map(|t| 64 - t.guard_mask.leading_zeros() as usize)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// The names of `comps`, in order.
     fn names(&self, comps: &[CompId]) -> Vec<String> {
         comps
@@ -875,5 +894,25 @@ mod tests {
         assert_eq!(net.channel_by_name("alpha->beta"), Some(c));
         assert_eq!(net.input_channel(snk, 0), Some(c));
         assert_eq!(net.output_channel(src, 0), Some(c));
+    }
+
+    #[test]
+    fn required_data_width_is_the_widest_guard_mask() {
+        use crate::corpus::{all_systems, CorpusConfig, Knobs};
+        use crate::systems::{paper_example, Config};
+        // Fig. 9's guard reads the two-bit opcode; the lazy join reads none.
+        for config in Config::all() {
+            let want = if config == Config::NoEarlyEval { 0 } else { 2 };
+            let net = paper_example(config).unwrap().network;
+            assert_eq!(net.required_data_width(), want, "{config:?}");
+        }
+        // Every corpus merge guards on payload bit 0.
+        for sys in all_systems(&Knobs::default()).unwrap() {
+            let want = usize::from(sys.config != CorpusConfig::Lazy);
+            let width = sys.network.required_data_width();
+            assert_eq!(width, want, "{}/{}", sys.design, sys.config.tag());
+        }
+        let (net, _, _) = crate::systems::linear_pipeline(2, 1).unwrap();
+        assert_eq!(net.required_data_width(), 0);
     }
 }

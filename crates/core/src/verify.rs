@@ -470,20 +470,16 @@ pub struct NetlistTestbench {
 }
 
 impl NetlistTestbench {
-    /// Resolves the input handles of `compiled` (a compilation of `net`
-    /// with `data_width` payload bits).
+    /// Resolves the input handles of `nl`, a compilation of `net`. Each
+    /// source's payload inputs `din0, din1, …` are read off the netlist, so
+    /// the testbench carries whatever payload width the compile emitted.
     ///
     /// # Errors
     ///
     /// [`elastic_netlist::NetlistError::UnknownName`] (via
     /// [`CoreError::Netlist`] conversion) when the compiled netlist does not
-    /// follow the expected naming, e.g. because `data_width` differs from
-    /// the compilation options.
-    pub fn new(
-        net: &ElasticNetwork,
-        nl: &elastic_netlist::Netlist,
-        data_width: usize,
-    ) -> Result<Self, CoreError> {
+    /// follow the expected naming, e.g. because it compiles another network.
+    pub fn new(net: &ElasticNetwork, nl: &elastic_netlist::Netlist) -> Result<Self, CoreError> {
         let mut srcs: Vec<(String, NetId, Vec<NetId>)> = Vec::new();
         let mut sinks: Vec<(String, NetId, NetId)> = Vec::new();
         let mut vls: Vec<(String, NetId)> = Vec::new();
@@ -493,9 +489,9 @@ impl NetlistTestbench {
             match &net.component(comp).kind {
                 ComponentKind::Source => {
                     let offer = nl.find(&format!("{name}.offer"))?;
-                    let dins = (0..data_width)
-                        .map(|i| nl.find(&format!("{name}.din{i}")))
-                        .collect::<Result<Vec<_>, _>>()?;
+                    let dins = (0..)
+                        .map_while(|i| nl.find(&format!("{name}.din{i}")).ok())
+                        .collect();
                     srcs.push((raw, offer, dins));
                 }
                 ComponentKind::Sink => {
@@ -520,9 +516,9 @@ impl NetlistTestbench {
 
     /// Like [`Self::new`], additionally resolving the arm input of every
     /// rail fault the netlist was compiled with
-    /// ([`crate::compile::CompileOptions::faults`]), in site order. Site
-    /// *i*'s stimulus column is `fault_cols()[i]`, matching
-    /// [`Schedule::arm_fault`] site indices. Structural faults
+    /// ([`crate::compile::CompileOptions::faults`]), in site order: arm
+    /// *i* is site *i* of [`Schedule::arm_fault`] and
+    /// [`PackedStimulus::arm_fault`]. Structural faults
     /// ([`FaultInjection::DropAntiToken`]) have no arm wire and are
     /// skipped, so a structural-only list resolves like [`Self::new`].
     ///
@@ -534,10 +530,9 @@ impl NetlistTestbench {
     pub fn with_faults(
         net: &ElasticNetwork,
         nl: &elastic_netlist::Netlist,
-        data_width: usize,
         faults: &[FaultInjection],
     ) -> Result<Self, CoreError> {
-        let mut tb = NetlistTestbench::new(net, nl, data_width)?;
+        let mut tb = NetlistTestbench::new(net, nl)?;
         for fault in faults {
             let Some(name) = fault.input_name() else {
                 continue;
@@ -550,21 +545,6 @@ impl NetlistTestbench {
             tb.faults.push(id);
         }
         Ok(tb)
-    }
-
-    /// The packed-stimulus columns of every resolved fault-arm input, in
-    /// site order (column *i* is [`Schedule`] fault site *i*): the last
-    /// columns, after every source, sink and variable-latency group. Empty
-    /// for a fault-free testbench.
-    pub fn fault_cols(&self) -> Vec<usize> {
-        let base = self
-            .srcs
-            .iter()
-            .map(|(_, _, dins)| 1 + dins.len())
-            .sum::<usize>()
-            + 2 * self.sinks.len()
-            + self.vls.len();
-        (base..base + self.faults.len()).collect()
     }
 
     /// Primary-input assignments for cycle `t` of one schedule.
@@ -614,6 +594,8 @@ pub struct PackedStimulus {
     /// The `(slot, value)` of every column the environment holds at one
     /// value, in column order (see [`Self::fixed_inputs`]).
     fixed: Vec<(u32, bool)>,
+    /// The fault-arm columns, the last ones, one per testbench fault site.
+    faults: usize,
 }
 
 /// Pre-resolved payload of a source: what a lane sends on the cycles it
@@ -885,6 +867,7 @@ impl PackedStimulus {
             slots,
             words,
             fixed,
+            faults: tb.faults.len(),
         })
     }
 
@@ -991,30 +974,32 @@ impl PackedStimulus {
         &self.words[t * stride..(t + 1) * stride]
     }
 
-    /// Arms the fault column `col` (an entry of
-    /// [`NetlistTestbench::fault_cols`]) for lane `lane` over the window
+    /// Arms fault site `site` (in the site order of
+    /// [`NetlistTestbench::with_faults`]) for lane `lane` over the window
     /// `start..start + len` — each packed trial gets its own independent
     /// fault instance this way. The lane then reads like its [`Schedule`]
-    /// with the same window armed by [`Schedule::arm_fault`] on that
-    /// column's site.
+    /// with the same window armed by [`Schedule::arm_fault`] on that site.
     ///
     /// # Errors
     ///
-    /// [`CoreError::FaultSite`] when the column or lane does not exist, the
-    /// window is empty, or it extends past the packed horizon.
+    /// [`CoreError::FaultSite`] when the site (every site, on a fault-free
+    /// matrix) or the lane does not exist, the window is empty, or it
+    /// extends past the packed horizon.
     pub fn arm_fault(
         &mut self,
-        col: usize,
+        site: usize,
         lane: usize,
         start: usize,
         len: usize,
     ) -> Result<(), CoreError> {
         let n = self.slots.len();
-        if col >= n {
+        if site >= self.faults {
             return Err(CoreError::FaultSite(format!(
-                "no stimulus column {col} (the matrix has {n})"
+                "no fault site {site} (the matrix arms {})",
+                self.faults
             )));
         }
+        let col = n - self.faults + site;
         if lane >= self.width * LANES {
             return Err(CoreError::FaultSite(format!(
                 "lane {lane} exceeds the {}-lane capacity",
@@ -1043,7 +1028,10 @@ impl PackedStimulus {
 
 /// Runs the behavioural simulator and the compiled netlist side by side
 /// under the same [`Schedule`] and compares all four rails of every channel
-/// on every cycle.
+/// on every cycle, and every payload bit on valid cycles. The payload is
+/// the subject here, so the caller picks its width
+/// ([`CompileOptions::data_width`]; the compile never emits fewer bits
+/// than the guards read).
 ///
 /// # Errors
 ///
@@ -1065,7 +1053,7 @@ pub fn cosim_check(
     )?;
     let nl = &compiled.netlist;
     let mut gates = Simulator::new(nl)?;
-    let tb = NetlistTestbench::new(net, nl, data_width)?;
+    let tb = NetlistTestbench::new(net, nl)?;
 
     for t in 0..schedule.cycles as u64 {
         gates.cycle(&tb.inputs_at(schedule, t))?;
@@ -1095,7 +1083,7 @@ pub fn cosim_check(
                     ),
                 });
             }
-            if b.vp && data_width > 0 {
+            if b.vp {
                 for (i, &dn) in nets.data.iter().enumerate() {
                     let gb = gates.value(dn);
                     let bb = b.data >> i & 1 == 1;
@@ -1121,8 +1109,9 @@ pub fn cosim_check(
 /// [`WideSimulator`], replays each lane's view ([`Schedule::random`])
 /// through the behavioural simulator and lane 0's
 /// through the scalar gate-level [`Simulator`], and compares all four
-/// rails (and payload bits on valid cycles) of every channel, every cycle,
-/// in every lane.
+/// rails (and payload bits on valid cycles, at the caller's
+/// [`CompileOptions::data_width`]) of every channel, every cycle, in every
+/// lane.
 ///
 /// This is the compiled-backend extension of the paper's Fig. 8
 /// verification story: the generated stimulus and the wide backend must be
@@ -1151,7 +1140,7 @@ pub fn cosim_check_wide(
         },
     )?;
     let nl = &compiled.netlist;
-    let tb = NetlistTestbench::new(net, nl, data_width)?;
+    let tb = NetlistTestbench::new(net, nl)?;
     let stim = PackedStimulus::generate(&tb, net, cfg, seed, lanes, cycles, 1)?;
     let mut wide = WideSimulator::new(nl)?;
     wide.check_input_slots(stim.slots())?;
@@ -1267,7 +1256,8 @@ pub struct PropertyResult {
 /// Compiles `net` and exhaustively model-checks the paper's four properties
 /// on every channel, under fairness constraints making every environment
 /// input recur (offers, accepts and completions happen infinitely often,
-/// kills stay finite).
+/// kills stay finite). The compile carries the payload bits the
+/// early-evaluation guards read and no more, each a free input.
 ///
 /// Returns one [`PropertyResult`] per (channel, property) pair plus the
 /// explored state-space size.
@@ -1316,15 +1306,13 @@ pub fn check_network_properties(
 /// [`CoreError::FaultProcess`] / [`CoreError::FaultSite`] for an invalid
 /// process, compilation errors, and [`CoreError::Netlist`] wrapping the
 /// model checker's budget errors when the faulted environment is too wide
-/// for exhaustive exploration. `data_width` is the compiled payload width
-/// (early-evaluation guards dictate a minimum; 0 for pure control
-/// checking) — every data bit is another free environment input, so keep
-/// it minimal.
+/// for exhaustive exploration. The compile carries the payload bits the
+/// early-evaluation guards read ([`ElasticNetwork::required_data_width`])
+/// and no more: every data bit is another free environment input.
 pub fn check_network_convergence(
     net: &ElasticNetwork,
     process: &crate::fault::FaultProcess,
     horizon: usize,
-    data_width: usize,
     opts: BridgeOptions,
 ) -> Result<ConvergenceReport, CoreError> {
     process.validate(net, horizon)?;
@@ -1332,7 +1320,6 @@ pub fn check_network_convergence(
         net,
         &CompileOptions {
             faults: process.sites(),
-            data_width,
             ..CompileOptions::default()
         },
     )?;
@@ -1541,16 +1528,10 @@ mod tests {
         // groups — through every kernel build the host runs.
         use crate::corpus::{self, CorpusConfig, Knobs, DESIGNS};
         use crate::systems::{paper_example, Config};
+        // Fig. 9 compiles the two opcode bits its guard reads.
         let sys = paper_example(Config::ActiveAntiTokens).unwrap();
-        let compiled = compile(
-            &sys.network,
-            &CompileOptions {
-                data_width: 2,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
-        let tb = NetlistTestbench::new(&sys.network, &compiled.netlist, 2).unwrap();
+        let compiled = compile(&sys.network, &CompileOptions::default()).unwrap();
+        let tb = NetlistTestbench::new(&sys.network, &compiled.netlist).unwrap();
         for (cfg, tag) in [(sys.env_config.clone(), "paper"), (stress_cfg(), "stress")] {
             // 150 lanes: two full words and a 22-lane partial on width 3,
             // seeds wrapping near u64::MAX.
@@ -1636,15 +1617,8 @@ mod tests {
         for design in DESIGNS {
             for config in CorpusConfig::all() {
                 let sys = corpus::build(design, config, &Knobs::default()).unwrap();
-                let nl = compile(
-                    &sys.network,
-                    &CompileOptions {
-                        data_width: sys.data_width,
-                        ..CompileOptions::default()
-                    },
-                )
-                .unwrap();
-                let tb = NetlistTestbench::new(&sys.network, &nl.netlist, sys.data_width).unwrap();
+                let nl = compile(&sys.network, &CompileOptions::default()).unwrap();
+                let tb = NetlistTestbench::new(&sys.network, &nl.netlist).unwrap();
                 let tag = format!("{design}/{}", config.tag());
                 assert_matches_schedules(&sys.network, &tb, &sys.env, 11, 13, &[(65, 2)], &tag);
             }
@@ -1773,9 +1747,9 @@ mod tests {
             },
         )
         .unwrap();
-        let tb = NetlistTestbench::with_faults(&net, &compiled.netlist, 3, &[fault]).unwrap();
+        let tb = NetlistTestbench::with_faults(&net, &compiled.netlist, &[fault]).unwrap();
         let slots = input_slots(&tb);
-        let arm = slots[tb.fault_cols()[0]];
+        let arm = tb.faults[0].index() as u32;
         let (offer, dins, stop, kill) = (slots[0], &slots[1..4], slots[4], slots[5]);
         // Each payload with the mask of bits every value shares and of
         // bits 0 in every value.
@@ -1827,30 +1801,26 @@ mod tests {
                 }
             }
         }
-        // The Fig. 9 environment (harness payload width) and the 30 corpus
-        // environments (design payload width): the listed set is what a
-        // scan of a 2000-cycle matrix finds constant.
-        let mut systems: Vec<(String, ElasticNetwork, EnvConfig, usize)> = Config::all()
+        // The Fig. 9 and the 30 corpus environments, at the payload width
+        // their guards read: the listed set is what a scan of a 2000-cycle
+        // matrix finds constant.
+        let mut systems: Vec<(String, ElasticNetwork, EnvConfig)> = Config::all()
             .into_iter()
             .map(|c| {
                 let sys = paper_example(c).unwrap();
-                (c.label().to_string(), sys.network, sys.env_config, 2)
+                (c.label().to_string(), sys.network, sys.env_config)
             })
             .collect();
         for design in DESIGNS {
             for config in CorpusConfig::all() {
                 let sys = corpus::build(design, config, &Knobs::default()).unwrap();
                 let label = format!("{design}/{}", config.tag());
-                systems.push((label, sys.network, sys.env, sys.data_width));
+                systems.push((label, sys.network, sys.env));
             }
         }
-        for (label, net, env, data_width) in systems {
-            let opts = CompileOptions {
-                data_width,
-                ..CompileOptions::default()
-            };
-            let nl = compile(&net, &opts).unwrap().netlist;
-            let tb = NetlistTestbench::new(&net, &nl, data_width).unwrap();
+        for (label, net, env) in systems {
+            let nl = compile(&net, &CompileOptions::default()).unwrap().netlist;
+            let tb = NetlistTestbench::new(&net, &nl).unwrap();
             let stim = PackedStimulus::generate(&tb, &net, &env, 3, 64, 2000, 1).unwrap();
             assert_eq!(stim.fixed_inputs(), scanned_constants(&stim, 64), "{label}");
         }
@@ -1888,6 +1858,7 @@ mod tests {
             slots,
             words,
             fixed: Vec::new(),
+            faults: tb.faults.len(),
         }
     }
 
@@ -1900,7 +1871,7 @@ mod tests {
         // "never, without drawing".
         let (net, _, _) = linear_pipeline(2, 1).unwrap();
         let nl = compile(&net, &CompileOptions::default()).unwrap();
-        let tb = NetlistTestbench::new(&net, &nl.netlist, 0).unwrap();
+        let tb = NetlistTestbench::new(&net, &nl.netlist).unwrap();
         let nan_stop = EnvConfig {
             default_sink: SinkCfg {
                 stop_prob: f64::NAN,
@@ -1985,16 +1956,10 @@ mod tests {
         // seed: the words depend on neither the width nor the shard split.
         use crate::systems::{paper_example, Config};
         let sys = paper_example(Config::ActiveAntiTokens).unwrap();
-        let nl = compile(
-            &sys.network,
-            &CompileOptions {
-                data_width: 2,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap()
-        .netlist;
-        let tb = NetlistTestbench::new(&sys.network, &nl, 2).unwrap();
+        let nl = compile(&sys.network, &CompileOptions::default())
+            .unwrap()
+            .netlist;
+        let tb = NetlistTestbench::new(&sys.network, &nl).unwrap();
         let (seed, cycles) = (u64::MAX - 70, 45);
         for cfg in [sys.env_config.clone(), stress_cfg()] {
             let alone: Vec<PackedStimulus> = (0..2)
@@ -2032,16 +1997,10 @@ mod tests {
         // Fig. 9 environment and the stress environment.
         use crate::systems::{paper_example, Config};
         let sys = paper_example(Config::ActiveAntiTokens).unwrap();
-        let nl = compile(
-            &sys.network,
-            &CompileOptions {
-                data_width: 2,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap()
-        .netlist;
-        let tb = NetlistTestbench::new(&sys.network, &nl, 2).unwrap();
+        let nl = compile(&sys.network, &CompileOptions::default())
+            .unwrap()
+            .netlist;
+        let tb = NetlistTestbench::new(&sys.network, &nl).unwrap();
         let cycles = 15_625;
         for cfg in [sys.env_config.clone(), stress_cfg()] {
             let stim =
@@ -2101,7 +2060,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let tb = NetlistTestbench::new(&net, &compiled.netlist, data_width).unwrap();
+            let tb = NetlistTestbench::new(&net, &compiled.netlist).unwrap();
             for data in [crate::sim::DataGen::Counter, crate::sim::DataGen::Alternate] {
                 for rate in [1.0, 0.6, 0.05] {
                     let cfg = EnvConfig {
@@ -2153,8 +2112,8 @@ mod tests {
                 opt.netlist.len(),
                 raw.netlist.len()
             );
-            let tb_raw = NetlistTestbench::new(&sys.network, &raw.netlist, 2).unwrap();
-            let tb_opt = NetlistTestbench::new(&sys.network, &opt.netlist, 2).unwrap();
+            let tb_raw = NetlistTestbench::new(&sys.network, &raw.netlist).unwrap();
+            let tb_opt = NetlistTestbench::new(&sys.network, &opt.netlist).unwrap();
             let sched = Schedule::random(&sys.network, &sys.env_config, 77, 0, 300);
             let mut sim_raw = Simulator::new(&raw.netlist).unwrap();
             let mut sim_opt = Simulator::new(&opt.netlist).unwrap();
@@ -2213,6 +2172,35 @@ mod tests {
     }
 
     #[test]
+    fn model_check_early_join_reading_a_guard_bit() {
+        // The compile carries the payload bit the guard reads, so the four
+        // properties are checked (and hold) on every channel of an early
+        // join: guard bit 0 low fires on the guard alone, high waits for
+        // the second input.
+        use crate::ee::{EarlyEval, EeTerm};
+        let term = |guard_value, required: Vec<usize>, select| EeTerm {
+            guard_mask: 1,
+            guard_value,
+            required,
+            select,
+        };
+        let ee = EarlyEval::new(0, vec![term(0, vec![], 0), term(1, vec![1], 1)]);
+        let mut net = ElasticNetwork::new("ej");
+        let g = net.add_source("g").unwrap();
+        let s = net.add_source("s").unwrap();
+        let j = net.add_early_join("j", 2, ee).unwrap();
+        let snk = net.add_sink("snk").unwrap();
+        net.connect(g, 0, j, 0, "cg").unwrap();
+        net.connect(s, 0, j, 1, "cs").unwrap();
+        net.connect(j, 0, snk, 0, "out").unwrap();
+        let (results, _) = check_network_properties(&net, BridgeOptions::default()).unwrap();
+        assert_eq!(results.len(), 12, "four properties on three channels");
+        for r in &results {
+            assert!(r.holds, "{} on {} failed", r.property, r.channel);
+        }
+    }
+
+    #[test]
     fn fault_arm_window_validation() {
         let (net, _, _) = linear_pipeline(1, 0).unwrap();
         let mut s = Schedule::random(&net, &EnvConfig::default(), 3, 0, 20);
@@ -2246,7 +2234,7 @@ mod tests {
         let plain = compile(&net, &CompileOptions::default()).unwrap();
         // A fault-free netlist has no arm input to resolve.
         assert!(matches!(
-            NetlistTestbench::with_faults(&net, &plain.netlist, 0, std::slice::from_ref(&fault)),
+            NetlistTestbench::with_faults(&net, &plain.netlist, std::slice::from_ref(&fault)),
             Err(CoreError::FaultSite(_))
         ));
         let faults = vec![
@@ -2263,14 +2251,24 @@ mod tests {
             },
         )
         .unwrap();
-        let tb = NetlistTestbench::with_faults(&net, &faulty.netlist, 0, &faults).unwrap();
+        let tb = NetlistTestbench::with_faults(&net, &faulty.netlist, &faults).unwrap();
         // Arm columns are last, in site order: source offer + sink
         // stop/kill, then one arm per site.
-        assert_eq!(tb.fault_cols(), vec![3, 4]);
+        let arms: Vec<u32> = faults
+            .iter()
+            .map(|f| {
+                faulty
+                    .netlist
+                    .find(&f.input_name().unwrap())
+                    .unwrap()
+                    .index() as u32
+            })
+            .collect();
+        assert_eq!(input_slots(&tb)[3..], arms[..]);
         // DropAntiToken has no arm wire; it resolves like new().
         let drop = FaultInjection::DropAntiToken { join: "x".into() };
-        let tb2 = NetlistTestbench::with_faults(&net, &plain.netlist, 0, &[drop]).unwrap();
-        assert!(tb2.fault_cols().is_empty());
+        let tb2 = NetlistTestbench::with_faults(&net, &plain.netlist, &[drop]).unwrap();
+        assert!(tb2.faults.is_empty());
     }
 
     #[test]
@@ -2291,8 +2289,7 @@ mod tests {
             },
         )
         .unwrap();
-        let tb = NetlistTestbench::with_faults(&net, &compiled.netlist, 2, &[fault]).unwrap();
-        let col = tb.fault_cols()[0];
+        let tb = NetlistTestbench::with_faults(&net, &compiled.netlist, &[fault]).unwrap();
         let cycles = 30usize;
         // Lane k gets the window (k % 20, 3): arm the schedules, and arm
         // the generated matrix after generation, on every kernel build.
@@ -2306,27 +2303,24 @@ mod tests {
             let mut armed =
                 PackedStimulus::generate_with(kernel, &tb, &net, &cfg, 600, 70, cycles, 2).unwrap();
             for k in 0..70 {
-                armed.arm_fault(col, k, k % 20, 3).unwrap();
+                armed.arm_fault(0, k, k % 20, 3).unwrap();
             }
             assert_eq!(without_fixed(armed), reference, "{kernel:?}");
         }
-        // arm_fault window/site validation on the packed matrix.
+        // arm_fault window/site validation on the packed matrix: a site
+        // one past the last arm, and any site of a fault-free matrix (whose
+        // last column is a sink's kill), is no site.
         let mut fused = PackedStimulus::generate(&tb, &net, &cfg, 600, 70, cycles, 2).unwrap();
-        assert!(matches!(
-            fused.arm_fault(col + 1, 0, 0, 1),
-            Err(CoreError::FaultSite(_))
-        ));
-        assert!(matches!(
-            fused.arm_fault(col, 128, 0, 1),
-            Err(CoreError::FaultSite(_))
-        ));
-        assert!(matches!(
-            fused.arm_fault(col, 0, 0, 0),
-            Err(CoreError::FaultSite(_))
-        ));
-        assert!(matches!(
-            fused.arm_fault(col, 0, cycles - 1, 2),
-            Err(CoreError::FaultSite(_))
-        ));
+        let clean = NetlistTestbench::new(&net, &compiled.netlist).unwrap();
+        let mut unarmed = PackedStimulus::generate(&clean, &net, &cfg, 600, 70, cycles, 2).unwrap();
+        for err in [
+            fused.arm_fault(1, 0, 0, 1),
+            unarmed.arm_fault(0, 0, 0, 1),
+            fused.arm_fault(0, 128, 0, 1),
+            fused.arm_fault(0, 0, 0, 0),
+            fused.arm_fault(0, 0, cycles - 1, 2),
+        ] {
+            assert!(matches!(err, Err(CoreError::FaultSite(_))), "{err:?}");
+        }
     }
 }

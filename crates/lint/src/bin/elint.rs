@@ -20,7 +20,7 @@
 
 use elastic_core::compile::{compile, CompileOptions};
 use elastic_core::corpus::{self, CorpusConfig, Knobs, DESIGNS};
-use elastic_core::gen::{generate, TopoParams, GEN_DATA_WIDTH};
+use elastic_core::gen::{generate, TopoParams};
 use elastic_core::systems::{paper_example, Config};
 use elastic_core::verify::{NetlistTestbench, PackedStimulus};
 use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags, ReportFile};
@@ -41,23 +41,18 @@ struct Target {
 }
 
 /// Network + tape lint of one system. Tape validation compiles the
-/// network (control + data rails) and checks the levelized program both
-/// raw (strict dependency order) and after the peephole pass.
+/// network (control rails and the payload bits its guards read) and
+/// checks the levelized program both raw (strict dependency order) and
+/// after the peephole pass.
 fn lint_system(
     name: &str,
     net: &elastic_core::network::ElasticNetwork,
     env: &elastic_core::sim::EnvConfig,
-    data_width: usize,
     tape: bool,
 ) -> Target {
     let mut report = lint_network_with_env(net, env);
     if tape && report.is_clean() {
-        // lint stays off: the network passes above already cover liveness.
-        let opts = CompileOptions {
-            data_width,
-            ..CompileOptions::default()
-        };
-        match compile(net, &opts) {
+        match compile(net, &CompileOptions::default()) {
             Ok(compiled) => {
                 match Program::compile(&compiled.netlist) {
                     Ok(p) => report.merge(lint_program(&compiled.netlist, &p, false)),
@@ -69,14 +64,7 @@ fn lint_system(
                 }
                 if let Ok((p, _)) = Program::compile_optimized(&compiled.netlist) {
                     report.merge(lint_program(&compiled.netlist, &p, true));
-                    report.merge(lint_folded(
-                        name,
-                        net,
-                        env,
-                        &compiled.netlist,
-                        &p,
-                        data_width,
-                    ));
+                    report.merge(lint_folded(name, net, env, &compiled.netlist, &p));
                 }
             }
             Err(e) => report.diagnostics.push(elastic_lint::Diagnostic::error(
@@ -101,10 +89,9 @@ fn lint_folded(
     env: &elastic_core::sim::EnvConfig,
     netlist: &elastic_netlist::Netlist,
     optimized: &Program,
-    data_width: usize,
 ) -> LintReport {
     // A one-lane, one-cycle matrix carries the environment's fixed inputs.
-    let folded = NetlistTestbench::new(net, netlist, data_width)
+    let folded = NetlistTestbench::new(net, netlist)
         .and_then(|tb| PackedStimulus::generate(&tb, net, env, 0, 1, 1, 1))
         .map_err(|e| e.to_string())
         .and_then(|stim| {
@@ -151,7 +138,6 @@ fn main() {
             config.label(),
             &sys.network,
             &sys.env_config,
-            2,
             tape,
         ));
     }
@@ -160,13 +146,7 @@ fn main() {
             for config in CorpusConfig::all() {
                 let name = format!("{design}/{}", config.tag());
                 match corpus::build(design, config, &Knobs::default()) {
-                    Ok(sys) => targets.push(lint_system(
-                        &name,
-                        &sys.network,
-                        &sys.env,
-                        sys.data_width,
-                        tape,
-                    )),
+                    Ok(sys) => targets.push(lint_system(&name, &sys.network, &sys.env, tape)),
                     Err(e) => {
                         eprintln!("error: building {name} failed: {e}");
                         std::process::exit(2);
@@ -183,7 +163,6 @@ fn main() {
                 &format!("gen-{topo_seed}"),
                 &sys.network,
                 &sys.env,
-                GEN_DATA_WIDTH,
                 tape,
             )),
             Err(e) => targets.push(Target {
