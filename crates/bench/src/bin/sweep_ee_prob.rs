@@ -3,9 +3,11 @@
 //!
 //! Every point is a Monte-Carlo campaign run by the sharded experiment
 //! engine (`elastic_bench::exp`): the control layer is compiled to gates
-//! once per configuration, `--trials` independent random schedules are
-//! split into 64-lane shards and executed by a `--threads`-wide worker
-//! pool on the bit-parallel `WideSimulator`. Variable-latency completions
+//! once per configuration (only the environment varies along the sweep,
+//! so every point of a configuration runs on its prepared harness),
+//! `--trials` independent random schedules are split into 64-lane shards
+//! and executed by a `--threads`-wide worker pool on the bit-parallel
+//! `WideSimulator`. Variable-latency completions
 //! follow the schedule convention (open-loop Bernoulli at rate `1/mean`,
 //! see `Schedule::random`), so M1/M2 delays are geometric with the
 //! configured means. The binary ends with a wide-vs-scalar speedup
@@ -18,14 +20,19 @@
 //! defaults to runtime width dispatch over the streaming pipeline).
 
 use elastic_bench::exp::{
-    ee_prob_experiment, run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec, EE_CONFIGS,
+    ee_prob_experiment, run_prepared, CampaignReport, CliOpts, Experiment, SystemSpec, EE_CONFIGS,
 };
-use elastic_bench::measure_speedup;
+use elastic_bench::{measure_speedup, WideHarness};
 use elastic_core::systems::{paper_example, Config};
 use elastic_netlist::wide::LANES;
 
 fn main() {
     let opts = CliOpts::parse(LANES, 2000);
+    let prepared = EE_CONFIGS.map(|(config, _)| {
+        let sys = paper_example(config).expect("builds");
+        let harness = WideHarness::try_new(&sys.network, sys.output_channel).expect("compiles");
+        (sys.network, harness)
+    });
     let mut report = CampaignReport {
         name: "sweep_ee_prob".into(),
         ..Default::default()
@@ -40,7 +47,8 @@ fn main() {
         for (k, (config, tag)) in EE_CONFIGS.into_iter().enumerate() {
             let exp = ee_prob_experiment(p_i, config, tag, opts.cycles, opts.trials, opts.seed)
                 .expect("builds");
-            let res = run_experiment(&exp, &opts.engine()).expect("campaign point");
+            let (network, harness) = &prepared[k];
+            let res = run_prepared(harness, network, &exp, &opts.engine()).expect("campaign point");
             cells[k] = (res.stats.mean(), res.stats.ci95());
             report.points.push(res);
         }

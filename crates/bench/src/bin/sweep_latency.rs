@@ -4,7 +4,8 @@
 //!
 //! Each point is a sharded multi-threaded Monte-Carlo campaign
 //! (`elastic_bench::exp`, `--trials` schedules in 64-lane words on the
-//! bit-parallel backend). Pre-generated schedules model variable-latency
+//! bit-parallel backend), run on a harness compiled once per
+//! configuration: only the environment varies along the sweep. Pre-generated schedules model variable-latency
 //! completions as an open-loop Bernoulli stream with rate `1/mean` (see
 //! `Schedule::random`), so the configured value is the *mean* completion
 //! time (geometric latency), not an exact per-token latency — the
@@ -15,13 +16,21 @@
 //! [--backend {auto,scalar,wide,wide1,wide2,wide4,wide8}]` (backend
 //! defaults to runtime width dispatch over the streaming pipeline).
 
-use elastic_bench::exp::{run_experiment, CampaignReport, CliOpts, Experiment, SystemSpec};
+use elastic_bench::exp::{
+    run_prepared, CampaignReport, CliOpts, Experiment, SystemSpec, EE_CONFIGS,
+};
+use elastic_bench::WideHarness;
 use elastic_core::sim::LatencyDist;
-use elastic_core::systems::{paper_example, Config};
+use elastic_core::systems::paper_example;
 use elastic_netlist::wide::LANES;
 
 fn main() {
     let opts = CliOpts::parse(LANES, 2000);
+    let prepared = EE_CONFIGS.map(|(config, _)| {
+        let sys = paper_example(config).expect("builds");
+        let harness = WideHarness::try_new(&sys.network, sys.output_channel).expect("compiles");
+        (sys, harness)
+    });
     let mut report = CampaignReport {
         name: "sweep_latency".into(),
         ..Default::default()
@@ -32,14 +41,8 @@ fn main() {
     );
     for lat in [1u32, 2, 4, 8, 16] {
         let mut cells = [(0.0f64, 0.0f64); 2];
-        for (k, (config, tag)) in [
-            (Config::ActiveAntiTokens, "early"),
-            (Config::NoEarlyEval, "lazy"),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let sys = paper_example(config).expect("builds");
+        for (k, (config, tag)) in EE_CONFIGS.into_iter().enumerate() {
+            let (sys, harness) = &prepared[k];
             let mut env = sys.env_config.clone();
             env.vls.insert("M1".into(), LatencyDist::fixed(lat));
             let exp = Experiment {
@@ -50,7 +53,8 @@ fn main() {
                 trials: opts.trials,
                 seed: opts.seed.wrapping_add(16),
             };
-            let res = run_experiment(&exp, &opts.engine()).expect("campaign point");
+            let res =
+                run_prepared(harness, &sys.network, &exp, &opts.engine()).expect("campaign point");
             cells[k] = (res.stats.mean(), res.stats.ci95());
             report.points.push(res);
         }

@@ -14,6 +14,10 @@
 //!        │ stream::run_pipeline     compile+optimize once, share
 //!        ▼                          &WideHarness; hybrid workers generate
 //!   generate(k+1) ∥ execute(k)      shard k+1 while shard k executes
+//!        │ try_run_stim             a W-word matrix with W < 8 runs its
+//!        │                          horizon as K ≤ 8/W time segments in one
+//!        │                          W·K-word pass, repaired until each
+//!        │                          starts where the one before it ended
 //!        │ results by shard index   (bounded queue, see `stream`); the
 //!        ▼                          scalar backend: schedules ∥ try_run_scalar
 //!   McStats { per_lane[trials] } → mean / stddev / 95% CI
@@ -28,8 +32,13 @@
 //! multiple of 64 trials, and shards are reduced in shard-index order
 //! — so the per-lane vector (and therefore mean/sd/CI) is bit-identical for
 //! every thread count, **every queue depth, every backend (runtime-
-//! dispatched or forced), every cache-block size and every chunk size**,
-//! including a single-threaded scalar run of the same seeds.
+//! dispatched or forced), every cache-block size, every chunk size and
+//! every time segmentation**, including a single-threaded scalar run of
+//! the same seeds. A segmented shard counts each segment's repaired prefix
+//! and its previous suffix only once the segment's carried state equals
+//! its previous trajectory's on every live lane; the cycle function is
+//! deterministic and lane-independent, so that state fixes the rest of the
+//! segment, and every count is the straight run's.
 //!
 //! **Oversubscription contract:** the engine never spawns more workers
 //! than there are shards, and clamps the pool to the machine's available
@@ -187,8 +196,11 @@ pub struct PointResult {
     /// Wall-clock seconds for the whole point (compile + stimulus + runs;
     /// compile excluded when a prebuilt harness is supplied).
     pub wall_secs: f64,
-    /// Executed backend label (see [`Backend::label`]) — for
-    /// [`BackendSel::Auto`] this is the width the dispatch picked.
+    /// Backend label (see [`Backend::label`]): the word width of each
+    /// shard's stimulus matrix — for [`BackendSel::Auto`], the width the
+    /// dispatch picked. A matrix under eight words may execute as `W·K`
+    /// words, `K` time segments side by side
+    /// ([`WideHarness::try_run_stim`]).
     pub backend: &'static str,
     /// Backend selection mode label (see [`BackendSel::label`]): `"auto"`
     /// when the width was runtime-dispatched, else the forced backend.

@@ -15,6 +15,7 @@
 pub mod diff;
 pub mod exp;
 pub mod fuzz;
+mod segment;
 pub mod stabilize;
 mod stream;
 
@@ -33,8 +34,10 @@ use elastic_netlist::kernel::Kernel;
 use elastic_netlist::levelize::{BlockPlan, Program};
 use elastic_netlist::opt::{optimize, optimize_observed};
 use elastic_netlist::sim::Simulator;
-use elastic_netlist::wide::{lane_masks, WideSim, LANES};
+use elastic_netlist::wide::LANES;
 use elastic_netlist::{NetId, Netlist};
+
+use crate::segment::Segmentation;
 
 /// One row of the regenerated Table 1.
 #[derive(Debug, Clone)]
@@ -240,17 +243,22 @@ pub const MAX_TRIALS_PER_RUN: usize = 8 * LANES;
 /// in speed. `Scalar` runs the raw unoptimized netlist through the
 /// gate-level interpreter — the end-to-end reference that cross-checks the
 /// whole optimize → levelize → peephole → generate pipeline.
+///
+/// A `Wide*` label names the word width `W` of each shard's stimulus
+/// matrix. A matrix under eight words whose horizon is long enough
+/// executes as `W·K` words: `K` time segments of its horizon side by side
+/// in one pass ([`WideHarness::try_run_stim`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// One scalar gate-level [`Simulator`] run per trial, raw netlist.
     Scalar,
-    /// Single-word compiled backend (64 trials per pass).
+    /// Single-word compiled backend (64 trials per matrix).
     Wide1,
-    /// Two-word compiled backend (128 trials per pass).
+    /// Two-word compiled backend (128 trials per matrix).
     Wide2,
-    /// Four-word compiled backend (256 trials per pass).
+    /// Four-word compiled backend (256 trials per matrix).
     Wide4,
-    /// Eight-word compiled backend (512 trials per pass) — the default.
+    /// Eight-word compiled backend (512 trials per matrix) — the default.
     #[default]
     Wide8,
 }
@@ -461,10 +469,12 @@ impl SimLowering {
 /// Construction runs the [`SimLowering`] pipeline without fault sites.
 /// The wide path is one producer and one loop:
 /// [`WideHarness::generate_stimulus`] writes a [`PackedStimulus`] matrix
-/// and [`WideHarness::try_run_stim`] streams it through a [`WideSim<W>`]
-/// with bit-sliced transfer counting, on the tape folded to the inputs
-/// the matrix holds fixed ([`Program::fold_inputs`]); each distinct fixed
-/// set is folded once and kept. The scalar reference path
+/// and [`WideHarness::try_run_stim`] streams it through a
+/// [`WideSim<W>`](elastic_netlist::wide::WideSim) with bit-sliced transfer
+/// counting (a matrix under eight words as time segments side by side in
+/// a wider pass), on the tape folded to the inputs the matrix holds fixed
+/// ([`Program::fold_inputs`]); each distinct fixed set is folded once and
+/// kept. The scalar reference path
 /// ([`WideHarness::try_run_scalar`]) replays each trial's [`Schedule`] on
 /// the raw gate-for-gate compile, built on that path's first use.
 ///
@@ -635,10 +645,18 @@ impl WideHarness {
     /// [`Self::program`] folded to the inputs the matrix holds fixed
     /// ([`PackedStimulus::fixed_inputs`]), run through a cache-block plan
     /// rebuilt on it for `plan`'s byte budget
-    /// ([`WideSim::cycle_packed_blocked`]). Only the first `lanes` trials
-    /// count toward the statistics; trailing lanes of a partial word are
-    /// masked out. (A dead lane may read a folded input as its fixed
-    /// value, and no count reads a dead lane.)
+    /// ([`elastic_netlist::wide::WideSim::cycle_packed_blocked`]). Only the
+    /// first `lanes` trials count toward the statistics; trailing lanes of
+    /// a partial word are masked out. (A dead lane may read a folded input
+    /// as its fixed value, and no count reads a dead lane.)
+    ///
+    /// A matrix of `W` words that leaves words of the eight-word pass idle
+    /// runs its horizon as `K` time segments side by side in one `W·K`-word
+    /// pass, repaired until each segment starts from its predecessor's end
+    /// state (the `segment` module): `K` is the largest of 2, 4 and 8 whose
+    /// pass fits eight words and [`DISPATCH_FOOTPRINT_BYTES`] and whose
+    /// segments are at least 250 cycles long, else 1, one straight run.
+    /// Every per-lane count equals the straight run's.
     ///
     /// # Errors
     ///
@@ -651,23 +669,26 @@ impl WideHarness {
         lanes: usize,
         plan: &BlockPlan,
     ) -> Result<McStats, CoreError> {
-        self.run_stim(stim, lanes, plan, None)
+        self.run_stim(stim, lanes, plan.budget_bytes(), None, None)
+            .map(|(stats, _)| stats)
     }
 
     /// [`Self::try_run_stim`] on the simulator's own kernel build, or on
-    /// `pin`.
-    fn run_stim(
+    /// `pin`, as `segments` time segments (`None`: the derived count),
+    /// with how the horizon ran.
+    pub(crate) fn run_stim(
         &self,
         stim: &PackedStimulus,
         lanes: usize,
-        plan: &BlockPlan,
+        budget: usize,
         pin: Option<Kernel>,
-    ) -> Result<McStats, CoreError> {
+        segments: Option<usize>,
+    ) -> Result<(McStats, Segmentation), CoreError> {
         match stim.width() {
-            1 => self.run_stim_w::<1>(stim, lanes, plan, pin),
-            2 => self.run_stim_w::<2>(stim, lanes, plan, pin),
-            4 => self.run_stim_w::<4>(stim, lanes, plan, pin),
-            8 => self.run_stim_w::<8>(stim, lanes, plan, pin),
+            1 => self.run_stim_w::<1>(stim, lanes, budget, pin, segments),
+            2 => self.run_stim_w::<2>(stim, lanes, budget, pin, segments),
+            4 => self.run_stim_w::<4>(stim, lanes, budget, pin, segments),
+            8 => self.run_stim_w::<8>(stim, lanes, budget, pin, segments),
             w => Err(CoreError::ScheduleBatch(format!(
                 "unsupported stimulus width {w} (expected 1, 2, 4 or 8)"
             ))),
@@ -678,77 +699,43 @@ impl WideHarness {
         &self,
         stim: &PackedStimulus,
         lanes: usize,
-        plan: &BlockPlan,
+        budget: usize,
         pin: Option<Kernel>,
-    ) -> Result<McStats, CoreError> {
+        segments: Option<usize>,
+    ) -> Result<(McStats, Segmentation), CoreError> {
         if lanes == 0 || lanes > W * LANES {
             return Err(CoreError::ScheduleBatch(format!(
                 "{lanes} trials do not fit a {W}-word backend (1..={})",
                 W * LANES
             )));
         }
-        let cycles = stim.cycles() as u64;
+        let cycles = stim.cycles();
         let prog = self.folded(stim.fixed_inputs())?;
-        let plan = prog.block_plan(W, plan.budget_bytes());
-        let mut sim: WideSim<W> = WideSim::from_program(Program::clone(&prog));
-        if let Some(kernel) = pin {
-            sim = sim.with_kernel(kernel);
-        }
-        sim.check_input_slots(stim.slots())
-            .map_err(CoreError::from)?;
-        let live = lane_masks::<W>(lanes);
-        let [vp, sp, vn] = self.obs_rails;
-        let mut counts = vec![0u32; lanes];
-        // Bit-sliced vertical counters: per lane word, 8 planes hold each
-        // lane's transfer count for up to 255 cycles (plane `b` is bit `b`
-        // of every lane's count). Adding a transfer mask is a ripple-carry
-        // over the planes — ~2 word ops per cycle on average, instead of
-        // one `trailing_zeros` round-trip per set bit (≈ 48 on a dense
-        // word). Flushes decode the planes into the scalar counts.
-        let mut planes = [[0u64; 8]; W];
-        let mut window = 0u32;
-        let flush = |counts: &mut [u32], planes: &mut [[u64; 8]; W]| {
-            for (w, pl) in planes.iter_mut().enumerate() {
-                for (b, plane) in pl.iter_mut().enumerate() {
-                    let mut m = *plane;
-                    while m != 0 {
-                        counts[w * LANES + m.trailing_zeros() as usize] += 1 << b;
-                        m &= m - 1;
-                    }
-                    *plane = 0;
-                }
-            }
-        };
-        for t in 0..cycles as usize {
-            sim.cycle_packed_blocked(stim.slots(), stim.row(t), &plan);
-            for (w, &mask) in live.iter().enumerate() {
-                let mut carry = sim.word(vp, w) & !sim.word(sp, w) & !sim.word(vn, w) & mask;
-                for plane in planes[w].iter_mut() {
-                    if carry == 0 {
-                        break;
-                    }
-                    let c = *plane & carry;
-                    *plane ^= carry;
-                    carry = c;
-                }
-                debug_assert_eq!(carry, 0, "255-cycle window overflowed a lane counter");
-            }
-            window += 1;
-            if window == 255 {
-                flush(&mut counts, &mut planes);
-                window = 0;
-            }
-        }
-        if window > 0 {
-            flush(&mut counts, &mut planes);
-        }
-        Ok(McStats {
-            cycles,
-            per_lane: counts
-                .iter()
-                .map(|&c| f64::from(c) / cycles as f64)
-                .collect(),
-        })
+        let k = segments.unwrap_or_else(|| segment::segments_for(&prog, W, cycles));
+        let (prog, rails) = (&*prog, self.obs_rails);
+        let (counts, shape) = match W * k {
+            _ if k == 0 || cycles < k => Err(CoreError::ScheduleBatch(format!(
+                "{cycles} cycles do not make {k} segments"
+            ))),
+            1 => segment::run::<W, 1>(prog, stim, lanes, rails, budget, pin),
+            2 => segment::run::<W, 2>(prog, stim, lanes, rails, budget, pin),
+            4 => segment::run::<W, 4>(prog, stim, lanes, rails, budget, pin),
+            8 => segment::run::<W, 8>(prog, stim, lanes, rails, budget, pin),
+            _ => Err(CoreError::ScheduleBatch(format!(
+                "{k} segments of a {W}-word matrix exceed eight words"
+            ))),
+        }?;
+        let per_lane = counts
+            .iter()
+            .map(|&c| f64::from(c) / cycles as f64)
+            .collect();
+        Ok((
+            McStats {
+                cycles: cycles as u64,
+                per_lane,
+            },
+            shape,
+        ))
     }
 
     /// Reference path: one scalar gate-level [`Simulator`] run per
@@ -942,7 +929,7 @@ mod tests {
 
     /// The five Fig. 9 systems, then the 30 corpus systems at the default
     /// knobs: label, network, environment and harness.
-    fn fig9_and_corpus() -> Vec<(String, ElasticNetwork, EnvConfig, WideHarness)> {
+    pub(crate) fn fig9_and_corpus() -> Vec<(String, ElasticNetwork, EnvConfig, WideHarness)> {
         use elastic_core::corpus::{all_systems, Knobs};
         let mut systems: Vec<_> = Config::all()
             .into_iter()
@@ -1111,7 +1098,9 @@ mod tests {
                         "width {width} budget {budget}"
                     );
                     for kernel in Kernel::available() {
-                        let pinned = h.run_stim(&stim, lanes, &plan, Some(kernel)).unwrap();
+                        let (pinned, _) = h
+                            .run_stim(&stim, lanes, budget, Some(kernel), None)
+                            .unwrap();
                         assert_eq!(
                             pinned.per_lane, streamed.per_lane,
                             "{kernel:?} width {width} budget {budget}"

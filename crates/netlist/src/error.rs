@@ -46,7 +46,8 @@ pub enum NetlistError {
         /// The clock phase during which the oscillation was observed.
         phase: &'static str,
     },
-    /// A state vector of the wrong width was passed to `load_state`.
+    /// A state vector of the wrong width was passed to `load_state` or
+    /// `load_carried`.
     StateWidthMismatch {
         /// Number of state elements in the netlist.
         expected: usize,

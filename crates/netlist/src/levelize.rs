@@ -312,6 +312,8 @@ pub struct Program {
     inputs: Vec<NetId>,
     state_nets: Vec<NetId>,
     outputs: Vec<NetId>,
+    /// See [`Program::carried_slots`]; recomputed whenever the tapes change.
+    carried: Vec<u32>,
 }
 
 impl Program {
@@ -344,7 +346,7 @@ impl Program {
         let mut args = Vec::new();
         let high = emit_phase(netlist, LatchPhase::High, &mut args);
         let low = emit_phase(netlist, LatchPhase::Low, &mut args);
-        Ok(Program {
+        let mut prog = Program {
             num_slots: n,
             init,
             high,
@@ -354,7 +356,10 @@ impl Program {
             inputs: netlist.inputs().to_vec(),
             state_nets: netlist.state_elements(),
             outputs: netlist.outputs().to_vec(),
-        })
+            carried: Vec::new(),
+        };
+        prog.carried = prog.find_carried();
+        Ok(prog)
     }
 
     /// Compiles and immediately runs the [`Program::peephole`] pass.
@@ -420,6 +425,45 @@ impl Program {
     /// and flip-flop captures).
     pub fn outputs(&self) -> &[NetId] {
         &self.outputs
+    }
+
+    /// The slots one cycle hands the next besides the flip-flop captures:
+    /// those a tape writes and a cycle reads before it writes them, in
+    /// slot order. A hold latch's output is one (its `LatchEn` reads its
+    /// own previous value), as is a value the low tape computes and the
+    /// next high tape reads. Flip-flop outputs are rewritten from the
+    /// captures and inputs from the stimulus at every rising edge, and a
+    /// slot no tape writes keeps its power-up value, so with the captures
+    /// these slots are the whole state a cycle depends on: two simulators
+    /// that agree on them (and on the captures) in a lane agree there on
+    /// every later cycle under the same inputs. Empty for a latch-free
+    /// tape.
+    pub fn carried_slots(&self) -> &[u32] {
+        &self.carried
+    }
+
+    /// Computes [`Program::carried_slots`] from the tapes: one forward
+    /// scan in execution order (high tape, then low tape).
+    fn find_carried(&self) -> Vec<u32> {
+        let mut tape_written = vec![false; self.num_slots];
+        for i in self.high.iter().chain(&self.low) {
+            tape_written[i.dst() as usize] = true;
+        }
+        let mut written = vec![false; self.num_slots];
+        let mut carried = vec![false; self.num_slots];
+        let mut ops = Vec::new();
+        for &instr in self.high.iter().chain(&self.low) {
+            ops.clear();
+            push_operands(instr, &self.args, &mut ops);
+            for &o in &ops {
+                let o = o as usize;
+                carried[o] |= tape_written[o] && !written[o];
+            }
+            written[instr.dst() as usize] = true;
+        }
+        (0..self.num_slots as u32)
+            .filter(|&s| carried[s as usize])
+            .collect()
     }
 
     /// Bytes of simulator value state a `width`-word backend needs for this
@@ -574,7 +618,7 @@ impl Program {
         // Global constants: slots never written by either tape are stuck at
         // their power-up value — unless they are inputs (driven by the
         // testbench, constant only when fixed) or state elements (flip-flop
-        // commits and `load_state` write them outside the tapes).
+        // commits write them outside the tapes).
         let mut konst_base: Vec<Option<bool>> = self.init.iter().map(|&b| Some(b)).collect();
         for i in self.high.iter().chain(self.low.iter()) {
             konst_base[i.dst() as usize] = None;
@@ -605,6 +649,7 @@ impl Program {
             }
         }
         self.eliminate_dead();
+        self.carried = self.find_carried();
         stats.instrs_after = self.high.len() + self.low.len();
         stats
     }

@@ -138,7 +138,7 @@ const _: () = {
 /// compare them.
 ///
 /// The `W = 1` instance is aliased as [`WideSimulator`] and carries the
-/// per-lane convenience API (`value`, `set_input`, `state`, …); wider
+/// per-lane convenience API (`value`, `set_input`, `lane_values`, …); wider
 /// instances are driven through [`WideSim::cycle_wide`] or the allocation-
 /// free [`WideSim::cycle_packed`] hot path.
 #[derive(Debug, Clone)]
@@ -302,6 +302,15 @@ impl<const W: usize> WideSim<W> {
         self.values.as_slice()[net.index()][w]
     }
 
+    /// All `W` lane words of any net (meaningful after a settle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of range.
+    pub fn words(&self, net: NetId) -> [u64; W] {
+        self.values.as_slice()[net.index()]
+    }
+
     /// Value of one net in one of the `W × 64` lanes.
     ///
     /// # Panics
@@ -322,6 +331,63 @@ impl<const W: usize> WideSim<W> {
             return Err(NetlistError::UnknownNet(net));
         }
         self.values.as_mut_slice()[net.index()] = words;
+        Ok(())
+    }
+
+    /// Entries of the carried state: one per flip-flop capture, then one
+    /// per [`Program::carried_slots`] entry.
+    pub fn carried_len(&self) -> usize {
+        self.prog.ffs().len() + self.prog.carried_slots().len()
+    }
+
+    /// The carried state, the state the next cycle starts from besides its
+    /// inputs, into `out`: the `W` lane words of each flip-flop capture in
+    /// [`Program::ffs`] order, then of each [`Program::carried_slots`]
+    /// entry. A lane loaded with it ([`WideSim::load_carried`]) runs on as
+    /// this lane would under the same inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold [`WideSim::carried_len`] entries.
+    pub fn read_carried(&self, out: &mut [[u64; W]]) {
+        assert_eq!(out.len(), self.carried_len(), "one group per carried entry");
+        let (captured, rest) = out.split_at_mut(self.prog.ffs().len());
+        captured.copy_from_slice(self.captured.as_slice());
+        let values = self.values.as_slice();
+        for (o, &s) in rest.iter_mut().zip(self.prog.carried_slots()) {
+            *o = values[s as usize];
+        }
+    }
+
+    /// Loads the lanes of a carried state read by
+    /// [`WideSim::read_carried`] that `mask` selects (bit `k` of word `w`
+    /// is lane `w·64 + k`); the other lanes keep theirs. The next cycle
+    /// starts each selected lane from exactly this state.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::StateWidthMismatch`] when `state` does not hold
+    /// [`WideSim::carried_len`] entries.
+    pub fn load_carried(&mut self, state: &[[u64; W]], mask: [u64; W]) -> Result<(), NetlistError> {
+        if state.len() != self.carried_len() {
+            return Err(NetlistError::StateWidthMismatch {
+                expected: self.carried_len(),
+                got: state.len(),
+            });
+        }
+        let blend = |dst: &mut [u64; W], src: &[u64; W]| {
+            for w in 0..W {
+                dst[w] = src[w] & mask[w] | dst[w] & !mask[w];
+            }
+        };
+        let (captured, rest) = state.split_at(self.prog.ffs().len());
+        for (c, v) in self.captured.as_mut_slice().iter_mut().zip(captured) {
+            blend(c, v);
+        }
+        let values = self.values.as_mut_slice();
+        for (&s, v) in self.prog.carried_slots().iter().zip(rest) {
+            blend(&mut values[s as usize], v);
+        }
         Ok(())
     }
 
@@ -622,51 +688,6 @@ impl WideSim<1> {
             self.set_input(net, mask)?;
         }
         self.step(&[], &[], None);
-        Ok(())
-    }
-
-    /// Snapshot of the state-element lane words, in
-    /// [`Netlist::state_elements`] order (wide counterpart of
-    /// [`sim::Simulator::state`](crate::sim::Simulator::state)).
-    pub fn state(&self) -> Vec<u64> {
-        self.prog
-            .state_nets()
-            .iter()
-            .map(|&n| self.value(n))
-            .collect()
-    }
-
-    /// Overwrites the state-element lane words and clears pending flip-flop
-    /// captures, so the next [`WideSimulator::cycle`] starts every lane from
-    /// exactly this state.
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::StateWidthMismatch`] when `words.len()` differs from
-    /// the number of state elements.
-    pub fn load_state(&mut self, words: &[u64]) -> Result<(), NetlistError> {
-        let WideSim {
-            prog,
-            values,
-            captured,
-            ..
-        } = self;
-        let state_nets = prog.state_nets();
-        if words.len() != state_nets.len() {
-            return Err(NetlistError::StateWidthMismatch {
-                expected: state_nets.len(),
-                got: words.len(),
-            });
-        }
-        let values = values.as_mut_slice();
-        for (&net, &w) in state_nets.iter().zip(words) {
-            values[net.index()] = [w];
-        }
-        // Every flip-flop is a state net, so its freshly loaded output is
-        // exactly what the next rising edge must commit.
-        for (slot, f) in captured.as_mut_slice().iter_mut().zip(prog.ffs()) {
-            *slot = values[f.q as usize];
-        }
         Ok(())
     }
 }
@@ -1064,15 +1085,72 @@ mod tests {
         let d = n.not(q);
         n.bind_dff(q, d).unwrap();
         let mut sim = WideSimulator::new(&n).unwrap();
-        assert!(sim.load_state(&[0, 0]).is_err(), "width checked");
-        sim.load_state(&[0xFFFF_0000_FFFF_0000]).unwrap();
-        assert_eq!(sim.state(), vec![0xFFFF_0000_FFFF_0000]);
-        // The loaded state is what the first cycle commits; the toggled
-        // value q' = !q becomes visible one cycle later, per lane.
+        assert!(
+            sim.load_carried(&[[0], [0]], [u64::MAX]).is_err(),
+            "width checked"
+        );
+        // The loaded capture is what the first cycle commits; the toggled
+        // value q' = !q becomes visible one cycle later, per lane, and only
+        // in the lanes the mask selects.
+        let mask = u64::MAX >> 8;
+        sim.load_carried(&[[0xFFFF_0000_FFFF_0000]], [mask])
+            .unwrap();
+        let mut state = [[0]];
+        sim.read_carried(&mut state);
+        assert_eq!(state, [[0xFFFF_0000_FFFF_0000 & mask]]);
         sim.cycle(&[]).unwrap();
-        assert_eq!(sim.value(q), 0xFFFF_0000_FFFF_0000);
+        assert_eq!(sim.value(q), 0xFFFF_0000_FFFF_0000 & mask);
         sim.cycle(&[]).unwrap();
-        assert_eq!(sim.value(q), !0xFFFF_0000_FFFF_0000u64);
+        assert_eq!(sim.value(q), !0xFFFF_0000_FFFF_0000 & mask | !mask);
+    }
+
+    #[test]
+    fn carried_state_of_a_word_reproduces_its_future() {
+        // A flip-flop fed through an enable-gated latch: on a cycle with
+        // the enable low the latch holds what it held, so the state one
+        // cycle hands the next is the capture *and* the latch.
+        let mut n = Netlist::new("hold");
+        let en = n.input("en");
+        let a = n.input("a");
+        let q = n.dff(false);
+        let x = n.xor(q, a);
+        let l = n.latch_en(LatchPhase::High, en, false);
+        n.bind_latch(l, x).unwrap();
+        let y = n.xor(l, q);
+        n.bind_dff(q, y).unwrap();
+        n.mark_output(y).unwrap();
+        let (prog, _) = Program::compile_optimized(&n).unwrap();
+        assert_eq!(prog.carried_slots(), &[l.0], "the latch is carried");
+        let slots = [en.0, a.0];
+        // Two words of inputs per slot for the source, one for the copies.
+        let row = |t: u64| {
+            let mix = |s: u64| (t + 1).wrapping_mul(s).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            [mix(3), mix(5), mix(7) >> 1, mix(11) >> 2]
+        };
+        let mut src = WideSim::<2>::from_program(prog.clone());
+        for t in 0..9 {
+            src.cycle_packed(&slots, &row(t));
+        }
+        let mut state = vec![[0; 2]; src.carried_len()];
+        src.read_carried(&mut state);
+        let word1: Vec<[u64; 1]> = state.iter().map(|g| [g[1]]).collect();
+        let mut copy = WideSimulator::from_program(prog.clone());
+        copy.load_carried(&word1, [u64::MAX]).unwrap();
+        // The same captures with the latch at its power-up value (low).
+        let mut latch_low = word1.clone();
+        latch_low[prog.ffs().len()] = [0];
+        let mut ffs_only = WideSimulator::from_program(prog.clone());
+        ffs_only.load_carried(&latch_low, [u64::MAX]).unwrap();
+        let mut diverged = false;
+        for t in 9..40 {
+            let r = row(t);
+            src.cycle_packed(&slots, &r);
+            copy.cycle_packed(&slots, &[r[1], r[3]]);
+            ffs_only.cycle_packed(&slots, &[r[1], r[3]]);
+            assert_eq!(copy.word(y, 0), src.word(y, 1), "cycle {t}");
+            diverged |= ffs_only.word(y, 0) != src.word(y, 1);
+        }
+        assert!(diverged, "the captures alone do not fix the future");
     }
 
     #[test]
