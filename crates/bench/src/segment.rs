@@ -23,12 +23,16 @@
 //! state ([`WideSim::read_carried`]) means an equal future, and every
 //! per-lane count is bit-identical to the straight run by construction.
 //! Segment `k` is resolved once `k − 1` is and `k`'s latest start equals
-//! `k − 1`'s final end state. A round that resolves only its first
-//! unresolved segment ends the speculation: the rest of the horizon runs
-//! straight at `W` words from the state it reached, segment by segment, and
-//! takes a segment's counts and end state from its record at the first
-//! checkpoint where the exact state meets it. `K = 1` is that straight run
-//! from power-up.
+//! `k − 1`'s final end state.
+//!
+//! A round's first unresolved segment restarts from its resolved
+//! predecessor's end, so its trajectory is exact. A round in which no
+//! segment has stopped after [`PATIENCE`] checkpoints ends the speculation
+//! there, and a round that resolves only that first segment ends it at the
+//! segment's end: the rest of the horizon runs straight at `W` words from
+//! the exact state reached. `K = 1` is that straight run from power-up.
+
+use std::cmp::Ordering;
 
 use elastic_core::verify::PackedStimulus;
 use elastic_core::CoreError;
@@ -44,13 +48,21 @@ use crate::DISPATCH_FOOTPRINT_BYTES;
 /// settings × 3 seeds; BENCH.md, PR 25) the first repair round, which
 /// lasts until the slowest of the seven boundaries coalesces, ran 16–250
 /// cycles (median 48): a segment of 250 cycles gives that round room to
-/// finish on nearly every point (3 of the 285 fell back to a straight
-/// run), and 2000-cycle points run as eight segments.
+/// finish on nearly every point (282 of the 285 resolved every segment),
+/// and 2000-cycle points run as eight segments.
 pub(crate) const MIN_SEGMENT: usize = 250;
 
 /// Cycles between two comparisons of a repaired segment's state with its
 /// previous trajectory (and between two recorded states of a trajectory).
 pub(crate) const CHECKPOINT: usize = 16;
+
+/// Checkpoints a repair round runs before it gives up when every segment
+/// it restarted still runs and none has a live lane back on its previous
+/// trajectory. On each of the 285 survey points ([`MIN_SEGMENT`]) some
+/// lane was back at the first checkpoint of the first round; a network
+/// that never coalesces pays pass 1 and these `PATIENCE · CHECKPOINT`
+/// cycles at `W·K` words before its straight run.
+pub(crate) const PATIENCE: usize = 2;
 
 /// The segments a `width`-word matrix of `cycles` cycles runs as: the
 /// largest `K ∈ {2, 4, 8}` whose `width·K`-word pass fits eight words and
@@ -77,9 +89,8 @@ pub(crate) struct Segmentation {
     pub(crate) first_pass: usize,
     /// Cycles of each repair round, in order.
     pub(crate) repairs: Vec<usize>,
-    /// Cycles run straight at `W` words: the whole horizon at `K = 1`; after
-    /// a speculation that ended early, the rest of it less the stretches
-    /// taken from records.
+    /// Cycles run straight at `W` words: the whole horizon at `K = 1`, the
+    /// rest of it after a speculation that ended early.
     pub(crate) straight: usize,
 }
 
@@ -123,7 +134,41 @@ struct Pass<'a, const W: usize, const WK: usize> {
     masks: Vec<[u64; WK]>,
 }
 
-impl<const W: usize, const WK: usize> Pass<'_, W, WK> {
+impl<'a, const W: usize, const WK: usize> Pass<'a, W, WK> {
+    /// A pass of `prog` over `stim` for `segs` laid side by side, every
+    /// word at power-up; `live` holds the matrix's live lanes.
+    fn new(
+        prog: &Program,
+        stim: &'a PackedStimulus,
+        segs: &[Segment],
+        live: [u64; W],
+        rails: [NetId; 3],
+        budget: usize,
+        pin: Option<Kernel>,
+    ) -> Result<Self, CoreError> {
+        let mut sim = WideSim::<WK>::from_program(prog.clone());
+        if let Some(kernel) = pin {
+            sim = sim.with_kernel(kernel);
+        }
+        sim.check_input_slots(stim.slots())
+            .map_err(CoreError::from)?;
+        let s = sim.carried_len();
+        let checkpoints = segs.iter().map(Segment::last).max().unwrap_or(0) + 1;
+        let mut states = vec![[0; WK]; checkpoints * s];
+        sim.read_carried(&mut states[..s]);
+        Ok(Pass {
+            sim,
+            plan: prog.block_plan(WK, budget),
+            stim,
+            live,
+            rails,
+            row: vec![0; stim.slots().len() * WK],
+            states,
+            now: vec![[0; WK]; s],
+            masks: vec![[0; WK]; segs.iter().map(|g| g.len).max().unwrap_or(0)],
+        })
+    }
+
     /// All ones on segment `j`'s words.
     fn words_of(j: usize) -> [u64; WK] {
         std::array::from_fn(|v| if v / W == j { u64::MAX } else { 0 })
@@ -132,7 +177,21 @@ impl<const W: usize, const WK: usize> Pass<'_, W, WK> {
     /// Whether segment `j`'s recorded start is segment `j − 1`'s recorded
     /// end on every live lane.
     fn starts_at_end(&self, segs: &[Segment], j: usize) -> bool {
-        self.meets(j, 0, &self.state_of(j - 1, segs[j - 1].last()))
+        let s = self.now.len();
+        let end = segs[j - 1].last() * s;
+        self.states[..s]
+            .iter()
+            .zip(&self.states[end..end + s])
+            .all(|(a, b)| (0..W).all(|w| (a[j * W + w] ^ b[(j - 1) * W + w]) & self.live[w] == 0))
+    }
+
+    /// Segment `j`'s recorded state at checkpoint `c`, as `W` words.
+    fn state_of(&self, j: usize, c: usize) -> Vec<[u64; W]> {
+        let s = self.now.len();
+        self.states[c * s..(c + 1) * s]
+            .iter()
+            .map(|g| std::array::from_fn(|w| g[j * W + w]))
+            .collect()
     }
 
     /// Restarts segment `j` from segment `j − 1`'s recorded end.
@@ -150,8 +209,11 @@ impl<const W: usize, const WK: usize> Pass<'_, W, WK> {
     /// each coalesces with its recorded trajectory at a checkpoint or
     /// reaches its end, recording states and transfer masks as it goes.
     /// With `compare` false (pass 1, nothing recorded yet) every segment
-    /// runs to its end. Returns the cycles run.
-    fn round(&mut self, segs: &[Segment], active: &[usize], compare: bool) -> usize {
+    /// runs to its end; with it true the round gives up at checkpoint
+    /// [`PATIENCE`] if every segment still runs and none has a live lane
+    /// back on its previous trajectory. Returns the cycles run and whether
+    /// the round gave up.
+    fn round(&mut self, segs: &[Segment], active: &[usize], compare: bool) -> (usize, bool) {
         let (s, [vp, sp, vn]) = (self.now.len(), self.rails);
         let mut running = active.to_vec();
         let mut on = [0u64; WK];
@@ -216,175 +278,30 @@ impl<const W: usize, const WK: usize> Pass<'_, W, WK> {
                     b[v] = a[v] & record[v] | b[v] & !record[v];
                 }
             }
-        }
-        done
-    }
-
-    /// Whether `state` (a `W`-word carried state) is segment `j`'s recorded
-    /// state at checkpoint `c` on every live lane.
-    fn meets(&self, j: usize, c: usize, state: &[[u64; W]]) -> bool {
-        let s = self.now.len();
-        state
-            .iter()
-            .zip(&self.states[c * s..(c + 1) * s])
-            .all(|(a, b)| (0..W).all(|w| (a[w] ^ b[j * W + w]) & self.live[w] == 0))
-    }
-
-    /// Segment `j`'s recorded state at checkpoint `c`, as `W` words.
-    fn state_of(&self, j: usize, c: usize) -> Vec<[u64; W]> {
-        let s = self.now.len();
-        self.states[c * s..(c + 1) * s]
-            .iter()
-            .map(|g| std::array::from_fn(|w| g[j * W + w]))
-            .collect()
-    }
-
-    /// Each live lane's transfers over segments `0..upto`, lane `w·64 + k`
-    /// of the matrix at index `w·64 + k`. The masks of all pass words go
-    /// through carry-save adders eight offsets at a time (Harley and Seal's
-    /// population count, per lane): the `ones`, `twos` and `fours` planes
-    /// carry over, and each block's eights ripple into a bit-sliced total
-    /// per pass word. The totals of the words of one matrix word are added
-    /// bit-sliced before they are decoded.
-    fn count(&self, upto: usize) -> Vec<u32> {
-        let mut counts = vec![0; W * LANES];
-        // The live lanes of resolved segments. A segment never writes the
-        // masks past its end, so they stay 0 there.
-        let keep: [u64; WK] =
-            std::array::from_fn(|v| if v / W < upto { self.live[v % W] } else { 0 });
-        let (mut ones, mut twos, mut fours) = ([0; WK], [0; WK], [0; WK]);
-        let mut total = [[0u64; WK]; TOTAL_BITS];
-        for (block, masks) in self.masks.chunks(8).enumerate() {
-            let m = |i: usize| -> [u64; WK] {
-                let m = masks.get(i).copied().unwrap_or([0; WK]);
-                std::array::from_fn(|v| m[v] & keep[v])
-            };
-            let (twos_a, twos_b, fours_a, fours_b);
-            (twos_a, ones) = csa(ones, m(0), m(1));
-            (twos_b, ones) = csa(ones, m(2), m(3));
-            (fours_a, twos) = csa(twos, twos_a, twos_b);
-            let (twos_a, twos_b);
-            (twos_a, ones) = csa(ones, m(4), m(5));
-            (twos_b, ones) = csa(ones, m(6), m(7));
-            (fours_b, twos) = csa(twos, twos_a, twos_b);
-            let eights;
-            (eights, fours) = csa(fours, fours_a, fours_b);
-            add_at(&mut total[3..], eights);
-            if block % DRAIN_BLOCKS == DRAIN_BLOCKS - 1 {
-                drain::<W, WK>(&mut total, &mut counts);
+            if compare && done == PATIENCE * CHECKPOINT && running.len() == active.len() {
+                // Every restarted segment still runs: give up if none has a
+                // live lane back on its previous trajectory.
+                let apart = (0..WK).all(|v| {
+                    let lanes = self.live[v % W] & on[v];
+                    diff[v] & lanes == lanes
+                });
+                if apart {
+                    return (done, true);
+                }
             }
         }
-        add_at(&mut total[2..], fours);
-        add_at(&mut total[1..], twos);
-        add_at(&mut total, ones);
-        drain::<W, WK>(&mut total, &mut counts);
-        counts
-    }
-}
-
-/// Planes of a bit-sliced transfer total in [`Pass::count`]: enough for
-/// the eight pass words of one matrix word to add up between drains.
-const TOTAL_BITS: usize = 16;
-
-/// Blocks of eight offsets between two drains of the totals: each pass
-/// word then counts at most 4103, and eight of them add up to less than
-/// `2^TOTAL_BITS`.
-const DRAIN_BLOCKS: usize = 512;
-
-/// A carry-save adder on every bit of `WK` words: `(carry, sum)` of
-/// `a + b + c`.
-fn csa<const WK: usize>(a: [u64; WK], b: [u64; WK], c: [u64; WK]) -> ([u64; WK], [u64; WK]) {
-    let (mut carry, mut sum) = ([0; WK], [0; WK]);
-    for v in 0..WK {
-        let u = a[v] ^ b[v];
-        carry[v] = a[v] & b[v] | u & c[v];
-        sum[v] = u ^ c[v];
-    }
-    (carry, sum)
-}
-
-/// Adds one bit per lane at the lowest of the bit-sliced `planes`.
-fn add_at<const WK: usize>(planes: &mut [[u64; WK]], mut carry: [u64; WK]) {
-    for plane in planes {
-        for v in 0..WK {
-            let c = plane[v] & carry[v];
-            plane[v] ^= carry[v];
-            carry[v] = c;
-        }
-    }
-}
-
-/// Adds the bit-sliced totals of the pass words of each matrix word
-/// (words `w`, `w + W`, … ) into `counts` and zeroes them.
-fn drain<const W: usize, const WK: usize>(total: &mut [[u64; WK]; TOTAL_BITS], counts: &mut [u32]) {
-    let mut stride = W;
-    while stride < WK {
-        for v in (0..WK).filter(|v| v % (2 * stride) < W) {
-            let mut carry = 0;
-            for plane in total.iter_mut() {
-                let (a, b) = (plane[v], plane[v + stride]);
-                plane[v] = a ^ b ^ carry;
-                carry = a & b | (a ^ b) & carry;
-            }
-        }
-        stride *= 2;
-    }
-    for w in 0..W {
-        for (b, plane) in total.iter().enumerate() {
-            let mut m = plane[w];
-            while m != 0 {
-                counts[w * LANES + m.trailing_zeros() as usize] += 1 << b;
-                m &= m - 1;
-            }
-        }
-    }
-    *total = [[0; WK]; TOTAL_BITS];
-}
-
-impl<'a, const W: usize, const WK: usize> Pass<'a, W, WK> {
-    /// A pass of `prog` over `stim` for `segs` laid side by side, every
-    /// word at power-up; `live` holds the matrix's live lanes.
-    fn new(
-        prog: &Program,
-        stim: &'a PackedStimulus,
-        segs: &[Segment],
-        live: [u64; W],
-        rails: [NetId; 3],
-        budget: usize,
-        pin: Option<Kernel>,
-    ) -> Result<Self, CoreError> {
-        let mut sim = WideSim::<WK>::from_program(prog.clone());
-        if let Some(kernel) = pin {
-            sim = sim.with_kernel(kernel);
-        }
-        sim.check_input_slots(stim.slots())
-            .map_err(CoreError::from)?;
-        let s = sim.carried_len();
-        let checkpoints = segs.iter().map(Segment::last).max().unwrap_or(0) + 1;
-        let mut states = vec![[0; WK]; checkpoints * s];
-        sim.read_carried(&mut states[..s]);
-        Ok(Pass {
-            sim,
-            plan: prog.block_plan(WK, budget),
-            stim,
-            live,
-            rails,
-            row: vec![0; stim.slots().len() * WK],
-            states,
-            now: vec![[0; WK]; s],
-            masks: vec![[0; WK]; segs.iter().map(|g| g.len).max().unwrap_or(0)],
-        })
+        (done, false)
     }
 
     /// Pass 1 and the repair rounds, as the module docs describe, into
-    /// `shape`. Returns the number of leading segments resolved: all of
-    /// them, or fewer once a round resolved only its first unresolved
-    /// segment.
+    /// `shape`. Returns where the exact run stands, `(f, c)`: the segments
+    /// before `f` are resolved, and `f`'s recorded trajectory is exact up
+    /// to its checkpoint `c` (its end once every segment resolved).
     fn speculate(
         &mut self,
         segs: &mut [Segment],
         shape: &mut Segmentation,
-    ) -> Result<usize, CoreError> {
+    ) -> Result<(usize, usize), CoreError> {
         let k = segs.len();
         // Marks every segment whose predecessor is resolved and whose start
         // is its predecessor's end; returns the first one still unresolved.
@@ -395,7 +312,7 @@ impl<'a, const W: usize, const WK: usize> Pass<'a, W, WK> {
             segs.iter().position(|seg| !seg.resolved)
         };
         let all: Vec<usize> = (0..k).collect();
-        shape.first_pass = self.round(segs, &all, false);
+        shape.first_pass = self.round(segs, &all, false).0;
         let mut first = resolve(self, segs);
         while let Some(f) = first {
             // `f`'s start differs from its resolved predecessor's end, so it
@@ -404,31 +321,54 @@ impl<'a, const W: usize, const WK: usize> Pass<'a, W, WK> {
             for &j in &active {
                 self.restart(segs, j)?;
             }
-            shape.repairs.push(self.round(segs, &active, true));
+            let (ran, gave_up) = self.round(segs, &active, true);
+            shape.repairs.push(ran);
+            if gave_up {
+                // No restarted segment has a lane back on its previous
+                // trajectory: `f`, exact, goes on straight from there.
+                return Ok((f, PATIENCE));
+            }
             first = resolve(self, segs);
             if first == Some(f + 1) {
                 // Only `f` resolved: its successors' guesses did not hold,
                 // and another round would buy one segment at `K` times the
                 // width.
-                return Ok(f + 1);
+                return Ok((f, segs[f].last()));
             }
         }
-        Ok(k)
+        Ok((k - 1, segs[k - 1].last()))
+    }
+
+    /// The transfers of the first `lanes` lanes of the matrix over the
+    /// first `counted[j]` offsets of each segment `j`.
+    fn count(&self, counted: &[usize], lanes: usize) -> Vec<u32> {
+        let mut tally = Tally::<W>::new(lanes);
+        for (j, &n) in counted.iter().enumerate() {
+            for m in &self.masks[..n] {
+                tally.add(std::array::from_fn(|w| m[j * W + w]));
+            }
+        }
+        tally.finish()
     }
 }
 
-/// Per-lane transfer counts of a `W`-word shard in bit-sliced vertical
-/// counters: per lane word, 8 planes hold each lane's count for up to 255
-/// cycles (plane `b` is bit `b` of every lane's count). Adding a transfer
-/// mask is a ripple-carry over the planes — ~2 word ops per cycle on
-/// average, instead of one `trailing_zeros` round-trip per set bit (≈ 48
-/// on a dense word). Every 255 cycles the planes are decoded into the
-/// scalar counts. Counts are sums, so cycles may arrive in any order.
+/// Per-lane transfer counts of `W`-word masks, bit-sliced: masks go eight
+/// at a time through carry-save adders (Harley and Seal's population
+/// count, per lane), whose `ones`, `twos` and `fours` planes carry over
+/// and whose eights ripple into a bit-sliced total (plane `b` holds bit
+/// `b` of every lane's count), decoded once at the end. About six word
+/// operations per mask, without a branch per carry. Counts are sums, so
+/// masks may arrive in any order.
 struct Tally<const W: usize> {
     live: [u64; W],
-    planes: [[u64; 8]; W],
-    window: u32,
-    counts: Vec<u32>,
+    /// Masks not yet added: the first `held`.
+    pending: [[u64; W]; 8],
+    held: usize,
+    ones: [u64; W],
+    twos: [u64; W],
+    fours: [u64; W],
+    total: [[u64; W]; 32],
+    lanes: usize,
 }
 
 impl<const W: usize> Tally<W> {
@@ -436,60 +376,81 @@ impl<const W: usize> Tally<W> {
     fn new(lanes: usize) -> Self {
         Tally {
             live: lane_masks::<W>(lanes),
-            planes: [[0; 8]; W],
-            window: 0,
-            counts: vec![0; lanes],
+            pending: [[0; W]; 8],
+            held: 0,
+            ones: [0; W],
+            twos: [0; W],
+            fours: [0; W],
+            total: [[0; W]; 32],
+            lanes,
         }
     }
 
-    /// Adds one cycle's transfer masks; dead lanes are masked out.
+    /// Adds one transfer mask; dead lanes are masked out.
     fn add(&mut self, transfers: [u64; W]) {
-        for ((planes, t), mask) in self.planes.iter_mut().zip(transfers).zip(self.live) {
-            let mut carry = t & mask;
-            for plane in planes.iter_mut() {
-                if carry == 0 {
-                    break;
-                }
-                let c = *plane & carry;
-                *plane ^= carry;
-                carry = c;
-            }
-            debug_assert_eq!(carry, 0, "255-cycle window overflowed a lane counter");
+        self.pending[self.held] = std::array::from_fn(|w| transfers[w] & self.live[w]);
+        self.held += 1;
+        if self.held < 8 {
+            return;
         }
-        self.window += 1;
-        if self.window == 255 {
-            self.flush();
-        }
-    }
-
-    /// Adds counts kept elsewhere: lane `w·64 + k` at index `w·64 + k`,
-    /// zero past the live lanes.
-    fn add_counts(&mut self, counts: &[u32]) {
-        for (c, &more) in self.counts.iter_mut().zip(counts) {
-            *c += more;
-        }
-    }
-
-    fn flush(&mut self) {
-        for (w, pl) in self.planes.iter_mut().enumerate() {
-            for (b, plane) in pl.iter_mut().enumerate() {
-                let mut m = *plane;
-                while m != 0 {
-                    self.counts[w * LANES + m.trailing_zeros() as usize] += 1 << b;
-                    m &= m - 1;
-                }
-                *plane = 0;
-            }
-        }
-        self.window = 0;
+        self.held = 0;
+        let m = &self.pending;
+        let (twos_a, ones) = csa(self.ones, m[0], m[1]);
+        let (twos_b, ones) = csa(ones, m[2], m[3]);
+        let (fours_a, twos) = csa(self.twos, twos_a, twos_b);
+        let (twos_a, ones) = csa(ones, m[4], m[5]);
+        let (twos_b, ones) = csa(ones, m[6], m[7]);
+        let (fours_b, twos) = csa(twos, twos_a, twos_b);
+        let (eights, fours) = csa(self.fours, fours_a, fours_b);
+        (self.ones, self.twos, self.fours) = (ones, twos, fours);
+        add_at(&mut self.total[3..], eights);
     }
 
     /// The per-lane counts.
     fn finish(mut self) -> Vec<u32> {
-        if self.window > 0 {
-            self.flush();
+        for i in 0..self.held {
+            add_at(&mut self.total, self.pending[i]);
         }
-        self.counts
+        add_at(&mut self.total[2..], self.fours);
+        add_at(&mut self.total[1..], self.twos);
+        add_at(&mut self.total, self.ones);
+        let mut counts = vec![0; self.lanes];
+        for (b, plane) in self.total.iter().enumerate() {
+            for (w, &word) in plane.iter().enumerate() {
+                let mut m = word;
+                while m != 0 {
+                    counts[w * LANES + m.trailing_zeros() as usize] += 1 << b;
+                    m &= m - 1;
+                }
+            }
+        }
+        counts
+    }
+}
+
+/// A carry-save adder on every bit of `W` words: `(carry, sum)` of
+/// `a + b + c`.
+fn csa<const W: usize>(a: [u64; W], b: [u64; W], c: [u64; W]) -> ([u64; W], [u64; W]) {
+    let (mut carry, mut sum) = ([0; W], [0; W]);
+    for w in 0..W {
+        let u = a[w] ^ b[w];
+        carry[w] = a[w] & b[w] | u & c[w];
+        sum[w] = u ^ c[w];
+    }
+    (carry, sum)
+}
+
+/// Adds one bit per lane at the lowest of the bit-sliced `planes`.
+fn add_at<const W: usize>(planes: &mut [[u64; W]], mut carry: [u64; W]) {
+    for plane in planes {
+        if carry == [0; W] {
+            break;
+        }
+        for w in 0..W {
+            let c = plane[w] & carry[w];
+            plane[w] ^= carry[w];
+            carry[w] = c;
+        }
     }
 }
 
@@ -515,45 +476,13 @@ impl<const W: usize> Straight<'_, W> {
                 .add(std::array::from_fn(|w| p[w] & !s[w] & !n[w]));
         }
     }
-
-    /// Runs segment `j` from the simulator's state, which must be exact,
-    /// until it meets `pass`'s record of `j` at a checkpoint: from there the
-    /// record's transfers and end state are the segment's own. Returns the
-    /// cycles run.
-    fn segment<const WK: usize>(
-        &mut self,
-        pass: &Pass<W, WK>,
-        seg: &Segment,
-        j: usize,
-    ) -> Result<usize, CoreError> {
-        let mut state = vec![[0; W]; self.sim.carried_len()];
-        for c in 0..=seg.last() {
-            let done = (c * CHECKPOINT).min(seg.len);
-            self.sim.read_carried(&mut state);
-            if pass.meets(j, c, &state) {
-                for m in &pass.masks[done..seg.len] {
-                    self.tally.add(std::array::from_fn(|w| m[j * W + w]));
-                }
-                self.sim
-                    .load_carried(&pass.state_of(j, seg.last()), [u64::MAX; W])
-                    .map_err(CoreError::from)?;
-                return Ok(done);
-            }
-            let next = ((c + 1) * CHECKPOINT).min(seg.len);
-            self.run(seg.start + done, seg.start + next);
-        }
-        Ok(seg.len)
-    }
 }
 
 /// Per-lane transfer counts (`V⁺ ∧ ¬S⁺ ∧ ¬V⁻` on the rails `rails`) of
 /// the first `lanes` lanes of the `W`-word matrix `stim` on `prog`, run as
 /// `K = WK / W` time segments in a `WK`-word pass as the module docs
-/// describe, or straight when `K = 1`; and how the horizon ran. After a
-/// speculation that ended early, the rest of the horizon runs straight,
-/// segment by segment, and adopts a segment's record wherever the exact
-/// state meets it at a checkpoint. `budget` is the cache-block budget of
-/// the plans; `pin` pins the kernel build.
+/// describe, or straight when `K = 1`; and how the horizon ran. `budget`
+/// is the cache-block budget of the plans; `pin` pins the kernel build.
 ///
 /// # Errors
 ///
@@ -608,24 +537,31 @@ pub(crate) fn run<const W: usize, const WK: usize>(
         .collect();
     let live = lane_masks::<W>(lanes);
     let mut pass = Pass::<W, WK>::new(prog, stim, &segs, live, rails, budget, pin)?;
-    let upto = pass.speculate(&mut segs, &mut shape)?;
-    let mut counts = pass.count(upto);
-    if upto == k {
-        counts.truncate(lanes);
-        return Ok((counts, shape));
+    let (f, c) = pass.speculate(&mut segs, &mut shape)?;
+    let reached = (c * CHECKPOINT).min(segs[f].len);
+    let counted: Vec<usize> = segs
+        .iter()
+        .enumerate()
+        .map(|(j, seg)| match j.cmp(&f) {
+            Ordering::Less => seg.len,
+            Ordering::Equal => reached,
+            Ordering::Greater => 0,
+        })
+        .collect();
+    let mut counts = pass.count(&counted, lanes);
+    let from = segs[f].start + reached;
+    if from < cycles {
+        let mut rest = straight()?;
+        rest.sim
+            .load_carried(&pass.state_of(f, c), [u64::MAX; W])
+            .map_err(CoreError::from)?;
+        rest.run(from, cycles);
+        shape.straight = cycles - from;
+        for (count, more) in counts.iter_mut().zip(rest.tally.finish()) {
+            *count += more;
+        }
     }
-    let mut rest = straight()?;
-    rest.tally.add_counts(&counts);
-    rest.sim
-        .load_carried(
-            &pass.state_of(upto - 1, segs[upto - 1].last()),
-            [u64::MAX; W],
-        )
-        .map_err(CoreError::from)?;
-    for (j, seg) in segs.iter().enumerate().skip(upto) {
-        shape.straight += rest.segment(&pass, seg, j)?;
-    }
-    Ok((rest.tally.finish(), shape))
+    Ok((counts, shape))
 }
 
 #[cfg(test)]
@@ -745,14 +681,13 @@ mod tests {
     }
 
     #[test]
-    fn a_ring_that_never_coalesces_falls_back_after_one_round() {
+    fn a_ring_that_never_coalesces_gives_up_after_patience() {
         // One token in a closed ring of seven buffers: every lane repeats
         // the same seven-cycle period. A segment restarted from a phase
         // other than its own never meets its previous trajectory, and 7
         // divides no multiple `j·250` for `j` up to 6, so no restart lands
-        // on the right phase: the first repair round resolves only segment
-        // 1, and the rest of the horizon runs straight from there without
-        // meeting any record.
+        // on the right phase: the first repair round gives up after
+        // `PATIENCE` checkpoints, and segment 1 runs on straight from there.
         let mut net = ElasticNetwork::new("ring7");
         let ring = net.add_buffer("r", 7, 1).unwrap();
         let out = net.connect(ring, 0, ring, 0, "loop").unwrap();
@@ -764,30 +699,36 @@ mod tests {
         let (seg, straight, shape) = segmented_and_straight(&h, &stim, LANES, None);
         assert_eq!(seg.per_lane, straight.per_lane);
         assert_eq!(shape.segments, 8);
-        assert_eq!(shape.repairs, [cycles / 8], "one full-length round");
-        assert_eq!(shape.straight, cycles - 2 * cycles / 8);
+        assert_eq!(shape.first_pass, cycles / 8);
+        assert_eq!(
+            shape.repairs,
+            [PATIENCE * CHECKPOINT],
+            "one round, given up"
+        );
+        assert_eq!(shape.straight, cycles - cycles / 8 - PATIENCE * CHECKPOINT);
         assert!(straight.mean() > 0.0);
     }
 
     #[test]
-    fn the_straight_run_adopts_a_record_it_meets() {
-        // One token in a ring of three buffers: the period 3 divides
-        // `3·250` and `6·250`, so segments 4 and 7, restarted in the repair
-        // round from their predecessors' guessed ends, start on their true
-        // phase. The round still resolves only segment 1; the straight run
-        // that follows meets the records of segments 4 and 7 at their
-        // first checkpoint and takes their counts and end states from them.
-        let mut net = ElasticNetwork::new("ring3");
-        let ring = net.add_buffer("r", 3, 1).unwrap();
+    fn a_round_that_resolves_only_its_first_segment_ends_the_speculation() {
+        // The ring of seven buffers in eight segments of 20 cycles, too
+        // short for a round to give up: 7 divides neither 20 nor any `j·20`
+        // for `j` up to 6, so the repair round runs every segment to its end
+        // without a meeting and resolves only segment 1, and the rest of the
+        // horizon runs straight from segment 1's end.
+        let len = 20;
+        assert!(len < PATIENCE * CHECKPOINT, "segments end before patience");
+        let mut net = ElasticNetwork::new("ring7");
+        let ring = net.add_buffer("r", 7, 1).unwrap();
         let out = net.connect(ring, 0, ring, 0, "loop").unwrap();
         let h = WideHarness::new(&net, out);
-        let cycles = 8 * MIN_SEGMENT;
+        let cycles = 8 * len;
         let stim = h
             .generate_stimulus(&net, &EnvConfig::default(), 1, cycles, LANES, 1)
             .unwrap();
-        let (seg, straight, shape) = segmented_and_straight(&h, &stim, LANES, None);
+        let (seg, straight, shape) = segmented_and_straight(&h, &stim, LANES, Some(8));
         assert_eq!(seg.per_lane, straight.per_lane);
-        assert_eq!(shape.repairs, [cycles / 8], "one full-length round");
-        assert_eq!(shape.straight, 4 * cycles / 8, "segments 2, 3, 5 and 6");
+        assert_eq!(shape.repairs, [len], "one full-length round");
+        assert_eq!(shape.straight, cycles - 2 * len);
     }
 }
