@@ -5,7 +5,7 @@
 
 use elastic_core::sim::{EnvConfig, SinkCfg, SourceCfg};
 use elastic_core::systems::linear_pipeline;
-use elastic_core::verify::{check_network_properties, cosim_check_wide};
+use elastic_core::verify::{check_network_properties, cosim_check};
 use elastic_mc::BridgeOptions;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     // backend, each cross-checked against its behavioural reference (and
     // lane 0 against the scalar gate-level interpreter).
     let lanes = 8;
-    cosim_check_wide(&net, &cfg, 0, lanes, 1500, 1).expect("back-ends agree");
+    cosim_check(&net, &cfg, 0, lanes, 1500, 1).expect("back-ends agree");
     println!(
         "  {lanes} schedules x 1500 cycles: every lane agrees with its behavioural \
          reference, lane 0 also with the scalar gate-level simulator"

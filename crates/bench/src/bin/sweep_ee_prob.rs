@@ -10,20 +10,16 @@
 //! `WideSimulator`. Variable-latency completions
 //! follow the schedule convention (open-loop Bernoulli at rate `1/mean`,
 //! see `Schedule::random`), so M1/M2 delays are geometric with the
-//! configured means. The binary ends with a wide-vs-scalar speedup
-//! measurement — the per-trial cost drops by well over an order of
-//! magnitude.
+//! configured means.
 //!
 //! Usage: `sweep_ee_prob [--trials N] [--threads N] [--cycles N]
 //! [--seed N] [--json PATH] [--queue N]
 //! [--backend {auto,scalar,wide,wide1,wide2,wide4,wide8}]` (backend
 //! defaults to runtime width dispatch over the streaming pipeline).
 
-use elastic_bench::exp::{
-    ee_prob_experiment, run_prepared, CampaignReport, CliOpts, Experiment, SystemSpec, EE_CONFIGS,
-};
-use elastic_bench::{measure_speedup, WideHarness};
-use elastic_core::systems::{paper_example, Config};
+use elastic_bench::exp::{ee_prob_experiment, run_prepared, CampaignReport, CliOpts, EE_CONFIGS};
+use elastic_bench::WideHarness;
+use elastic_core::systems::paper_example;
 use elastic_netlist::wide::LANES;
 
 fn main() {
@@ -58,28 +54,5 @@ fn main() {
         );
     }
 
-    // Speedup of the bit-parallel backend over the scalar gate-level
-    // interpreter, one worker each, on one 64-trial word of the active
-    // configuration.
-    let config = Config::ActiveAntiTokens;
-    let speed = measure_speedup(&Experiment {
-        label: "speedup".into(),
-        system: SystemSpec::Paper(config),
-        env: paper_example(config).expect("builds").env_config,
-        cycles: opts.cycles,
-        trials: LANES,
-        seed: 13,
-    })
-    .expect("speedup point");
-    assert!(speed.rates_match, "wide and scalar paths diverged");
-    println!(
-        "\nwide backend: {} trials x {} cycles in {:.3}s; scalar backend {:.3}s \
-         -> {:.1}x per-trial speedup (rates bit-identical)",
-        speed.lanes,
-        speed.cycles,
-        speed.wide_secs,
-        speed.scalar_secs,
-        speed.speedup()
-    );
     opts.json.write(&report.to_json());
 }

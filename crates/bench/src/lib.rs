@@ -2,15 +2,15 @@
 //! Criterion benches.
 //!
 //! The Monte-Carlo machinery lives here: [`SimLowering`] is the one
-//! compile-for-simulation pipeline — netlist optimization, observed-cone
-//! dead-code elimination, testbench, tape peephole — and [`WideHarness`]
+//! compile-for-simulation pipeline — raw compile, one observed-cone
+//! optimizer pass, testbench, tape peephole — and [`WideHarness`]
 //! runs a lowered network over up to [`MAX_TRIALS_PER_RUN`] independent
 //! random schedules per run through the multi-word bit-parallel
 //! [`elastic_netlist::wide::WideSim`] backend, with a scalar reference path
 //! on the *unoptimized* netlist ([`WideHarness::run_scalar`]) for
-//! end-to-end equivalence checks and speedup measurements. The [`exp`]
-//! module scales single runs to arbitrary-size campaigns sharded across OS
-//! threads; [`stabilize`] runs the fault campaigns on the same lowering.
+//! end-to-end equivalence checks. The [`exp`] module scales single runs to
+//! arbitrary-size campaigns sharded across OS threads; [`stabilize`] runs
+//! the fault campaigns on the same lowering.
 
 pub mod diff;
 pub mod exp;
@@ -374,14 +374,14 @@ pub fn dispatch_backend(prog: &Program, trials: usize) -> Backend {
 /// pipeline behind [`WideHarness`] and the fault campaigns
 /// ([`stabilize`]):
 ///
-/// 1. **optimize** — [`CompileOptions::optimize`] reruns the paper's
-///    "simple logic synthesis" (Sect. 6) ahead of simulation, with one
-///    corruption gate and `fault.<channel>.<rail>` arm input spliced in per
-///    fault site ([`CompileOptions::faults`]);
-/// 2. **observed-cone DCE** — [`optimize_observed`] keeps only the logic
-///    that can influence the output channel's `V⁺/S⁺/V⁻` rails and all four
-///    rails of every fault-site channel (which keeps each corruption gate
-///    and its arm input);
+/// 1. **compile** — the raw gate-for-gate netlist, with one corruption gate
+///    and `fault.<channel>.<rail>` arm input spliced in per fault site
+///    ([`CompileOptions::faults`]);
+/// 2. **optimize** — one [`optimize_observed`] pass, the paper's "simple
+///    logic synthesis" (Sect. 6) ahead of simulation, that keeps only the
+///    logic that can influence the output channel's `V⁺/S⁺/V⁻` rails and
+///    all four rails of every fault-site channel (which keeps each
+///    corruption gate and its arm input);
 /// 3. **testbench** — [`NetlistTestbench::with_faults`] resolves the
 ///    stimulus columns on the observed netlist, fault arms last in site
 ///    order;
@@ -421,10 +421,9 @@ impl SimLowering {
         out: ChanId,
         faults: &[FaultInjection],
     ) -> Result<SimLowering, CoreError> {
-        let opt = compile(
+        let raw = compile(
             net,
             &CompileOptions {
-                optimize: true,
                 faults: faults.to_vec(),
                 ..CompileOptions::default()
             },
@@ -438,18 +437,18 @@ impl SimLowering {
                     .ok_or_else(|| {
                         CoreError::FaultSite(format!("{} has no channel to observe", f.label()))
                     })?;
-                let r = &opt.channels[chan.index()];
+                let r = &raw.channels[chan.index()];
                 Ok([r.vp, r.sp, r.vn, r.sn])
             })
             .collect::<Result<Vec<_>, CoreError>>()?;
-        let o = &opt.channels[out.index()];
+        let o = &raw.channels[out.index()];
         // `optimize_observed` keeps the first occurrence of a rail observed
         // twice (a site on the output channel, two sites on one channel).
         let observe: Vec<NetId> = [o.vp, o.sp, o.vn]
             .into_iter()
             .chain(site_rails.iter().flatten().copied())
             .collect();
-        let (netlist, map) = optimize_observed(&opt.netlist, &observe).map_err(CoreError::from)?;
+        let (netlist, map) = optimize_observed(&raw.netlist, &observe).map_err(CoreError::from)?;
         let remap = |id: NetId| map[id.index()].expect("observed rails survive as outputs");
         let tb = NetlistTestbench::with_faults(net, &netlist, faults)?;
         let (prog, _) = Program::compile_optimized(&netlist).map_err(CoreError::from)?;
@@ -785,60 +784,6 @@ impl WideHarness {
     pub fn program(&self) -> &Program {
         &self.prog
     }
-}
-
-/// Outcome of a wide-vs-scalar speedup measurement.
-#[derive(Debug, Clone)]
-pub struct SpeedupReport {
-    /// Trials (lanes) measured.
-    pub lanes: usize,
-    /// Cycles per trial.
-    pub cycles: u64,
-    /// Wall-clock seconds of one engine worker on the wide backend:
-    /// stimulus generation and tape execution.
-    pub wide_secs: f64,
-    /// Wall-clock seconds of one worker on the scalar backend: schedule
-    /// generation and one gate-level run per trial.
-    pub scalar_secs: f64,
-    /// Whether both paths produced identical per-lane rates.
-    pub rates_match: bool,
-}
-
-impl SpeedupReport {
-    /// Per-trial speedup of the wide backend over the scalar path.
-    pub fn speedup(&self) -> f64 {
-        self.scalar_secs / self.wide_secs
-    }
-}
-
-/// Times one engine worker ([`exp::run_prepared`] on the dispatched wide
-/// backend) against one worker of the scalar backend, which runs
-/// [`WideHarness::try_run_scalar`], on the same point, and cross-checks
-/// their per-lane rates. The system is compiled once, outside both times.
-///
-/// # Errors
-///
-/// Everything [`exp::run_experiment`] reports.
-pub fn measure_speedup(point: &exp::Experiment) -> Result<SpeedupReport, exp::ExpError> {
-    let (network, out) = point.system.build()?;
-    let harness = WideHarness::try_new(&network, out)?;
-    let one = exp::EngineOpts {
-        threads: 1,
-        ..exp::EngineOpts::default()
-    };
-    let wide = exp::run_prepared(&harness, &network, point, &one)?;
-    let scalar_backend = exp::EngineOpts {
-        backend: BackendSel::Fixed(Backend::Scalar),
-        ..one
-    };
-    let scalar = exp::run_prepared(&harness, &network, point, &scalar_backend)?;
-    Ok(SpeedupReport {
-        lanes: point.trials,
-        cycles: wide.stats.cycles,
-        wide_secs: wide.wall_secs,
-        scalar_secs: scalar.wall_secs,
-        rates_match: wide.stats.per_lane == scalar.stats.per_lane,
-    })
 }
 
 /// Positive/negative/kill rates of a channel from a report: `None` when

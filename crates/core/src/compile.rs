@@ -14,7 +14,6 @@
 //! strip the upstream negative rails — the area savings of Table 1's
 //! passive rows.
 
-use elastic_netlist::opt::optimize;
 use elastic_netlist::{NetId, Netlist};
 
 use crate::channel::ChanId;
@@ -188,15 +187,6 @@ pub struct CompileOptions {
     /// input steering a mux), as in the paper's Fig. 8(b) data-correctness
     /// testbenches.
     pub nondet_merge: bool,
-    /// Run [`elastic_netlist::opt::optimize`] on the emitted netlist before
-    /// returning — the paper's "simple logic synthesis techniques" step
-    /// (Sect. 6) applied ahead of simulation instead of only for area
-    /// reports. Every channel rail is marked as an output first, so all
-    /// [`ChannelNets`] survive and are remapped through the optimizer's
-    /// net map (a rail may land on a folded constant, e.g. the upstream
-    /// `V⁻` of a passive channel). Defaults to `false`, which preserves
-    /// the raw gate-for-gate emission.
-    pub optimize: bool,
     /// Deliberate faults, for negative tests of the verification harnesses
     /// and for fault campaigns; empty (the default) compiles the faithful
     /// controllers. A [`crate::fault::FaultProcess`] compiles with its
@@ -226,14 +216,12 @@ pub struct ChannelNets {
 /// Result of compiling an [`ElasticNetwork`].
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// The gate-level netlist. Raw gate-for-gate emission by default; the
-    /// optimized rebuild when [`CompileOptions::optimize`] is set (run
-    /// [`elastic_netlist::opt::optimize`] yourself for area reports on the
-    /// raw form).
+    /// The raw gate-for-gate netlist. Simulation optimizes it once, for
+    /// the nets it observes
+    /// ([`elastic_netlist::opt::optimize_observed`]); area reports run
+    /// [`elastic_netlist::opt::optimize`] on it.
     pub netlist: Netlist,
-    /// Rail nets per channel, indexed by [`ChanId`]. Under
-    /// [`CompileOptions::optimize`] these are already remapped into the
-    /// optimized netlist.
+    /// Rail nets per channel, indexed by [`ChanId`].
     pub channels: Vec<ChannelNets>,
 }
 
@@ -679,56 +667,8 @@ pub fn compile(net: &ElasticNetwork, opts: &CompileOptions) -> Result<Compiled, 
         }
     }
 
-    let compiled = Compiled {
-        netlist: n,
-        channels,
-    };
-    if opts.optimize {
-        return optimize_compiled(compiled);
-    }
-    Ok(compiled)
-}
-
-/// Optimizes a freshly compiled netlist and remaps every channel rail
-/// through the old→new net map. All rails are marked as outputs first so
-/// none can be dropped by dead-code elimination — constant folding still
-/// strips the logic *behind* a rail that settles to a constant, which is
-/// where the lazy/passive configurations shed their counterflow gates.
-fn optimize_compiled(compiled: Compiled) -> Result<Compiled, CoreError> {
-    let mut nl = compiled.netlist;
-    for ch in &compiled.channels {
-        for r in [ch.vp, ch.sp, ch.vn, ch.sn] {
-            nl.mark_output(r)?;
-        }
-        for &d in &ch.data {
-            nl.mark_output(d)?;
-        }
-    }
-    let (opt, map) = optimize(&nl)?;
-    let remap = |id: NetId| -> Result<NetId, CoreError> {
-        map[id.index()].ok_or_else(|| {
-            CoreError::Netlist(format!("channel rail {id} lost during optimization"))
-        })
-    };
-    let channels = compiled
-        .channels
-        .iter()
-        .map(|ch| {
-            Ok(ChannelNets {
-                vp: remap(ch.vp)?,
-                sp: remap(ch.sp)?,
-                vn: remap(ch.vn)?,
-                sn: remap(ch.sn)?,
-                data: ch
-                    .data
-                    .iter()
-                    .map(|&d| remap(d))
-                    .collect::<Result<_, _>>()?,
-            })
-        })
-        .collect::<Result<Vec<_>, CoreError>>()?;
     Ok(Compiled {
-        netlist: opt,
+        netlist: n,
         channels,
     })
 }

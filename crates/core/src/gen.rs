@@ -23,10 +23,11 @@
 //!    firing rule conserves cycle token sums by construction, so a token
 //!    the circuit loses, duplicates or spuriously annihilates surfaces as
 //!    an arc marking drifting out of its window;
-//! 2. **compiled pipeline** — the same network through the PR-4 execution
-//!    pipeline (optimizing compile → levelized, peephole-optimized tape →
-//!    packed-stimulus [`WideSim`]), compared rail-for-rail against the
-//!    behavioural simulator on every channel, every cycle, every lane;
+//! 2. **compiled pipeline** — the same network through the execution
+//!    pipeline (raw compile → one [`optimize_observed`] pass observing
+//!    every channel rail and payload bit → levelized, peephole-optimized
+//!    tape → packed-stimulus [`WideSim`]), compared rail-for-rail against
+//!    the behavioural simulator on every channel, every cycle, every lane;
 //! 3. **analytic bound** — the measured throughput of a lazy system must
 //!    respect the `min_cycle_ratio` bound of its marked-graph abstraction
 //!    ([`crate::dmg_bridge`], paper Sect. 6.1).
@@ -40,12 +41,14 @@
 use elastic_dmg::exec::Replayer;
 use elastic_dmg::{ArcId, Dmg, DmgBuilder, NodeId};
 use elastic_netlist::levelize::Program;
+use elastic_netlist::opt::optimize_observed;
 use elastic_netlist::wide::WideSim;
+use elastic_netlist::NetId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::channel::{ChanId, ChannelEvent};
-use crate::compile::{compile, CompileOptions, FaultInjection};
+use crate::compile::{compile, ChannelNets, CompileOptions, Compiled, FaultInjection};
 use crate::dmg_bridge::lazy_throughput_bound;
 use crate::ee::{EarlyEval, EeTerm};
 use crate::elasticize::{elasticize, SyncDatapath, SyncId, SyncNode};
@@ -625,6 +628,39 @@ pub struct DiffReport {
     pub ee_joins: usize,
 }
 
+/// The differential's lowering: `compiled` through one
+/// [`optimize_observed`] pass that observes every channel rail and payload
+/// bit, with the channel nets mapped into the optimized netlist.
+///
+/// # Errors
+///
+/// Propagates optimizer failures.
+pub(crate) fn observe_every_rail(compiled: &Compiled) -> Result<Compiled, CoreError> {
+    let observe: Vec<NetId> = compiled
+        .channels
+        .iter()
+        .flat_map(|c| {
+            [c.vp, c.sp, c.vn, c.sn]
+                .into_iter()
+                .chain(c.data.iter().copied())
+        })
+        .collect();
+    let (netlist, map) = optimize_observed(&compiled.netlist, &observe)?;
+    let remap = |id: NetId| map[id.index()].expect("observed nets survive as outputs");
+    let channels = compiled
+        .channels
+        .iter()
+        .map(|c| ChannelNets {
+            vp: remap(c.vp),
+            sp: remap(c.sp),
+            vn: remap(c.vn),
+            sn: remap(c.sn),
+            data: c.data.iter().map(|&d| remap(d)).collect(),
+        })
+        .collect();
+    Ok(Compiled { netlist, channels })
+}
+
 /// Runs the tri-backend differential on one generated system. See the
 /// module docs for the checked properties.
 ///
@@ -645,19 +681,18 @@ pub fn differential_check(
     let cycles = opts.cycles.max(1);
     let lanes = opts.lanes.max(1);
 
-    // Side (b): the PR-4 compiled pipeline — optimizing compile (all
-    // channel rails are preserved as outputs), levelize + peephole,
+    // Side (b): the compiled pipeline — raw compile, one optimizer pass
+    // observing every channel rail and payload bit, levelize + peephole,
     // generated stimulus, bit-parallel execution.
     let faults: Vec<FaultInjection> = opts.fault.iter().cloned().collect();
-    let compiled = compile(
+    let compiled = observe_every_rail(&compile(
         net,
         &CompileOptions {
             data_width: GEN_DATA_WIDTH,
-            optimize: true,
             faults: faults.clone(),
             ..CompileOptions::default()
         },
-    )?;
+    )?)?;
     let (prog, _) = Program::compile_optimized(&compiled.netlist).map_err(CoreError::from)?;
     let mut wide: WideSim<1> = WideSim::from_program(prog);
     let tb = NetlistTestbench::with_faults(net, &compiled.netlist, &faults)?;

@@ -77,7 +77,7 @@ enum VlPhase {
 /// compiled bit-parallel backend (`elastic_netlist::wide::WideSimulator`
 /// driven by `crate::verify::PackedStimulus::generate`), which this
 /// simulator cross-validates lane by lane on each lane's
-/// `crate::verify::Schedule` (see `crate::verify::cosim_check_wide`).
+/// `crate::verify::Schedule` (see `crate::verify::cosim_check`).
 ///
 /// # Example
 ///

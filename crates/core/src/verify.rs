@@ -2,9 +2,10 @@
 //!
 //! Three layers:
 //!
-//! 1. **Co-simulation** — the behavioural simulator and the compiled gate
-//!    netlist run the same pre-generated environment schedule and must agree
-//!    on every channel rail every cycle ([`cosim_check`]).
+//! 1. **Co-simulation** — the behavioural simulator, the scalar gate
+//!    interpreter and the bit-parallel simulator run the same generated
+//!    environment and must agree on every channel rail every cycle
+//!    ([`cosim_check`]).
 //! 2. **Protocol model checking** (Fig. 8(a)) — the compiled netlist with
 //!    its nondeterministic environment inputs is explored exhaustively and
 //!    the paper's four CTL properties are checked per channel
@@ -731,7 +732,7 @@ impl PackedStimulus {
     /// point without changing a trial.
     ///
     /// This is the only producer of stimulus lane words; every campaign
-    /// and the wide co-simulation ([`cosim_check_wide`]) run on it. Every
+    /// and the co-simulation ([`cosim_check`]) run on it. Every
     /// column comes from one primitive, a 64-lane Bernoulli mask drawn by
     /// a bit-sliced comparison of hashed words with the column's quantized
     /// probability (see [`STIMULUS_CONTRACT`]). The comparison runs
@@ -1026,92 +1027,17 @@ impl PackedStimulus {
     }
 }
 
-/// Runs the behavioural simulator and the compiled netlist side by side
-/// under the same [`Schedule`] and compares all four rails of every channel
-/// on every cycle, and every payload bit on valid cycles. The payload is
-/// the subject here, so the caller picks its width
-/// ([`CompileOptions::data_width`]; the compile never emits fewer bits
-/// than the guards read).
-///
-/// # Errors
-///
-/// Returns the first divergence as [`CoreError::ProtocolViolation`], or
-/// propagates simulation/compilation errors.
-pub fn cosim_check(
-    net: &ElasticNetwork,
-    schedule: &Schedule,
-    data_width: usize,
-) -> Result<(), CoreError> {
-    let mut behav = BehavSim::new(net)?;
-    let mut sched_env = schedule.clone();
-    let compiled = compile(
-        net,
-        &CompileOptions {
-            data_width,
-            ..CompileOptions::default()
-        },
-    )?;
-    let nl = &compiled.netlist;
-    let mut gates = Simulator::new(nl)?;
-    let tb = NetlistTestbench::new(net, nl)?;
-
-    for t in 0..schedule.cycles as u64 {
-        gates.cycle(&tb.inputs_at(schedule, t))?;
-        behav.step(&mut sched_env)?;
-
-        // Compare every rail.
-        for chan in net.channels() {
-            let b = behav.signals(chan);
-            let nets = &compiled.channels[chan.index()];
-            let g = (
-                gates.value(nets.vp),
-                gates.value(nets.sp),
-                gates.value(nets.vn),
-                gates.value(nets.sn),
-            );
-            if (b.vp, b.sp, b.vn, b.sn) != g {
-                return Err(CoreError::ProtocolViolation {
-                    channel: chan,
-                    message: format!(
-                        "co-simulation divergence at cycle {t} on {}: behavioural {b}, \
-                         gates V+={} S+={} V-={} S-={}",
-                        net.channel(chan).name,
-                        u8::from(g.0),
-                        u8::from(g.1),
-                        u8::from(g.2),
-                        u8::from(g.3),
-                    ),
-                });
-            }
-            if b.vp {
-                for (i, &dn) in nets.data.iter().enumerate() {
-                    let gb = gates.value(dn);
-                    let bb = b.data >> i & 1 == 1;
-                    if gb != bb {
-                        return Err(CoreError::ProtocolViolation {
-                            channel: chan,
-                            message: format!(
-                                "data divergence at cycle {t} on {} bit {i}",
-                                net.channel(chan).name
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Three-way co-simulation of the bit-parallel backend: generates the
-/// `lanes` trials of the lane word seeded `seed` with
-/// [`PackedStimulus::generate`] and runs them through a
-/// [`WideSimulator`], replays each lane's view ([`Schedule::random`])
-/// through the behavioural simulator and lane 0's
+/// Three-way co-simulation of the compiled netlist: generates the `lanes`
+/// trials of the lane word seeded `seed` with [`PackedStimulus::generate`]
+/// and runs them through a [`WideSimulator`], replays each lane's view
+/// ([`Schedule::random`]) through the behavioural simulator and lane 0's
 /// through the scalar gate-level [`Simulator`], and compares all four
-/// rails (and payload bits on valid cycles, at the caller's
-/// [`CompileOptions::data_width`]) of every channel, every cycle, in every
-/// lane.
+/// rails of every channel, every cycle, in every lane, and every payload
+/// bit on valid cycles. The payload is the subject here, so the caller
+/// picks its width ([`CompileOptions::data_width`]; the compile never
+/// emits fewer bits than the guards read). One lane checks one
+/// [`Schedule::random`]`(net, cfg, seed, 0, cycles)` against the scalar
+/// and behavioural interpreters.
 ///
 /// This is the compiled-backend extension of the paper's Fig. 8
 /// verification story: the generated stimulus and the wide backend must be
@@ -1124,7 +1050,7 @@ pub fn cosim_check(
 /// divergence as [`CoreError::ProtocolViolation`] naming the cycle,
 /// channel and lane; simulation and compilation errors otherwise.
 #[allow(clippy::too_many_lines)]
-pub fn cosim_check_wide(
+pub fn cosim_check(
     net: &ElasticNetwork,
     cfg: &EnvConfig,
     seed: u64,
@@ -1169,7 +1095,7 @@ pub fn cosim_check_wide(
         for chan in net.channels() {
             let nets = &compiled.channels[chan.index()];
             // Lane 0 must bit-match the scalar gate-level interpreter on
-            // every rail net.
+            // every rail net, and on every payload bit while valid.
             for (rail, id) in [
                 ("vp", nets.vp),
                 ("sp", nets.sp),
@@ -1178,6 +1104,18 @@ pub fn cosim_check_wide(
             ] {
                 if wide.value_lane(id, 0) != scalar.value(id) {
                     return Err(diverged(t, chan, 0, &format!("{rail} != scalar gates")));
+                }
+            }
+            if scalar.value(nets.vp) {
+                for (i, &dn) in nets.data.iter().enumerate() {
+                    if wide.value_lane(dn, 0) != scalar.value(dn) {
+                        return Err(diverged(
+                            t,
+                            chan,
+                            0,
+                            &format!("data bit {i} != scalar gates"),
+                        ));
+                    }
                 }
             }
             // Every lane must match its behavioural run.
@@ -1397,8 +1335,7 @@ mod tests {
     #[test]
     fn cosim_linear_pipeline() {
         let (net, _, _) = linear_pipeline(3, 1).unwrap();
-        let sched = Schedule::random(&net, &stress_cfg(), 11, 0, 600);
-        cosim_check(&net, &sched, 2).unwrap();
+        cosim_check(&net, &stress_cfg(), 11, 1, 600, 2).unwrap();
     }
 
     #[test]
@@ -1421,8 +1358,7 @@ mod tests {
         net.connect(bj, 0, f, 0, "fi").unwrap();
         net.connect(f, 0, k1, 0, "o1").unwrap();
         net.connect(f, 1, k2, 0, "o2").unwrap();
-        let sched = Schedule::random(&net, &stress_cfg(), 23, 0, 800);
-        cosim_check(&net, &sched, 1).unwrap();
+        cosim_check(&net, &stress_cfg(), 23, 1, 800, 1).unwrap();
     }
 
     #[test]
@@ -1459,8 +1395,7 @@ mod tests {
         net.connect(bg, 0, j, 0, "jg").unwrap();
         net.connect(vl, 0, j, 1, "jv").unwrap();
         net.connect(j, 0, snk, 0, "out").unwrap();
-        let sched = Schedule::random(&net, &stress_cfg(), 31, 0, 800);
-        cosim_check(&net, &sched, 1).unwrap();
+        cosim_check(&net, &stress_cfg(), 31, 1, 800, 1).unwrap();
     }
 
     #[test]
@@ -1468,8 +1403,8 @@ mod tests {
         use crate::systems::{paper_example, Config};
         for config in Config::all() {
             let sys = paper_example(config).unwrap();
-            let sched = Schedule::random(&sys.network, &sys.env_config, 5, 0, 400);
-            cosim_check(&sys.network, &sched, 2).unwrap_or_else(|e| panic!("{config:?}: {e}"));
+            cosim_check(&sys.network, &sys.env_config, 5, 1, 400, 2)
+                .unwrap_or_else(|e| panic!("{config:?}: {e}"));
         }
     }
 
@@ -1478,10 +1413,10 @@ mod tests {
         // The Fig. 6 / Fig. 8(a) model-checked controllers: short pipelines
         // with and without initial tokens. 16 lanes of independent
         // schedules; lane 0 is additionally checked against the scalar
-        // gate-level interpreter inside cosim_check_wide.
+        // gate-level interpreter inside cosim_check.
         for (stages, tokens) in [(1usize, 0usize), (2, 1)] {
             let (net, _, _) = linear_pipeline(stages, tokens).unwrap();
-            cosim_check_wide(&net, &stress_cfg(), 100, 16, 400, 1)
+            cosim_check(&net, &stress_cfg(), 100, 16, 400, 1)
                 .unwrap_or_else(|e| panic!("{stages} stages: {e}"));
         }
     }
@@ -1492,7 +1427,7 @@ mod tests {
         // environment, with every one of the 64 lanes holding a distinct
         // schedule.
         let (net, _, _) = linear_pipeline(3, 1).unwrap();
-        cosim_check_wide(&net, &stress_cfg(), 7000, 64, 300, 2).unwrap();
+        cosim_check(&net, &stress_cfg(), 7000, 64, 300, 2).unwrap();
     }
 
     #[test]
@@ -1500,7 +1435,7 @@ mod tests {
         use crate::systems::{paper_example, Config};
         for config in Config::all() {
             let sys = paper_example(config).unwrap();
-            cosim_check_wide(&sys.network, &sys.env_config, 40, 8, 250, 2)
+            cosim_check(&sys.network, &sys.env_config, 40, 8, 250, 2)
                 .unwrap_or_else(|e| panic!("{config:?}: {e}"));
         }
     }
@@ -1511,7 +1446,7 @@ mod tests {
         for lanes in [0, LANES + 1] {
             assert!(
                 matches!(
-                    cosim_check_wide(&net, &stress_cfg(), 1, lanes, 10, 1),
+                    cosim_check(&net, &stress_cfg(), 1, lanes, 10, 1),
                     Err(CoreError::ScheduleBatch(_))
                 ),
                 "{lanes} lanes"
@@ -2083,56 +2018,64 @@ mod tests {
 
     #[test]
     fn optimized_compile_keeps_rails_cycle_exact() {
-        // The CompileOptions::optimize knob: remapped rails must report the
-        // same four-rail trace as the raw compilation, cycle by cycle, and
-        // the optimized netlist must actually be smaller.
+        // The fuzz differential's lowering, one optimizer pass observing
+        // every channel rail and payload bit, on the five Fig. 9 systems
+        // and the 30 corpus systems: the remapped nets must report the same
+        // trace as the raw compilation, cycle by cycle, and the optimized
+        // netlist must actually be smaller.
+        use crate::compile::ChannelNets;
+        use crate::corpus::{all_systems, Knobs};
+        use crate::gen::observe_every_rail;
         use crate::systems::{paper_example, Config};
-        for config in [Config::ActiveAntiTokens, Config::NoEarlyEval] {
-            let sys = paper_example(config).unwrap();
+        let mut systems: Vec<(String, ElasticNetwork, EnvConfig)> = Config::all()
+            .into_iter()
+            .map(|c| {
+                let sys = paper_example(c).unwrap();
+                (c.label().to_string(), sys.network, sys.env_config)
+            })
+            .collect();
+        for sys in all_systems(&Knobs::default()).unwrap() {
+            let label = format!("{}/{}", sys.design, sys.config.tag());
+            systems.push((label, sys.network, sys.env));
+        }
+        assert_eq!(systems.len(), 35);
+        let nets = |c: &ChannelNets| {
+            let rails = [("vp", c.vp), ("sp", c.sp), ("vn", c.vn), ("sn", c.sn)];
+            let data = c.data.iter().map(|&d| ("data", d));
+            rails.into_iter().chain(data).collect::<Vec<_>>()
+        };
+        for (label, net, env) in &systems {
             let raw = compile(
-                &sys.network,
+                net,
                 &CompileOptions {
                     data_width: 2,
                     ..CompileOptions::default()
                 },
             )
             .unwrap();
-            let opt = compile(
-                &sys.network,
-                &CompileOptions {
-                    data_width: 2,
-                    optimize: true,
-                    ..CompileOptions::default()
-                },
-            )
-            .unwrap();
+            let opt = observe_every_rail(&raw).unwrap();
             assert!(
                 opt.netlist.len() < raw.netlist.len(),
-                "{config:?}: {} !< {}",
+                "{label}: {} !< {}",
                 opt.netlist.len(),
                 raw.netlist.len()
             );
-            let tb_raw = NetlistTestbench::new(&sys.network, &raw.netlist).unwrap();
-            let tb_opt = NetlistTestbench::new(&sys.network, &opt.netlist).unwrap();
-            let sched = Schedule::random(&sys.network, &sys.env_config, 77, 0, 300);
+            let tb_raw = NetlistTestbench::new(net, &raw.netlist).unwrap();
+            let tb_opt = NetlistTestbench::new(net, &opt.netlist).unwrap();
+            let sched = Schedule::random(net, env, 77, 0, 300);
             let mut sim_raw = Simulator::new(&raw.netlist).unwrap();
             let mut sim_opt = Simulator::new(&opt.netlist).unwrap();
             for t in 0..300u64 {
                 sim_raw.cycle(&tb_raw.inputs_at(&sched, t)).unwrap();
                 sim_opt.cycle(&tb_opt.inputs_at(&sched, t)).unwrap();
-                for chan in sys.network.channels() {
+                for chan in net.channels() {
                     let (r, o) = (&raw.channels[chan.index()], &opt.channels[chan.index()]);
-                    for (rail, (rr, oo)) in [
-                        ("vp", (r.vp, o.vp)),
-                        ("sp", (r.sp, o.sp)),
-                        ("vn", (r.vn, o.vn)),
-                        ("sn", (r.sn, o.sn)),
-                    ] {
+                    for ((rail, rr), (_, oo)) in nets(r).into_iter().zip(nets(o)) {
                         assert_eq!(
                             sim_raw.value(rr),
                             sim_opt.value(oo),
-                            "{config:?} cycle {t} {} {rail}",
-                            sys.network.channel(chan).name
+                            "{label} cycle {t} {} {rail}",
+                            net.channel(chan).name
                         );
                     }
                 }

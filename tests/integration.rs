@@ -3,7 +3,7 @@
 
 use elastic_circuits::core::sim::{BehavSim, DataGen, EnvConfig, RandomEnv, SinkCfg, SourceCfg};
 use elastic_circuits::core::systems::{linear_pipeline, paper_example, Config};
-use elastic_circuits::core::verify::{cosim_check, Schedule};
+use elastic_circuits::core::verify::cosim_check;
 
 #[test]
 fn fig8a_cosim_smoke_linear_pipeline() {
@@ -24,8 +24,7 @@ fn fig8a_cosim_smoke_linear_pipeline() {
         },
         ..Default::default()
     };
-    let sched = Schedule::random(&net, &cfg, 2007, 0, 500);
-    cosim_check(&net, &sched, 2).expect("gate-level and behavioural sims must agree");
+    cosim_check(&net, &cfg, 2007, 1, 500, 2).expect("gate-level and behavioural sims must agree");
 }
 
 #[test]
@@ -128,8 +127,8 @@ fn gate_level_agrees_with_reference_on_random_networks() {
             },
             ..Default::default()
         };
-        let sched = Schedule::random(&net, &cfg, seed.wrapping_mul(97), 0, 700);
-        cosim_check(&net, &sched, 2).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        cosim_check(&net, &cfg, seed.wrapping_mul(97), 1, 700, 2)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
