@@ -20,6 +20,11 @@
 //! 3. **Gain gate** — at the most favourable knob cell (high cheap-branch
 //!    probability, high slow latency) the active-anti-token configuration
 //!    must beat lazy on every design, or the run exits non-zero.
+//! 4. **Scalar anchor** — in the first knob cell, the first
+//!    [`ANCHOR_LANES`] lanes of every (design, configuration) point must
+//!    equal the scalar interpreter on the unoptimized netlist
+//!    ([`WideHarness::try_run_scalar`]), which checks every folded corpus
+//!    tape the engine ran end to end against the reference semantics.
 //!
 //! Usage: `corpus_campaign [--trials N] [--threads N] [--cycles N]
 //! [--seed N] [--queue N] [--backend {auto,scalar,wide,wide1,wide2,wide4,
@@ -41,6 +46,9 @@ use elastic_netlist::wide::LANES;
 const EE_PROBS: [f64; 2] = [0.3, 0.8];
 /// Slow latencies of the variable-latency units swept per design cell.
 const LATENCIES: [u32; 2] = [4, 12];
+/// Leading lanes of each first-cell point replayed on the scalar
+/// interpreter.
+const ANCHOR_LANES: usize = 4;
 
 /// One configuration's throughput relative to the lazy baseline of the
 /// same (design, knobs) cell.
@@ -132,6 +140,7 @@ fn main() {
     ];
     let mut gains: Vec<Gain> = Vec::new();
     let mut skipped_bounds: Vec<String> = Vec::new();
+    let mut anchored = 0;
     for &ee_prob in &EE_PROBS {
         for &latency in &LATENCIES {
             let knobs = Knobs { ee_prob, latency };
@@ -153,6 +162,18 @@ fn main() {
                     };
                     let (network, harness) = for_cell(design, config);
                     let res = run_prepared(harness, network, &exp, &engine).expect("point runs");
+                    if (ee_prob, latency) == (EE_PROBS[0], LATENCIES[0]) {
+                        let sub = ANCHOR_LANES.min(opts.trials);
+                        let scheds =
+                            WideHarness::schedules(network, &exp.env, exp.seed, exp.cycles, sub);
+                        let scalar = harness.try_run_scalar(&scheds).expect("scalar replay runs");
+                        assert_eq!(
+                            &res.stats.per_lane[..sub],
+                            &scalar.per_lane[..],
+                            "{label}: optimized pipeline diverged from the scalar interpreter"
+                        );
+                        anchored += 1;
+                    }
                     let mean = res.stats.mean();
                     if config == CorpusConfig::Lazy {
                         lazy_mean = mean;
@@ -193,6 +214,13 @@ fn main() {
             }
         }
     }
+
+    println!(
+        "scalar anchor: first {} lanes of {anchored} points at p={:.1} l={} == unoptimized gate-level interpreter",
+        ANCHOR_LANES.min(opts.trials),
+        EE_PROBS[0],
+        LATENCIES[0]
+    );
 
     // Gain gate: the paper's headline effect must reproduce on every
     // design at the favourable corner of the knob grid.

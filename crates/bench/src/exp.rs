@@ -60,6 +60,7 @@
 //! [`lazy_bound_check`].
 
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use elastic_core::channel::ChanId;
@@ -783,9 +784,14 @@ pub fn check_determinism(
     );
 }
 
-/// The machine's available parallelism (1 when unknown).
+/// The machine's available parallelism (1 when unknown), read once per
+/// process: `std::thread::available_parallelism` rereads the cgroup CPU
+/// files on every call, and each engine point asks twice (its default
+/// options and [`effective_threads`]).
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 #[cfg(test)]

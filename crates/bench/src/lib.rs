@@ -625,9 +625,17 @@ impl WideHarness {
         PackedStimulus::generate(&self.wide_tb, net, env, seed, lanes, cycles, width)
     }
 
-    /// [`Self::program`] folded to `fixed` (see [`Program::fold_inputs`]),
+    /// The tape [`Self::try_run_stim`] runs `stim` on: [`Self::program`]
+    /// folded to the inputs `stim` holds fixed
+    /// ([`PackedStimulus::fixed_inputs`]; see [`Program::fold_inputs`]),
     /// folded on the first call with that set and kept.
-    fn folded(&self, fixed: &[(u32, bool)]) -> Result<Arc<Program>, CoreError> {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Netlist`] when a fixed slot of `stim` is not an input
+    /// of the tape (a stimulus generated for another harness).
+    pub fn folded_program(&self, stim: &PackedStimulus) -> Result<Arc<Program>, CoreError> {
+        let fixed = stim.fixed_inputs();
         // An entry is pushed whole, so a poisoned lock holds no torn entry.
         let mut folds = self.folds.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some((_, prog)) = folds.iter().find(|(set, _)| set[..] == *fixed) {
@@ -709,7 +717,7 @@ impl WideHarness {
             )));
         }
         let cycles = stim.cycles();
-        let prog = self.folded(stim.fixed_inputs())?;
+        let prog = self.folded_program(stim)?;
         let k = segments.unwrap_or_else(|| segment::segments_for(&prog, W, cycles));
         let (prog, rails) = (&*prog, self.obs_rails);
         let (counts, shape) = match W * k {
@@ -895,37 +903,44 @@ mod tests {
 
     #[test]
     fn fig9_and_corpus_tape_totals_are_pinned() {
-        // The instruction totals of the 35 tapes, and of the 30 corpus
-        // tapes folded to their environment's fixed inputs, and the
-        // stimulus columns of each set. A change that grows a tape or the
-        // stimulus fails here; one that shrinks them updates the pins.
+        // The instruction totals of the 35 tapes, and of the same tapes
+        // folded to their environment's fixed inputs (the tapes
+        // `try_run_stim` runs, pinned flip-flops folded away), the
+        // flip-flops the folded tapes still commit, and the stimulus
+        // columns of each set. A change that grows a tape or the stimulus
+        // fails here; one that shrinks them updates the pins.
         let tapes = fig9_and_corpus();
         let len = |p: &Program| p.high().len() + p.low().len();
         let (fig9, corpus) = tapes.split_at(5);
-        // (tape, folded tape, stimulus columns) summed over a set.
+        // (tape, folded tape, folded flip-flops, stimulus columns) summed
+        // over a set.
         let totals = |set: &[(String, ElasticNetwork, EnvConfig, WideHarness)]| {
-            set.iter()
-                .fold((0, 0, 0), |(tape, folded, cols), (label, net, env, h)| {
+            set.iter().fold(
+                (0, 0, 0, 0),
+                |(tape, folded, ffs, cols), (label, net, env, h)| {
                     let stim = h.generate_stimulus(net, env, 1, 1, 1, 1).unwrap();
-                    let p = h.program().fold_inputs(stim.fixed_inputs()).unwrap();
+                    let p = h.folded_program(&stim).unwrap();
                     assert!(
-                        len(&p) <= len(h.program()),
+                        len(&p) <= len(h.program()) && p.ffs().len() <= h.program().ffs().len(),
                         "{label}: folding grew the tape"
                     );
                     (
                         tape + len(h.program()),
                         folded + len(&p),
+                        ffs + p.ffs().len(),
                         cols + stim.slots().len(),
                     )
-                })
+                },
+            )
         };
-        let (fig9_tape, _, fig9_cols) = totals(fig9);
-        let (corpus_tape, corpus_folded, corpus_cols) = totals(corpus);
+        let (fig9_tape, fig9_folded, fig9_ffs, fig9_cols) = totals(fig9);
+        let (corpus_tape, corpus_folded, corpus_ffs, corpus_cols) = totals(corpus);
         assert_eq!(
-            (fig9_tape, corpus_tape, corpus_folded),
-            (1548, 4679, 4148),
-            "Fig. 9, corpus, corpus folded"
+            (fig9_tape, fig9_folded, corpus_tape, corpus_folded),
+            (1548, 1259, 4679, 2688),
+            "Fig. 9, Fig. 9 folded, corpus, corpus folded"
         );
+        assert_eq!((fig9_ffs, corpus_ffs), (259, 591), "folded flip-flops");
         assert_eq!((fig9_cols, corpus_cols), (33, 225), "stimulus columns");
     }
 

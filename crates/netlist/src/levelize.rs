@@ -404,7 +404,13 @@ impl Program {
         &self.args
     }
 
-    /// Flip-flop commit list, in net order.
+    /// Flip-flop commit list, in net order. A program folded by
+    /// [`Program::fold_inputs`] lists only the flip-flops it still
+    /// commits: one the fixed inputs pin is dropped, and its `q` slot,
+    /// still among [`Program::state_nets`], keeps its power-up value
+    /// ([`Program::init`]). The carried state of a simulator
+    /// ([`wide::WideSim::read_carried`](crate::wide::WideSim::read_carried))
+    /// holds one capture per flip-flop listed here.
     pub fn ffs(&self) -> &[FfCommit] {
         &self.ffs
     }
@@ -580,12 +586,28 @@ impl Program {
     }
 
     /// A copy of this program with the primary inputs `fixed` — `(slot,
-    /// value)` pairs — held at their values: the [`Program::peephole`]
-    /// pass reruns with each of those slots read as a constant, so the
-    /// logic they feed folds away. The folded program still lists every
-    /// input and still accepts a write to every input slot; it matches
-    /// this one on the observation set of [`Program::peephole`] whenever
-    /// each fixed input carries its value.
+    /// value)` pairs — held at their values, and with the flip-flops those
+    /// inputs pin folded away (sequential constant propagation).
+    ///
+    /// The [`Program::peephole`] pass reruns with each fixed slot read as
+    /// a constant, so the logic it feeds folds away. The flip-flops fold
+    /// by induction from power-up, to a greatest fixpoint: assume every
+    /// flip-flop holds its power-up value, rerun the pass with those `q`
+    /// slots read as constants too, drop the assumption for each
+    /// flip-flop whose `d` slot does not end the cycle as that constant,
+    /// and repeat until nothing drops. Every flip-flop left holds its
+    /// power-up value at cycle 0 and, while all of them do, captures it
+    /// again at the end of the cycle, so none ever leaves it. Those
+    /// flip-flops leave [`Program::ffs`] (their `q` slots keep
+    /// [`Program::init`], and nothing writes them) and a last dead-code
+    /// elimination drops their data cones. The carried state of the
+    /// folded program ([`Program::carried_slots`], and one capture per
+    /// flip-flop it still lists) covers only what it still commits.
+    ///
+    /// The folded program still lists every input and still accepts a
+    /// write to every input slot; it matches this one on the observation
+    /// set of [`Program::peephole`] (a pinned flip-flop's state slot
+    /// included) whenever each fixed input carries its value.
     ///
     /// # Errors
     ///
@@ -598,14 +620,57 @@ impl Program {
         {
             return Err(NetlistError::UnknownNet(NetId(s)));
         }
-        let mut folded = self.clone();
-        folded.optimize(fixed);
-        Ok(folded)
+        let init = |f: &FfCommit| self.init[f.q as usize];
+        let mut pinned = self.ffs.clone();
+        loop {
+            let held: Vec<(u32, bool)> = fixed
+                .iter()
+                .copied()
+                .chain(pinned.iter().map(|f| (f.q, init(f))))
+                .collect();
+            let mut folded = self.clone();
+            folded.optimize(&held);
+            // The value each slot ends the cycle with, where it is constant.
+            let mut end = folded.stuck_slots(&held);
+            for &i in folded.high.iter().chain(&folded.low) {
+                end[i.dst() as usize] = match i {
+                    Instr::Fill { ones, .. } => Some(ones),
+                    _ => None,
+                };
+            }
+            let assumed = pinned.len();
+            pinned.retain(|f| end[f.d as usize] == Some(init(f)));
+            if pinned.len() == assumed {
+                folded.ffs.retain(|f| !pinned.contains(f));
+                folded.eliminate_dead();
+                folded.carried = folded.find_carried();
+                return Ok(folded);
+            }
+        }
     }
 
-    /// The [`Program::peephole`] pass with the input slots of `fixed` held
-    /// at their values.
-    fn optimize(&mut self, fixed: &[(u32, bool)]) -> PeepholeStats {
+    /// The slots that hold one value for a whole cycle: a slot neither
+    /// tape writes keeps its power-up value, unless it is an input (the
+    /// testbench drives it) or a state element (flip-flop commits write it
+    /// between cycles). `held` then pins input and flip-flop output slots
+    /// to the given values.
+    fn stuck_slots(&self, held: &[(u32, bool)]) -> Vec<Option<bool>> {
+        let mut konst: Vec<Option<bool>> = self.init.iter().map(|&b| Some(b)).collect();
+        for i in self.high.iter().chain(&self.low) {
+            konst[i.dst() as usize] = None;
+        }
+        for &s in self.inputs.iter().chain(&self.state_nets) {
+            konst[s.index()] = None;
+        }
+        for &(s, v) in held {
+            konst[s as usize] = Some(v);
+        }
+        konst
+    }
+
+    /// The [`Program::peephole`] pass with the slots of `held` (inputs and
+    /// flip-flop outputs) read as the given constants.
+    fn optimize(&mut self, held: &[(u32, bool)]) -> PeepholeStats {
         let n = self.num_slots;
         let mut stats = PeepholeStats {
             instrs_before: self.high.len() + self.low.len(),
@@ -615,23 +680,7 @@ impl Program {
         // dead: drop it first and the passes skip it (the recomputation of
         // latch-free logic in the high tape is most of a lowered tape).
         self.eliminate_dead();
-        // Global constants: slots never written by either tape are stuck at
-        // their power-up value — unless they are inputs (driven by the
-        // testbench, constant only when fixed) or state elements (flip-flop
-        // commits write them outside the tapes).
-        let mut konst_base: Vec<Option<bool>> = self.init.iter().map(|&b| Some(b)).collect();
-        for i in self.high.iter().chain(self.low.iter()) {
-            konst_base[i.dst() as usize] = None;
-        }
-        for &i in &self.inputs {
-            konst_base[i.index()] = None;
-        }
-        for &(s, v) in fixed {
-            konst_base[s as usize] = Some(v);
-        }
-        for &s in &self.state_nets {
-            konst_base[s.index()] = None;
-        }
+        let konst_base = self.stuck_slots(held);
         // Forward rewrite of both tapes to a joint fixpoint (a fold in one
         // pass can expose a fusion in the next).
         loop {
@@ -1453,18 +1502,20 @@ mod tests {
     /// on the same input pattern and compares the given nets after every
     /// cycle.
     fn cosim_programs(n: &Netlist, optimized: Program, probes: &[NetId], cycles: usize) {
-        cosim_pair(n, Program::compile(n).unwrap(), optimized, probes, cycles);
+        let raw = Program::compile(n).unwrap();
+        cosim_pair(n, raw, optimized, probes, &[], cycles);
     }
 
     /// Runs both programs, tapes over the nets of `n`, cycle by cycle on
-    /// the same input pattern and compares the given nets after every
-    /// cycle (via a wide backend — the only Program executor in this
-    /// crate).
+    /// the same input pattern, each input of `fixed` held at its value,
+    /// and compares the given nets after every cycle (via a wide backend —
+    /// the only Program executor in this crate).
     fn cosim_pair(
         n: &Netlist,
         reference: Program,
         optimized: Program,
         probes: &[NetId],
+        fixed: &[(u32, bool)],
         cycles: usize,
     ) {
         use crate::wide::WideSim;
@@ -1475,9 +1526,12 @@ mod tests {
             let drive: Vec<(NetId, u64)> = inputs
                 .iter()
                 .enumerate()
-                .map(|(i, &inp)| {
-                    let x = (t as u64 + 3).wrapping_mul(i as u64 + 7);
-                    (inp, x.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .map(|(i, &inp)| match fixed.iter().find(|&&(s, _)| s == inp.0) {
+                    Some(&(_, v)) => (inp, 0u64.wrapping_sub(u64::from(v))),
+                    None => {
+                        let x = (t as u64 + 3).wrapping_mul(i as u64 + 7);
+                        (inp, x.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    }
                 })
                 .collect();
             reference.cycle(&drive).unwrap();
@@ -1833,7 +1887,7 @@ mod tests {
                 (0, 0, 0),
                 "{name}: {second:?}"
             );
-            cosim_pair(&n, start, p, &probes, 24);
+            cosim_pair(&n, start, p, &probes, &[], 24);
         }
     }
 
@@ -1929,6 +1983,140 @@ mod tests {
                 Err(NetlistError::UnknownNet(NetId(s))) if s == bad
             ));
         }
+    }
+
+    /// Folds the peephole-optimized compile of `n` to `fixed` and checks
+    /// the folded program cycle-exact against the raw compile on every
+    /// output and state element of `n`, each fixed input at its value.
+    fn fold_checked(n: &Netlist, fixed: &[(u32, bool)]) -> Program {
+        let (p, _) = Program::compile_optimized(n).unwrap();
+        let folded = p.fold_inputs(fixed).unwrap();
+        let mut probes = n.outputs().to_vec();
+        probes.extend(n.state_elements());
+        let raw = Program::compile(n).unwrap();
+        cosim_pair(n, raw, folded.clone(), &probes, fixed, 24);
+        folded
+    }
+
+    #[test]
+    fn fold_pins_a_flip_flop_and_drops_its_cone() {
+        // `en` held at 0 gates the data of `q` to 0, its power-up value:
+        // `q` leaves the commit list, and the gates computing its data,
+        // which nothing else reads, leave the tapes. Held at 1, `en`
+        // passes `q ^ b` through, and `q` stays.
+        let mut n = Netlist::new("gated");
+        let en = n.input("en");
+        let b = n.input("b");
+        let q = n.dff(false);
+        let x = n.xor(q, b);
+        let d = n.and2(en, x);
+        n.bind_dff(q, d).unwrap();
+        let out = n.or2(q, b);
+        n.mark_output(out).unwrap();
+        let (p, _) = Program::compile_optimized(&n).unwrap();
+        assert!(instrs(&p).any(|i| i.dst() == x.0), "{:?}", p.low());
+        let folded = fold_checked(&n, &[(en.0, false)]);
+        assert!(folded.ffs().is_empty());
+        assert!(
+            !instrs(&folded).any(|i| [x.0, d.0].contains(&i.dst())),
+            "{:?}",
+            folded.low()
+        );
+        // `q | b` with `q` stuck at 0 is a copy of `b`.
+        assert!(folded.low().contains(&Instr::Copy {
+            dst: out.0,
+            src: b.0
+        }));
+        assert_eq!(folded.state_nets(), &[q], "the pinned slot stays state");
+        assert_eq!(fold_checked(&n, &[(en.0, true)]).ffs(), p.ffs());
+    }
+
+    #[test]
+    fn fold_pins_flip_flops_that_hold_each_other_only_optimistically() {
+        // `q1` and `q2` capture each other ANDed with a free input, so
+        // neither data input is constant unless the other flip-flop is.
+        // Assuming both hold their power-up 0 makes both data inputs 0,
+        // which proves the assumption: the greatest fixpoint folds the
+        // pair with no fixed input at all. With `q2` powering up at 1 the
+        // assumption fails in the first round (`d2` is `q1 & b`, 0, not
+        // 1; `d1` is `a`), and both stay.
+        for init2 in [false, true] {
+            let mut n = Netlist::new("pair");
+            let a = n.input("a");
+            let b = n.input("b");
+            let q1 = n.dff(false);
+            let q2 = n.dff(init2);
+            let d1 = n.and2(q2, a);
+            let d2 = n.and2(q1, b);
+            n.bind_dff(q1, d1).unwrap();
+            n.bind_dff(q2, d2).unwrap();
+            let out = n.xor(q1, q2);
+            n.mark_output(out).unwrap();
+            let folded = fold_checked(&n, &[]);
+            let kept = if init2 { 2 } else { 0 };
+            assert_eq!(folded.ffs().len(), kept, "q2 powers up at {init2}");
+        }
+    }
+
+    #[test]
+    fn fold_keeps_a_flip_flop_whose_data_is_the_complement_of_its_init() {
+        // `set` held at 1 makes the data of `q` constant 1, but `q` powers
+        // up at 0: it reads 0 in cycle 0 and 1 after, so it stays, with
+        // its data folded to a fill.
+        let mut n = Netlist::new("set");
+        let set = n.input("set");
+        let b = n.input("b");
+        let q = n.dff(false);
+        let x = n.and2(q, b);
+        let d = n.or2(set, x);
+        n.bind_dff(q, d).unwrap();
+        let out = n.and2(q, b);
+        n.mark_output(out).unwrap();
+        let folded = fold_checked(&n, &[(set.0, true)]);
+        assert_eq!(folded.ffs(), &[FfCommit { q: q.0, d: d.0 }]);
+        assert!(folded.low().contains(&Instr::Fill {
+            dst: d.0,
+            ones: true
+        }));
+    }
+
+    #[test]
+    fn fold_keeps_a_flip_flop_fed_by_a_free_input() {
+        // `en` held at 1 leaves the data of `q` a copy of the free input
+        // `b`: not constant, so `q` stays.
+        let mut n = Netlist::new("free");
+        let en = n.input("en");
+        let b = n.input("b");
+        let q = n.dff(false);
+        let d = n.and2(en, b);
+        n.bind_dff(q, d).unwrap();
+        let out = n.or2(q, en);
+        n.mark_output(out).unwrap();
+        let folded = fold_checked(&n, &[(en.0, true)]);
+        assert_eq!(folded.ffs(), &[FfCommit { q: q.0, d: d.0 }]);
+    }
+
+    #[test]
+    fn fold_pins_an_init_one_flip_flop_at_one() {
+        // `clr` held at 0 makes the data of `q`, `!clr | (q & b)`,
+        // constant 1, and `q` powers up at 1: it folds, and `q & b`
+        // becomes a copy of `b`.
+        let mut n = Netlist::new("preset");
+        let clr = n.input("clr");
+        let b = n.input("b");
+        let q = n.dff(true);
+        let keep = n.and2(q, b);
+        let nclr = n.not(clr);
+        let d = n.or2(nclr, keep);
+        n.bind_dff(q, d).unwrap();
+        n.mark_output(keep).unwrap();
+        let folded = fold_checked(&n, &[(clr.0, false)]);
+        assert!(folded.ffs().is_empty());
+        assert!(folded.init()[q.index()]);
+        assert!(folded.low().contains(&Instr::Copy {
+            dst: keep.0,
+            src: b.0
+        }));
     }
 
     #[test]

@@ -366,12 +366,19 @@ proptest! {
     }
 
     /// The tape folded to fixed inputs (`Program::fold_inputs`) on every
-    /// kernel build: a random subset of a random netlist's inputs is held
-    /// at random constants in every lane and cycle, and a `WideSim<8>` on
-    /// the folded optimized tape must match a scalar `Simulator` on the
-    /// preserved observation set in one lane per word. Gates appended in
-    /// duplicate, with commuted operands, give value numbering equal
-    /// instructions to merge, one of them folding to a constant.
+    /// kernel build: a random subset of a random netlist's inputs (the
+    /// first one always) is held at random constants in every lane and
+    /// cycle, and a `WideSim<8>` on the folded optimized tape must match a
+    /// scalar `Simulator` on the preserved observation set (every output
+    /// and state element, pinned flip-flops included) in one lane per
+    /// word. Gates appended in duplicate, with commuted operands, give
+    /// value numbering equal instructions to merge, one of them folding
+    /// to a constant. Flip-flops appended behind a held input exercise
+    /// the flip-flop induction: the first is forced to its power-up value
+    /// and folds away (so every case folds at least one), the others
+    /// power up at random (one forced to the complement of its power-up
+    /// value stays), and a pair holding each other at 0 folds only
+    /// through the optimistic assumption.
     #[test]
     fn folded_tape_matches_scalar_on_every_kernel(seed in 0u64..10_000, lane_pick in 0u64..64) {
         const W: usize = 8;
@@ -397,15 +404,41 @@ proptest! {
                 net.mark_output(second).unwrap();
             }
         }
-        let mut fixed: Vec<(u32, bool)> = Vec::new();
-        for i in net.inputs() {
-            if rng.gen_bool(0.5) {
-                fixed.push((i.index() as u32, rng.gen_bool(0.5)));
+        let mut held: Vec<(NetId, bool)> = Vec::new();
+        for (k, &i) in net.inputs().iter().enumerate() {
+            if k == 0 || rng.gen_bool(0.5) {
+                held.push((i, rng.gen_bool(0.5)));
             }
+        }
+        let fixed: Vec<(u32, bool)> = held.iter().map(|&(i, v)| (i.index() as u32, v)).collect();
+        // Flip-flops whose data a held input forces to its value (an AND
+        // with a held 0, an OR with a held 1); the first one powers up at
+        // that value.
+        let mut gated = Vec::new();
+        for k in 0..rng.gen_range(1usize..4) {
+            let (f, v) = held[rng.gen_range(0..held.len())];
+            let q = net.dff(if k == 0 { v } else { rng.gen_bool(0.5) });
+            let x = if rng.gen_bool(0.3) { q } else { all[rng.gen_range(0..all.len())] };
+            let d = if v { net.or2(f, x) } else { net.and2(f, x) };
+            net.bind_dff(q, d).unwrap();
+            gated.push(q);
+        }
+        if rng.gen_bool(0.5) {
+            let (a, b) = (all[rng.gen_range(0..all.len())], all[rng.gen_range(0..all.len())]);
+            let (q1, q2) = (net.dff(false), net.dff(false));
+            let (d1, d2) = (net.and2(q2, a), net.and2(q1, b));
+            net.bind_dff(q1, d1).unwrap();
+            net.bind_dff(q2, d2).unwrap();
+            gated.extend([q1, q2]);
+        }
+        for q in gated {
+            let reader = net.xor(q, all[rng.gen_range(0..all.len())]);
+            net.mark_output(reader).unwrap();
         }
         let (prog, _) = Program::compile_optimized(&net).unwrap();
         let folded = prog.fold_inputs(&fixed).unwrap();
         prop_assert!(folded.high().len() + folded.low().len() <= prog.high().len() + prog.low().len());
+        prop_assert!(folded.ffs().len() < prog.ffs().len(), "no flip-flop folded");
         let mut probes: Vec<NetId> = net.outputs().to_vec();
         probes.extend(net.state_elements());
         let slots: Vec<u32> = net.inputs().iter().map(|i| i.index() as u32).collect();
