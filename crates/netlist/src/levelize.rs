@@ -406,9 +406,12 @@ impl Program {
 
     /// Flip-flop commit list, in net order. A program folded by
     /// [`Program::fold_inputs`] lists only the flip-flops it still
-    /// commits: one the fixed inputs pin is dropped, and its `q` slot,
-    /// still among [`Program::state_nets`], keeps its power-up value
-    /// ([`Program::init`]). The carried state of a simulator
+    /// commits: one that never leaves its power-up value on a run from
+    /// power-up with the fixed inputs held is dropped (the fixed inputs
+    /// pin it, or other flip-flops do, with no fixed input at all), and
+    /// its `q` slot, still among [`Program::state_nets`], keeps its
+    /// power-up value ([`Program::init`]). The carried state of a
+    /// simulator
     /// ([`wide::WideSim::read_carried`](crate::wide::WideSim::read_carried))
     /// holds one capture per flip-flop listed here.
     pub fn ffs(&self) -> &[FfCommit] {
@@ -586,28 +589,39 @@ impl Program {
     }
 
     /// A copy of this program with the primary inputs `fixed` — `(slot,
-    /// value)` pairs — held at their values, and with the flip-flops those
-    /// inputs pin folded away (sequential constant propagation).
+    /// value)` pairs — held at their values, and with the flip-flops that
+    /// never leave their power-up value under them folded away
+    /// (sequential constant propagation).
     ///
-    /// The [`Program::peephole`] pass reruns with each fixed slot read as
-    /// a constant, so the logic it feeds folds away. The flip-flops fold
-    /// by induction from power-up, to a greatest fixpoint: assume every
-    /// flip-flop holds its power-up value, rerun the pass with those `q`
-    /// slots read as constants too, drop the assumption for each
+    /// The flip-flops fold by induction from power-up, to a greatest
+    /// fixpoint: assume every flip-flop holds its power-up value, scan the
+    /// tapes once with the fixed inputs and those `q` slots as constants
+    /// (`end_literals`: constants, copies and complements followed through
+    /// every gate, so `x & !x` is 0), drop the assumption for each
     /// flip-flop whose `d` slot does not end the cycle as that constant,
     /// and repeat until nothing drops. Every flip-flop left holds its
     /// power-up value at cycle 0 and, while all of them do, captures it
-    /// again at the end of the cycle, so none ever leaves it. Those
-    /// flip-flops leave [`Program::ffs`] (their `q` slots keep
-    /// [`Program::init`], and nothing writes them) and a last dead-code
-    /// elimination drops their data cones. The carried state of the
-    /// folded program ([`Program::carried_slots`], and one capture per
-    /// flip-flop it still lists) covers only what it still commits.
+    /// again at the end of the cycle, so none ever leaves it. A flip-flop
+    /// can fold with no fixed input at all (two that hold each other at
+    /// their power-up 0, or one that recaptures its own output), so
+    /// `fold_inputs(&[])` may drop flip-flops too. The folded flip-flops
+    /// leave [`Program::ffs`] (their `q` slots keep [`Program::init`],
+    /// and nothing writes them), and one [`Program::peephole`] pass then
+    /// runs with the fixed inputs and those `q` slots read as constants,
+    /// so the logic they feed and the folded flip-flops' data cones go.
     ///
     /// The folded program still lists every input and still accepts a
-    /// write to every input slot; it matches this one on the observation
-    /// set of [`Program::peephole`] (a pinned flip-flop's state slot
-    /// included) whenever each fixed input carries its value.
+    /// write to every input slot. It matches this one on the observation
+    /// set of [`Program::peephole`] (a folded flip-flop's state slot
+    /// included) on a run that starts at power-up, or from a state a
+    /// simulator of the folded program reached on such a run, with each
+    /// fixed input carrying its value in every cycle since cycle 0.
+    /// Anything else can differ with no error: a state loaded from a run
+    /// of another program, or one in which a fixed input once carried the
+    /// other value, may have a folded flip-flop away from its power-up
+    /// value, which the folded program cannot hold. Its carried state
+    /// ([`Program::carried_slots`], and one capture per flip-flop it still
+    /// lists) covers only what it still commits.
     ///
     /// # Errors
     ///
@@ -622,31 +636,87 @@ impl Program {
         }
         let init = |f: &FfCommit| self.init[f.q as usize];
         let mut pinned = self.ffs.clone();
+        let mut held = Vec::new();
         loop {
-            let held: Vec<(u32, bool)> = fixed
-                .iter()
-                .copied()
-                .chain(pinned.iter().map(|f| (f.q, init(f))))
-                .collect();
-            let mut folded = self.clone();
-            folded.optimize(&held);
-            // The value each slot ends the cycle with, where it is constant.
-            let mut end = folded.stuck_slots(&held);
-            for &i in folded.high.iter().chain(&folded.low) {
-                end[i.dst() as usize] = match i {
-                    Instr::Fill { ones, .. } => Some(ones),
-                    _ => None,
-                };
-            }
+            held.clear();
+            held.extend(fixed);
+            held.extend(pinned.iter().map(|f| (f.q, init(f))));
+            let end = self.end_literals(&held);
             let assumed = pinned.len();
-            pinned.retain(|f| end[f.d as usize] == Some(init(f)));
+            pinned.retain(|f| end[f.d as usize] == u32::from(!init(f)));
             if pinned.len() == assumed {
-                folded.ffs.retain(|f| !pinned.contains(f));
-                folded.eliminate_dead();
-                folded.carried = folded.find_carried();
-                return Ok(folded);
+                break;
             }
         }
+        let mut folded = self.clone();
+        folded.ffs.retain(|f| !pinned.contains(f));
+        folded.optimize(&held);
+        Ok(folded)
+    }
+
+    /// The literal each slot ends a cycle with: one forward scan of both
+    /// tapes in execution order. A literal is `value << 1 | inverted`;
+    /// value 0 is the constant 1, so [`ONE`] and [`ZERO`] are the
+    /// constants. Every slot starts the cycle as a value of its own, or as
+    /// its constant where [`Program::stuck_slots`] with `held` gives one.
+    /// An instruction that copies or inverts a literal writes it, one
+    /// whose operand literals decide it writes the deciding literal (a
+    /// constant in the AND or OR family, a literal beside its complement
+    /// or repeated, an XOR of a literal with itself, its complement or a
+    /// constant, a mux or latch with a constant select or equal data), and
+    /// any other writes a new value. A slot that ends with a constant
+    /// literal ends every cycle that starts from a state agreeing with
+    /// `held` at that constant.
+    fn end_literals(&self, held: &[(u32, bool)]) -> Vec<u32> {
+        let mut x: Vec<u32> = (1..)
+            .zip(self.stuck_slots(held))
+            .map(|(v, k)| k.map_or(v << 1, |b| u32::from(!b)))
+            .collect();
+        let mut next = self.num_slots as u32 + 1;
+        let mut buf = Vec::new();
+        for &instr in self.high.iter().chain(&self.low) {
+            let r = |s: u32| x[s as usize];
+            let window = |start: u32, len: u32| &self.args[start as usize..(start + len) as usize];
+            let lit = match instr {
+                Instr::Fill { ones, .. } => Some(u32::from(!ones)),
+                Instr::Copy { src, .. } => Some(r(src)),
+                Instr::Not { src, .. } => Some(r(src) ^ 1),
+                Instr::And2 { a, b, .. } => and_literal(&mut buf, [r(a), r(b)]),
+                Instr::AndNot { a, b, .. } => and_literal(&mut buf, [r(a), r(b) ^ 1]),
+                Instr::Nor2 { a, b, .. } => and_literal(&mut buf, [r(a) ^ 1, r(b) ^ 1]),
+                Instr::AndN {
+                    start, len, inv, ..
+                } => {
+                    let plain = (len - inv) as usize;
+                    let ops = window(start, len).iter().enumerate();
+                    and_literal(&mut buf, ops.map(|(i, &s)| r(s) ^ u32::from(i >= plain)))
+                }
+                Instr::Or2 { a, b, .. } => or_literal(&mut buf, [r(a), r(b)]),
+                Instr::OrNot { a, b, .. } => or_literal(&mut buf, [r(a), r(b) ^ 1]),
+                Instr::OrN { start, len, .. } => {
+                    or_literal(&mut buf, window(start, len).iter().map(|&s| r(s)))
+                }
+                Instr::Xor2 { a, b, .. } => match (r(a), r(b)) {
+                    // `x ^ x` is 0 and `x ^ !x` is 1.
+                    (a, b) if a ^ b <= 1 => Some(a ^ b ^ 1),
+                    (k, x) | (x, k) if k >> 1 == 0 => Some(x ^ k ^ 1),
+                    _ => None,
+                },
+                Instr::Mux { sel, a, b, .. } => match (r(sel), r(a), r(b)) {
+                    (ONE, x, _) | (ZERO, _, x) => Some(x),
+                    (_, a, b) => (a == b).then_some(a),
+                },
+                Instr::LatchEn { dst, d, en } => match (r(en), r(d), r(dst)) {
+                    (ONE, x, _) | (ZERO, _, x) => Some(x),
+                    (_, d, q) => (d == q).then_some(d),
+                },
+            };
+            x[instr.dst() as usize] = lit.unwrap_or_else(|| {
+                next += 1;
+                (next - 1) << 1
+            });
+        }
+        x
     }
 
     /// The slots that hold one value for a whole cycle: a slot neither
@@ -777,6 +847,42 @@ impl Program {
         self.low
             .retain(|_| *keep.next().expect("one flag per instr"));
     }
+}
+
+/// The literal of the constant 1 in [`Program::end_literals`].
+const ONE: u32 = 0;
+/// The literal of the constant 0 in [`Program::end_literals`].
+const ZERO: u32 = 1;
+
+/// The literal the AND of `lits` folds to, if its literals decide it: 0
+/// beside a 0 or a literal and its complement, else 1 or the one literal
+/// left once the 1s and repeats drop. `buf` is scratch.
+fn and_literal(buf: &mut Vec<u32>, lits: impl IntoIterator<Item = u32>) -> Option<u32> {
+    buf.clear();
+    for lit in lits {
+        match lit {
+            ONE => {}
+            ZERO => return Some(ZERO),
+            _ => buf.push(lit),
+        }
+    }
+    buf.sort_unstable();
+    buf.dedup();
+    // A literal and its complement sort next to each other.
+    if buf.windows(2).any(|w| w[0] ^ 1 == w[1]) {
+        return Some(ZERO);
+    }
+    match buf[..] {
+        [] => Some(ONE),
+        [lit] => Some(lit),
+        _ => None,
+    }
+}
+
+/// The literal the OR of `lits` folds to: the complement of the AND of
+/// their complements.
+fn or_literal(buf: &mut Vec<u32>, lits: impl IntoIterator<Item = u32>) -> Option<u32> {
+    and_literal(buf, lits.into_iter().map(|lit| lit ^ 1)).map(|lit| lit ^ 1)
 }
 
 /// Statistics of one [`Program::peephole`] pass.
@@ -1985,6 +2091,135 @@ mod tests {
         }
     }
 
+    /// A random netlist of every gate kind, latches with and without an
+    /// enable included, built in creation order (flip-flops bound last),
+    /// with random outputs.
+    fn random_netlist(rng: &mut rand::rngs::StdRng) -> Netlist {
+        use rand::Rng;
+        let mut n = Netlist::new("random");
+        let mut nets: Vec<NetId> = (0..rng.gen_range(1..4))
+            .map(|i| n.input(format!("in{i}")))
+            .collect();
+        let ffs: Vec<NetId> = (0..rng.gen_range(0..5))
+            .map(|_| n.dff(rng.gen_bool(0.5)))
+            .collect();
+        nets.extend(&ffs);
+        for _ in 0..rng.gen_range(4..30) {
+            let mut pick = || nets[rng.gen_range(0..nets.len())];
+            let (a, b, c) = (pick(), pick(), pick());
+            let phase = if rng.gen_bool(0.5) {
+                LatchPhase::High
+            } else {
+                LatchPhase::Low
+            };
+            let id = match rng.gen_range(0..10) {
+                0 => n.not(a),
+                1 => n.and2(a, b),
+                2 => n.or2(a, b),
+                3 => n.xor(a, b),
+                4 => n.mux(a, b, c),
+                5 => n.and([a, b, c]),
+                6 => n.or([a, b, c]),
+                7 => n.constant(rng.gen_bool(0.5)),
+                8 => {
+                    let l = n.latch(phase, rng.gen_bool(0.5));
+                    n.bind_latch(l, a).unwrap();
+                    l
+                }
+                _ => {
+                    let l = n.latch_en(phase, b, rng.gen_bool(0.5));
+                    n.bind_latch(l, a).unwrap();
+                    l
+                }
+            };
+            nets.push(id);
+        }
+        for &q in &ffs {
+            let d = nets[rng.gen_range(0..nets.len())];
+            n.bind_dff(q, d).unwrap();
+        }
+        for _ in 0..rng.gen_range(1..4) {
+            let o = nets[rng.gen_range(0..nets.len())];
+            n.mark_output(o).unwrap();
+        }
+        n
+    }
+
+    /// Runs one cycle of `p`'s tapes, the high tape then the low tape, on
+    /// the slot values `slots` (one lane).
+    fn run_tapes(p: &Program, slots: &mut [bool]) {
+        for &i in p.high().iter().chain(p.low()) {
+            let v = |s: u32| slots[s as usize];
+            let window = |start: u32, len: u32| &p.args()[start as usize..(start + len) as usize];
+            slots[i.dst() as usize] = match i {
+                Instr::Fill { ones, .. } => ones,
+                Instr::Copy { src, .. } => v(src),
+                Instr::Not { src, .. } => !v(src),
+                Instr::And2 { a, b, .. } => v(a) & v(b),
+                Instr::Or2 { a, b, .. } => v(a) | v(b),
+                Instr::Xor2 { a, b, .. } => v(a) ^ v(b),
+                Instr::AndNot { a, b, .. } => v(a) & !v(b),
+                Instr::OrNot { a, b, .. } => v(a) | !v(b),
+                Instr::Nor2 { a, b, .. } => !(v(a) | v(b)),
+                Instr::AndN {
+                    start, len, inv, ..
+                } => {
+                    let plain = (len - inv) as usize;
+                    let mut ops = window(start, len).iter().enumerate();
+                    ops.all(|(k, &s)| v(s) != (k >= plain))
+                }
+                Instr::OrN { start, len, .. } => window(start, len).iter().any(|&s| v(s)),
+                Instr::Mux { sel, a, b, .. } => v(if v(sel) { a } else { b }),
+                Instr::LatchEn { dst, d, en } => v(if v(en) { d } else { dst }),
+            };
+        }
+    }
+
+    #[test]
+    fn end_literals_hold_from_every_start_state() {
+        // On random peephole-optimized tapes (every instruction kind), with
+        // random inputs and flip-flop outputs held: a cycle run from any
+        // values of the other slots (stuck slots at their power-up
+        // values) ends each slot with a constant literal at that constant,
+        // and the slots that share a value end equal, or complementary
+        // where their literals are.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(27);
+        for case in 0..400 {
+            let n = random_netlist(&mut rng);
+            let (p, _) = Program::compile_optimized(&n).unwrap();
+            let candidates = p
+                .inputs()
+                .iter()
+                .map(|i| i.0)
+                .chain(p.ffs().iter().map(|f| f.q));
+            let held: Vec<(u32, bool)> = candidates
+                .filter_map(|s| match rng.gen_range(0..4) {
+                    0 | 1 => None,
+                    v => Some((s, v == 3)),
+                })
+                .collect();
+            let end = p.end_literals(&held);
+            let stuck = p.stuck_slots(&held);
+            for _ in 0..8 {
+                let mut slots: Vec<bool> = stuck
+                    .iter()
+                    .map(|k| k.unwrap_or_else(|| rng.gen_bool(0.5)))
+                    .collect();
+                run_tapes(&p, &mut slots);
+                // The value each literal's value takes, from the first
+                // slot that carries it (value 0 is the constant 1).
+                let mut seen = vec![None; (end.iter().max().unwrap() >> 1) as usize + 1];
+                seen[0] = Some(true);
+                for (s, &lit) in end.iter().enumerate() {
+                    let v = slots[s] ^ (lit & 1 == 1);
+                    let first = *seen[(lit >> 1) as usize].get_or_insert(v);
+                    assert_eq!(first, v, "case {case}: slot {s}, literal {lit}, {p:?}");
+                }
+            }
+        }
+    }
+
     /// Folds the peephole-optimized compile of `n` to `fixed` and checks
     /// the folded program cycle-exact against the raw compile on every
     /// output and state element of `n`, each fixed input at its value.
@@ -2059,64 +2294,59 @@ mod tests {
     }
 
     #[test]
-    fn fold_keeps_a_flip_flop_whose_data_is_the_complement_of_its_init() {
-        // `set` held at 1 makes the data of `q` constant 1, but `q` powers
-        // up at 0: it reads 0 in cycle 0 and 1 after, so it stays, with
-        // its data folded to a fill.
-        let mut n = Netlist::new("set");
-        let set = n.input("set");
-        let b = n.input("b");
-        let q = n.dff(false);
-        let x = n.and2(q, b);
-        let d = n.or2(set, x);
-        n.bind_dff(q, d).unwrap();
-        let out = n.and2(q, b);
-        n.mark_output(out).unwrap();
-        let folded = fold_checked(&n, &[(set.0, true)]);
-        assert_eq!(folded.ffs(), &[FfCommit { q: q.0, d: d.0 }]);
-        assert!(folded.low().contains(&Instr::Fill {
-            dst: d.0,
-            ones: true
-        }));
-    }
-
-    #[test]
-    fn fold_keeps_a_flip_flop_fed_by_a_free_input() {
-        // `en` held at 1 leaves the data of `q` a copy of the free input
-        // `b`: not constant, so `q` stays.
-        let mut n = Netlist::new("free");
-        let en = n.input("en");
-        let b = n.input("b");
-        let q = n.dff(false);
-        let d = n.and2(en, b);
-        n.bind_dff(q, d).unwrap();
-        let out = n.or2(q, en);
-        n.mark_output(out).unwrap();
-        let folded = fold_checked(&n, &[(en.0, true)]);
-        assert_eq!(folded.ffs(), &[FfCommit { q: q.0, d: d.0 }]);
-    }
-
-    #[test]
-    fn fold_pins_an_init_one_flip_flop_at_one() {
+    fn fold_pins_a_flip_flop_only_at_its_power_up_value() {
         // `clr` held at 0 makes the data of `q`, `!clr | (q & b)`,
-        // constant 1, and `q` powers up at 1: it folds, and `q & b`
-        // becomes a copy of `b`.
-        let mut n = Netlist::new("preset");
-        let clr = n.input("clr");
-        let b = n.input("b");
-        let q = n.dff(true);
-        let keep = n.and2(q, b);
-        let nclr = n.not(clr);
-        let d = n.or2(nclr, keep);
+        // constant 1. Powering up at 1, `q` folds, and `q & b` becomes a
+        // copy of `b`. Powering up at 0, `q` reads 0 in cycle 0 and 1
+        // after: it stays, with its data folded to a fill.
+        for init in [true, false] {
+            let mut n = Netlist::new("preset");
+            let clr = n.input("clr");
+            let b = n.input("b");
+            let q = n.dff(init);
+            let keep = n.and2(q, b);
+            let nclr = n.not(clr);
+            let d = n.or2(nclr, keep);
+            n.bind_dff(q, d).unwrap();
+            n.mark_output(keep).unwrap();
+            let folded = fold_checked(&n, &[(clr.0, false)]);
+            if init {
+                assert!(folded.ffs().is_empty());
+                assert!(folded.init()[q.index()]);
+                assert!(folded.low().contains(&Instr::Copy {
+                    dst: keep.0,
+                    src: b.0
+                }));
+            } else {
+                assert_eq!(folded.ffs(), &[FfCommit { q: q.0, d: d.0 }]);
+                assert!(folded.low().contains(&Instr::Fill {
+                    dst: d.0,
+                    ones: true
+                }));
+            }
+        }
+    }
+
+    #[test]
+    fn fold_compares_literals_not_only_constants() {
+        // The data of `q` is `(q | x) & !(q | x | en)`. With `en` held at
+        // 0 and `q` assumed at its power-up 0, both sides carry the free
+        // input `x`, and `x & !x` is 0: `q` folds, though no constant
+        // reaches its data. With `en` free the sides differ, and `q`
+        // stays.
+        let mut n = Netlist::new("literals");
+        let en = n.input("en");
+        let x = n.input("x");
+        let q = n.dff(false);
+        let a = n.or2(q, x);
+        let b = n.or([q, x, en]);
+        let nb = n.not(b);
+        let d = n.and2(a, nb);
         n.bind_dff(q, d).unwrap();
-        n.mark_output(keep).unwrap();
-        let folded = fold_checked(&n, &[(clr.0, false)]);
-        assert!(folded.ffs().is_empty());
-        assert!(folded.init()[q.index()]);
-        assert!(folded.low().contains(&Instr::Copy {
-            dst: keep.0,
-            src: b.0
-        }));
+        let out = n.xor(q, x);
+        n.mark_output(out).unwrap();
+        assert!(fold_checked(&n, &[(en.0, false)]).ffs().is_empty());
+        assert_eq!(fold_checked(&n, &[]).ffs().len(), 1);
     }
 
     #[test]

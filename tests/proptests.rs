@@ -23,6 +23,27 @@ use rand::{Rng, SeedableRng};
 /// allowed — flip-flops cut every cycle). Latch data inputs only reference
 /// earlier nets, so no within-phase loop can form and the netlist is valid
 /// by construction.
+/// A random gate (AND, OR, XOR, mux or three-input AND) over operands
+/// drawn from `ops`, each inverted at random.
+fn random_gate(net: &mut Netlist, rng: &mut StdRng, ops: [NetId; 3]) -> NetId {
+    let lit = |net: &mut Netlist, rng: &mut StdRng| {
+        let x = ops[rng.gen_range(0..3)];
+        if rng.gen_bool(0.3) {
+            net.not(x)
+        } else {
+            x
+        }
+    };
+    let (a, b, c) = (lit(net, rng), lit(net, rng), lit(net, rng));
+    match rng.gen_range(0u32..5) {
+        0 => net.and2(a, b),
+        1 => net.or2(a, b),
+        2 => net.xor(a, b),
+        3 => net.mux(a, b, c),
+        _ => net.and([a, b, c]),
+    }
+}
+
 fn random_netlist(rng: &mut StdRng) -> Netlist {
     let mut n = Netlist::new("random");
     let mut nets: Vec<NetId> = (0..rng.gen_range(1usize..4))
@@ -377,8 +398,9 @@ proptest! {
     /// the flip-flop induction: the first is forced to its power-up value
     /// and folds away (so every case folds at least one), the others
     /// power up at random (one forced to the complement of its power-up
-    /// value stays), and a pair holding each other at 0 folds only
-    /// through the optimistic assumption.
+    /// value stays), a pair holding each other at 0 folds only through
+    /// the optimistic assumption, and others read themselves through a
+    /// random reconverging cone.
     #[test]
     fn folded_tape_matches_scalar_on_every_kernel(seed in 0u64..10_000, lane_pick in 0u64..64) {
         const W: usize = 8;
@@ -420,6 +442,19 @@ proptest! {
             let q = net.dff(if k == 0 { v } else { rng.gen_bool(0.5) });
             let x = if rng.gen_bool(0.3) { q } else { all[rng.gen_range(0..all.len())] };
             let d = if v { net.or2(f, x) } else { net.and2(f, x) };
+            net.bind_dff(q, d).unwrap();
+            gated.push(q);
+        }
+        // Flip-flops whose data is a random cone over the flip-flop and
+        // two nets that reconverges (two gates over those three, and a
+        // gate over both and one of the nets again), so the literals the
+        // fold compares decide whether they stay.
+        for _ in 0..rng.gen_range(1usize..5) {
+            let q = net.dff(rng.gen_bool(0.5));
+            let (y, z) = (all[rng.gen_range(0..all.len())], all[rng.gen_range(0..all.len())]);
+            let g = random_gate(&mut net, &mut rng, [q, y, z]);
+            let h = random_gate(&mut net, &mut rng, [q, y, z]);
+            let d = random_gate(&mut net, &mut rng, [g, h, y]);
             net.bind_dff(q, d).unwrap();
             gated.push(q);
         }
