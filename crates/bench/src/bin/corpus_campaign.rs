@@ -24,20 +24,26 @@
 //!    [`ANCHOR_LANES`] lanes of every (design, configuration) point must
 //!    equal the scalar interpreter on the unoptimized netlist
 //!    ([`WideHarness::try_run_scalar`]), which checks every folded corpus
-//!    tape the engine ran end to end against the reference semantics.
+//!    tape the engine ran end to end against the reference semantics. The
+//!    30 replays are independent and run after the sweep, on the
+//!    engine's worker count.
 //!
 //! Usage: `corpus_campaign [--trials N] [--threads N] [--cycles N]
 //! [--seed N] [--queue N] [--backend {auto,scalar,wide,wide1,wide2,wide4,
 //! wide8}] [--json PATH]`; the report is written only to the `--json`
 //! path.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use elastic_bench::exp::{
-    lazy_bound_check, run_prepared, CampaignReport, CliOpts, Experiment, SystemSpec,
+    effective_threads, lazy_bound_check, run_prepared, CampaignReport, CliOpts, Experiment,
+    SystemSpec,
 };
 use elastic_bench::WideHarness;
 use elastic_core::compile::{compile, CompileOptions};
 use elastic_core::corpus::{build, CorpusConfig, Knobs, DESIGNS};
 use elastic_core::network::ElasticNetwork;
+use elastic_core::sim::EnvConfig;
 use elastic_lint::json::Json;
 use elastic_netlist::export::round_trip_check;
 use elastic_netlist::wide::LANES;
@@ -49,6 +55,17 @@ const LATENCIES: [u32; 2] = [4, 12];
 /// Leading lanes of each first-cell point replayed on the scalar
 /// interpreter.
 const ANCHOR_LANES: usize = 4;
+
+/// A scalar-anchor replay: the point's label, its network, harness and
+/// environment, and the per-lane rates of its leading lanes on the
+/// engine.
+type Anchor<'a> = (
+    String,
+    &'a ElasticNetwork,
+    &'a WideHarness,
+    EnvConfig,
+    Vec<f64>,
+);
 
 /// One configuration's throughput relative to the lazy baseline of the
 /// same (design, knobs) cell.
@@ -140,7 +157,7 @@ fn main() {
     ];
     let mut gains: Vec<Gain> = Vec::new();
     let mut skipped_bounds: Vec<String> = Vec::new();
-    let mut anchored = 0;
+    let mut anchors: Vec<Anchor> = Vec::new();
     for &ee_prob in &EE_PROBS {
         for &latency in &LATENCIES {
             let knobs = Knobs { ee_prob, latency };
@@ -164,15 +181,8 @@ fn main() {
                     let res = run_prepared(harness, network, &exp, &engine).expect("point runs");
                     if (ee_prob, latency) == (EE_PROBS[0], LATENCIES[0]) {
                         let sub = ANCHOR_LANES.min(opts.trials);
-                        let scheds =
-                            WideHarness::schedules(network, &exp.env, exp.seed, exp.cycles, sub);
-                        let scalar = harness.try_run_scalar(&scheds).expect("scalar replay runs");
-                        assert_eq!(
-                            &res.stats.per_lane[..sub],
-                            &scalar.per_lane[..],
-                            "{label}: optimized pipeline diverged from the scalar interpreter"
-                        );
-                        anchored += 1;
+                        let wide = res.stats.per_lane[..sub].to_vec();
+                        anchors.push((label.clone(), network, harness, exp.env.clone(), wide));
                     }
                     let mean = res.stats.mean();
                     if config == CorpusConfig::Lazy {
@@ -215,9 +225,29 @@ fn main() {
         }
     }
 
+    // The anchor replays, one per worker at a time.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..effective_threads(opts.threads, anchors.len()) {
+            s.spawn(|| {
+                while let Some((label, network, harness, env, wide)) =
+                    anchors.get(next.fetch_add(1, Ordering::Relaxed))
+                {
+                    let scheds =
+                        WideHarness::schedules(network, env, opts.seed, opts.cycles, wide.len());
+                    let scalar = harness.try_run_scalar(&scheds).expect("scalar replay runs");
+                    assert_eq!(
+                        wide, &scalar.per_lane,
+                        "{label}: optimized pipeline diverged from the scalar interpreter"
+                    );
+                }
+            });
+        }
+    });
     println!(
-        "scalar anchor: first {} lanes of {anchored} points at p={:.1} l={} == unoptimized gate-level interpreter",
+        "scalar anchor: first {} lanes of {} points at p={:.1} l={} == unoptimized gate-level interpreter",
         ANCHOR_LANES.min(opts.trials),
+        anchors.len(),
         EE_PROBS[0],
         LATENCIES[0]
     );

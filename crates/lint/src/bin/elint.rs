@@ -5,7 +5,9 @@
 //! component network (token-liveness, arity, counterflow, reachability,
 //! throughput bound), then the compiled gate netlist's levelized tapes
 //! before and after peephole optimization, and after folding to the inputs
-//! the system's environment holds fixed (translation validation).
+//! the system's environment holds fixed (translation validation), where a
+//! run of the unfolded tape also re-checks every flip-flop the fold
+//! dropped (E206).
 //!
 //! Usage: `elint [--seed N] [--gen-count N] [--corpus] [--skip-tape]
 //! [--json PATH] [--quiet]`
@@ -25,6 +27,7 @@ use elastic_core::systems::{paper_example, Config};
 use elastic_core::verify::{NetlistTestbench, PackedStimulus};
 use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags, ReportFile};
 use elastic_lint::json::Json;
+use elastic_lint::tape::check_fold_pins;
 use elastic_lint::{lint_network_with_env, lint_program, LintReport};
 use elastic_netlist::levelize::Program;
 
@@ -82,7 +85,9 @@ fn lint_system(
 
 /// Tape lint of `optimized` folded to the inputs `env` holds fixed
 /// ([`Program::fold_inputs`]), the tape the Monte-Carlo engine runs in
-/// that environment; its diagnostics name the folded tape.
+/// that environment, and the check that no flip-flop the fold dropped
+/// leaves its power-up value on a run of `optimized` in that environment
+/// ([`check_fold_pins`]); its diagnostics name the folded tape.
 fn lint_folded(
     name: &str,
     net: &elastic_core::network::ElasticNetwork,
@@ -95,13 +100,15 @@ fn lint_folded(
         .and_then(|tb| PackedStimulus::generate(&tb, net, env, 0, 1, 1, 1))
         .map_err(|e| e.to_string())
         .and_then(|stim| {
-            optimized
-                .fold_inputs(stim.fixed_inputs())
-                .map_err(|e| e.to_string())
+            let fixed = stim.fixed_inputs().to_vec();
+            let folded = optimized.fold_inputs(&fixed).map_err(|e| e.to_string());
+            folded.map(|folded| (folded, fixed))
         });
     match folded {
-        Ok(folded) => {
+        Ok((folded, fixed)) => {
             let mut report = lint_program(netlist, &folded, true);
+            let pins = check_fold_pins(netlist, optimized, &folded, &fixed);
+            report.diagnostics.extend(pins);
             for d in &mut report.diagnostics {
                 d.site = format!("folded {}", d.site);
             }

@@ -13,11 +13,13 @@
 //! | E203 | dead store surviving DCE (optimized programs only) |
 //! | E204 | slot index or N-ary operand window out of bounds, or an `AndN` inverted tail longer than its window |
 //! | E205 | fault-arm input column (`fault.<chan>.<rail>`) referenced more or less than once |
+//! | E206 | a flip-flop a fold dropped leaves its power-up value on a run of the unfolded tape ([`check_fold_pins`]) |
 //!
 //! The pass functions take plain slices, so tests fabricate violations
 //! directly instead of needing an API that constructs invalid programs.
 
 use elastic_netlist::levelize::{Instr, Program};
+use elastic_netlist::wide::WideSim;
 use elastic_netlist::{Gate, Netlist};
 
 use crate::{Diagnostic, LintReport};
@@ -294,6 +296,86 @@ pub fn check_fault_arms(netlist: &Netlist, program: &Program, diags: &mut Vec<Di
     }
 }
 
+/// E206: every flip-flop of `unfolded` that `folded` no longer commits
+/// ([`Program::fold_inputs`] proved it never leaves its power-up value)
+/// keeps that value on a run of `unfolded` from power-up with the inputs
+/// of `fixed` held at their values and every other input drawn at
+/// random: 512 lanes × 256 cycles, one fixed seed. The fold is exact only
+/// on such runs, so a flip-flop that leaves its value there is an unsound
+/// pin; one diagnostic names it, with the first cycle it was seen away.
+pub fn check_fold_pins(
+    netlist: &Netlist,
+    unfolded: &Program,
+    folded: &Program,
+    fixed: &[(u32, bool)],
+) -> Vec<Diagnostic> {
+    const W: usize = 8;
+    const CYCLES: usize = 256;
+    let dropped: Vec<usize> = (0..unfolded.ffs().len())
+        .filter(|&i| !folded.ffs().contains(&unfolded.ffs()[i]))
+        .collect();
+    if dropped.is_empty() {
+        return Vec::new();
+    }
+    let slots: Vec<u32> = unfolded.inputs().iter().map(|i| i.index() as u32).collect();
+    let mut sim = WideSim::<W>::from_program(unfolded.clone());
+    let mut captures = vec![[0u64; W]; sim.carried_len()];
+    let mut state = 2007;
+    let mut row = vec![0u64; slots.len() * W];
+    let mut left = vec![None; dropped.len()];
+    for cycle in 0..CYCLES {
+        for (words, &s) in row.chunks_exact_mut(W).zip(&slots) {
+            match fixed.iter().find(|&&(f, _)| f == s) {
+                Some(&(_, v)) => words.fill(0u64.wrapping_sub(u64::from(v))),
+                None => words.fill_with(|| splitmix64(&mut state)),
+            }
+        }
+        sim.cycle_packed(&slots, &row);
+        sim.read_carried(&mut captures);
+        for (seen, &i) in left.iter_mut().zip(&dropped) {
+            let power_up =
+                0u64.wrapping_sub(u64::from(unfolded.init()[unfolded.ffs()[i].q as usize]));
+            if seen.is_none() && captures[i].iter().any(|&w| w != power_up) {
+                *seen = Some(cycle);
+            }
+        }
+    }
+    let name = |q: u32| {
+        let net = unfolded
+            .state_nets()
+            .iter()
+            .find(|s| s.index() == q as usize);
+        net.map_or_else(|| format!("slot {q}"), |&n| netlist.net_name(n))
+    };
+    dropped
+        .iter()
+        .zip(left)
+        .filter_map(|(&i, cycle)| {
+            let q = unfolded.ffs()[i].q;
+            cycle.map(|c| {
+                Diagnostic::error(
+                    "E206",
+                    name(q),
+                    format!(
+                        "the fold dropped this flip-flop as never leaving its power-up \
+                         value, but it captures the other value in cycle {c} of a run from \
+                         power-up with the fixed inputs held"
+                    ),
+                )
+            })
+        })
+        .collect()
+}
+
+/// The next word of a SplitMix64 stream at `state`.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,6 +544,28 @@ mod tests {
                 report.render_human()
             );
         }
+    }
+
+    #[test]
+    fn a_pin_a_run_breaks_trips_e206() {
+        // `q` toggles when `en` is 1. Held at 0, `en` pins `q`, the fold
+        // drops it, and a run with `en` held agrees; a run with `en` free
+        // sees `q` leave 0.
+        let mut n = Netlist::new("pin");
+        let en = n.input("en");
+        let q = n.dff(false);
+        let d = n.xor(q, en);
+        n.bind_dff(q, d).unwrap();
+        n.set_name(q, "q").unwrap();
+        n.mark_output(q).unwrap();
+        let (p, _) = Program::compile_optimized(&n).unwrap();
+        let held = [(en.index() as u32, false)];
+        let folded = p.fold_inputs(&held).unwrap();
+        assert!(folded.ffs().is_empty());
+        assert!(check_fold_pins(&n, &p, &folded, &held).is_empty());
+        let diags = check_fold_pins(&n, &p, &folded, &[]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].code, diags[0].site.as_str()), ("E206", "q"));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use crate::build::{Gate, LatchPhase, NetId, Netlist};
 use crate::check;
 use crate::error::NetlistError;
+use crate::reach;
 
 /// One straight-line instruction of a levelized [`Program`].
 ///
@@ -407,11 +408,11 @@ impl Program {
     /// Flip-flop commit list, in net order. A program folded by
     /// [`Program::fold_inputs`] lists only the flip-flops it still
     /// commits: one that never leaves its power-up value on a run from
-    /// power-up with the fixed inputs held is dropped (the fixed inputs
-    /// pin it, or other flip-flops do, with no fixed input at all), and
-    /// its `q` slot, still among [`Program::state_nets`], keeps its
-    /// power-up value ([`Program::init`]). The carried state of a
-    /// simulator
+    /// power-up with the fixed inputs held is dropped, when a literal scan
+    /// of the tapes or an exact search of the reachable states proves it
+    /// (with no fixed input at all too), and its `q` slot, still among
+    /// [`Program::state_nets`], keeps its power-up value
+    /// ([`Program::init`]). The carried state of a simulator
     /// ([`wide::WideSim::read_carried`](crate::wide::WideSim::read_carried))
     /// holds one capture per flip-flop listed here.
     pub fn ffs(&self) -> &[FfCommit] {
@@ -593,35 +594,56 @@ impl Program {
     /// never leave their power-up value under them folded away
     /// (sequential constant propagation).
     ///
-    /// The flip-flops fold by induction from power-up, to a greatest
-    /// fixpoint: assume every flip-flop holds its power-up value, scan the
-    /// tapes once with the fixed inputs and those `q` slots as constants
-    /// (`end_literals`: constants, copies and complements followed through
-    /// every gate, so `x & !x` is 0), drop the assumption for each
-    /// flip-flop whose `d` slot does not end the cycle as that constant,
-    /// and repeat until nothing drops. Every flip-flop left holds its
-    /// power-up value at cycle 0 and, while all of them do, captures it
-    /// again at the end of the cycle, so none ever leaves it. A flip-flop
-    /// can fold with no fixed input at all (two that hold each other at
-    /// their power-up 0, or one that recaptures its own output), so
-    /// `fold_inputs(&[])` may drop flip-flops too. The folded flip-flops
-    /// leave [`Program::ffs`] (their `q` slots keep [`Program::init`],
-    /// and nothing writes them), and one [`Program::peephole`] pass then
-    /// runs with the fixed inputs and those `q` slots read as constants,
-    /// so the logic they feed and the folded flip-flops' data cones go.
+    /// Two proofs decide which flip-flops fold:
+    ///
+    /// 1. **A literal scan**, by induction from power-up to a greatest
+    ///    fixpoint: assume every flip-flop holds its power-up value, scan
+    ///    the tapes once with the fixed inputs and those `q` slots as
+    ///    constants (`end_literals`: constants, copies and complements
+    ///    followed through every gate, so `x & !x` is 0), drop the
+    ///    assumption for each flip-flop whose `d` slot does not end the
+    ///    cycle as that constant, and repeat until nothing drops. Every
+    ///    flip-flop left holds its power-up value at cycle 0 and, while
+    ///    all of them do, captures it again, so none ever leaves it.
+    /// 2. **An exact state search** over what the scan left
+    ///    ([`reach::search`]): every carried state (flip-flop captures and
+    ///    [`Program::carried_slots`]) reachable from power-up with the
+    ///    fixed inputs held and every other input free, breadth first,
+    ///    512 (state, input) pairs per eight-word simulator cycle. Each
+    ///    flip-flop whose capture is its power-up value in every reachable
+    ///    state folds too: it never leaves that value on a run the fold is
+    ///    exact on, though no one-cycle scan shows it (a flip-flop set only
+    ///    from an unreachable state). The search is budgeted: past
+    ///    [`reach::SEARCH_BUDGET`] transitions, or on an alphabet wider
+    ///    than one pass or a state wider than its keys, it gives up and the
+    ///    fold is the literal scan's alone. There is no option: the budget
+    ///    is a constant.
+    ///
+    /// A flip-flop can fold with no fixed input at all (two that hold
+    /// each other at their power-up 0, one that recaptures its own output,
+    /// one set only from an unreachable state), so `fold_inputs(&[])` may
+    /// drop flip-flops too. The folded flip-flops leave [`Program::ffs`]
+    /// (their `q` slots keep [`Program::init`], and nothing writes them),
+    /// and one [`Program::peephole`] pass then runs with the fixed inputs
+    /// and those `q` slots read as constants, so the logic they feed and
+    /// the folded flip-flops' data cones go.
     ///
     /// The folded program still lists every input and still accepts a
     /// write to every input slot. It matches this one on the observation
     /// set of [`Program::peephole`] (a folded flip-flop's state slot
     /// included) on a run that starts at power-up, or from a state a
     /// simulator of the folded program reached on such a run, with each
-    /// fixed input carrying its value in every cycle since cycle 0.
-    /// Anything else can differ with no error: a state loaded from a run
-    /// of another program, or one in which a fixed input once carried the
-    /// other value, may have a folded flip-flop away from its power-up
-    /// value, which the folded program cannot hold. Its carried state
-    /// ([`Program::carried_slots`], and one capture per flip-flop it still
-    /// lists) covers only what it still commits.
+    /// fixed input carrying its value in every cycle since cycle 0: the
+    /// very runs the search enumerates. Anything else can differ with no
+    /// error: a state loaded from a run of another program, or one in
+    /// which a fixed input once carried the other value, may have a
+    /// folded flip-flop away from its power-up value, which the folded
+    /// program cannot hold. Its carried state ([`Program::carried_slots`],
+    /// and one capture per flip-flop it still lists) covers only what it
+    /// still commits. The Monte-Carlo engine's dead lanes, past a
+    /// matrix's trial count, read 0 in every column, a fixed input held
+    /// at 1 included, so their inputs may lie outside the alphabet the
+    /// fold assumed; no count or coalescence check reads a dead lane.
     ///
     /// # Errors
     ///
@@ -634,24 +656,40 @@ impl Program {
         {
             return Err(NetlistError::UnknownNet(NetId(s)));
         }
+        let mut pinned = self.literal_pins(fixed);
+        let mut folded = self.clone();
+        folded.ffs.retain(|f| !pinned.contains(f));
+        if !folded.ffs.is_empty() {
+            if let Some(reach) = reach::search(&folded, fixed) {
+                folded.ffs.retain(|f| !reach.constant.contains(f));
+                pinned.extend(reach.constant);
+            }
+        }
+        folded.optimize(&self.held(fixed, &pinned));
+        Ok(folded)
+    }
+
+    /// The flip-flops the literal scan pins under `fixed`: the greatest
+    /// fixpoint of [`Program::fold_inputs`]'s induction, each round one
+    /// [`Program::end_literals`] scan.
+    fn literal_pins(&self, fixed: &[(u32, bool)]) -> Vec<FfCommit> {
         let init = |f: &FfCommit| self.init[f.q as usize];
         let mut pinned = self.ffs.clone();
-        let mut held = Vec::new();
         loop {
-            held.clear();
-            held.extend(fixed);
-            held.extend(pinned.iter().map(|f| (f.q, init(f))));
-            let end = self.end_literals(&held);
+            let end = self.end_literals(&self.held(fixed, &pinned));
             let assumed = pinned.len();
             pinned.retain(|f| end[f.d as usize] == u32::from(!init(f)));
             if pinned.len() == assumed {
-                break;
+                return pinned;
             }
         }
-        let mut folded = self.clone();
-        folded.ffs.retain(|f| !pinned.contains(f));
-        folded.optimize(&held);
-        Ok(folded)
+    }
+
+    /// `fixed`, then the `q` slot of each flip-flop of `pinned` at its
+    /// power-up value.
+    fn held(&self, fixed: &[(u32, bool)], pinned: &[FfCommit]) -> Vec<(u32, bool)> {
+        let pins = pinned.iter().map(|f| (f.q, self.init[f.q as usize]));
+        fixed.iter().copied().chain(pins).collect()
     }
 
     /// The literal each slot ends a cycle with: one forward scan of both
@@ -2329,24 +2367,112 @@ mod tests {
 
     #[test]
     fn fold_compares_literals_not_only_constants() {
-        // The data of `q` is `(q | x) & !(q | x | en)`. With `en` held at
-        // 0 and `q` assumed at its power-up 0, both sides carry the free
-        // input `x`, and `x & !x` is 0: `q` folds, though no constant
-        // reaches its data. With `en` free the sides differ, and `q`
-        // stays.
-        let mut n = Netlist::new("literals");
-        let en = n.input("en");
-        let x = n.input("x");
-        let q = n.dff(false);
-        let a = n.or2(q, x);
-        let b = n.or([q, x, en]);
-        let nb = n.not(b);
-        let d = n.and2(a, nb);
-        n.bind_dff(q, d).unwrap();
-        let out = n.xor(q, x);
-        n.mark_output(out).unwrap();
+        // `(q | x) & !(q | x | en)` with `en` held at 0 and `q` assumed at
+        // its power-up 0: both sides carry the free input `x`, and
+        // `x & !x` is 0, though no constant reaches the data. With `en`
+        // free the sides differ. That function is 0 for every input, so
+        // the state search pins `q` either way: the scan is checked on
+        // its literals, and the fold on a data input that ORs in
+        // `en & x` (`moves`), which `en` held at 0 gates off.
+        let build = |moves: bool| {
+            let mut n = Netlist::new("literals");
+            let en = n.input("en");
+            let x = n.input("x");
+            let q = n.dff(false);
+            let a = n.or2(q, x);
+            let b = n.or([q, x, en]);
+            let nb = n.not(b);
+            let mut d = n.and2(a, nb);
+            if moves {
+                let ex = n.and2(en, x);
+                d = n.or2(d, ex);
+            }
+            n.bind_dff(q, d).unwrap();
+            let out = n.xor(q, x);
+            n.mark_output(out).unwrap();
+            (n, en, q, d)
+        };
+        let (n, en, q, d) = build(false);
+        let p = Program::compile(&n).unwrap();
+        assert_eq!(
+            p.end_literals(&[(en.0, false), (q.0, false)])[d.index()],
+            ZERO
+        );
+        assert!(p.end_literals(&[(q.0, false)])[d.index()] > ZERO);
+        let (n, en, _, _) = build(true);
         assert!(fold_checked(&n, &[(en.0, false)]).ffs().is_empty());
         assert_eq!(fold_checked(&n, &[]).ffs().len(), 1);
+    }
+
+    /// A mod-3 counter `c1 c0` (00, 01, 10, then 00 again, stepping when
+    /// `inc` is 1) and a flip-flop `z` set from the counter's unreachable
+    /// state 11: `z` powers up at 0 and never leaves it. Returns the
+    /// netlist and `z`.
+    fn mod3_counter() -> (Netlist, NetId) {
+        let mut n = Netlist::new("mod3");
+        let inc = n.input("inc");
+        let c0 = n.dff(false);
+        let c1 = n.dff(false);
+        let z = n.dff(false);
+        let idle = n.or2(c0, c1);
+        let step0 = n.not(idle);
+        let d0 = n.mux(inc, step0, c0);
+        let d1 = n.mux(inc, c0, c1);
+        n.bind_dff(c0, d0).unwrap();
+        n.bind_dff(c1, d1).unwrap();
+        let both = n.and2(c0, c1);
+        let dz = n.or2(z, both);
+        n.bind_dff(z, dz).unwrap();
+        let out = n.xor(z, c1);
+        n.mark_output(out).unwrap();
+        (n, z)
+    }
+
+    #[test]
+    fn fold_pins_a_flip_flop_only_the_state_search_proves() {
+        // The literal scan pins nothing: assuming every flip-flop at 0
+        // makes `c0`'s data 1, and with the counter free `c0 & c1` is a
+        // value of its own. The search finds the three states, in none of
+        // which `z` is set, so `z` folds.
+        let (n, z) = mod3_counter();
+        let (p, _) = Program::compile_optimized(&n).unwrap();
+        assert!(p.literal_pins(&[]).is_empty());
+        let reach = reach::search(&p, &[]).unwrap();
+        assert_eq!((reach.states, reach.transitions), (3, 6));
+        assert_eq!(reach.constant, [p.ffs()[2]]);
+        let folded = fold_checked(&n, &[]);
+        assert_eq!(folded.ffs().len(), 2);
+        assert!(folded.ffs().iter().all(|f| f.q != z.0));
+    }
+
+    #[test]
+    fn fold_over_the_search_budget_is_the_literal_fold() {
+        // Beside the mod-3 counter, a ten-bit counter stepping on a free
+        // input gives 3 · 1024 states of 4 inputs each, past the budget:
+        // the search gives up and the fold is exactly the literal fold, so
+        // `z` stays.
+        let (mut n, z) = mod3_counter();
+        let step = n.input("step");
+        let mut carry = step;
+        for _ in 0..10 {
+            let bit = n.dff(false);
+            let d = n.xor(bit, carry);
+            n.bind_dff(bit, d).unwrap();
+            carry = n.and2(bit, carry);
+        }
+        n.mark_output(carry).unwrap();
+        let (p, _) = Program::compile_optimized(&n).unwrap();
+        assert_eq!(reach::search(&p, &[]), None);
+        let folded = fold_checked(&n, &[]);
+        let mut literal = p.clone();
+        let pinned = p.literal_pins(&[]);
+        literal.ffs.retain(|f| !pinned.contains(f));
+        literal.optimize(&p.held(&[], &pinned));
+        assert_eq!(
+            (folded.high(), folded.low(), folded.args(), folded.ffs()),
+            (literal.high(), literal.low(), literal.args(), literal.ffs())
+        );
+        assert!(folded.ffs().iter().any(|f| f.q == z.0));
     }
 
     #[test]

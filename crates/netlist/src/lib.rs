@@ -54,6 +54,7 @@ pub mod export;
 pub mod kernel;
 pub mod levelize;
 pub mod opt;
+pub mod reach;
 pub mod sim;
 pub mod vcd;
 pub mod wide;

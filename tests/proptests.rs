@@ -9,8 +9,10 @@ use elastic_circuits::core::systems::{
 use elastic_circuits::dmg::analysis::simple_cycles;
 use elastic_circuits::dmg::examples::{fig1_dmg, pipeline_ring};
 use elastic_circuits::dmg::exec::{RandomExecutor, SchedulingPolicy};
+use elastic_circuits::mc::{netlist_kripke, BridgeOptions};
 use elastic_circuits::netlist::kernel::Kernel;
 use elastic_circuits::netlist::levelize::Program;
+use elastic_circuits::netlist::reach;
 use elastic_circuits::netlist::sim::Simulator;
 use elastic_circuits::netlist::wide::{WideSim, WideSimulator, LANES};
 use elastic_circuits::netlist::{LatchPhase, NetId, Netlist};
@@ -400,7 +402,10 @@ proptest! {
     /// power up at random (one forced to the complement of its power-up
     /// value stays), a pair holding each other at 0 folds only through
     /// the optimistic assumption, and others read themselves through a
-    /// random reconverging cone.
+    /// random reconverging cone. A mod-3 counter stepping on a random net
+    /// and a flip-flop set only from its unreachable state 11 exercise the
+    /// reachable-state search: no literal scan pins that flip-flop, and
+    /// it folds whenever the search completes.
     #[test]
     fn folded_tape_matches_scalar_on_every_kernel(seed in 0u64..10_000, lane_pick in 0u64..64) {
         const W: usize = 8;
@@ -466,6 +471,18 @@ proptest! {
             net.bind_dff(q2, d2).unwrap();
             gated.extend([q1, q2]);
         }
+        let inc = all[rng.gen_range(0..all.len())];
+        let (c0, c1, z) = (net.dff(false), net.dff(false), net.dff(false));
+        let idle = net.or2(c0, c1);
+        let step0 = net.not(idle);
+        let d0 = net.mux(inc, step0, c0);
+        let d1 = net.mux(inc, c0, c1);
+        net.bind_dff(c0, d0).unwrap();
+        net.bind_dff(c1, d1).unwrap();
+        let both = net.and2(c0, c1);
+        let dz = net.or2(z, both);
+        net.bind_dff(z, dz).unwrap();
+        gated.extend([c1, z]);
         for q in gated {
             let reader = net.xor(q, all[rng.gen_range(0..all.len())]);
             net.mark_output(reader).unwrap();
@@ -474,6 +491,16 @@ proptest! {
         let folded = prog.fold_inputs(&fixed).unwrap();
         prop_assert!(folded.high().len() + folded.low().len() <= prog.high().len() + prog.low().len());
         prop_assert!(folded.ffs().len() < prog.ffs().len(), "no flip-flop folded");
+        // The fold searches the tape without the flip-flops the literal
+        // scan pins: the same reachable states, one by one, and the same
+        // inputs, so it completes whenever this search of the whole tape
+        // does.
+        if reach::search(&prog, &fixed).is_some() {
+            prop_assert!(
+                folded.ffs().iter().all(|f| f.q as usize != z.index()),
+                "the search completed and the flip-flop set from 11 stayed"
+            );
+        }
         let mut probes: Vec<NetId> = net.outputs().to_vec();
         probes.extend(net.state_elements());
         let slots: Vec<u32> = net.inputs().iter().map(|i| i.index() as u32).collect();
@@ -526,6 +553,38 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The reachable-state search (`reach::search`) against the model
+    /// checker's explicit exploration: on latch-free random netlists of
+    /// one to three inputs and one to six flip-flops (at most 64 states of
+    /// 8 inputs each, inside the search budget), with every input free,
+    /// the search reaches as many states as `netlist_kripke` finds.
+    #[test]
+    fn state_search_counts_the_model_checkers_states(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(11).wrapping_add(5));
+        let mut net = Netlist::new("latch_free");
+        let mut nets: Vec<NetId> = (0..rng.gen_range(1usize..4))
+            .map(|i| net.input(format!("in{i}")))
+            .collect();
+        let ffs: Vec<NetId> = (0..rng.gen_range(1usize..7))
+            .map(|_| net.dff(rng.gen_bool(0.5)))
+            .collect();
+        nets.extend(&ffs);
+        for _ in 0..rng.gen_range(2usize..20) {
+            let ops = [0; 3].map(|_| nets[rng.gen_range(0..nets.len())]);
+            let gate = random_gate(&mut net, &mut rng, ops);
+            nets.push(gate);
+        }
+        for &q in &ffs {
+            let d = nets[rng.gen_range(0..nets.len())];
+            net.bind_dff(q, d).unwrap();
+        }
+        let (prog, _) = Program::compile_optimized(&net).unwrap();
+        let searched = reach::search(&prog, &[]);
+        prop_assert!(searched.is_some(), "64 states of 8 inputs fit the budget");
+        let kripke = netlist_kripke(&net, &[], BridgeOptions::default()).unwrap();
+        prop_assert_eq!(searched.unwrap().states, kripke.num_ff_states());
     }
 
     /// The multi-word backend: lane k of a `WideSim<4>` (256 trials per
