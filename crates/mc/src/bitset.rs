@@ -30,6 +30,14 @@ impl StateSet {
         s
     }
 
+    /// The set of the states `i < len` whose bit `i % 64` of `blocks[i / 64]` is set.
+    pub(crate) fn from_blocks(mut blocks: Vec<u64>, len: usize) -> Self {
+        blocks.resize(len.div_ceil(64), 0);
+        let mut s = StateSet { blocks, len };
+        s.trim();
+        s
+    }
+
     fn trim(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {

@@ -7,14 +7,22 @@
 //! becomes an atomic proposition, evaluated on the settled combinational
 //! valuation of the pair.
 //!
+//! The pairs are enumerated by [`reach::search`], the netlist crate's one
+//! breadth-first search over netlist states (the tape fold runs it too),
+//! on the raw lowering of [`Program::compile`]: no peephole pass runs, so
+//! every named net keeps its value slot, and the search records the
+//! successor of every pair and the value of every named net on it. The
+//! compiler's controllers are latch-free, so the search's carried state is
+//! the flip-flop state.
+//!
 //! Fairness constraints are given as net names: the set of pairs where the
 //! net is true must recur on fair paths (used for "the environment offers
 //! data / accepts data infinitely often" when checking liveness).
 
 use std::collections::HashMap;
 
-use elastic_netlist::sim::Simulator;
-use elastic_netlist::Netlist;
+use elastic_netlist::levelize::Program;
+use elastic_netlist::{reach, NetId, Netlist};
 
 use crate::bitset::StateSet;
 use crate::error::McError;
@@ -49,8 +57,10 @@ pub struct NetlistKripke {
     atoms: HashMap<String, StateSet>,
     /// Fairness sets over pairs.
     fairness: Vec<StateSet>,
-    /// Stored flip-flop states (for state descriptions in witnesses).
-    ff_states: Vec<Vec<bool>>,
+    /// The flip-flop states, packed (for state descriptions in witnesses):
+    /// the same number of words each, state net `e` in bit `e % 64` of
+    /// word `e / 64`.
+    keys: Vec<u64>,
     /// Names of the state nets and input nets, for descriptions.
     state_names: Vec<String>,
     input_names: Vec<String>,
@@ -59,7 +69,7 @@ pub struct NetlistKripke {
 impl NetlistKripke {
     /// Number of distinct flip-flop states discovered.
     pub fn num_ff_states(&self) -> usize {
-        self.ff_states.len()
+        self.delta.len() / self.combos
     }
 
     /// Decomposes a pair id into (flip-flop state index, input index).
@@ -97,7 +107,7 @@ impl NetlistKripke {
             .collect();
         let arm_mask: usize = fault_bits.iter().map(|&b| 1usize << b).sum();
         let clean: Vec<usize> = (0..self.combos).filter(|c| c & arm_mask == 0).collect();
-        let nff = self.ff_states.len();
+        let nff = self.num_ff_states();
 
         // Legal set: BFS from reset over arm-low transitions only.
         let mut legal = vec![false; nff];
@@ -190,7 +200,7 @@ pub struct ConvergenceReport {
 /// * [`McError::Budget`] when the input count or state budget is exceeded;
 /// * [`McError::UnknownAtom`] when a fairness net name does not exist;
 /// * [`McError::Netlist`] for netlist construction errors (unbound state,
-///   combinational cycles, oscillation).
+///   combinational cycles).
 pub fn netlist_kripke(
     netlist: &Netlist,
     fairness_nets: &[&str],
@@ -216,91 +226,45 @@ pub fn netlist_kripke(
             limit: opts.max_inputs.min(usize::BITS as usize - 1),
         });
     };
-    let mut sim = Simulator::new(netlist)?;
-    let inputs: Vec<_> = netlist.inputs().to_vec();
-    let named: Vec<(String, _)> = netlist
-        .named_nets()
-        .into_iter()
-        .map(|(s, n)| (s.to_string(), n))
-        .collect();
+    let prog = Program::compile(netlist)?;
+    let named = netlist.named_nets();
     for f in fairness_nets {
-        if !named.iter().any(|(n, _)| n == f) {
+        if !named.iter().any(|&(n, _)| n == *f) {
             return Err(McError::UnknownAtom((*f).to_string()));
         }
     }
-
-    // Pass 1: BFS over flip-flop states; record successor and atom bits per
-    // (state, input) pair.
-    let initial = sim.state();
-    let mut index: HashMap<Vec<bool>, usize> = HashMap::new();
-    let mut ff_states = vec![initial.clone()];
-    index.insert(initial, 0);
-    // labels[pair] -> bitmask over named nets is too wide; store per-atom
-    // pair lists instead.
-    let mut atom_pairs: Vec<Vec<usize>> = vec![Vec::new(); named.len()];
-    let mut delta: Vec<u32> = Vec::new();
-    let mut frontier = 0usize;
-    while frontier < ff_states.len() {
-        let state = ff_states[frontier].clone();
-        for combo in 0..combos {
-            sim.load_state(&state)?;
-            for (bit, &inp) in inputs.iter().enumerate() {
-                sim.set_input(inp, combo >> bit & 1 == 1)?;
-            }
-            sim.settle()?;
-            let pair = frontier * combos + combo;
-            debug_assert_eq!(delta.len(), pair);
-            for (ai, (_, net)) in named.iter().enumerate() {
-                if sim.value(*net) {
-                    atom_pairs[ai].push(pair);
-                }
-            }
-            let next = sim.next_state();
-            let ni = match index.get(&next) {
-                Some(&i) => i,
-                None => {
-                    let i = ff_states.len();
-                    if i >= opts.max_ff_states {
-                        return Err(McError::Budget {
-                            what: "states",
-                            limit: opts.max_ff_states,
-                        });
-                    }
-                    index.insert(next.clone(), i);
-                    ff_states.push(next);
-                    i
-                }
-            };
-            delta.push(ni as u32);
-        }
-        frontier += 1;
-    }
-
-    let n_pairs = ff_states.len() * combos;
-    let mut atoms = HashMap::new();
-    for (ai, (name, _)) in named.iter().enumerate() {
-        let mut set = StateSet::empty(n_pairs);
-        for &p in &atom_pairs[ai] {
-            set.insert(p);
-        }
-        atoms.insert(name.clone(), set);
-    }
+    let watch: Vec<u32> = named.iter().map(|&(_, n)| n.index() as u32).collect();
+    let budget = opts.max_ff_states.saturating_mul(combos);
+    let reach = reach::search(&prog, &[], &watch, budget).ok_or(McError::Budget {
+        what: "states",
+        limit: opts.max_ff_states,
+    })?;
+    let n_pairs = reach.next.len();
+    let atoms: HashMap<String, StateSet> = named
+        .iter()
+        .zip(reach.watched)
+        .map(|(&(name, _), bits)| (name.to_string(), StateSet::from_blocks(bits, n_pairs)))
+        .collect();
     let fairness = fairness_nets
         .iter()
         .map(|f| atoms.get(*f).expect("validated above").clone())
         .collect();
-    let state_names = sim
-        .state_nets()
+    let entries = prog.ffs().iter().map(|f| f.q);
+    let state_names = entries
+        .chain(prog.carried_slots().iter().copied())
+        .map(|s| netlist.net_name(NetId::from_index(s as usize)))
+        .collect();
+    let input_names = netlist
+        .inputs()
         .iter()
         .map(|&n| netlist.net_name(n))
         .collect();
-    let input_names = inputs.iter().map(|&n| netlist.net_name(n)).collect();
     Ok(NetlistKripke {
         combos,
-        delta,
+        delta: reach.next,
         atoms,
         fairness,
-        ff_states,
+        keys: reach.keys,
         state_names,
         input_names,
     })
@@ -321,7 +285,7 @@ impl Kripke for NetlistKripke {
 
     fn pre_exists(&self, target: &StateSet) -> StateSet {
         // g[s'] = some pair (s', *) is in target.
-        let nff = self.ff_states.len();
+        let nff = self.num_ff_states();
         let mut g = vec![false; nff];
         for p in target.iter() {
             g[p / self.combos] = true;
@@ -350,12 +314,13 @@ impl Kripke for NetlistKripke {
 
     fn describe_state(&self, s: StateId) -> String {
         let (ff, combo) = self.split(s);
-        let bits = &self.ff_states[ff];
+        let words = self.keys.len() / self.num_ff_states();
+        let key = &self.keys[ff * words..(ff + 1) * words];
         let regs: Vec<String> = self
             .state_names
             .iter()
-            .zip(bits)
-            .map(|(n, &b)| format!("{n}={}", u8::from(b)))
+            .enumerate()
+            .map(|(e, n)| format!("{n}={}", key[e / 64] >> (e % 64) & 1))
             .collect();
         let ins: Vec<String> = self
             .input_names

@@ -46,10 +46,9 @@ pub enum NetlistError {
         /// The clock phase during which the oscillation was observed.
         phase: &'static str,
     },
-    /// A state vector of the wrong width was passed to `load_state` or
-    /// `load_carried`.
+    /// A state vector of the wrong width was passed to `load_carried`.
     StateWidthMismatch {
-        /// Number of state elements in the netlist.
+        /// Number of entries of the simulator's carried state.
         expected: usize,
         /// Length of the supplied vector.
         got: usize,

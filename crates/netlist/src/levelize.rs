@@ -606,7 +606,8 @@ impl Program {
     ///    flip-flop left holds its power-up value at cycle 0 and, while
     ///    all of them do, captures it again, so none ever leaves it.
     /// 2. **An exact state search** over what the scan left
-    ///    ([`reach::search`]): every carried state (flip-flop captures and
+    ///    ([`reach::search`], the search the model checker's Kripke
+    ///    structures are built on): every carried state (flip-flop captures and
     ///    [`Program::carried_slots`]) reachable from power-up with the
     ///    fixed inputs held and every other input free, breadth first,
     ///    512 (state, input) pairs per eight-word simulator cycle. Each
@@ -614,10 +615,9 @@ impl Program {
     ///    state folds too: it never leaves that value on a run the fold is
     ///    exact on, though no one-cycle scan shows it (a flip-flop set only
     ///    from an unreachable state). The search is budgeted: past
-    ///    [`reach::SEARCH_BUDGET`] transitions, or on an alphabet wider
-    ///    than one pass or a state wider than its keys, it gives up and the
-    ///    fold is the literal scan's alone. There is no option: the budget
-    ///    is a constant.
+    ///    [`reach::SEARCH_BUDGET`] transitions it gives up and the fold is
+    ///    the literal scan's alone. There is no option: the budget is a
+    ///    constant.
     ///
     /// A flip-flop can fold with no fixed input at all (two that hold
     /// each other at their power-up 0, one that recaptures its own output,
@@ -660,7 +660,7 @@ impl Program {
         let mut folded = self.clone();
         folded.ffs.retain(|f| !pinned.contains(f));
         if !folded.ffs.is_empty() {
-            if let Some(reach) = reach::search(&folded, fixed) {
+            if let Some(reach) = reach::search(&folded, fixed, &[], reach::SEARCH_BUDGET) {
                 folded.ffs.retain(|f| !reach.constant.contains(f));
                 pinned.extend(reach.constant);
             }
@@ -2437,8 +2437,8 @@ mod tests {
         let (n, z) = mod3_counter();
         let (p, _) = Program::compile_optimized(&n).unwrap();
         assert!(p.literal_pins(&[]).is_empty());
-        let reach = reach::search(&p, &[]).unwrap();
-        assert_eq!((reach.states, reach.transitions), (3, 6));
+        let reach = reach::search(&p, &[], &[], reach::SEARCH_BUDGET).unwrap();
+        assert_eq!((reach.states, reach.next.len()), (3, 6));
         assert_eq!(reach.constant, [p.ffs()[2]]);
         let folded = fold_checked(&n, &[]);
         assert_eq!(folded.ffs().len(), 2);
@@ -2462,7 +2462,7 @@ mod tests {
         }
         n.mark_output(carry).unwrap();
         let (p, _) = Program::compile_optimized(&n).unwrap();
-        assert_eq!(reach::search(&p, &[]), None);
+        assert_eq!(reach::search(&p, &[], &[], reach::SEARCH_BUDGET), None);
         let folded = fold_checked(&n, &[]);
         let mut literal = p.clone();
         let pinned = p.literal_pins(&[]);

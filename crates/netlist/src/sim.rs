@@ -9,9 +9,7 @@
 //! 4. **low phase** — combinational logic and `L`-phase latches settle.
 //!
 //! [`Simulator::cycle`] runs all four, after which [`Simulator::value`]
-//! reads the settled valuation of the completed cycle. Callers that need to
-//! interleave observation and clocking (e.g. the model-checker bridge) can
-//! use [`Simulator::settle`] / [`Simulator::next_state`] directly.
+//! reads the settled valuation of the completed cycle.
 
 use crate::build::{Gate, LatchPhase, NetId, Netlist};
 use crate::check;
@@ -25,10 +23,7 @@ pub struct Simulator {
     /// Flip-flop data values captured at the end of the last settle, applied
     /// at the next rising edge.
     captured: Vec<bool>,
-    /// Indices into `captured` per net (usize::MAX for non-FF nets).
-    ff_slot: Vec<usize>,
     ffs: Vec<NetId>,
-    state_nets: Vec<NetId>,
     /// Dependency-ordered evaluation sequence per clock phase, so each
     /// settle pass reads only already-settled operands (no glitch captures
     /// on enable-gated latches whose enable cone crosses net-index order).
@@ -51,11 +46,9 @@ impl Simulator {
         let n = netlist.len();
         let mut values = vec![false; n];
         let mut ffs = Vec::new();
-        let mut ff_slot = vec![usize::MAX; n];
         for id in netlist.nets() {
             match netlist.gate(id) {
                 Gate::Dff { init, .. } => {
-                    ff_slot[id.index()] = ffs.len();
                     ffs.push(id);
                     values[id.index()] = *init;
                 }
@@ -65,16 +58,13 @@ impl Simulator {
             }
         }
         let captured = ffs.iter().map(|f| values[f.index()]).collect();
-        let state_nets = netlist.state_elements();
         let order_high = check::topo_order_in_phase(netlist, LatchPhase::High);
         let order_low = check::topo_order_in_phase(netlist, LatchPhase::Low);
         Ok(Simulator {
             net: netlist.clone(),
             values,
             captured,
-            ff_slot,
             ffs,
-            state_nets,
             order_high,
             order_low,
             time: 0,
@@ -155,7 +145,7 @@ impl Simulator {
     ///
     /// [`NetlistError::Oscillation`] if a level-sensitive loop fails to
     /// reach a fixpoint.
-    pub fn settle(&mut self) -> Result<(), NetlistError> {
+    fn settle(&mut self) -> Result<(), NetlistError> {
         self.settle_phase(LatchPhase::High)?;
         self.settle_phase(LatchPhase::Low)
     }
@@ -219,61 +209,6 @@ impl Simulator {
                 LatchPhase::Low => "low",
             },
         })
-    }
-
-    /// Snapshot of the current state-element outputs, in
-    /// [`Netlist::state_elements`] order.
-    pub fn state(&self) -> Vec<bool> {
-        self.state_nets
-            .iter()
-            .map(|&n| self.values[n.index()])
-            .collect()
-    }
-
-    /// Overwrites the state-element outputs (flip-flops and latches) and
-    /// clears any pending flip-flop capture, so the next [`Simulator::cycle`]
-    /// starts exactly from this state. Used by the model-checker bridge.
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::StateWidthMismatch`] when `bits.len()` differs from
-    /// the number of state elements.
-    pub fn load_state(&mut self, bits: &[bool]) -> Result<(), NetlistError> {
-        if bits.len() != self.state_nets.len() {
-            return Err(NetlistError::StateWidthMismatch {
-                expected: self.state_nets.len(),
-                got: bits.len(),
-            });
-        }
-        for (&net, &b) in self.state_nets.iter().zip(bits) {
-            self.values[net.index()] = b;
-            let slot = self.ff_slot[net.index()];
-            if slot != usize::MAX {
-                self.captured[slot] = b;
-            }
-        }
-        Ok(())
-    }
-
-    /// The successor state implied by the current settled valuation: for
-    /// flip-flops the settled value of their data input, for latches their
-    /// current output (already updated during the settle).
-    ///
-    /// Call after [`Simulator::settle`] (or [`Simulator::cycle`]).
-    pub fn next_state(&self) -> Vec<bool> {
-        self.state_nets
-            .iter()
-            .map(|&n| match self.net.gate(n) {
-                Gate::Dff { d: Some(d), .. } => self.values[d.index()],
-                Gate::Dff { d: None, .. } => unreachable!("checked by check_bound"),
-                _ => self.values[n.index()],
-            })
-            .collect()
-    }
-
-    /// Nets that make up the state vector, in state order.
-    pub fn state_nets(&self) -> &[NetId] {
-        &self.state_nets
     }
 }
 
@@ -379,26 +314,6 @@ mod tests {
         assert!(sim.value(h), "disabled latch holds");
         sim.cycle(&[(a, false), (en, true)]).unwrap();
         assert!(!sim.value(h));
-    }
-
-    #[test]
-    fn state_roundtrip() {
-        let mut n = Netlist::new("state");
-        let q = n.dff(false);
-        let d = n.not(q);
-        n.bind_dff(q, d).unwrap();
-        let mut sim = Simulator::new(&n).unwrap();
-        sim.load_state(&[true]).unwrap();
-        assert_eq!(sim.state(), vec![true]);
-        sim.settle().unwrap();
-        assert_eq!(sim.next_state(), vec![false]);
-        assert!(matches!(
-            sim.load_state(&[true, false]).unwrap_err(),
-            NetlistError::StateWidthMismatch {
-                expected: 1,
-                got: 2
-            }
-        ));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests over the core invariants, using proptest.
 
+use std::collections::HashMap;
+
 use elastic_circuits::core::dsl::isomorphic;
 use elastic_circuits::core::protocol::is_self_language;
 use elastic_circuits::core::sim::{BehavSim, DataGen, EnvConfig, RandomEnv, SinkCfg, SourceCfg};
@@ -9,7 +11,7 @@ use elastic_circuits::core::systems::{
 use elastic_circuits::dmg::analysis::simple_cycles;
 use elastic_circuits::dmg::examples::{fig1_dmg, pipeline_ring};
 use elastic_circuits::dmg::exec::{RandomExecutor, SchedulingPolicy};
-use elastic_circuits::mc::{netlist_kripke, BridgeOptions};
+use elastic_circuits::mc::{netlist_kripke, BridgeOptions, Kripke};
 use elastic_circuits::netlist::kernel::Kernel;
 use elastic_circuits::netlist::levelize::Program;
 use elastic_circuits::netlist::reach;
@@ -495,7 +497,7 @@ proptest! {
         // scan pins: the same reachable states, one by one, and the same
         // inputs, so it completes whenever this search of the whole tape
         // does.
-        if reach::search(&prog, &fixed).is_some() {
+        if reach::search(&prog, &fixed, &[], reach::SEARCH_BUDGET).is_some() {
             prop_assert!(
                 folded.ffs().iter().all(|f| f.q as usize != z.index()),
                 "the search completed and the flip-flop set from 11 stayed"
@@ -555,11 +557,16 @@ proptest! {
         }
     }
 
-    /// The reachable-state search (`reach::search`) against the model
-    /// checker's explicit exploration: on latch-free random netlists of
-    /// one to three inputs and one to six flip-flops (at most 64 states of
-    /// 8 inputs each, inside the search budget), with every input free,
-    /// the search reaches as many states as `netlist_kripke` finds.
+    /// The reachable-state search against a brute-force reference built
+    /// only on the scalar simulator's `cycle` and `value`. On latch-free
+    /// random netlists of one to three inputs and one to six flip-flops
+    /// (at most 64 states of 8 inputs each, inside the search budget),
+    /// every flip-flop and gate named and every input free, the reference
+    /// reaches each state by replaying an input path from power-up,
+    /// breadth first. `reach::search` on the peephole-optimized tape
+    /// reaches as many states, and `netlist_kripke` (the same search on the
+    /// raw lowering) gives every (state, input) pair the reference's
+    /// successor and every named net the reference's set of pairs.
     #[test]
     fn state_search_counts_the_model_checkers_states(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(11).wrapping_add(5));
@@ -567,6 +574,7 @@ proptest! {
         let mut nets: Vec<NetId> = (0..rng.gen_range(1usize..4))
             .map(|i| net.input(format!("in{i}")))
             .collect();
+        let inputs = nets.clone();
         let ffs: Vec<NetId> = (0..rng.gen_range(1usize..7))
             .map(|_| net.dff(rng.gen_bool(0.5)))
             .collect();
@@ -580,11 +588,67 @@ proptest! {
             let d = nets[rng.gen_range(0..nets.len())];
             net.bind_dff(q, d).unwrap();
         }
+        for (k, &n) in nets.iter().enumerate().skip(inputs.len()) {
+            net.set_name(n, format!("n{k}")).unwrap();
+        }
+        let combos = 1usize << inputs.len();
+        let drive = |c: usize| -> Vec<(NetId, bool)> {
+            inputs.iter().enumerate().map(|(j, &i)| (i, c >> j & 1 == 1)).collect()
+        };
+        // A power-up simulator run along `path` and then one cycle under
+        // `c`: the cycle of the pair (the state `path` reaches, `c`).
+        let run = |path: &[usize], c: usize| {
+            let mut sim = Simulator::new(&net).unwrap();
+            for &p in path.iter().chain([&c]) {
+                sim.cycle(&drive(p)).unwrap();
+            }
+            sim
+        };
+        let state = |sim: &Simulator| ffs.iter().map(|&q| sim.value(q)).collect::<Vec<bool>>();
+        let named = net.named_nets();
+        let mut paths: Vec<Vec<usize>> = vec![Vec::new()];
+        let mut index = HashMap::from([(state(&run(&[], 0)), 0)]);
+        let mut succ = Vec::new();
+        let mut atoms: Vec<Vec<usize>> = vec![Vec::new(); named.len()];
+        let mut k = 0;
+        while k < paths.len() {
+            for c in 0..combos {
+                let mut sim = run(&paths[k], c);
+                for (pairs, &(_, n)) in atoms.iter_mut().zip(&named) {
+                    if sim.value(n) {
+                        pairs.push(succ.len());
+                    }
+                }
+                // The next cycle starts from the pair's successor.
+                sim.cycle(&drive(0)).unwrap();
+                let mut path = paths[k].clone();
+                path.push(c);
+                let fresh = paths.len();
+                let next = *index.entry(state(&sim)).or_insert(fresh);
+                if next == fresh {
+                    paths.push(path);
+                }
+                succ.push(next);
+            }
+            k += 1;
+        }
         let (prog, _) = Program::compile_optimized(&net).unwrap();
-        let searched = reach::search(&prog, &[]);
+        let searched = reach::search(&prog, &[], &[], reach::SEARCH_BUDGET);
         prop_assert!(searched.is_some(), "64 states of 8 inputs fit the budget");
+        prop_assert_eq!(searched.unwrap().states, paths.len());
         let kripke = netlist_kripke(&net, &[], BridgeOptions::default()).unwrap();
-        prop_assert_eq!(searched.unwrap().states, kripke.num_ff_states());
+        prop_assert_eq!(kripke.num_ff_states(), paths.len());
+        prop_assert_eq!(kripke.num_states(), succ.len());
+        let mut post = Vec::new();
+        for (pair, &next) in succ.iter().enumerate() {
+            post.clear();
+            kripke.post(pair, &mut post);
+            prop_assert_eq!(post[0] / combos, next, "successor of pair {}", pair);
+        }
+        for (pairs, &(name, _)) in atoms.iter().zip(&named) {
+            let set = kripke.atom_set(name).unwrap();
+            prop_assert_eq!(&set.iter().collect::<Vec<_>>(), pairs, "pairs of {}", name);
+        }
     }
 
     /// The multi-word backend: lane k of a `WideSim<4>` (256 trials per
