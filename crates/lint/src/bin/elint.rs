@@ -7,7 +7,9 @@
 //! before and after peephole optimization, and after folding to the inputs
 //! the system's environment holds fixed (translation validation), where a
 //! run of the unfolded tape also re-checks every flip-flop the fold
-//! dropped (E206).
+//! dropped (E206). The fold is linted on the full compile and on the tape
+//! the Monte-Carlo engine runs, the compile pruned to the output channel's
+//! rails.
 //!
 //! Usage: `elint [--seed N] [--gen-count N] [--corpus] [--skip-tape]
 //! [--json PATH] [--quiet]`
@@ -20,16 +22,19 @@
 //! a flag missing its value) or a `--json` path that cannot be written.
 //! No report file is written without `--json`.
 
-use elastic_core::compile::{compile, CompileOptions};
+use elastic_core::compile::{compile, CompileOptions, Compiled};
 use elastic_core::corpus::{self, CorpusConfig, Knobs, DESIGNS};
 use elastic_core::gen::{generate, TopoParams};
 use elastic_core::systems::{paper_example, Config};
 use elastic_core::verify::{NetlistTestbench, PackedStimulus};
+use elastic_core::ChanId;
 use elastic_lint::cli::{flag_value, parse_flag, reject_unknown_flags, ReportFile};
 use elastic_lint::json::Json;
 use elastic_lint::tape::check_fold_pins;
 use elastic_lint::{lint_network_with_env, lint_program, LintReport};
 use elastic_netlist::levelize::Program;
+use elastic_netlist::opt::optimize_observed;
+use elastic_netlist::reach::DEEP_BUDGET;
 
 /// The flags `elint` reads that take a value.
 const VALUE_FLAGS: [&str; 3] = ["--seed", "--gen-count", "--json"];
@@ -46,11 +51,13 @@ struct Target {
 /// Network + tape lint of one system. Tape validation compiles the
 /// network (control rails and the payload bits its guards read) and
 /// checks the levelized program both raw (strict dependency order) and
-/// after the peephole pass.
+/// after the peephole pass, then the folds of the full and of the
+/// observed tape (the compile pruned to the rails of `out`).
 fn lint_system(
     name: &str,
     net: &elastic_core::network::ElasticNetwork,
     env: &elastic_core::sim::EnvConfig,
+    out: ChanId,
     tape: bool,
 ) -> Target {
     let mut report = lint_network_with_env(net, env);
@@ -67,8 +74,9 @@ fn lint_system(
                 }
                 if let Ok((p, _)) = Program::compile_optimized(&compiled.netlist) {
                     report.merge(lint_program(&compiled.netlist, &p, true));
-                    report.merge(lint_folded(name, net, env, &compiled.netlist, &p));
+                    report.merge(lint_folded(name, net, env, &compiled.netlist, &p, "folded"));
                 }
+                report.merge(lint_observed(name, net, env, &compiled, out));
             }
             Err(e) => report.diagnostics.push(elastic_lint::Diagnostic::error(
                 "E102",
@@ -84,16 +92,19 @@ fn lint_system(
 }
 
 /// Tape lint of `optimized` folded to the inputs `env` holds fixed
-/// ([`Program::fold_inputs`]), the tape the Monte-Carlo engine runs in
-/// that environment, and the check that no flip-flop the fold dropped
-/// leaves its power-up value on a run of `optimized` in that environment
-/// ([`check_fold_pins`]); its diagnostics name the folded tape.
+/// ([`Program::fold_inputs`] under [`DEEP_BUDGET`], the budget of the
+/// deepest fold the Monte-Carlo engine runs, whose dropped flip-flops
+/// include those of the first-use fold), and the check that no flip-flop
+/// the fold dropped leaves its power-up value on a run of `optimized` in
+/// that environment ([`check_fold_pins`]); its diagnostics' sites start
+/// with `tape`.
 fn lint_folded(
     name: &str,
     net: &elastic_core::network::ElasticNetwork,
     env: &elastic_core::sim::EnvConfig,
     netlist: &elastic_netlist::Netlist,
     optimized: &Program,
+    tape: &str,
 ) -> LintReport {
     // A one-lane, one-cycle matrix carries the environment's fixed inputs.
     let folded = NetlistTestbench::new(net, netlist)
@@ -101,8 +112,10 @@ fn lint_folded(
         .map_err(|e| e.to_string())
         .and_then(|stim| {
             let fixed = stim.fixed_inputs().to_vec();
-            let folded = optimized.fold_inputs(&fixed).map_err(|e| e.to_string());
-            folded.map(|folded| (folded, fixed))
+            let folded = optimized.fold_inputs(&fixed, DEEP_BUDGET);
+            folded
+                .map(|(folded, _)| (folded, fixed))
+                .map_err(|e| e.to_string())
         });
     match folded {
         Ok((folded, fixed)) => {
@@ -110,7 +123,7 @@ fn lint_folded(
             let pins = check_fold_pins(netlist, optimized, &folded, &fixed);
             report.diagnostics.extend(pins);
             for d in &mut report.diagnostics {
-                d.site = format!("folded {}", d.site);
+                d.site = format!("{tape} {}", d.site);
             }
             report
         }
@@ -118,6 +131,32 @@ fn lint_folded(
             "E204",
             name.to_string(),
             format!("folding to the environment failed: {e}"),
+        )]),
+    }
+}
+
+/// [`lint_folded`] on the tape the Monte-Carlo engine runs: the compile
+/// pruned to the `V⁺/S⁺/V⁻` rails of the output channel `out`
+/// ([`optimize_observed`], as `elastic_bench::SimLowering` lowers it).
+/// Its smaller state space lets the deep search finish where the full
+/// compile's gives up, so E206 re-checks the flip-flops the engine's deep
+/// fold drops; its diagnostics' sites start with `observed folded`.
+fn lint_observed(
+    name: &str,
+    net: &elastic_core::network::ElasticNetwork,
+    env: &elastic_core::sim::EnvConfig,
+    compiled: &Compiled,
+    out: ChanId,
+) -> LintReport {
+    let o = &compiled.channels[out.index()];
+    let lowered = optimize_observed(&compiled.netlist, &[o.vp, o.sp, o.vn])
+        .and_then(|(netlist, _)| Program::compile_optimized(&netlist).map(|(p, _)| (netlist, p)));
+    match lowered {
+        Ok((netlist, p)) => lint_folded(name, net, env, &netlist, &p, "observed folded"),
+        Err(e) => LintReport::new(vec![elastic_lint::Diagnostic::error(
+            "E204",
+            name.to_string(),
+            format!("observed-rail lowering failed: {e}"),
         )]),
     }
 }
@@ -145,6 +184,7 @@ fn main() {
             config.label(),
             &sys.network,
             &sys.env_config,
+            sys.output_channel,
             tape,
         ));
     }
@@ -153,7 +193,13 @@ fn main() {
             for config in CorpusConfig::all() {
                 let name = format!("{design}/{}", config.tag());
                 match corpus::build(design, config, &Knobs::default()) {
-                    Ok(sys) => targets.push(lint_system(&name, &sys.network, &sys.env, tape)),
+                    Ok(sys) => targets.push(lint_system(
+                        &name,
+                        &sys.network,
+                        &sys.env,
+                        sys.output_channel,
+                        tape,
+                    )),
                     Err(e) => {
                         eprintln!("error: building {name} failed: {e}");
                         std::process::exit(2);
@@ -170,6 +216,7 @@ fn main() {
                 &format!("gen-{topo_seed}"),
                 &sys.network,
                 &sys.env,
+                sys.output_channel,
                 tape,
             )),
             Err(e) => targets.push(Target {

@@ -380,6 +380,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 mod tests {
     use super::*;
     use elastic_netlist::levelize::Program;
+    use elastic_netlist::reach::SEARCH_BUDGET;
     use elastic_netlist::Netlist;
 
     /// A small sequential netlist: two inputs, an xor, a flip-flop.
@@ -560,7 +561,7 @@ mod tests {
         n.mark_output(q).unwrap();
         let (p, _) = Program::compile_optimized(&n).unwrap();
         let held = [(en.index() as u32, false)];
-        let folded = p.fold_inputs(&held).unwrap();
+        let (folded, _) = p.fold_inputs(&held, SEARCH_BUDGET).unwrap();
         assert!(folded.ffs().is_empty());
         assert!(check_fold_pins(&n, &p, &folded, &held).is_empty());
         let diags = check_fold_pins(&n, &p, &folded, &[]);

@@ -615,13 +615,16 @@ impl Program {
     ///    state folds too: it never leaves that value on a run the fold is
     ///    exact on, though no one-cycle scan shows it (a flip-flop set only
     ///    from an unreachable state). The search is budgeted: past
-    ///    [`reach::SEARCH_BUDGET`] transitions it gives up and the fold is
-    ///    the literal scan's alone. There is no option: the budget is a
-    ///    constant.
+    ///    `budget` transitions it gives up and the fold is the literal
+    ///    scan's alone. A tape is folded at its first use with
+    ///    [`reach::SEARCH_BUDGET`], and again with [`reach::DEEP_BUDGET`]
+    ///    where the first search gave up and the work run on the tape pays
+    ///    for a longer one (`elastic_bench::WideHarness`); the budgets are
+    ///    constants, not options.
     ///
     /// A flip-flop can fold with no fixed input at all (two that hold
     /// each other at their power-up 0, one that recaptures its own output,
-    /// one set only from an unreachable state), so `fold_inputs(&[])` may
+    /// one set only from an unreachable state), so `fold_inputs(&[], budget)` may
     /// drop flip-flops too. The folded flip-flops leave [`Program::ffs`]
     /// (their `q` slots keep [`Program::init`], and nothing writes them),
     /// and one [`Program::peephole`] pass then runs with the fixed inputs
@@ -645,11 +648,19 @@ impl Program {
     /// at 1 included, so their inputs may lie outside the alphabet the
     /// fold assumed; no count or coalescence check reads a dead lane.
     ///
+    /// Returns the folded program and whether the state search finished
+    /// (`true` also when the scan left no flip-flop to search); `false`
+    /// says it gave up at `budget`, and a larger budget may fold more.
+    ///
     /// # Errors
     ///
     /// [`NetlistError::UnknownNet`] naming the first slot of `fixed` that
     /// is not a primary input.
-    pub fn fold_inputs(&self, fixed: &[(u32, bool)]) -> Result<Program, NetlistError> {
+    pub fn fold_inputs(
+        &self,
+        fixed: &[(u32, bool)],
+        budget: usize,
+    ) -> Result<(Program, bool), NetlistError> {
         if let Some(&(s, _)) = fixed
             .iter()
             .find(|&&(s, _)| !self.inputs.contains(&NetId(s)))
@@ -659,14 +670,18 @@ impl Program {
         let mut pinned = self.literal_pins(fixed);
         let mut folded = self.clone();
         folded.ffs.retain(|f| !pinned.contains(f));
+        let mut finished = true;
         if !folded.ffs.is_empty() {
-            if let Some(reach) = reach::search(&folded, fixed, &[], reach::SEARCH_BUDGET) {
-                folded.ffs.retain(|f| !reach.constant.contains(f));
-                pinned.extend(reach.constant);
+            match reach::search(&folded, fixed, &[], budget) {
+                Some(reach) => {
+                    folded.ffs.retain(|f| !reach.constant.contains(f));
+                    pinned.extend(reach.constant);
+                }
+                None => finished = false,
             }
         }
         folded.optimize(&self.held(fixed, &pinned));
-        Ok(folded)
+        Ok((folded, finished))
     }
 
     /// The flip-flops the literal scan pins under `fixed`: the greatest
@@ -2113,9 +2128,15 @@ mod tests {
         n.mark_output(x).unwrap();
         let (p, _) = Program::compile_optimized(&n).unwrap();
         // b held at 1: x is a copy of a. b held at 0: x is constant.
-        let high = p.fold_inputs(&[(b.0, true)]).unwrap();
+        let high = p
+            .fold_inputs(&[(b.0, true)], reach::SEARCH_BUDGET)
+            .unwrap()
+            .0;
         assert!(high.low().contains(&Instr::Copy { dst: x.0, src: a.0 }));
-        let low = p.fold_inputs(&[(b.0, false)]).unwrap();
+        let low = p
+            .fold_inputs(&[(b.0, false)], reach::SEARCH_BUDGET)
+            .unwrap()
+            .0;
         assert!(low.low().contains(&Instr::Fill {
             dst: x.0,
             ones: false
@@ -2123,7 +2144,7 @@ mod tests {
         assert_eq!(high.inputs(), p.inputs(), "every input stays an input");
         for bad in [x.0, q.0, 99] {
             assert!(matches!(
-                p.fold_inputs(&[(a.0, true), (bad, false)]),
+                p.fold_inputs(&[(a.0, true), (bad, false)], reach::SEARCH_BUDGET),
                 Err(NetlistError::UnknownNet(NetId(s))) if s == bad
             ));
         }
@@ -2258,12 +2279,13 @@ mod tests {
         }
     }
 
-    /// Folds the peephole-optimized compile of `n` to `fixed` and checks
-    /// the folded program cycle-exact against the raw compile on every
-    /// output and state element of `n`, each fixed input at its value.
-    fn fold_checked(n: &Netlist, fixed: &[(u32, bool)]) -> Program {
+    /// Folds the peephole-optimized compile of `n` to `fixed` under the
+    /// search budget `budget` and checks the folded program cycle-exact
+    /// against the raw compile on every output and state element of `n`,
+    /// each fixed input at its value.
+    fn fold_checked(n: &Netlist, fixed: &[(u32, bool)], budget: usize) -> Program {
         let (p, _) = Program::compile_optimized(n).unwrap();
-        let folded = p.fold_inputs(fixed).unwrap();
+        let (folded, _) = p.fold_inputs(fixed, budget).unwrap();
         let mut probes = n.outputs().to_vec();
         probes.extend(n.state_elements());
         let raw = Program::compile(n).unwrap();
@@ -2288,7 +2310,7 @@ mod tests {
         n.mark_output(out).unwrap();
         let (p, _) = Program::compile_optimized(&n).unwrap();
         assert!(instrs(&p).any(|i| i.dst() == x.0), "{:?}", p.low());
-        let folded = fold_checked(&n, &[(en.0, false)]);
+        let folded = fold_checked(&n, &[(en.0, false)], reach::SEARCH_BUDGET);
         assert!(folded.ffs().is_empty());
         assert!(
             !instrs(&folded).any(|i| [x.0, d.0].contains(&i.dst())),
@@ -2301,7 +2323,10 @@ mod tests {
             src: b.0
         }));
         assert_eq!(folded.state_nets(), &[q], "the pinned slot stays state");
-        assert_eq!(fold_checked(&n, &[(en.0, true)]).ffs(), p.ffs());
+        assert_eq!(
+            fold_checked(&n, &[(en.0, true)], reach::SEARCH_BUDGET).ffs(),
+            p.ffs()
+        );
     }
 
     #[test]
@@ -2325,7 +2350,7 @@ mod tests {
             n.bind_dff(q2, d2).unwrap();
             let out = n.xor(q1, q2);
             n.mark_output(out).unwrap();
-            let folded = fold_checked(&n, &[]);
+            let folded = fold_checked(&n, &[], reach::SEARCH_BUDGET);
             let kept = if init2 { 2 } else { 0 };
             assert_eq!(folded.ffs().len(), kept, "q2 powers up at {init2}");
         }
@@ -2347,7 +2372,7 @@ mod tests {
             let d = n.or2(nclr, keep);
             n.bind_dff(q, d).unwrap();
             n.mark_output(keep).unwrap();
-            let folded = fold_checked(&n, &[(clr.0, false)]);
+            let folded = fold_checked(&n, &[(clr.0, false)], reach::SEARCH_BUDGET);
             if init {
                 assert!(folded.ffs().is_empty());
                 assert!(folded.init()[q.index()]);
@@ -2400,8 +2425,10 @@ mod tests {
         );
         assert!(p.end_literals(&[(q.0, false)])[d.index()] > ZERO);
         let (n, en, _, _) = build(true);
-        assert!(fold_checked(&n, &[(en.0, false)]).ffs().is_empty());
-        assert_eq!(fold_checked(&n, &[]).ffs().len(), 1);
+        assert!(fold_checked(&n, &[(en.0, false)], reach::SEARCH_BUDGET)
+            .ffs()
+            .is_empty());
+        assert_eq!(fold_checked(&n, &[], reach::SEARCH_BUDGET).ffs().len(), 1);
     }
 
     /// A mod-3 counter `c1 c0` (00, 01, 10, then 00 again, stepping when
@@ -2440,7 +2467,7 @@ mod tests {
         let reach = reach::search(&p, &[], &[], reach::SEARCH_BUDGET).unwrap();
         assert_eq!((reach.states, reach.next.len()), (3, 6));
         assert_eq!(reach.constant, [p.ffs()[2]]);
-        let folded = fold_checked(&n, &[]);
+        let folded = fold_checked(&n, &[], reach::SEARCH_BUDGET);
         assert_eq!(folded.ffs().len(), 2);
         assert!(folded.ffs().iter().all(|f| f.q != z.0));
     }
@@ -2463,7 +2490,8 @@ mod tests {
         n.mark_output(carry).unwrap();
         let (p, _) = Program::compile_optimized(&n).unwrap();
         assert_eq!(reach::search(&p, &[], &[], reach::SEARCH_BUDGET), None);
-        let folded = fold_checked(&n, &[]);
+        assert!(!p.fold_inputs(&[], reach::SEARCH_BUDGET).unwrap().1);
+        let folded = fold_checked(&n, &[], reach::SEARCH_BUDGET);
         let mut literal = p.clone();
         let pinned = p.literal_pins(&[]);
         literal.ffs.retain(|f| !pinned.contains(f));
@@ -2473,6 +2501,12 @@ mod tests {
             (literal.high(), literal.low(), literal.args(), literal.ffs())
         );
         assert!(folded.ffs().iter().any(|f| f.q == z.0));
+        // The deep budget holds the 3 · 1024 · 4 transitions: the search
+        // finishes and `z` folds.
+        assert!(p.fold_inputs(&[], reach::DEEP_BUDGET).unwrap().1);
+        let deep = fold_checked(&n, &[], reach::DEEP_BUDGET);
+        assert_eq!(deep.ffs().len(), folded.ffs().len() - 1);
+        assert!(deep.ffs().iter().all(|f| f.q != z.0));
     }
 
     #[test]

@@ -29,15 +29,24 @@ const PASS_LANES: usize = W * LANES;
 /// of the pass's first pair.
 const LANE_BITS: usize = PASS_LANES.ilog2() as usize;
 
-/// The transition budget of the search in [`Program::fold_inputs`]: two
-/// full passes. Under the Table 1 environment, 32 of the 35 Fig. 9 and
-/// corpus systems finish within it (11–201 states of 2–16 input
-/// assignments, 32–804 transitions, 5–11 passes) in 6–32 µs; the other
-/// three Fig. 9 configurations reach 4069–12,281 states (65k–196k
-/// transitions), which an uncapped search enumerated in 3.2–9.6 ms, about
-/// as long as a whole `table1` point of theirs (3.7–5.8 ms), and give up
-/// here after about 20 µs (2-vCPU Xeon VM; BENCH.md records the census).
+/// The transition budget of a first fold ([`Program::fold_inputs`] as a
+/// tape is folded at its first use): two full passes. Under the Table 1
+/// environment, 32 of the 35 Fig. 9 and corpus systems finish within it
+/// (11–201 states of 2–16 input assignments, 32–804 transitions, 5–11
+/// passes) in 6–32 µs; the other three Fig. 9 configurations reach
+/// 4069–12,281 states (65k–196k transitions) and give up here after about
+/// 12 µs (2-vCPU Xeon VM; BENCH.md records the census). Those fold again
+/// under [`DEEP_BUDGET`] once a harness has run enough work on them.
 pub const SEARCH_BUDGET: usize = 1024;
+
+/// The transition budget of a deep fold: the second fold a long-running
+/// harness (`elastic_bench::WideHarness`) pays for out of the simulation
+/// it has already run, and the fold `elint` lints. The three Fig. 9
+/// configurations past [`SEARCH_BUDGET`] finish within it (65,104, 77,328
+/// and 196,496 transitions; their deep folds take 1.4–4.3 ms, 2-vCPU Xeon
+/// VM); at 20–40 ns per transition, a search that gives up here costs at
+/// most about 10 ms.
+pub const DEEP_BUDGET: usize = 1 << 18;
 
 /// What a completed [`search`] found.
 ///
@@ -139,18 +148,18 @@ pub fn search(
             .expect("one group per carried entry");
         sim.cycle_packed(&slots, &row);
         sim.read_carried(&mut out);
-        let live = lane_masks::<W>(used);
-        next_keys[..used * words].fill(0);
-        for (e, group) in out.iter().enumerate() {
-            for w in 0..W {
-                let mut bits = group[w] & live[w];
-                while bits != 0 {
-                    let l = w * LANES + bits.trailing_zeros() as usize;
-                    next_keys[l * words + e / 64] |= 1 << (e % 64);
-                    bits &= bits - 1;
-                }
+        for (c, entries) in out.chunks(64).enumerate() {
+            let keys = next_keys.chunks_exact_mut(words).take(used);
+            // Only the pass's live lane words are transposed (a small
+            // search's passes fill one to four).
+            match used.div_ceil(LANES) {
+                1 => key_words::<1>(entries, c, keys),
+                2 => key_words::<2>(entries, c, keys),
+                3 | 4 => key_words::<4>(entries, c, keys),
+                _ => key_words::<W>(entries, c, keys),
             }
         }
+        let live = lane_masks::<W>(used);
         for (bits, &s) in watched.iter_mut().zip(watch) {
             let values = sim.words(NetId::from_index(s as usize));
             for w in 0..used.div_ceil(LANES) {
@@ -196,6 +205,56 @@ fn ones(key: &[u64]) -> impl Iterator<Item = usize> + '_ {
             })
         })
     })
+}
+
+/// Writes word `c` of each of `keys`, lane `l`'s key: bit `l % 64` of
+/// `entries` (carried entries `64c..64c + 64`) in lane word `l / 64`. One
+/// 64 × 64 transpose per lane word, the first `N` lane words side by
+/// side.
+fn key_words<'a, const N: usize>(
+    entries: &[[u64; W]],
+    c: usize,
+    keys: impl Iterator<Item = &'a mut [u64]>,
+) {
+    let mut m = [[0u64; N]; 64];
+    for (row, group) in m.iter_mut().zip(entries) {
+        row.copy_from_slice(&group[..N]);
+    }
+    transpose(&mut m);
+    for (l, key) in keys.enumerate() {
+        key[c] = m[l % LANES][l / LANES];
+    }
+}
+
+/// Transposes the `N` 64 × 64 bit matrices `m` holds side by side (word
+/// `w` of every row is matrix `w`) in place: bit `c` of row `r` trades
+/// places with bit `r` of row `c`.
+fn transpose<const N: usize>(m: &mut [[u64; N]; 64]) {
+    swap_blocks::<32, N>(m, 0x0000_0000_ffff_ffff);
+    swap_blocks::<16, N>(m, 0x0000_ffff_0000_ffff);
+    swap_blocks::<8, N>(m, 0x00ff_00ff_00ff_00ff);
+    swap_blocks::<4, N>(m, 0x0f0f_0f0f_0f0f_0f0f);
+    swap_blocks::<2, N>(m, 0x3333_3333_3333_3333);
+    swap_blocks::<1, N>(m, 0x5555_5555_5555_5555);
+}
+
+/// One stage of [`transpose`]: in every block of `2J` rows, bit `c + J`
+/// of each of the first `J` rows trades places with bit `c` of the row
+/// `J` below it, for each bit `c` of `low` (the low `J` bits of every
+/// `2J`).
+#[inline(always)]
+fn swap_blocks<const J: usize, const N: usize>(m: &mut [[u64; N]; 64], low: u64) {
+    for k in (0..64).step_by(2 * J) {
+        for i in k..k + J {
+            let (mut a, mut b) = (m[i], m[i + J]);
+            for w in 0..N {
+                let t = (a[w] >> J ^ b[w]) & low;
+                a[w] ^= t << J;
+                b[w] ^= t;
+            }
+            (m[i], m[i + J]) = (a, b);
+        }
+    }
 }
 
 /// ORs the 64 bits of `x` into the bit vector `bits` from bit `at` on,
@@ -313,6 +372,30 @@ mod tests {
     }
 
     #[test]
+    fn transpose_moves_every_bit_across_the_diagonal() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut m: [[u64; W]; 64] = std::array::from_fn(|_| {
+            std::array::from_fn(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            })
+        });
+        let before = m;
+        transpose(&mut m);
+        for (r, c, w) in
+            (0..64).flat_map(|r| (0..64).flat_map(move |c| (0..W).map(move |w| (r, c, w))))
+        {
+            assert_eq!(
+                m[c][w] >> r & 1,
+                before[r][w] >> c & 1,
+                "row {r}, column {c}, word {w}"
+            );
+        }
+    }
+
+    #[test]
     fn search_runs_to_the_budget_and_no_further() {
         let fits = search(&counter(10), &[], &[], SEARCH_BUDGET).unwrap();
         assert_eq!((fits.states, fits.next.len()), (1024, SEARCH_BUDGET));
@@ -331,8 +414,8 @@ mod tests {
     fn search_explores_an_alphabet_wider_than_a_pass() {
         // A flip-flop capturing the AND of ten inputs, each input watched:
         // ten free inputs take two passes per state, nine (one held) fill
-        // exactly one pass per state, and holding one at 0 pins the
-        // flip-flop.
+        // exactly one pass per state, eight and seven fill four and two
+        // lane words of one, and holding one at 0 pins the flip-flop.
         let mut n = Netlist::new("wide");
         let inputs: Vec<_> = (0..10).map(|i| n.input(format!("in{i}"))).collect();
         let all = n.and(inputs.clone());
@@ -356,6 +439,19 @@ mod tests {
         let one = search(&p, &[(inputs[0].0, true)], &[], SEARCH_BUDGET).unwrap();
         assert_eq!((one.states, one.next.len()), (2, 1024));
         assert!(one.constant.is_empty());
+        for held in [2, 3] {
+            let fixed: Vec<_> = inputs[..held].iter().map(|i| (i.0, true)).collect();
+            let alphabet = 1 << (10 - held);
+            let r = search(&p, &fixed, &[], SEARCH_BUDGET).unwrap();
+            assert_eq!((r.states, r.next.len()), (2, 2 * alphabet));
+            for (pair, &succ) in r.next.iter().enumerate() {
+                assert_eq!(
+                    succ == 1,
+                    pair % alphabet == alphabet - 1,
+                    "{held} held, pair {pair}"
+                );
+            }
+        }
         let zero = search(&p, &[(inputs[0].0, false)], &[], SEARCH_BUDGET).unwrap();
         assert_eq!((zero.states, zero.constant), (1, p.ffs().to_vec()));
     }

@@ -129,9 +129,9 @@ impl Simulator {
         }
         self.settle()?;
         // Capture for the next rising edge.
-        for (i, &ff) in self.ffs.clone().iter().enumerate() {
+        for (slot, &ff) in self.captured.iter_mut().zip(&self.ffs) {
             if let Gate::Dff { d: Some(d), .. } = self.net.gate(ff) {
-                self.captured[i] = self.values[d.index()];
+                *slot = self.values[d.index()];
             }
         }
         self.time += 1;

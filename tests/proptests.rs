@@ -490,7 +490,7 @@ proptest! {
             net.mark_output(reader).unwrap();
         }
         let (prog, _) = Program::compile_optimized(&net).unwrap();
-        let folded = prog.fold_inputs(&fixed).unwrap();
+        let (folded, finished) = prog.fold_inputs(&fixed, reach::SEARCH_BUDGET).unwrap();
         prop_assert!(folded.high().len() + folded.low().len() <= prog.high().len() + prog.low().len());
         prop_assert!(folded.ffs().len() < prog.ffs().len(), "no flip-flop folded");
         // The fold searches the tape without the flip-flops the literal
@@ -498,6 +498,7 @@ proptest! {
         // inputs, so it completes whenever this search of the whole tape
         // does.
         if reach::search(&prog, &fixed, &[], reach::SEARCH_BUDGET).is_some() {
+            prop_assert!(finished, "the whole tape's search completed and the fold's did not");
             prop_assert!(
                 folded.ffs().iter().all(|f| f.q as usize != z.index()),
                 "the search completed and the flip-flop set from 11 stayed"
